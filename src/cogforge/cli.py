@@ -38,6 +38,7 @@ from .loss import (
     dpo_loss,
     grad_check,
     join_quads,
+    softplus,
 )
 from .pairs import EmptyFamily, assign_beta, build_pairs, count_by_gap
 from .pipeline import CorruptCheckpoint, DuplicateId, run_crv
@@ -99,10 +100,6 @@ def entrypoint(argv: list[str] | None = None) -> int:
     except (GatewayError, CorruptCheckpoint, DuplicateId, JoinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
-
-
-def main() -> None:
-    sys.exit(entrypoint())
 
 
 def _derived_path(output: str, tag: str) -> str:
@@ -204,7 +201,7 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
                 "gap": gap.value,
                 "beta": assign_beta(gap, schedule),
                 "margin": m,
-                "loss_term": float(np.logaddexp(0.0, -m)),
+                "loss_term": softplus(-m),
             }
         )
     if args.output:

@@ -7,7 +7,7 @@ values; the file overrides built-in defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from urllib.parse import urlparse
 
 import yaml
@@ -48,21 +48,37 @@ def _section(raw: dict, name: str) -> dict:
     return value
 
 
+def _build(cls, raw: dict):
+    """``cls()`` with each of its fields that ``raw`` names overridden.
+
+    A value is cast to the type of the field's default (a None default takes
+    the value as is); keys that name no field are ignored.
+    """
+    default = cls()
+    overrides = {}
+    for spec in fields(cls):
+        if spec.name in raw:
+            value, base = raw[spec.name], getattr(default, spec.name)
+            overrides[spec.name] = value if base is None else type(base)(value)
+    return replace(default, **overrides)
+
+
+def _read_mapping(path: str) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        raw = yaml.safe_load(handle)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
+    return raw
+
+
 def load_config(path: str | None) -> AppConfig:
     """Build an AppConfig from a YAML file (or pure defaults when path is None)."""
-    if path is None:
-        config = AppConfig()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
-        try:
-            config = _from_raw(raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        config = AppConfig() if path is None else _from_raw(_read_mapping(path))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     violations = config.validate()
     if violations:
         raise ConfigError("; ".join(violations))
@@ -72,59 +88,22 @@ def load_config(path: str | None) -> AppConfig:
 def _from_raw(raw: dict) -> AppConfig:
     endpoints = {}
     for role_name, entry in _section(raw, "endpoints").items():
-        role = ModelRole(role_name)
-        endpoints[role] = Endpoint(url=str(entry["url"]), model=str(entry["model"]))
-
-    sampling_raw = _section(raw, "sampling")
-    sampling = SamplingParams(
-        temperature=float(sampling_raw.get("temperature", 0.7)),
-        top_p=float(sampling_raw.get("top_p", 0.9)),
-        top_k=int(sampling_raw.get("top_k", 50)),
-        max_tokens=int(sampling_raw.get("max_tokens", 1024)),
-    )
-
-    pipeline_raw = _section(raw, "pipeline")
-    pipeline = PipelineConfig(
-        retry_cap=int(pipeline_raw.get("retry_cap", 3)),
-        votes=int(pipeline_raw.get("votes", 3)),
-        max_concurrency=int(pipeline_raw.get("max_concurrency", 4)),
-        verifier_role=ModelRole(pipeline_raw.get("verifier_role", "large")),
-        corruption_gate=bool(pipeline_raw.get("corruption_gate", False)),
-        checkpoint_path=pipeline_raw.get("checkpoint_path"),
-    )
-
-    schedule_raw = _section(raw, "schedule")
-    schedule = BetaSchedule(
-        beta_small=float(schedule_raw.get("beta_small", 0.1)),
-        beta_medium=float(schedule_raw.get("beta_medium", 0.2)),
-        beta_large=float(schedule_raw.get("beta_large", 0.5)),
-        alpha=float(schedule_raw.get("alpha", 0.6)),
-        m0=float(schedule_raw.get("m0", 0.0)),
-    )
-
-    templates_dir = raw.get("templates_dir")
+        endpoints[ModelRole(role_name)] = Endpoint(url=str(entry["url"]), model=str(entry["model"]))
     return AppConfig(
         endpoints=endpoints,
-        sampling=sampling,
-        pipeline=pipeline,
-        schedule=schedule,
-        templates_dir=templates_dir,
+        sampling=_build(SamplingParams, _section(raw, "sampling")),
+        pipeline=_build(PipelineConfig, _section(raw, "pipeline")),
+        schedule=_build(BetaSchedule, _section(raw, "schedule")),
+        templates_dir=raw.get("templates_dir"),
     )
 
 
 def load_schedule(path: str) -> BetaSchedule:
     """Read a beta schedule from a YAML file holding just the schedule keys."""
-    with open(path, encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle) or {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: schedule file must be a mapping")
-    schedule = BetaSchedule(
-        beta_small=float(raw.get("beta_small", 0.1)),
-        beta_medium=float(raw.get("beta_medium", 0.2)),
-        beta_large=float(raw.get("beta_large", 0.5)),
-        alpha=float(raw.get("alpha", 0.6)),
-        m0=float(raw.get("m0", 0.0)),
-    )
+    try:
+        schedule = _build(BetaSchedule, _read_mapping(path))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     violations = schedule.validate()
     if violations:
         raise ConfigError(f"{path}: {'; '.join(violations)}")

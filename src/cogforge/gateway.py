@@ -12,7 +12,6 @@ and script files depend on it.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import threading
@@ -22,6 +21,8 @@ from enum import Enum
 from typing import Protocol
 
 import requests
+
+from .jsonl import read_rows
 
 log = logging.getLogger(__name__)
 
@@ -262,19 +263,11 @@ class ScriptedBackend:
 def load_script(path: str) -> dict[str, list[str]]:
     """Read a scripted-backend file: JSON Lines of {"key", "responses"}."""
     script: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if "key" not in row or "responses" not in row:
-                raise ValueError(f"{path}:{lineno}: expected fields 'key' and 'responses'")
-            key = row["key"]
-            if key in script:
-                raise ValueError(f"{path}:{lineno}: duplicate script key {key!r}")
-            script[key] = [str(text) for text in row["responses"]]
+    for number, row in enumerate(read_rows(path), start=1):
+        if "key" not in row or "responses" not in row:
+            raise ValueError(f"{path}: row {number}: expected fields 'key' and 'responses'")
+        key = row["key"]
+        if key in script:
+            raise ValueError(f"{path}: row {number}: duplicate script key {key!r}")
+        script[key] = [str(text) for text in row["responses"]]
     return script

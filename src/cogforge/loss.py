@@ -44,7 +44,7 @@ def _sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
-def _softplus(x: float) -> float:
+def softplus(x: float) -> float:
     return float(np.logaddexp(0.0, x))
 
 
@@ -64,22 +64,23 @@ class LossReport:
     gradient: np.ndarray | None = None
 
 
+def _mean_loss(terms: list[tuple[LogProbQuad, float]], empty: str) -> LossReport:
+    """Mean softplus(-margin) over (quad, beta) terms, summed in input order."""
+    if not terms:
+        raise EmptyBatch(empty)
+    margins = [margin(q, beta) for q, beta in terms]
+    loss = sum(softplus(-m) for m in margins) / len(margins)
+    return LossReport(loss=loss, margins=margins)
+
+
 def dpo_loss(quads: list[LogProbQuad], beta: float) -> LossReport:
     """Mean softplus(-margin) at a single preference strength."""
-    if not quads:
-        raise EmptyBatch("no quads")
-    margins = [margin(q, beta) for q in quads]
-    loss = sum(_softplus(-m) for m in margins) / len(margins)
-    return LossReport(loss=loss, margins=margins)
+    return _mean_loss([(q, beta) for q in quads], "no quads")
 
 
 def cogpo_loss(pairs: list[tuple[LogProbQuad, GapType]], schedule: BetaSchedule) -> LossReport:
     """Mean softplus(-margin) with each pair's beta resolved by its gap."""
-    if not pairs:
-        raise EmptyBatch("no pairs")
-    margins = [margin(q, assign_beta(gap, schedule)) for q, gap in pairs]
-    loss = sum(_softplus(-m) for m in margins) / len(margins)
-    return LossReport(loss=loss, margins=margins)
+    return _mean_loss([(q, assign_beta(gap, schedule)) for q, gap in pairs], "no pairs")
 
 
 def beta_dpo_adjust(beta_i: float, alpha: float, m_i: float, m_0: float) -> float:
@@ -183,20 +184,17 @@ def cogpo_token_loss(
 ) -> LossReport:
     """Gap-weighted loss through the toy policy, optionally with the analytic
     gradient w.r.t. the policy logits (reference held fixed)."""
-    if not batch:
-        raise EmptyBatch("no token pairs")
-    margins = []
-    for pair in batch:
-        quad = quad_from_tokens(policy, reference, pair)
-        margins.append(margin(quad, assign_beta(pair.gap, schedule)))
-    loss = sum(_softplus(-m) for m in margins) / len(margins)
-    report = LossReport(loss=loss, margins=margins)
+    report = _mean_loss(
+        [(quad_from_tokens(policy, reference, pair), assign_beta(pair.gap, schedule))
+         for pair in batch],
+        "no token pairs",
+    )
     if not with_gradient:
         return report
 
     grad = np.zeros_like(policy.logits)
     n = len(batch)
-    for pair, m in zip(batch, margins):
+    for pair, m in zip(batch, report.margins):
         beta = assign_beta(pair.gap, schedule)
         # dLoss/dmargin = -sigmoid(-margin)/n; the margin is beta-linear in
         # the chosen log-prob and anti-linear in the rejected one.

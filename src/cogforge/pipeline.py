@@ -13,9 +13,8 @@ import copy
 import json
 import logging
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .agents import AgentError, Agents, direction_for
 from .gateway import ConfigError, ModelRole
@@ -67,31 +66,9 @@ class PipelineConfig:
 
 
 @dataclass
-class RecordTrace:
-    """In-memory audit log of one record's path through the state machine.
-
-    Not persisted: the checkpoint stores outcomes only, and the curated output
-    carries its own rating_history.
-    """
-
-    record_id: str
-    events: list[dict] = field(default_factory=list)
-    terminal: str | None = None
-
-    def add(self, stage: str, attempt: int, outcome: str) -> None:
-        self.events.append(
-            {"stage": stage, "attempt": attempt, "outcome": outcome, "timestamp": time.time()}
-        )
-
-    def rethink_attempts(self) -> int:
-        return sum(1 for event in self.events if event["stage"] == "rethink")
-
-
-@dataclass
 class RecordOutcome:
     record: CoTRecord
     status: str
-    trace: RecordTrace
     family: RecordFamily | None = None
     discard_reason: str | None = None
     attempts: int = 0
@@ -109,112 +86,68 @@ class RecordOutcome:
 
 
 def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -> RecordOutcome:
-    work = copy.deepcopy(record)
-    trace = RecordTrace(record_id=work.id)
-    attempts_done = 0
-    ever_verified = False
-    outcome: RecordOutcome | None = None
-    try:
-        rating, votes = agents.critique(work, votes=config.votes)
-        work.add_rating("intake", rating, votes)
-        trace.add("critic", 0, rating.value)
+    """Walk one record through the CRV state machine.
 
-        if rating == ComplexityLevel.MEDIUM:
-            for attempt in range(1, config.retry_cap + 1):
-                attempts_done = attempt
-                ok = agents.verify(work.problem, work.answer, work.reasoning, work.id)
-                trace.add("verify", attempt, "YES" if ok else "NO")
-                if ok:
-                    ever_verified = True
-                    work.verified = True
-                    family = RecordFamily(
-                        id=work.id,
-                        problem=work.problem,
-                        answer=work.answer,
-                        original_rating=rating,
-                        r_original=work.reasoning,
-                    )
-                    outcome = RecordOutcome(
-                        record=work, status=ACCEPTED_MEDIUM, trace=trace, family=family,
-                        attempts=attempt, ever_verified=True,
-                    )
-                    break
-            if outcome is None:
-                outcome = RecordOutcome(
-                    record=work, status=DISCARDED, trace=trace,
-                    discard_reason=f"medium trace failed verification {config.retry_cap} times",
-                    attempts=attempts_done, ever_verified=False,
+    The critic rates the trace at intake. A medium trace is verified as it
+    stands. An easy or hard trace is rethought, the rewrite verified, and a
+    verified rewrite re-rated: medium accepts it, easy/hard makes it the next
+    attempt's input. Both paths share one budget of ``retry_cap`` attempts; a
+    NO verdict retries from the last trusted text. An AgentError discards the
+    record with the attempts and verifications counted so far.
+    """
+    work = copy.deepcopy(record)
+    outcome = RecordOutcome(record=work, status=DISCARDED)
+    try:
+        intake, votes = agents.critique(work, votes=config.votes)
+        work.add_rating("intake", intake, votes)
+        rewriting = intake != ComplexityLevel.MEDIUM
+        text, level = work.reasoning, intake
+        for attempt in range(1, config.retry_cap + 1):
+            outcome.attempts = attempt
+            candidate = text
+            if rewriting:
+                candidate = agents.rethink(
+                    work.problem, work.answer, text, direction_for(level), work.id
                 )
-        else:
-            original_text = work.reasoning
-            current_text = original_text
-            direction = direction_for(rating)
-            for attempt in range(1, config.retry_cap + 1):
-                attempts_done = attempt
-                rewrite = agents.rethink(
-                    work.problem, work.answer, current_text, direction, work.id
-                )
-                trace.add("rethink", attempt, direction.value)
-                ok = agents.verify(work.problem, work.answer, rewrite, work.id)
-                trace.add("verify", attempt, "YES" if ok else "NO")
-                if not ok:
-                    # Retry from the last trusted text; the rewrite prompts
-                    # presume a correct input trace.
+            if not agents.verify(work.problem, work.answer, candidate, work.id):
+                # Retry from the last trusted text; the rewrite prompts
+                # presume a correct input trace.
+                continue
+            outcome.ever_verified = True
+            if rewriting:
+                level, new_votes = agents.rerate(work, candidate, votes=config.votes)
+                work.add_rating(f"re-rate-{attempt}", level, new_votes)
+                if level != ComplexityLevel.MEDIUM:
+                    text = candidate
                     continue
-                ever_verified = True
-                new_rating, new_votes = agents.rerate(work, rewrite, votes=config.votes)
-                work.add_rating(f"re-rate-{attempt}", new_rating, new_votes)
-                trace.add("re-rate", attempt, new_rating.value)
-                if new_rating == ComplexityLevel.MEDIUM:
-                    work.reasoning = rewrite
-                    work.source = Source.REWRITTEN
-                    work.rewrite_count = attempt
-                    work.verified = True
-                    family = RecordFamily(
-                        id=work.id,
-                        problem=work.problem,
-                        answer=work.answer,
-                        original_rating=rating,
-                        r_original=original_text,
-                        r_rewritten=rewrite,
-                    )
-                    outcome = RecordOutcome(
-                        record=work, status=ACCEPTED_REWRITTEN, trace=trace, family=family,
-                        attempts=attempt, ever_verified=True,
-                    )
-                    break
-                # A verified rewrite that re-rates easy/hard recirculates as
-                # the new input, against the same shared attempt budget.
-                current_text = rewrite
-                direction = direction_for(new_rating)
-            if outcome is None:
-                outcome = RecordOutcome(
-                    record=work, status=DISCARDED, trace=trace,
-                    discard_reason=(
-                        f"no verified medium-rated rewrite within {config.retry_cap} attempts"
-                    ),
-                    attempts=attempts_done, ever_verified=ever_verified,
-                )
+                work.source = Source.REWRITTEN
+                work.rewrite_count = attempt
+            outcome.family = RecordFamily(
+                id=work.id, problem=work.problem, answer=work.answer, original_rating=intake,
+                r_original=work.reasoning, r_rewritten=candidate if rewriting else None,
+            )
+            outcome.status = ACCEPTED_REWRITTEN if rewriting else ACCEPTED_MEDIUM
+            work.reasoning = candidate
+            work.verified = True
+            break
+        else:
+            outcome.discard_reason = (
+                f"no verified medium-rated rewrite within {config.retry_cap} attempts"
+                if rewriting else f"medium trace failed verification {config.retry_cap} times"
+            )
     except AgentError as exc:
         log.warning("record %s discarded: %s", work.id, exc)
-        outcome = RecordOutcome(
-            record=work, status=DISCARDED, trace=trace, discard_reason=str(exc),
-            attempts=attempts_done, ever_verified=ever_verified,
-        )
+        outcome.discard_reason = str(exc)
 
-    if outcome.status != DISCARDED:
+    if outcome.family is not None:
         try:
-            corrupted = agents.corrupt(
+            outcome.family.r_corrupted = agents.corrupt(
                 work.problem, work.answer, outcome.family.r_original, work.id
             )
-            outcome.family.r_corrupted = corrupted
-            trace.add("corrupt", 1, "ok")
         except AgentError as exc:
             # Acceptance stands; the family just cannot contribute
             # corruption-based pairs.
             log.warning("record %s: corruption failed, family kept without it: %s", work.id, exc)
-            trace.add("corrupt", 1, "error")
-    trace.terminal = outcome.status
     return outcome
 
 

@@ -19,14 +19,6 @@ class ComplexityLevel(str, Enum):
     HARD = "hard"
 
 
-# Total order easy < medium < hard, used only for report layout.
-LEVEL_ORDER: tuple[ComplexityLevel, ...] = (
-    ComplexityLevel.EASY,
-    ComplexityLevel.MEDIUM,
-    ComplexityLevel.HARD,
-)
-
-
 class Source(str, Enum):
     """Provenance of a reasoning trace."""
 
@@ -71,19 +63,6 @@ class CoTRecord:
             }
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "problem": self.problem,
-            "answer": self.answer,
-            "reasoning": self.reasoning,
-            "source": self.source.value,
-            "rating": self.rating.value if self.rating is not None else None,
-            "rating_history": self.rating_history,
-            "rewrite_count": self.rewrite_count,
-            "verified": self.verified,
-        }
-
     def to_output_dict(self) -> dict:
         """Row shape for the curated-output JSONL."""
         return {
@@ -96,6 +75,10 @@ class CoTRecord:
             "rewrite_count": self.rewrite_count,
             "verified": self.verified,
         }
+
+    def to_dict(self) -> dict:
+        rating = self.rating.value if self.rating is not None else None
+        return {**self.to_output_dict(), "rating": rating}
 
     @classmethod
     def from_dict(cls, row: dict) -> CoTRecord:

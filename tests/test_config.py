@@ -165,3 +165,25 @@ class TestLoadSchedule:
         path.write_text(yaml.safe_dump({"beta_small": -0.1}), encoding="utf-8")
         with pytest.raises(ConfigError):
             load_schedule(str(path))
+
+
+class TestSectionKeys:
+    def test_unknown_keys_ignored(self, tmp_path):
+        payload = {"sampling": {"temperature": 0.2, "seed": 9}, "pipeline": {"workers": 8}}
+        config = load_config(write_yaml(tmp_path, payload))
+        assert config.sampling.temperature == 0.2
+        assert config.pipeline == load_config(None).pipeline
+
+    def test_values_cast_to_field_types(self, tmp_path):
+        payload = {"sampling": {"top_k": "7"}, "schedule": {"m0": 1}}
+        config = load_config(write_yaml(tmp_path, payload))
+        assert config.sampling.top_k == 7 and isinstance(config.sampling.top_k, int)
+        assert config.schedule.m0 == 1.0 and isinstance(config.schedule.m0, float)
+
+    def test_bad_value_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="config.yaml"):
+            load_config(write_yaml(tmp_path, {"sampling": {"top_k": "many"}}))
+        path = tmp_path / "sched.yaml"
+        path.write_text(yaml.safe_dump({"beta_large": "big"}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="sched.yaml"):
+            load_schedule(str(path))
