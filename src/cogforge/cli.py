@@ -38,7 +38,6 @@ from .loss import (
     dpo_loss,
     grad_check,
     join_quads,
-    softplus,
 )
 from .pairs import EmptyFamily, assign_beta, build_pairs, count_by_gap
 from .pipeline import CorruptCheckpoint, DuplicateId, run_crv
@@ -182,33 +181,19 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_eval(args: argparse.Namespace) -> int:
-    if args.schedule:
-        schedule = load_schedule(args.schedule)
-    else:
-        schedule = load_config(args.config).schedule
-    pair_rows = list(read_rows(args.pairs))
-    logprob_rows = list(read_rows(args.logprobs))
-    joined = join_quads(pair_rows, logprob_rows)
+    schedule = load_schedule(args.schedule) if args.schedule else load_config(args.config).schedule
+    joined = join_quads(list(read_rows(args.pairs)), list(read_rows(args.logprobs)))
     report = cogpo_loss([(quad, gap) for _, quad, gap in joined], schedule)
 
     margin_sums: dict[str, list[float]] = {}
     out_rows = []
-    for (pair_id, _quad, gap), m in zip(joined, report.margins):
+    for (pair_id, _quad, gap), m, term in zip(joined, report.margins, report.terms):
         margin_sums.setdefault(gap.value, []).append(m)
-        out_rows.append(
-            {
-                "id": pair_id,
-                "gap": gap.value,
-                "beta": assign_beta(gap, schedule),
-                "margin": m,
-                "loss_term": softplus(-m),
-            }
-        )
+        out_rows.append({"id": pair_id, "gap": gap.value, "beta": assign_beta(gap, schedule),
+                         "margin": m, "loss_term": term})
     if args.output:
         write_rows(args.output, out_rows)
-    mean_by_gap = {
-        gap: sum(values) / len(values) for gap, values in sorted(margin_sums.items())
-    }
+    mean_by_gap = {gap: sum(values) / len(values) for gap, values in sorted(margin_sums.items())}
     for gap, mean in mean_by_gap.items():
         print(f"mean margin ({gap}): {mean:.6f}")
     print(f"loss: {report.loss:.12f} over {len(joined)} pairs")

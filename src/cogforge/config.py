@@ -48,18 +48,26 @@ def _section(raw: dict, name: str) -> dict:
     return value
 
 
-def _build(cls, raw: dict):
-    """``cls()`` with each of its fields that ``raw`` names overridden.
+def _cast(name: str, value, base):
+    """``value`` cast to the type of the default ``base`` (a None default takes
+    it as is). A bool field takes only a YAML boolean, no other field takes
+    one, and an int field takes only a whole number."""
+    if base is None:
+        return value
+    fractional = isinstance(value, float) and not value.is_integer()
+    if isinstance(base, bool) != isinstance(value, bool) or (type(base) is int and fractional):
+        raise ValueError(f"{name}: {value!r} is not a valid {type(base).__name__}")
+    return type(base)(value)
 
-    A value is cast to the type of the field's default (a None default takes
-    the value as is); keys that name no field are ignored.
-    """
+
+def _build(cls, raw: dict):
+    """``cls()`` with each of its fields that ``raw`` names overridden by the
+    cast value; keys that name no field are ignored."""
     default = cls()
-    overrides = {}
-    for spec in fields(cls):
-        if spec.name in raw:
-            value, base = raw[spec.name], getattr(default, spec.name)
-            overrides[spec.name] = value if base is None else type(base)(value)
+    overrides = {
+        spec.name: _cast(spec.name, raw[spec.name], getattr(default, spec.name))
+        for spec in fields(cls) if spec.name in raw
+    }
     return replace(default, **overrides)
 
 

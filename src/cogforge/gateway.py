@@ -50,7 +50,7 @@ class ScriptExhausted(GatewayError):
 
 
 class UnknownKey(GatewayError):
-    """A strict scripted backend was asked for a key it does not hold."""
+    """The scripted backend was asked for a key it does not hold."""
 
 
 class ModelRole(str, Enum):
@@ -198,17 +198,16 @@ class HTTPBackend:
         try:
             payload = response.json()
             text = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed provider response: {exc}") from exc
-        usage = payload.get("usage") or {}
-        return ChatResponse(
-            text=text if text is not None else "",
-            usage=TokenUsage(
+            if text is not None and not isinstance(text, str):
+                raise TypeError(f"content is a {type(text).__name__}, not a string")
+            usage = {} if payload.get("usage") is None else payload["usage"]
+            tokens = TokenUsage(
                 prompt_tokens=int(usage.get("prompt_tokens", 0)),
                 completion_tokens=int(usage.get("completion_tokens", 0)),
-            ),
-            latency=time.perf_counter() - started,
-        )
+            )
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise ProviderError(f"malformed provider response: {exc}") from exc
+        return ChatResponse(text=text or "", usage=tokens, latency=time.perf_counter() - started)
 
 
 class ScriptedBackend:
@@ -216,19 +215,12 @@ class ScriptedBackend:
 
     Each call on a key consumes the next entry of its sequence, so the attempt
     index is positional. Fully deterministic: identical script plus identical
-    call sequence yields identical responses. ``strict=False`` answers unknown
-    keys with ``default_response`` instead of raising.
+    call sequence yields identical responses. A key the script does not hold
+    raises UnknownKey.
     """
 
-    def __init__(
-        self,
-        script: dict[str, list[str]],
-        strict: bool = True,
-        default_response: str = "",
-    ) -> None:
+    def __init__(self, script: dict[str, list[str]]) -> None:
         self._script = {key: list(responses) for key, responses in script.items()}
-        self._strict = strict
-        self._default = default_response
         self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
         self.history: list[str] = []
@@ -240,18 +232,15 @@ class ScriptedBackend:
         with self._lock:
             self.history.append(key)
             if key not in self._script:
-                if self._strict:
-                    raise UnknownKey(f"no script entry for key {key!r}")
-                text = self._default
-            else:
-                responses = self._script[key]
-                position = self._cursors.get(key, 0)
-                if position >= len(responses):
-                    raise ScriptExhausted(
-                        f"script for key {key!r} exhausted after {len(responses)} responses"
-                    )
-                self._cursors[key] = position + 1
-                text = responses[position]
+                raise UnknownKey(f"no script entry for key {key!r}")
+            responses = self._script[key]
+            position = self._cursors.get(key, 0)
+            if position >= len(responses):
+                raise ScriptExhausted(
+                    f"script for key {key!r} exhausted after {len(responses)} responses"
+                )
+            self._cursors[key] = position + 1
+            text = responses[position]
         prompt_tokens = len(request.system.split()) + len(request.user.split())
         return ChatResponse(
             text=text,

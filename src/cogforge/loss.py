@@ -1,15 +1,17 @@
 """Preference-loss numerics: margins, the gap-weighted objective, a miniature
 differentiable policy, and finite-difference gradient verification.
 
-The loss is always computed as softplus(-margin) rather than the literal
--log(sigmoid(margin)); the two are identical mathematically and the softplus
-form neither overflows nor loses the tail for margins out to +/-1e4.
+Every loss goes through one numpy core, ``_mean_loss``, over arrays of
+log-prob quads and betas. It computes each pair's term as softplus(-margin)
+rather than the literal -log(sigmoid(margin)); the two are identical
+mathematically and the softplus form neither overflows nor loses the tail for
+margins out to +/-1e4.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,50 +39,47 @@ class JoinError(ValueError):
     """Pair rows and log-prob rows do not join one-to-one on id."""
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
-def softplus(x: float) -> float:
-    return float(np.logaddexp(0.0, x))
-
-
-def margin(q: LogProbQuad, beta: float) -> float:
-    """Beta-scaled policy-vs-reference log-ratio difference, chosen minus rejected."""
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if not q.is_finite():
-        raise NonFinite(f"non-finite log-probability in {q}")
-    return beta * ((q.lp_w_theta - q.lp_w_ref) - (q.lp_l_theta - q.lp_l_ref))
-
-
 @dataclass
 class LossReport:
     loss: float
     margins: list[float]
     gradient: np.ndarray | None = None
+    terms: list[float] = field(default_factory=list)
 
 
-def _mean_loss(terms: list[tuple[LogProbQuad, float]], empty: str) -> LossReport:
-    """Mean softplus(-margin) over (quad, beta) terms, summed in input order."""
-    if not terms:
+def _rows(quads: Iterable[LogProbQuad]) -> np.ndarray:
+    return np.array([(q.lp_w_theta, q.lp_w_ref, q.lp_l_theta, q.lp_l_ref) for q in quads])
+
+
+def _mean_loss(quads: np.ndarray, betas: np.ndarray, empty: str) -> LossReport:
+    """The loss core: mean softplus(-margin) over rows of (lp_w_theta, lp_w_ref,
+    lp_l_theta, lp_l_ref) with one beta per row, plus each row's margin and term."""
+    if len(quads) == 0:
         raise EmptyBatch(empty)
-    margins = [margin(q, beta) for q, beta in terms]
-    loss = sum(softplus(-m) for m in margins) / len(margins)
-    return LossReport(loss=loss, margins=margins)
+    if not np.all(betas > 0):
+        raise ValueError(f"beta must be positive, got {betas[~(betas > 0)][0]}")
+    finite = np.isfinite(quads).all(axis=1)
+    if not finite.all():
+        raise NonFinite(f"non-finite log-probability in {quads[~finite][0].tolist()}")
+    margins = betas * ((quads[:, 0] - quads[:, 1]) - (quads[:, 2] - quads[:, 3]))
+    terms = np.logaddexp(0.0, -margins)
+    return LossReport(loss=float(terms.mean()), margins=margins.tolist(), terms=terms.tolist())
+
+
+def margin(q: LogProbQuad, beta: float) -> float:
+    """Beta-scaled policy-vs-reference log-ratio difference, chosen minus rejected."""
+    return _mean_loss(_rows([q]), np.array([beta], dtype=float), "no quad").margins[0]
 
 
 def dpo_loss(quads: list[LogProbQuad], beta: float) -> LossReport:
     """Mean softplus(-margin) at a single preference strength."""
-    return _mean_loss([(q, beta) for q in quads], "no quads")
+    return _mean_loss(_rows(quads), np.full(len(quads), beta, dtype=float), "no quads")
 
 
 def cogpo_loss(pairs: list[tuple[LogProbQuad, GapType]], schedule: BetaSchedule) -> LossReport:
     """Mean softplus(-margin) with each pair's beta resolved by its gap."""
-    return _mean_loss([(q, assign_beta(gap, schedule)) for q, gap in pairs], "no pairs")
+    betas = np.array([assign_beta(gap, schedule) for _, gap in pairs], dtype=float)
+    return _mean_loss(_rows(q for q, _ in pairs), betas, "no pairs")
 
 
 def beta_dpo_adjust(beta_i: float, alpha: float, m_i: float, m_0: float) -> float:
@@ -131,10 +130,24 @@ class ToyPolicy:
             h = (h * 0x01000193) & 0xFFFFFFFF
         return h % self.n_buckets
 
+    def log_softmax(self) -> np.ndarray:
+        """Next-token log-probabilities of every bucket, one row each."""
+        shifted = self.logits - self.logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
     def log_probs(self, bucket: int) -> np.ndarray:
-        row = self.logits[bucket]
-        shifted = row - row.max()
-        return shifted - math.log(float(np.exp(shifted).sum()))
+        return self.log_softmax()[bucket]
+
+    def steps(
+        self, prompt: tuple[int, ...], response: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket and token index arrays of the response's steps, after
+        checking that every token is in the vocabulary."""
+        for token in (*prompt, *response):
+            if not 0 <= token < self.vocab_size:
+                raise TokenOutOfRange(f"token {token} outside vocabulary of size {self.vocab_size}")
+        buckets = [self.bucket((*prompt, *response[:i])) for i in range(len(response))]
+        return np.array(buckets, dtype=int), np.array(response, dtype=int)
 
     def snapshot(self) -> ToyPolicy:
         """Immutable-by-convention copy, used as the frozen reference."""
@@ -145,15 +158,8 @@ def sequence_logprob(
     policy: ToyPolicy, prompt: tuple[int, ...], response: tuple[int, ...]
 ) -> float:
     """Sum of per-step log-softmax probabilities of the response under the policy."""
-    for token in tuple(prompt) + tuple(response):
-        if not 0 <= token < policy.vocab_size:
-            raise TokenOutOfRange(f"token {token} outside vocabulary of size {policy.vocab_size}")
-    total = 0.0
-    context = tuple(prompt)
-    for token in response:
-        total += float(policy.log_probs(policy.bucket(context))[token])
-        context = context + (token,)
-    return total
+    buckets, tokens = policy.steps(prompt, response)
+    return float(policy.log_softmax()[buckets, tokens].sum())
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,35 @@ def quad_from_tokens(policy: ToyPolicy, reference: ToyPolicy, pair: TokenPair) -
     )
 
 
+def _token_objective(
+    batch: list[TokenPair], schedule: BetaSchedule, policy: ToyPolicy, reference: ToyPolicy
+) -> Callable[..., LossReport]:
+    """Walks every response once under each policy and returns the token loss
+    as a function of a policy log-softmax table, optionally with the analytic
+    gradient w.r.t. the policy logits (reference held fixed)."""
+    sequences = [(p.prompt, response) for p in batch for response in (p.chosen, p.rejected)]
+    walks = [policy.steps(prompt, response) for prompt, response in sequences]
+    ref = [sequence_logprob(reference, prompt, response) for prompt, response in sequences]
+    betas = np.array([assign_beta(p.gap, schedule) for p in batch], dtype=float)
+
+    def objective(table: np.ndarray, with_gradient: bool = False) -> LossReport:
+        lp = [float(table[buckets, tokens].sum()) for buckets, tokens in walks]
+        quads = np.column_stack((lp[0::2], ref[0::2], lp[1::2], ref[1::2]))
+        report = _mean_loss(quads, betas, "no token pairs")
+        if with_gradient:
+            # dLoss/dmargin = -sigmoid(-margin)/n; the margin is beta-linear in
+            # the chosen log-prob and anti-linear in the rejected one. Each step
+            # adds coef * (onehot(token) - softmax(bucket)) to its bucket's row.
+            weight = np.exp(-np.logaddexp(0.0, report.margins)) * betas / len(batch)
+            report.gradient = np.zeros_like(table)
+            for (buckets, tokens), coef in zip(walks, np.column_stack((-weight, weight)).ravel()):
+                np.add.at(report.gradient, buckets, -coef * np.exp(table[buckets]))
+                np.add.at(report.gradient, (buckets, tokens), coef)
+        return report
+
+    return objective
+
+
 def cogpo_token_loss(
     batch: list[TokenPair],
     schedule: BetaSchedule,
@@ -184,31 +219,8 @@ def cogpo_token_loss(
 ) -> LossReport:
     """Gap-weighted loss through the toy policy, optionally with the analytic
     gradient w.r.t. the policy logits (reference held fixed)."""
-    report = _mean_loss(
-        [(quad_from_tokens(policy, reference, pair), assign_beta(pair.gap, schedule))
-         for pair in batch],
-        "no token pairs",
-    )
-    if not with_gradient:
-        return report
-
-    grad = np.zeros_like(policy.logits)
-    n = len(batch)
-    for pair, m in zip(batch, report.margins):
-        beta = assign_beta(pair.gap, schedule)
-        # dLoss/dmargin = -sigmoid(-margin)/n; the margin is beta-linear in
-        # the chosen log-prob and anti-linear in the rejected one.
-        for response, sign in ((pair.chosen, -1.0), (pair.rejected, 1.0)):
-            coef = sign * _sigmoid(-m) * beta / n
-            context = tuple(pair.prompt)
-            for token in response:
-                bucket = policy.bucket(context)
-                probs = np.exp(policy.log_probs(bucket))
-                grad[bucket] += coef * (-probs)
-                grad[bucket, token] += coef
-                context = context + (token,)
-    report.gradient = grad
-    return report
+    objective = _token_objective(batch, schedule, policy, reference)
+    return objective(policy.log_softmax(), with_gradient)
 
 
 @dataclass
@@ -240,18 +252,19 @@ def grad_check(
     reference = reference if reference is not None else policy.snapshot()
     analytic = cogpo_token_loss(batch, schedule, policy, reference, with_gradient=True).gradient
     if corruption is not None:
-        analytic = analytic.copy()
         analytic[corruption] += 1.0
 
+    objective = _token_objective(batch, schedule, policy, reference)
+    probe = policy.snapshot()
     max_rel = 0.0
     worst = (0, 0)
     for b in range(policy.n_buckets):
         for v in range(policy.vocab_size):
-            probe = policy.snapshot()
             probe.logits[b, v] += epsilon
-            up = cogpo_token_loss(batch, schedule, probe, reference).loss
+            up = objective(probe.log_softmax()).loss
             probe.logits[b, v] -= 2 * epsilon
-            down = cogpo_token_loss(batch, schedule, probe, reference).loss
+            down = objective(probe.log_softmax()).loss
+            probe.logits[b, v] = policy.logits[b, v]
             numeric = (up - down) / (2 * epsilon)
             a = float(analytic[b, v])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
@@ -282,12 +295,8 @@ def join_quads(
         if pair_id not in by_id:
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
         row = by_id.pop(pair_id)
-        quad = LogProbQuad(
-            lp_w_theta=float(row["lp_w_theta"]),
-            lp_w_ref=float(row["lp_w_ref"]),
-            lp_l_theta=float(row["lp_l_theta"]),
-            lp_l_ref=float(row["lp_l_ref"]),
-        )
+        quad = LogProbQuad(float(row["lp_w_theta"]), float(row["lp_w_ref"]),
+                           float(row["lp_l_theta"]), float(row["lp_l_ref"]))
         joined.append((pair_id, quad, GapType(pair_row["gap"])))
     if by_id:
         leftover = sorted(by_id)

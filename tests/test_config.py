@@ -180,6 +180,22 @@ class TestSectionKeys:
         assert config.sampling.top_k == 7 and isinstance(config.sampling.top_k, int)
         assert config.schedule.m0 == 1.0 and isinstance(config.schedule.m0, float)
 
+    @pytest.mark.parametrize("section, values", [
+        ("pipeline", {"corruption_gate": "false"}),
+        ("pipeline", {"corruption_gate": 0}),
+        ("sampling", {"top_k": 2.7}),
+        ("sampling", {"max_tokens": True}),
+    ])
+    def test_wrong_kind_is_config_error(self, tmp_path, section, values):
+        with pytest.raises(ConfigError, match="config.yaml"):
+            load_config(write_yaml(tmp_path, {section: values}))
+
+    def test_whole_numbers_and_booleans_load(self, tmp_path):
+        payload = {"sampling": {"top_k": 7.0}, "pipeline": {"corruption_gate": False}}
+        config = load_config(write_yaml(tmp_path, payload))
+        assert config.sampling.top_k == 7 and isinstance(config.sampling.top_k, int)
+        assert config.pipeline.corruption_gate is False
+
     def test_bad_value_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="config.yaml"):
             load_config(write_yaml(tmp_path, {"sampling": {"top_k": "many"}}))

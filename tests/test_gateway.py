@@ -74,10 +74,6 @@ class TestScriptedBackend:
         with pytest.raises(UnknownKey):
             backend.complete(make_request("verifier:r9"))
 
-    def test_unknown_key_lenient_returns_default(self):
-        backend = ScriptedBackend({}, strict=False, default_response="medium")
-        assert backend.complete(make_request("verifier:r9")).text == "medium"
-
     def test_missing_key_field_rejected(self):
         backend = ScriptedBackend({"critic:r1": ["easy"]})
         with pytest.raises(UnknownKey):
@@ -244,3 +240,17 @@ class TestHTTPBackend:
         http_server.playbook.append((200, {"surprise": True}))
         with pytest.raises(ProviderError, match="malformed"):
             backend_for(http_server).complete(make_request())
+
+    @pytest.mark.parametrize("payload", [
+        {"choices": [{"message": {"content": ["medium"]}}]},
+        {"choices": [{"message": {"content": "medium"}}], "usage": [7, 2]},
+        {"choices": [{"message": {"content": "medium"}}], "usage": "lots"},
+        {"choices": [{"message": {"content": "medium"}}],
+         "usage": {"prompt_tokens": None, "completion_tokens": 2}},
+        ["not", "an", "object"],
+    ])
+    def test_malformed_content_or_usage_is_provider_error(self, http_server, payload):
+        http_server.playbook.append((200, payload))
+        with pytest.raises(ProviderError, match="malformed"):
+            backend_for(http_server).complete(make_request())
+        assert len(http_server.seen) == 1
