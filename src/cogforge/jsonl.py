@@ -1,9 +1,8 @@
-"""JSON Lines and atomic-file helpers shared by the pipeline and CLI."""
+"""JSON Lines helpers shared by the pipeline and CLI."""
 
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Iterable, Iterator
 
 
@@ -37,12 +36,3 @@ def write_rows(path: str, rows: Iterable[dict]) -> int:
             handle.write("\n")
             written += 1
     return written
-
-
-def write_json_atomic(path: str, obj: dict) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, ensure_ascii=False, sort_keys=True, indent=1)
-        handle.write("\n")
-    os.replace(tmp, path)

@@ -1,15 +1,17 @@
 """Batch curation: rate each trace, rewrite and re-verify the unsuitable ones,
-assemble the curated set, and checkpoint progress after every record.
+assemble the curated set, and journal progress after every record.
 
 Records are independent work items on a bounded worker pool. Output ordering
 always follows input ordering, and with a scripted backend the whole run is a
 pure function of (dataset, script, config). Agent failures discard the one
-record; gateway failures abort the batch with the checkpoint intact.
+record; a gateway failure aborts the batch once the records in flight have
+finished and been checkpointed.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import logging
 import os
@@ -17,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from .agents import AgentError, Agents, direction_for
-from .gateway import ConfigError, ModelRole
-from .jsonl import write_json_atomic
+from .gateway import ConfigError, GatewayError, ModelRole
+from .jsonl import dump_row
 from .records import (
     ComplexityLevel,
     CoTRecord,
@@ -30,7 +32,7 @@ from .records import (
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_FORMAT = "cogforge-checkpoint-v1"
+CHECKPOINT_FORMAT = "cogforge-checkpoint-v2"
 
 ACCEPTED_MEDIUM = "accepted_medium"
 ACCEPTED_REWRITTEN = "accepted_rewritten"
@@ -151,30 +153,74 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     return outcome
 
 
-def load_checkpoint(path: str) -> dict[str, dict]:
-    """Read the completed-record map; absent file means a fresh run."""
+def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig) -> str:
+    """SHA-256 over the settings that shape a record's outcome and over the
+    input rows in order. Concurrency, paths and the backend are left out: a
+    resume may change them and still reproduce the same outputs."""
+    digest = hashlib.sha256()
+    settings = {
+        "retry_cap": config.retry_cap,
+        "votes": config.votes,
+        "verifier_role": config.verifier_role.value,
+        "corruption_gate": config.corruption_gate,
+    }
+    for row in [settings] + [record.to_dict() for record in dataset]:
+        digest.update(dump_row(row).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def _json_object(line: bytes) -> dict | None:
+    try:
+        row = json.loads(line)
+    except ValueError:
+        return None
+    return row if isinstance(row, dict) else None
+
+
+def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, dict]:
+    """Read the completed-record map; absent file means a fresh run.
+
+    Line 1 is the header (format tag, fingerprint, compacted map); each later
+    line is one record appended as it completed. A last segment without its
+    newline is a torn append and is dropped. Given a fingerprint, a header
+    written for another config or dataset is refused.
+    """
     if not os.path.exists(path):
         return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("format") != CHECKPOINT_FORMAT:
-        raise CorruptCheckpoint(f"{path}: missing or unknown format tag")
-    completed = obj.get("completed")
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")
+    lines.pop()  # what follows the last newline: nothing, or a torn append
+    header = _json_object(lines[0]) if lines else None
+    if header is None or header.get("format") != CHECKPOINT_FORMAT:
+        raise CorruptCheckpoint(f"{path}: line 1 is not a {CHECKPOINT_FORMAT} header")
+    if fingerprint is not None and header.get("fingerprint") != fingerprint:
+        raise CorruptCheckpoint(f"{path}: written for a different config or dataset")
+    completed = header.get("completed")
     if not isinstance(completed, dict):
         raise CorruptCheckpoint(f"{path}: 'completed' is not an object")
+    for lineno, line in enumerate(lines[1:], start=2):
+        row = _json_object(line)
+        record_id = row.pop("id", None) if row is not None else None
+        if not isinstance(record_id, str):
+            raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")
+        completed[record_id] = row
     for record_id, row in completed.items():
         if not isinstance(row, dict) or row.get("status") not in (
             ACCEPTED_MEDIUM, ACCEPTED_REWRITTEN, DISCARDED,
         ):
             raise CorruptCheckpoint(f"{path}: malformed entry for record {record_id!r}")
-    return dict(completed)
+    return completed
 
 
-def save_checkpoint(path: str, completed: dict[str, dict]) -> None:
-    write_json_atomic(path, {"format": CHECKPOINT_FORMAT, "completed": completed})
+def save_checkpoint(path: str, completed: dict[str, dict], fingerprint: str | None = None) -> None:
+    """Compact the map into a one-line header file, via a temp file and rename
+    so a reader never sees it torn."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(dump_row(
+            {"format": CHECKPOINT_FORMAT, "fingerprint": fingerprint, "completed": completed}
+        ) + "\n")
+    os.replace(tmp, path)
 
 
 def run_crv(
@@ -183,9 +229,11 @@ def run_crv(
     """Curate a batch; returns (curated set, families, stats, discard rows).
 
     Fatal errors (gateway, config, corrupt checkpoint) propagate; per-record
-    agent failures become discards. Progress is checkpointed after each record
-    when config.checkpoint_path is set, and a resumed run reproduces the
-    uninterrupted outputs byte for byte under the same scripted backend.
+    agent failures become discards. When config.checkpoint_path is set, each
+    completed record is appended to the checkpoint, and the file is compacted
+    when the run ends or aborts; before an abort propagates, records still in
+    flight are finished and kept. A resumed run reproduces the uninterrupted
+    outputs byte for byte under the same scripted backend.
     """
     violations = config.validate()
     if violations:
@@ -200,26 +248,47 @@ def run_crv(
             raise ValueError(f"record {record.id}: {'; '.join(problems)}")
 
     completed: dict[str, dict] = {}
-    if config.checkpoint_path:
-        completed = load_checkpoint(config.checkpoint_path)
+    journal = None
+    path = config.checkpoint_path
+    if path:
+        fingerprint = checkpoint_fingerprint(dataset, config)
+        completed = load_checkpoint(path, fingerprint)
+        # Rewriting the header first drops a torn tail before any append.
+        save_checkpoint(path, completed, fingerprint)
+        journal = open(path, "a", encoding="utf-8")
     todo = [record for record in dataset if record.id not in completed]
     if completed:
         log.info("resuming: %d of %d records already completed", len(completed), len(dataset))
 
-    if todo:
-        pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
+    def finish(outcome: RecordOutcome) -> None:
+        row = outcome.to_checkpoint()
+        completed[outcome.record.id] = row
+        if journal is not None:
+            journal.write(dump_row({"id": outcome.record.id, **row}) + "\n")
+            journal.flush()
+
+    pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
+    try:
+        futures = {
+            pool.submit(_process_record, record, agents, config): record.id for record in todo
+        }
         try:
-            futures = {
-                pool.submit(_process_record, record, agents, config): record.id
-                for record in todo
-            }
             for future in as_completed(futures):
-                outcome = future.result()
-                completed[outcome.record.id] = outcome.to_checkpoint()
-                if config.checkpoint_path:
-                    save_checkpoint(config.checkpoint_path, completed)
-        finally:
+                finish(future.result())
+        except GatewayError as exc:
+            # Keep the paid-for work of records already in flight.
+            log.warning("aborting on %s: finishing the records in flight", type(exc).__name__)
             pool.shutdown(wait=True, cancel_futures=True)
+            for future, record_id in futures.items():
+                if (record_id not in completed and not future.cancelled()
+                        and future.exception() is None):
+                    finish(future.result())
+            raise
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        if journal is not None:
+            journal.close()
+            save_checkpoint(path, completed, fingerprint)
 
     curated: list[CoTRecord] = []
     families: list[RecordFamily] = []

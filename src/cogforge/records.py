@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -219,12 +218,6 @@ class LogProbQuad:
     lp_w_ref: float
     lp_l_theta: float
     lp_l_ref: float
-
-    def is_finite(self) -> bool:
-        return all(
-            math.isfinite(v)
-            for v in (self.lp_w_theta, self.lp_w_ref, self.lp_l_theta, self.lp_l_ref)
-        )
 
 
 @dataclass

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -198,6 +202,32 @@ class TestCurateResume:
         assert (tmp / "resumed.discards.jsonl").read_bytes() == baseline["discards"]
         assert (tmp / "resumed.families.jsonl").read_bytes() == baseline["families"]
 
+    def test_checkpoint_from_another_config_or_input_is_fatal(
+        self, curate_paths, six_record_dataset, tmp_path, capsys
+    ):
+        checkpoint_path = str(tmp_path / "run.checkpoint.json")
+
+        def curate(input_path, *extra):
+            return entrypoint([
+                *extra, "curate",
+                "--input", input_path,
+                "--output", str(tmp_path / "out.jsonl"),
+                "--checkpoint", checkpoint_path,
+                "--mock-script", curate_paths["script"],
+            ])
+
+        assert curate(curate_paths["input"]) == EXIT_PARTIAL
+        config_path = tmp_path / "cap2.yaml"
+        config_path.write_text(yaml.safe_dump({"pipeline": {"retry_cap": 2}}), encoding="utf-8")
+        assert curate(curate_paths["input"], "--config", str(config_path)) == EXIT_FATAL
+        assert "different config or dataset" in capsys.readouterr().err
+
+        rows = dataset_rows(six_record_dataset)
+        rows[0]["reasoning"] = "trace 1, edited"
+        edited = write_jsonl(tmp_path / "edited.jsonl", rows)
+        assert curate(edited) == EXIT_FATAL
+        assert "different config or dataset" in capsys.readouterr().err
+
 
 def family_rows() -> list[dict]:
     return [
@@ -366,6 +396,18 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == EXIT_FATAL
         assert any(line.startswith("gradient-check") and "FAIL" in line for line in out.splitlines())
+
+
+    def test_python_m_cogforge_runs_selftest(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "cogforge", "selftest"], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "prompt-golden" in result.stdout
 
 
 class TestParser:

@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import json
+import logging
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset, random_script
+from cogforge import pipeline
 from cogforge.agents import Agents
 from cogforge.gateway import ConfigError, ScriptedBackend, UnknownKey
-from cogforge.jsonl import write_rows
+from cogforge.jsonl import dump_row, write_rows
 from cogforge.pipeline import (
     ACCEPTED_MEDIUM,
     ACCEPTED_REWRITTEN,
+    DISCARDED,
     CorruptCheckpoint,
     DuplicateId,
     PipelineConfig,
     assemble_sft,
+    checkpoint_fingerprint,
     complexity_report,
     format_complexity_report,
     load_checkpoint,
@@ -291,6 +297,213 @@ class TestCheckpointing:
                             "discard_reason": None, "attempts": 1, "ever_verified": True}}
         save_checkpoint(str(path), completed)
         assert load_checkpoint(str(path)) == completed
+
+
+def script_for(script, record_ids):
+    return {
+        key: values for key, values in script.items() if key.split(":", 1)[1] in record_ids
+    }
+
+
+class TestJournal:
+    """The append-only checkpoint: abort anywhere, tear the tail, change the
+    inputs; a resume is byte-identical or refused, never silently wrong."""
+
+    IDS = ["r1", "r2", "r3", "r4", "r5", "r6"]
+
+    def outputs(self, dataset, script, checkpoint=None, config=None):
+        config = config or PipelineConfig(max_concurrency=1)
+        config.checkpoint_path = str(checkpoint) if checkpoint else None
+        backend = ScriptedBackend(script)
+        curated, families, _stats, discards = run_crv(dataset, config, Agents(backend))
+        rows = (
+            [r.to_output_dict() for r in curated], discards, [f.to_dict() for f in families],
+        )
+        return tuple("".join(dump_row(row) + "\n" for row in part) for part in rows), backend
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_abort_after_every_record_index(self, tmp_path, six_record_script, k):
+        dataset = make_dataset(6)
+        baseline, _ = self.outputs(dataset, six_record_script)
+        checkpoint = tmp_path / "checkpoint.json"
+        partial = script_for(six_record_script, self.IDS[:k])
+        if k < 6:
+            with pytest.raises(UnknownKey):
+                self.outputs(dataset, partial, checkpoint)
+        else:
+            self.outputs(dataset, partial, checkpoint)
+        assert set(load_checkpoint(str(checkpoint))) == set(self.IDS[:k])
+        with open(checkpoint, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 1  # compacted on the way out
+        resumed, backend = self.outputs(dataset, six_record_script, checkpoint)
+        assert resumed == baseline
+        assert {key.split(":", 1)[1] for key in backend.history} == set(self.IDS[k:])
+
+    def test_torn_tail_is_dropped_and_its_record_rerun(self, tmp_path, six_record_script):
+        dataset = make_dataset(6)
+        baseline, _ = self.outputs(dataset, six_record_script)
+        full = tmp_path / "full.json"
+        self.outputs(dataset, six_record_script, full)
+        rows = load_checkpoint(str(full))
+
+        # A journal as a killed run leaves it: header, one appended row and
+        # half of the next one.
+        checkpoint = tmp_path / "checkpoint.json"
+        fingerprint = checkpoint_fingerprint(dataset, PipelineConfig())
+        save_checkpoint(str(checkpoint), {"r1": rows["r1"], "r2": rows["r2"]}, fingerprint)
+        r3 = dump_row({"id": "r3", **rows["r3"]}) + "\n"
+        r4 = dump_row({"id": "r4", **rows["r4"]})
+        with open(checkpoint, "a", encoding="utf-8") as handle:
+            handle.write(r3 + r4[: len(r4) // 2])
+        assert set(load_checkpoint(str(checkpoint), fingerprint)) == {"r1", "r2", "r3"}
+
+        resumed, backend = self.outputs(dataset, six_record_script, checkpoint)
+        assert resumed == baseline
+        assert "critic:r4" in backend.history
+        assert "critic:r3" not in backend.history
+
+    def test_journal_on_disk_as_a_killed_run_leaves_it(
+        self, tmp_path, six_record_script, monkeypatch
+    ):
+        """Each record is on disk before the next one starts, and a run killed
+        before its final compaction still resumes byte-identically; the torn
+        tail it started from is gone before the first append."""
+        dataset = make_dataset(6)
+        baseline, _ = self.outputs(dataset, six_record_script)
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(str(checkpoint), {}, checkpoint_fingerprint(dataset, PipelineConfig()))
+        with open(checkpoint, "a", encoding="utf-8") as handle:
+            handle.write('{"id": "r1", "status": "disc')
+
+        class Watch:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                agent, record_id = request.key.split(":", 1)
+                previous = f"r{int(record_id[1:]) - 1}"
+                if agent == "critic" and previous != "r0":
+                    deadline = time.monotonic() + 10
+                    while previous not in load_checkpoint(str(checkpoint)):
+                        assert time.monotonic() < deadline, f"{previous} not journaled"
+                        time.sleep(0.001)
+                return self.inner.complete(request)
+
+        saves = []
+        real_save = pipeline.save_checkpoint
+
+        def killed_before_compaction(*args):
+            saves.append(args[0])
+            if len(saves) == 1:
+                real_save(*args)
+
+        monkeypatch.setattr(pipeline, "save_checkpoint", killed_before_compaction)
+        config = PipelineConfig(max_concurrency=1, checkpoint_path=str(checkpoint))
+        run_crv(dataset, config, Agents(Watch(ScriptedBackend(six_record_script))))
+        monkeypatch.undo()
+        assert len(saves) == 2
+        with open(checkpoint, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 7  # the header and one row a record
+        resumed, backend = self.outputs(dataset, {}, checkpoint)
+        assert resumed == baseline
+        assert backend.history == []
+
+    def test_torn_multibyte_character_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(str(path), {})
+        torn = dump_row({"id": "r1", "status": DISCARDED, "note": "\u00e9t\u00e9"}).encode("utf-8")
+        with open(path, "ab") as handle:
+            handle.write(torn[: torn.index(b"\xc3") + 1])
+        assert load_checkpoint(str(path)) == {}
+
+    def test_changed_config_or_dataset_is_refused(self, tmp_path, six_record_script):
+        dataset = make_dataset(6)
+        checkpoint = tmp_path / "checkpoint.json"
+        with pytest.raises(UnknownKey):
+            self.outputs(dataset, script_for(six_record_script, self.IDS[:3]), checkpoint)
+        with pytest.raises(CorruptCheckpoint, match="different config or dataset"):
+            self.outputs(dataset, six_record_script, checkpoint,
+                         PipelineConfig(max_concurrency=1, retry_cap=2))
+        edited = make_dataset(6)
+        edited[4].reasoning = "trace 5, edited"
+        with pytest.raises(CorruptCheckpoint, match="different config or dataset"):
+            self.outputs(edited, six_record_script, checkpoint)
+        # Concurrency is not part of the fingerprint: the resume goes ahead.
+        resumed, _ = self.outputs(dataset, six_record_script, checkpoint,
+                                  PipelineConfig(max_concurrency=3))
+        assert resumed == self.outputs(dataset, six_record_script)[0]
+
+    @pytest.mark.parametrize("tail", [
+        b'{"id": "r2", "status": "weird"}\n',
+        b'{"status": "discarded"}\n',
+        b'["r2"]\n',
+        b'{"id": "r2", \n',
+        b"\n",
+    ], ids=["bad-status", "no-id", "not-an-object", "unparseable", "blank"])
+    def test_malformed_journal_row_rejected(self, tmp_path, tail):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(str(path), {})
+        with open(path, "ab") as handle:
+            handle.write(tail)
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(str(path))
+
+    def test_malformed_header_entry_rejected(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(str(path), {"r1": {"status": "weird"}})
+        with pytest.raises(CorruptCheckpoint, match="malformed entry"):
+            load_checkpoint(str(path))
+
+    def test_v1_snapshot_refused(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(
+            {"format": "cogforge-checkpoint-v1", "completed": {}}, indent=1, sort_keys=True
+        ) + "\n")
+        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v2 header"):
+            load_checkpoint(str(path))
+
+    def test_gateway_error_keeps_records_in_flight(self, tmp_path, six_record_script):
+        """r2 fails while r1 is still in flight; r1 finishes only once the
+        abort is under way, and must still reach the checkpoint."""
+        dataset = make_dataset(6)
+        baseline, _ = self.outputs(dataset, six_record_script)
+        r1_in_last_call = threading.Event()
+        aborting = threading.Event()
+
+        class Held:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                if request.key.endswith(":r2"):
+                    assert r1_in_last_call.wait(10)
+                elif request.key == "corruptor:r1":
+                    r1_in_last_call.set()
+                    assert aborting.wait(10)
+                return self.inner.complete(request)
+
+        class OnAbort(logging.Handler):
+            def emit(self, record):
+                if "in flight" in record.getMessage():
+                    aborting.set()
+
+        logger = logging.getLogger("cogforge.pipeline")
+        handler = OnAbort()
+        logger.addHandler(handler)
+        checkpoint = tmp_path / "checkpoint.json"
+        config = PipelineConfig(max_concurrency=2, checkpoint_path=str(checkpoint))
+        backend = Held(ScriptedBackend(script_for(six_record_script, ["r1", "r3", "r4"])))
+        try:
+            with pytest.raises(UnknownKey):
+                run_crv(dataset, config, Agents(backend))
+        finally:
+            logger.removeHandler(handler)
+        kept = load_checkpoint(str(checkpoint))
+        assert "r1" in kept and "r2" not in kept
+
+        resumed, _ = self.outputs(dataset, six_record_script, checkpoint,
+                                  PipelineConfig(max_concurrency=2))
+        assert resumed == baseline
 
 
 class TestRandomizedRuns:

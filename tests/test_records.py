@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from cogforge.records import (
@@ -11,7 +9,6 @@ from cogforge.records import (
     ComplexityLevel,
     CoTRecord,
     GapType,
-    LogProbQuad,
     ParseError,
     PipelineStats,
     PreferencePair,
@@ -184,15 +181,6 @@ class TestBetaSchedule:
 
     def test_negative_alpha_flagged(self):
         assert any("alpha" in v for v in BetaSchedule(alpha=-0.1).validate())
-
-
-class TestLogProbQuad:
-    def test_finite(self):
-        assert LogProbQuad(-1.0, -2.0, -3.0, -4.0).is_finite()
-
-    def test_nan_and_inf_detected(self):
-        assert not LogProbQuad(math.nan, 0.0, 0.0, 0.0).is_finite()
-        assert not LogProbQuad(0.0, math.inf, 0.0, 0.0).is_finite()
 
 
 class TestPipelineStats:
