@@ -101,7 +101,8 @@ class Agents:
     """Stateless agent operations sharing one backend; safe for concurrent use.
 
     ``usage_snapshot`` exposes per-agent completion and token counts for cost
-    accounting.
+    accounting: completions count returned choices, tokens are the backend's
+    usage per request.
     """
 
     def __init__(
@@ -126,16 +127,16 @@ class Agents:
 
     def _call(
         self, agent: str, template: str, record_id: str, problem: str, answer: str, reasoning: str,
-        role: ModelRole = ModelRole.LARGE,
+        role: ModelRole = ModelRole.LARGE, n: int = 1,
     ) -> ChatResponse:
         system, user = self._templates[template].render(problem, answer, reasoning)
         request = ChatRequest(
             model_role=role, system=system, user=user, sampling=self._sampling,
-            key=f"{agent}:{record_id}",
+            key=f"{agent}:{record_id}", n=n,
         )
         response = self._backend.complete(request)
         with self._usage_lock:
-            self._completions[agent] = self._completions.get(agent, 0) + 1
+            self._completions[agent] = self._completions.get(agent, 0) + len(response.choices)
             self._tokens[agent] = self._tokens.get(agent, 0) + response.usage.total
         return response
 
@@ -151,22 +152,35 @@ class Agents:
         Each unparseable completion gets one re-sample, then counts as an
         abstention (None in the vote list). A label wins only with a strict
         majority of all requested votes; otherwise the rating is medium.
+
+        The votes still missing are asked for in one request (``n`` choices),
+        re-samples included, so a round costs one request when every label
+        parses. The choices are read in order, one completion per vote and
+        its re-sample, so a scripted key is consumed exactly as by one
+        request per completion.
         """
         if votes < 1 or votes % 2 == 0:
             raise ValueError("votes must be a positive odd integer")
         cast: list[ComplexityLevel | None] = []
-        for _ in range(votes):
-            vote: ComplexityLevel | None = None
-            for _attempt in range(2):
-                response = self._call(
-                    "critic", "critic", record.id, record.problem, record.answer, record.reasoning
-                )
+        resampling = False
+        while len(cast) < votes:
+            # Each missing vote needs at least one more completion, so this
+            # never asks for more than the votes consume.
+            response = self._call(
+                "critic", "critic", record.id, record.problem, record.answer, record.reasoning,
+                n=votes - len(cast),
+            )
+            for text in response.choices:
                 try:
-                    vote = parse_complexity(response.text)
-                    break
+                    vote = parse_complexity(text)
                 except ParseError:
-                    log.debug("record %s: unparseable critic vote %r", record.id, response.text)
-            cast.append(vote)
+                    log.debug("record %s: unparseable critic vote %r", record.id, text)
+                    if not resampling:
+                        resampling = True
+                        continue
+                    vote = None
+                resampling = False
+                cast.append(vote)
         abstentions = sum(1 for vote in cast if vote is None)
         if abstentions * 2 > votes:
             raise AgentError(f"record {record.id}: {abstentions} of {votes} critic votes abstained")

@@ -19,6 +19,7 @@ import os
 import sys
 
 import numpy as np
+import requests
 
 from .agents import GOLDEN_INPUTS, TEMPLATE_NAMES, Agents, load_golden_fixture, load_templates
 from .config import AppConfig, load_config, load_schedule
@@ -111,7 +112,15 @@ def _build_backend(config: AppConfig, mock_script: str | None):
         return ScriptedBackend(load_script(mock_script))
     if not config.endpoints:
         raise ConfigError("no endpoints configured; supply a config file or --mock-script")
-    return HTTPBackend(config.endpoints)
+    # One pooled connection per worker; requests keeps 10 per host by default
+    # and reconnects for every worker beyond that.
+    session = requests.Session()
+    adapter = requests.adapters.HTTPAdapter(
+        pool_maxsize=max(10, config.pipeline.max_concurrency)
+    )
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return HTTPBackend(config.endpoints, session=session)
 
 
 def _load_dataset(path: str) -> list[CoTRecord]:

@@ -6,7 +6,8 @@ parsers in :mod:`cogforge.records`.
 
 Scripted replay keys are derived as ``"<agent>:<record_id>"`` (agent names:
 critic, rethinker, corruptor, verifier) and the attempt index is the position
-in that key's response sequence. This derivation is a stable contract; tests
+in that key's response sequence. A request for ``n`` choices consumes ``n``
+consecutive positions of its key. This derivation is a stable contract; tests
 and script files depend on it.
 """
 
@@ -83,18 +84,21 @@ class SamplingParams:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    """One completion request. ``key`` is the scripted-replay key; the HTTP
-    backend ignores it."""
+    """One completion request for ``n`` independent choices of one prompt.
+    ``key`` is the scripted-replay key; the HTTP backend ignores it."""
 
     model_role: ModelRole
     system: str
     user: str
     sampling: SamplingParams = SamplingParams()
     key: str | None = None
+    n: int = 1
 
     def __post_init__(self) -> None:
         if not self.system or not self.user:
             raise ValueError("system and user messages must be non-empty")
+        if self.n < 1:
+            raise ValueError("n must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,16 @@ class TokenUsage:
 
 @dataclass(frozen=True)
 class ChatResponse:
-    text: str
+    """The returned choices, in order (at least one and at most the request's
+    ``n``), and the usage of the whole request."""
+
+    choices: tuple[str, ...]
     usage: TokenUsage = TokenUsage()
     latency: float = 0.0
+
+    @property
+    def text(self) -> str:
+        return self.choices[0]
 
 
 class CompletionBackend(Protocol):
@@ -165,6 +176,8 @@ class HTTPBackend:
             "top_k": request.sampling.top_k,
             "max_tokens": request.sampling.max_tokens,
         }
+        if request.n != 1:
+            body["n"] = request.n
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
@@ -189,34 +202,48 @@ class HTTPBackend:
                 continue
             if response.status_code < 200 or response.status_code >= 300:
                 raise ProviderError(f"HTTP {response.status_code}: {response.text[:500]}")
-            return self._parse(response, started)
+            return self._parse(response, request.n, started)
         if last_failure.startswith("HTTP"):
             raise ProviderError(f"retries exhausted: {last_failure}")
         raise TransportError(f"retries exhausted: {last_failure}")
 
-    def _parse(self, response: requests.Response, started: float) -> ChatResponse:
+    def _parse(self, response: requests.Response, n: int, started: float) -> ChatResponse:
+        # Fewer choices than requested (a provider that ignores ``n``) are
+        # accepted; callers ask again for the rest.
         try:
             payload = response.json()
-            text = payload["choices"][0]["message"]["content"]
-            if text is not None and not isinstance(text, str):
-                raise TypeError(f"content is a {type(text).__name__}, not a string")
+            choices = payload["choices"]
+            if not isinstance(choices, list):
+                raise TypeError(f"choices is a {type(choices).__name__}, not a list")
+            if not 1 <= len(choices) <= n:
+                raise ValueError(f"{len(choices)} choices for n={n}")
+            texts = []
+            for choice in choices:
+                text = choice["message"]["content"]
+                if text is not None and not isinstance(text, str):
+                    raise TypeError(f"content is a {type(text).__name__}, not a string")
+                texts.append(text or "")
             usage = {} if payload.get("usage") is None else payload["usage"]
             tokens = TokenUsage(
                 prompt_tokens=int(usage.get("prompt_tokens", 0)),
                 completion_tokens=int(usage.get("completion_tokens", 0)),
             )
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
-        return ChatResponse(text=text or "", usage=tokens, latency=time.perf_counter() - started)
+        return ChatResponse(
+            choices=tuple(texts), usage=tokens, latency=time.perf_counter() - started
+        )
 
 
 class ScriptedBackend:
     """Replays canned responses keyed by ``"<agent>:<record_id>"``.
 
-    Each call on a key consumes the next entry of its sequence, so the attempt
-    index is positional. Fully deterministic: identical script plus identical
-    call sequence yields identical responses. A key the script does not hold
-    raises UnknownKey.
+    Each call on a key consumes the next ``n`` entries of its sequence, so the
+    attempt index is positional; a call for more entries than remain raises
+    ScriptExhausted and consumes none. Fully deterministic: identical script
+    plus identical call sequence yields identical responses. A key the script
+    does not hold raises UnknownKey. Usage counts words, the prompt once per
+    call.
     """
 
     def __init__(self, script: dict[str, list[str]]) -> None:
@@ -235,16 +262,18 @@ class ScriptedBackend:
                 raise UnknownKey(f"no script entry for key {key!r}")
             responses = self._script[key]
             position = self._cursors.get(key, 0)
-            if position >= len(responses):
+            if position + request.n > len(responses):
                 raise ScriptExhausted(
-                    f"script for key {key!r} exhausted after {len(responses)} responses"
+                    f"script for key {key!r} exhausted: {request.n} requested, "
+                    f"{len(responses) - position} of {len(responses)} responses left"
                 )
-            self._cursors[key] = position + 1
-            text = responses[position]
+            self._cursors[key] = position + request.n
+            texts = tuple(responses[position:position + request.n])
         prompt_tokens = len(request.system.split()) + len(request.user.split())
+        completion_tokens = sum(len(text.split()) for text in texts)
         return ChatResponse(
-            text=text,
-            usage=TokenUsage(prompt_tokens=prompt_tokens, completion_tokens=len(text.split())),
+            choices=texts,
+            usage=TokenUsage(prompt_tokens=prompt_tokens, completion_tokens=completion_tokens),
             latency=0.0,
         )
 

@@ -224,8 +224,10 @@ class LogProbQuad:
 class PipelineStats:
     """Batch-level accounting for one curation run.
 
-    ``intake_total`` always equals ``final_size + discarded``; per-stage
-    completion/token counters cover only the current process (a resumed run
+    ``intake_total`` always equals ``final_size + discarded``. Per stage,
+    ``completions_by_stage`` counts returned choices and ``tokens_by_stage``
+    the backend's usage, which counts a prompt once per request however many
+    choices it asks for. Both cover only the current process (a resumed run
     does not re-count work done before the interrupt).
     """
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from cogforge.agents import (
@@ -16,20 +17,28 @@ from cogforge.agents import (
     load_golden_fixture,
     load_templates,
 )
-from cogforge.gateway import ChatRequest, ChatResponse, ModelRole, ScriptedBackend
-from cogforge.records import ComplexityLevel, CoTRecord
+from cogforge.gateway import ChatRequest, ChatResponse, ModelRole, ScriptedBackend, ScriptExhausted
+from cogforge.records import ComplexityLevel, CoTRecord, ParseError, parse_complexity
 
 
 class CapturingBackend:
-    """Scripted backend that also records every request it serves."""
+    """Scripted backend that also records every request it serves and counts
+    the choices it returns."""
 
     def __init__(self, script: dict[str, list[str]], **kwargs):
         self.inner = ScriptedBackend(script, **kwargs)
         self.requests: list[ChatRequest] = []
+        self.choices = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         self.requests.append(request)
-        return self.inner.complete(request)
+        response = self.inner.complete(request)
+        self.choices += len(response.choices)
+        return response
+
+    def sizes(self) -> list[int]:
+        """The ``n`` of each request, in order."""
+        return [request.n for request in self.requests]
 
 
 def make_record(record_id: str = "x1") -> CoTRecord:
@@ -90,17 +99,53 @@ class TestDirectionFor:
             direction_for(ComplexityLevel.MEDIUM)
 
 
+def _parses(text: str) -> bool:
+    try:
+        parse_complexity(text)
+    except ParseError:
+        return False
+    return True
+
+
+def sequential_critique(sequence: list[str], votes: int):
+    """The one-request-per-completion critic loop: each unparseable vote is
+    re-sampled once, then abstains. Returns the outcome ((level, votes),
+    AgentError or ScriptExhausted) and how many labels it consumed."""
+    position = 0
+    cast = []
+    for _ in range(votes):
+        vote = None
+        for _attempt in range(2):
+            if position == len(sequence):
+                return ScriptExhausted, position
+            position += 1
+            if _parses(sequence[position - 1]):
+                vote = parse_complexity(sequence[position - 1])
+                break
+        cast.append(vote)
+    if sum(1 for vote in cast if vote is None) * 2 > votes:
+        return AgentError, position
+    for level in ComplexityLevel:
+        if sum(1 for vote in cast if vote == level) * 2 > votes:
+            return (level, cast), position
+    return (ComplexityLevel.MEDIUM, cast), position
+
+
 class TestCritique:
     def test_majority_two_of_three(self):
-        agents = Agents(ScriptedBackend({"critic:x1": ["easy", "medium", "easy"]}))
+        backend = CapturingBackend({"critic:x1": ["easy", "medium", "easy"]})
+        agents = Agents(backend)
         level, votes = agents.critique(make_record())
         assert level == ComplexityLevel.EASY
         assert votes == [ComplexityLevel.EASY, ComplexityLevel.MEDIUM, ComplexityLevel.EASY]
+        assert backend.sizes() == [3]
 
     def test_three_way_tie_falls_back_to_medium(self):
-        agents = Agents(ScriptedBackend({"critic:x1": ["easy", "medium", "hard"]}))
+        backend = CapturingBackend({"critic:x1": ["easy", "medium", "hard"]})
+        agents = Agents(backend)
         level, _votes = agents.critique(make_record())
         assert level == ComplexityLevel.MEDIUM
+        assert backend.sizes() == [3]
 
     def test_majority_is_permutation_invariant(self):
         orders = [
@@ -110,49 +155,91 @@ class TestCritique:
         ]
         results = []
         for order in orders:
-            agents = Agents(ScriptedBackend({"critic:x1": order}))
+            backend = CapturingBackend({"critic:x1": order})
+            agents = Agents(backend)
             level, _ = agents.critique(make_record())
             results.append(level)
+            assert backend.sizes() == [3]
         assert results == [ComplexityLevel.HARD] * 3
 
     def test_unparseable_vote_gets_one_resample(self):
-        agents = Agents(ScriptedBackend({"critic:x1": ["blah", "easy", "easy", "easy"]}))
+        backend = CapturingBackend({"critic:x1": ["blah", "easy", "easy", "easy"]})
+        agents = Agents(backend)
         level, votes = agents.critique(make_record())
         assert level == ComplexityLevel.EASY
         assert votes == [ComplexityLevel.EASY] * 3
+        assert backend.sizes() == [3, 1]
 
     def test_failed_resample_counts_as_abstention(self):
         script = {"critic:x1": ["blah", "blah", "medium", "medium"]}
-        agents = Agents(ScriptedBackend(script))
+        backend = CapturingBackend(script)
+        agents = Agents(backend)
         level, votes = agents.critique(make_record())
         assert level == ComplexityLevel.MEDIUM
         assert votes == [None, ComplexityLevel.MEDIUM, ComplexityLevel.MEDIUM]
+        assert backend.sizes() == [3, 1]
 
     def test_abstention_majority_is_agent_error(self):
-        agents = Agents(ScriptedBackend({"critic:x1": ["blah"] * 6}))
+        backend = CapturingBackend({"critic:x1": ["blah"] * 6})
+        agents = Agents(backend)
         with pytest.raises(AgentError, match="abstained"):
             agents.critique(make_record())
+        assert backend.sizes() == [3, 2, 1]
 
     def test_single_vote_mode(self):
-        agents = Agents(ScriptedBackend({"critic:x1": ["hard"]}))
+        backend = CapturingBackend({"critic:x1": ["hard"]})
+        agents = Agents(backend)
         level, votes = agents.critique(make_record(), votes=1)
         assert level == ComplexityLevel.HARD
         assert votes == [ComplexityLevel.HARD]
+        assert backend.sizes() == [1]
 
     def test_even_or_nonpositive_votes_rejected(self):
-        agents = Agents(ScriptedBackend({}))
+        backend = CapturingBackend({})
+        agents = Agents(backend)
         with pytest.raises(ValueError):
             agents.critique(make_record(), votes=2)
         with pytest.raises(ValueError):
             agents.critique(make_record(), votes=0)
+        assert backend.sizes() == []
 
     def test_no_strict_majority_with_abstention(self):
         # one easy, one hard, one abstention: nothing exceeds half of 3
         script = {"critic:x1": ["easy", "blah", "blah", "hard"]}
-        agents = Agents(ScriptedBackend(script))
+        backend = CapturingBackend(script)
+        agents = Agents(backend)
         level, votes = agents.critique(make_record())
         assert level == ComplexityLevel.MEDIUM
         assert votes == [ComplexityLevel.EASY, None, ComplexityLevel.HARD]
+        assert backend.sizes() == [3, 1]
+
+    def test_batched_votes_replay_the_sequential_loop(self):
+        """Over random critic sequences, one request per round gives the
+        outcome of one request per completion and consumes the same labels."""
+        rng = np.random.default_rng(0)
+        labels = ["easy", "medium", "hard", " Hard.", "EASY"]
+        junk = ["blah", "", "easy medium", "mediumish", "hard!"]
+        for trial in range(600):
+            votes = (1, 3, 5)[trial % 3]
+            sequence = [
+                str(rng.choice(junk)) if rng.random() < 0.3 else str(rng.choice(labels))
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            want, consumed = sequential_critique(sequence, votes)
+            backend = CapturingBackend({"critic:x1": sequence})
+            try:
+                got = Agents(backend).critique(make_record(), votes=votes)
+            except (AgentError, ScriptExhausted) as exc:
+                got = type(exc)
+            assert got == want, (sequence, votes)
+            if want is ScriptExhausted:
+                # The refused request asked for more labels than were left
+                # and consumed none of them.
+                assert backend.choices + backend.sizes()[-1] > len(sequence)
+            else:
+                assert backend.choices == consumed, (sequence, votes)
+            if all(_parses(text) for text in sequence[:votes]) and len(sequence) >= votes:
+                assert backend.sizes() == [votes], (sequence, votes)
 
 
 class TestRethink:
@@ -265,3 +352,15 @@ class TestUsageTracking:
         completions, tokens = agents.usage_snapshot()
         assert completions == {"critic": 3, "verifier": 1}
         assert tokens["critic"] > 0 and tokens["verifier"] > 0
+
+    def test_critic_prompt_counts_once_per_request(self):
+        script = {"critic:x1": ["easy", "easy", "easy"], "critic:x2": ["easy"]}
+        agents = Agents(ScriptedBackend(script))
+        agents.critique(make_record("x1"))
+        _, three_votes = agents.usage_snapshot()
+        agents.critique(make_record("x2"), votes=1)
+        completions, tokens = agents.usage_snapshot()
+        assert completions == {"critic": 4}
+        # The same prompt once plus one word per vote: three votes cost two
+        # words more than one vote.
+        assert three_votes["critic"] - (tokens["critic"] - three_votes["critic"]) == 2

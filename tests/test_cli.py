@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cogforge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, entrypoint
+from cogforge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _build_backend, entrypoint
+from cogforge.config import load_config
 from cogforge.jsonl import dump_row, read_rows
 
 LN2 = 0.6931471805599453
@@ -242,6 +243,20 @@ def family_rows() -> list[dict]:
             "r_rewritten": None, "r_corrupted": "broken trace",
         },
     ]
+
+
+class TestBuildBackend:
+    @pytest.mark.parametrize("concurrency, pooled", [(16, 16), (4, 10)])
+    def test_http_pool_holds_a_connection_per_worker(self, tmp_path, concurrency, pooled):
+        url = "https://gateway.example.com/v1/chat/completions"
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump({
+            "endpoints": {"large": {"url": url, "model": "m"}},
+            "pipeline": {"max_concurrency": concurrency},
+        }))
+        backend = _build_backend(load_config(str(config_path)), None)
+        adapter = backend._session.get_adapter(url)
+        assert adapter.poolmanager.connection_pool_kw["maxsize"] == pooled
 
 
 class TestPairs:

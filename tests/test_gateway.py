@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from cogforge.agents import Agents
 from cogforge.gateway import (
     ChatRequest,
     ConfigError,
@@ -25,10 +27,11 @@ from cogforge.gateway import (
     UnknownKey,
     load_script,
 )
+from cogforge.records import ComplexityLevel, CoTRecord
 
 
-def make_request(key: str = "critic:r1") -> ChatRequest:
-    return ChatRequest(model_role=ModelRole.LARGE, system="sys", user="usr", key=key)
+def make_request(key: str = "critic:r1", n: int = 1) -> ChatRequest:
+    return ChatRequest(model_role=ModelRole.LARGE, system="sys", user="usr", key=key, n=n)
 
 
 class TestSamplingParams:
@@ -50,6 +53,10 @@ class TestChatRequest:
             ChatRequest(model_role=ModelRole.BASE, system="", user="u")
         with pytest.raises(ValueError):
             ChatRequest(model_role=ModelRole.BASE, system="s", user="")
+
+    def test_nonpositive_n_rejected(self):
+        with pytest.raises(ValueError, match="n must"):
+            make_request(n=0)
 
     def test_request_is_immutable(self):
         request = make_request()
@@ -95,6 +102,23 @@ class TestScriptedBackend:
             got = list(pool.map(lambda _: backend.complete(make_request()).text, range(64)))
         assert sorted(got, key=int) == responses
 
+    def test_concurrent_batches_take_consecutive_positions_once(self):
+        sizes = [1 + i % 3 for i in range(96)]
+        responses = [str(i) for i in range(sum(sizes))]
+        backend = ScriptedBackend({"critic:r1": responses})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda n: backend.complete(make_request(n=n)).choices, sizes))
+        finally:
+            sys.setswitchinterval(interval)
+        for choices in got:
+            assert [int(text) for text in choices] == list(
+                range(int(choices[0]), int(choices[0]) + len(choices))
+            )
+        assert sorted((text for choices in got for text in choices), key=int) == responses
+
     def test_usage_counts_words(self):
         backend = ScriptedBackend({"critic:r1": ["two words"]})
         response = backend.complete(make_request())
@@ -105,6 +129,20 @@ class TestScriptedBackend:
     def test_empty_response_passes_through(self):
         backend = ScriptedBackend({"critic:r1": [""]})
         assert backend.complete(make_request()).text == ""
+
+    def test_n_choices_take_consecutive_positions(self):
+        backend = ScriptedBackend({"critic:r1": ["easy", "two words", "hard", "medium"]})
+        response = backend.complete(make_request(n=3))
+        assert response.choices == ("easy", "two words", "hard")
+        assert response.text == "easy"
+        # The prompt counts once per request, every choice's words count.
+        assert response.usage.prompt_tokens == 2
+        assert response.usage.completion_tokens == 4
+        with pytest.raises(ScriptExhausted, match="2 requested, 1 of 4"):
+            backend.complete(make_request(n=2))
+        # The refused request consumed nothing.
+        assert backend.complete(make_request()).choices == ("medium",)
+        assert backend.history == ["critic:r1"] * 3
 
 
 class TestLoadScript:
@@ -200,6 +238,40 @@ class TestHTTPBackend:
         assert body["top_p"] == 0.9
         assert body["top_k"] == 50
         assert body["max_tokens"] == 1024
+        assert "n" not in body
+
+    def test_n_choices_on_the_wire(self, http_server):
+        http_server.playbook.append((200, {
+            "choices": [{"message": {"content": text}} for text in ("easy", None, "hard")],
+            "usage": {"prompt_tokens": 7, "completion_tokens": 2},
+        }))
+        response = backend_for(http_server).complete(make_request(n=3))
+        assert response.choices == ("easy", "", "hard")
+        assert response.usage.total == 9
+        assert http_server.seen[0]["body"]["n"] == 3
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_no_choices_or_more_than_n_is_provider_error(self, http_server, count):
+        http_server.playbook.append(
+            (200, {"choices": [{"message": {"content": "easy"}}] * count})
+        )
+        with pytest.raises(ProviderError, match=f"{count} choices for n=2"):
+            backend_for(http_server).complete(make_request(n=2))
+        assert len(http_server.seen) == 1
+
+    def test_provider_ignoring_n_costs_a_request_per_vote(self, http_server):
+        # One choice per answer, as from a provider that ignores n: the
+        # critic asks again for the votes still missing.
+        http_server.playbook.extend(
+            (200, ok_payload(text)) for text in ("easy", "blah", "hard", "easy")
+        )
+        agents = Agents(backend_for(http_server))
+        record = CoTRecord(id="r1", problem="p", answer="a", reasoning="r")
+        assert agents.critique(record) == (
+            ComplexityLevel.EASY,
+            [ComplexityLevel.EASY, ComplexityLevel.HARD, ComplexityLevel.EASY],
+        )
+        assert [seen["body"].get("n", 1) for seen in http_server.seen] == [3, 2, 2, 1]
 
     def test_client_error_is_immediate_provider_error(self, http_server):
         http_server.playbook.append((400, {"error": "bad request"}))
