@@ -8,11 +8,11 @@ the acceptance path's.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import os
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
@@ -98,11 +98,14 @@ def load_templates(directory: str | None = None) -> dict[str, PromptTemplate]:
 
 
 class Agents:
-    """Stateless agent operations sharing one backend; safe for concurrent use.
+    """The agent operations on one backend, run for one record at a time.
 
-    ``usage_snapshot`` exposes per-agent completion and token counts for cost
-    accounting: completions count returned choices, tokens are the backend's
-    usage per request.
+    ``for_record(record)`` returns a copy bound to that record: its operations
+    render prompts from the record's problem and answer, key script positions
+    by its id, and count their completions (returned choices) and tokens (the
+    backend's usage per request) per agent in the copy's own ``completions``
+    and ``tokens``. The backend and templates are shared, so bound copies may
+    run concurrently; each copy belongs to one record's walk.
     """
 
     def __init__(
@@ -121,31 +124,36 @@ class Agents:
         self._sampling = sampling
         self._verifier_role = verifier_role
         self._corruption_gate = corruption_gate
-        self._usage_lock = threading.Lock()
-        self._completions: dict[str, int] = {}
-        self._tokens: dict[str, int] = {}
+        self._record: CoTRecord | None = None
+        self.completions: dict[str, int] = {}
+        self.tokens: dict[str, int] = {}
+
+    def for_record(self, record: CoTRecord) -> Agents:
+        bound = copy.copy(self)
+        bound._record = record
+        bound.completions = {}
+        bound.tokens = {}
+        return bound
 
     def _call(
-        self, agent: str, template: str, record_id: str, problem: str, answer: str, reasoning: str,
-        role: ModelRole = ModelRole.LARGE, n: int = 1,
+        self, agent: str, template: str, reasoning: str, role: ModelRole = ModelRole.LARGE,
+        n: int = 1,
     ) -> ChatResponse:
-        system, user = self._templates[template].render(problem, answer, reasoning)
+        record = self._record
+        if record is None:
+            raise RuntimeError("agent operations need a record: use for_record(record)")
+        system, user = self._templates[template].render(record.problem, record.answer, reasoning)
         request = ChatRequest(
             model_role=role, system=system, user=user, sampling=self._sampling,
-            key=f"{agent}:{record_id}", n=n,
+            key=f"{agent}:{record.id}", n=n,
         )
         response = self._backend.complete(request)
-        with self._usage_lock:
-            self._completions[agent] = self._completions.get(agent, 0) + len(response.choices)
-            self._tokens[agent] = self._tokens.get(agent, 0) + response.usage.total
+        self.completions[agent] = self.completions.get(agent, 0) + len(response.choices)
+        self.tokens[agent] = self.tokens.get(agent, 0) + response.usage.total
         return response
 
-    def usage_snapshot(self) -> tuple[dict[str, int], dict[str, int]]:
-        with self._usage_lock:
-            return dict(self._completions), dict(self._tokens)
-
     def critique(
-        self, record: CoTRecord, votes: int = 3
+        self, reasoning: str, votes: int = 3
     ) -> tuple[ComplexityLevel, list[ComplexityLevel | None]]:
         """Rate a trace by majority over ``votes`` independent completions.
 
@@ -166,15 +174,12 @@ class Agents:
         while len(cast) < votes:
             # Each missing vote needs at least one more completion, so this
             # never asks for more than the votes consume.
-            response = self._call(
-                "critic", "critic", record.id, record.problem, record.answer, record.reasoning,
-                n=votes - len(cast),
-            )
+            response = self._call("critic", "critic", reasoning, n=votes - len(cast))
             for text in response.choices:
                 try:
                     vote = parse_complexity(text)
                 except ParseError:
-                    log.debug("record %s: unparseable critic vote %r", record.id, text)
+                    log.debug("record %s: unparseable critic vote %r", self._record.id, text)
                     if not resampling:
                         resampling = True
                         continue
@@ -183,61 +188,52 @@ class Agents:
                 cast.append(vote)
         abstentions = sum(1 for vote in cast if vote is None)
         if abstentions * 2 > votes:
-            raise AgentError(f"record {record.id}: {abstentions} of {votes} critic votes abstained")
+            raise AgentError(
+                f"record {self._record.id}: {abstentions} of {votes} critic votes abstained"
+            )
         for level in ComplexityLevel:
             if sum(1 for vote in cast if vote == level) * 2 > votes:
                 return level, cast
         return ComplexityLevel.MEDIUM, cast
 
-    def rethink(
-        self, problem: str, answer: str, reasoning: str, direction: RewriteDirection,
-        record_id: str,
-    ) -> str:
+    def rethink(self, reasoning: str, direction: RewriteDirection) -> str:
         """Rewrite a trace in the given direction; never returns it unchanged."""
         template = "rethinker_easy" if direction == RewriteDirection.EXPAND else "rethinker_hard"
-        return self._rewrite("rethinker", template, record_id, problem, answer, reasoning)
+        return self._rewrite("rethinker", template, reasoning)
 
-    def corrupt(self, problem: str, answer: str, reasoning: str, record_id: str) -> str:
+    def corrupt(self, reasoning: str) -> str:
         """Produce a deliberately incorrect variant of a correct trace."""
-        candidate = self._rewrite("corruptor", "rethinker_incorrect", record_id, problem, answer, reasoning)
+        candidate = self._rewrite("corruptor", "rethinker_incorrect", reasoning)
         if self._corruption_gate:
-            if self.verify(problem, answer, candidate, record_id):
-                candidate = self._rewrite(
-                    "corruptor", "rethinker_incorrect", record_id, problem, answer, reasoning
-                )
-                if self.verify(problem, answer, candidate, record_id):
+            if self.verify(candidate):
+                candidate = self._rewrite("corruptor", "rethinker_incorrect", reasoning)
+                if self.verify(candidate):
                     raise CorruptionNotIncorrect(
-                        f"record {record_id}: corrupted trace still verifies as correct"
+                        f"record {self._record.id}: corrupted trace still verifies as correct"
                     )
         return candidate
 
-    def _rewrite(
-        self, agent: str, template: str, record_id: str, problem: str, answer: str, reasoning: str
-    ) -> str:
+    def _rewrite(self, agent: str, template: str, reasoning: str) -> str:
         # One re-sample on degenerate output (empty or byte-identical input).
         for _attempt in range(2):
-            response = self._call(agent, template, record_id, problem, answer, reasoning)
+            response = self._call(agent, template, reasoning)
             if response.text and response.text != reasoning:
                 return response.text
-        raise AgentError(f"record {record_id}: {agent} returned empty or unchanged output twice")
+        raise AgentError(
+            f"record {self._record.id}: {agent} returned empty or unchanged output twice"
+        )
 
-    def verify(self, problem: str, answer: str, reasoning: str, record_id: str) -> bool:
-        """YES/NO check that the trace guides to the given answer."""
-        if not problem or not answer or not reasoning:
+    def verify(self, reasoning: str) -> bool:
+        """YES/NO check that the trace guides to the record's answer."""
+        record = self._record
+        if record is not None and not (record.problem and record.answer and reasoning):
             raise ValueError("verify requires non-empty problem, answer, and reasoning")
         last = ""
         for _attempt in range(2):
-            response = self._call(
-                "verifier", "verifier", record_id, problem, answer, reasoning,
-                role=self._verifier_role,
-            )
+            response = self._call("verifier", "verifier", reasoning, role=self._verifier_role)
             last = response.text
             try:
                 return parse_verdict(response.text)
             except ParseError:
-                log.debug("record %s: unparseable verdict %r", record_id, response.text)
-        raise AgentError(f"record {record_id}: verifier output unparseable after re-sample: {last!r}")
-
-    def rerate(self, record: CoTRecord, reasoning: str, votes: int = 3):
-        """Critique a candidate rewrite in the context of its record."""
-        return self.critique(replace(record, reasoning=reasoning), votes=votes)
+                log.debug("record %s: unparseable verdict %r", record.id, response.text)
+        raise AgentError(f"record {record.id}: verifier output unparseable after re-sample: {last!r}")

@@ -17,7 +17,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
@@ -118,7 +118,6 @@ class ChatResponse:
 
     choices: tuple[str, ...]
     usage: TokenUsage = TokenUsage()
-    latency: float = 0.0
 
     @property
     def text(self) -> str:
@@ -183,7 +182,6 @@ class HTTPBackend:
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        started = time.perf_counter()
         last_failure = ""
         for attempt in range(self._max_retries):
             if attempt:
@@ -202,12 +200,12 @@ class HTTPBackend:
                 continue
             if response.status_code < 200 or response.status_code >= 300:
                 raise ProviderError(f"HTTP {response.status_code}: {response.text[:500]}")
-            return self._parse(response, request.n, started)
+            return self._parse(response, request.n)
         if last_failure.startswith("HTTP"):
             raise ProviderError(f"retries exhausted: {last_failure}")
         raise TransportError(f"retries exhausted: {last_failure}")
 
-    def _parse(self, response: requests.Response, n: int, started: float) -> ChatResponse:
+    def _parse(self, response: requests.Response, n: int) -> ChatResponse:
         # Fewer choices than requested (a provider that ignores ``n``) are
         # accepted; callers ask again for the rest.
         try:
@@ -230,9 +228,7 @@ class HTTPBackend:
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
-        return ChatResponse(
-            choices=tuple(texts), usage=tokens, latency=time.perf_counter() - started
-        )
+        return ChatResponse(choices=tuple(texts), usage=tokens)
 
 
 class ScriptedBackend:
@@ -274,7 +270,6 @@ class ScriptedBackend:
         return ChatResponse(
             choices=texts,
             usage=TokenUsage(prompt_tokens=prompt_tokens, completion_tokens=completion_tokens),
-            latency=0.0,
         )
 
 

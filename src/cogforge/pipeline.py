@@ -16,7 +16,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .agents import AgentError, Agents, direction_for
 from .gateway import ConfigError, GatewayError, ModelRole
@@ -32,7 +32,7 @@ from .records import (
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_FORMAT = "cogforge-checkpoint-v2"
+CHECKPOINT_FORMAT = "cogforge-checkpoint-v3"
 
 ACCEPTED_MEDIUM = "accepted_medium"
 ACCEPTED_REWRITTEN = "accepted_rewritten"
@@ -75,6 +75,8 @@ class RecordOutcome:
     discard_reason: str | None = None
     attempts: int = 0
     ever_verified: bool = False
+    completions: dict[str, int] = field(default_factory=dict)
+    tokens: dict[str, int] = field(default_factory=dict)
 
     def to_checkpoint(self) -> dict:
         return {
@@ -84,6 +86,8 @@ class RecordOutcome:
             "discard_reason": self.discard_reason,
             "attempts": self.attempts,
             "ever_verified": self.ever_verified,
+            "completions_by_stage": self.completions,
+            "tokens_by_stage": self.tokens,
         }
 
 
@@ -95,12 +99,16 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     verified rewrite re-rated: medium accepts it, easy/hard makes it the next
     attempt's input. Both paths share one budget of ``retry_cap`` attempts; a
     NO verdict retries from the last trusted text. An AgentError discards the
-    record with the attempts and verifications counted so far.
+    record with the attempts and verifications counted so far. The outcome
+    holds the record's agent usage, discarded or not.
     """
     work = copy.deepcopy(record)
-    outcome = RecordOutcome(record=work, status=DISCARDED)
+    agents = agents.for_record(work)
+    outcome = RecordOutcome(
+        record=work, status=DISCARDED, completions=agents.completions, tokens=agents.tokens
+    )
     try:
-        intake, votes = agents.critique(work, votes=config.votes)
+        intake, votes = agents.critique(work.reasoning, votes=config.votes)
         work.add_rating("intake", intake, votes)
         rewriting = intake != ComplexityLevel.MEDIUM
         text, level = work.reasoning, intake
@@ -108,16 +116,14 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
             outcome.attempts = attempt
             candidate = text
             if rewriting:
-                candidate = agents.rethink(
-                    work.problem, work.answer, text, direction_for(level), work.id
-                )
-            if not agents.verify(work.problem, work.answer, candidate, work.id):
+                candidate = agents.rethink(text, direction_for(level))
+            if not agents.verify(candidate):
                 # Retry from the last trusted text; the rewrite prompts
                 # presume a correct input trace.
                 continue
             outcome.ever_verified = True
             if rewriting:
-                level, new_votes = agents.rerate(work, candidate, votes=config.votes)
+                level, new_votes = agents.critique(candidate, votes=config.votes)
                 work.add_rating(f"re-rate-{attempt}", level, new_votes)
                 if level != ComplexityLevel.MEDIUM:
                     text = candidate
@@ -143,9 +149,7 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
 
     if outcome.family is not None:
         try:
-            outcome.family.r_corrupted = agents.corrupt(
-                work.problem, work.answer, outcome.family.r_original, work.id
-            )
+            outcome.family.r_corrupted = agents.corrupt(outcome.family.r_original)
         except AgentError as exc:
             # Acceptance stands; the family just cannot contribute
             # corruption-based pairs.
@@ -177,13 +181,19 @@ def _json_object(line: bytes) -> dict | None:
     return row if isinstance(row, dict) else None
 
 
+def _is_usage(value) -> bool:
+    """A per-agent usage map: an object of integers."""
+    return isinstance(value, dict) and all(type(count) is int for count in value.values())
+
+
 def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, dict]:
     """Read the completed-record map; absent file means a fresh run.
 
     Line 1 is the header (format tag, fingerprint, compacted map); each later
     line is one record appended as it completed. A last segment without its
     newline is a torn append and is dropped. Given a fingerprint, a header
-    written for another config or dataset is refused.
+    written for another config or dataset is refused. Every row needs a known
+    status and its two usage maps of integers.
     """
     if not os.path.exists(path):
         return {}
@@ -205,9 +215,10 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, dict
             raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")
         completed[record_id] = row
     for record_id, row in completed.items():
-        if not isinstance(row, dict) or row.get("status") not in (
-            ACCEPTED_MEDIUM, ACCEPTED_REWRITTEN, DISCARDED,
-        ):
+        if not (isinstance(row, dict)
+                and row.get("status") in (ACCEPTED_MEDIUM, ACCEPTED_REWRITTEN, DISCARDED)
+                and _is_usage(row.get("completions_by_stage"))
+                and _is_usage(row.get("tokens_by_stage"))):
             raise CorruptCheckpoint(f"{path}: malformed entry for record {record_id!r}")
     return completed
 
@@ -233,7 +244,8 @@ def run_crv(
     completed record is appended to the checkpoint, and the file is compacted
     when the run ends or aborts; before an abort propagates, records still in
     flight are finished and kept. A resumed run reproduces the uninterrupted
-    outputs byte for byte under the same scripted backend.
+    outputs and stats byte for byte under the same scripted backend: the
+    stats sum every record's journaled agent usage, whichever run paid it.
     """
     violations = config.validate()
     if violations:
@@ -305,6 +317,10 @@ def run_crv(
         stats.intake_by_level[intake] = stats.intake_by_level.get(intake, 0) + 1
         if row["ever_verified"]:
             stats.verified += 1
+        for total, usage in ((stats.completions_by_stage, row["completions_by_stage"]),
+                             (stats.tokens_by_stage, row["tokens_by_stage"])):
+            for agent, count in usage.items():
+                total[agent] = total.get(agent, 0) + count
         if row["status"] == DISCARDED:
             stats.discarded += 1
             discards.append(
@@ -316,7 +332,6 @@ def run_crv(
             curated.append(final)
             families.append(RecordFamily.from_dict(row["family"]))
     stats.final_size = len(curated)
-    stats.completions_by_stage, stats.tokens_by_stage = agents.usage_snapshot()
 
     curated = assemble_sft(curated)
     conservation = stats.validate()

@@ -184,17 +184,11 @@ class PreferencePair:
 
 @dataclass(frozen=True)
 class BetaSchedule:
-    """Per-gap beta values plus the reward-differential adjustment knobs.
-
-    ``alpha`` and ``m0`` default to placeholders (no published values exist);
-    they only matter when the optional differential adjustment is enabled.
-    """
+    """The beta of each gap type."""
 
     beta_small: float = 0.1
     beta_medium: float = 0.2
     beta_large: float = 0.5
-    alpha: float = 0.6
-    m0: float = 0.0
 
     def validate(self) -> list[str]:
         """Strict ordering check, applied at config load (not at construction,
@@ -204,8 +198,6 @@ class BetaSchedule:
             violations.append("beta_small: must be positive")
         if not self.beta_small < self.beta_medium < self.beta_large:
             violations.append("beta ordering: requires beta_small < beta_medium < beta_large")
-        if self.alpha < 0:
-            violations.append("alpha: must be >= 0")
         return violations
 
 
@@ -227,8 +219,8 @@ class PipelineStats:
     ``intake_total`` always equals ``final_size + discarded``. Per stage,
     ``completions_by_stage`` counts returned choices and ``tokens_by_stage``
     the backend's usage, which counts a prompt once per request however many
-    choices it asks for. Both cover only the current process (a resumed run
-    does not re-count work done before the interrupt).
+    choices it asks for. Both sum the usage journaled with every record's
+    outcome, so a resumed run reports the whole run's totals.
     """
 
     intake_total: int = 0

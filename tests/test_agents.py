@@ -134,16 +134,16 @@ def sequential_critique(sequence: list[str], votes: int):
 class TestCritique:
     def test_majority_two_of_three(self):
         backend = CapturingBackend({"critic:x1": ["easy", "medium", "easy"]})
-        agents = Agents(backend)
-        level, votes = agents.critique(make_record())
+        agents = Agents(backend).for_record(make_record())
+        level, votes = agents.critique("r")
         assert level == ComplexityLevel.EASY
         assert votes == [ComplexityLevel.EASY, ComplexityLevel.MEDIUM, ComplexityLevel.EASY]
         assert backend.sizes() == [3]
 
     def test_three_way_tie_falls_back_to_medium(self):
         backend = CapturingBackend({"critic:x1": ["easy", "medium", "hard"]})
-        agents = Agents(backend)
-        level, _votes = agents.critique(make_record())
+        agents = Agents(backend).for_record(make_record())
+        level, _votes = agents.critique("r")
         assert level == ComplexityLevel.MEDIUM
         assert backend.sizes() == [3]
 
@@ -156,16 +156,16 @@ class TestCritique:
         results = []
         for order in orders:
             backend = CapturingBackend({"critic:x1": order})
-            agents = Agents(backend)
-            level, _ = agents.critique(make_record())
+            agents = Agents(backend).for_record(make_record())
+            level, _ = agents.critique("r")
             results.append(level)
             assert backend.sizes() == [3]
         assert results == [ComplexityLevel.HARD] * 3
 
     def test_unparseable_vote_gets_one_resample(self):
         backend = CapturingBackend({"critic:x1": ["blah", "easy", "easy", "easy"]})
-        agents = Agents(backend)
-        level, votes = agents.critique(make_record())
+        agents = Agents(backend).for_record(make_record())
+        level, votes = agents.critique("r")
         assert level == ComplexityLevel.EASY
         assert votes == [ComplexityLevel.EASY] * 3
         assert backend.sizes() == [3, 1]
@@ -173,42 +173,42 @@ class TestCritique:
     def test_failed_resample_counts_as_abstention(self):
         script = {"critic:x1": ["blah", "blah", "medium", "medium"]}
         backend = CapturingBackend(script)
-        agents = Agents(backend)
-        level, votes = agents.critique(make_record())
+        agents = Agents(backend).for_record(make_record())
+        level, votes = agents.critique("r")
         assert level == ComplexityLevel.MEDIUM
         assert votes == [None, ComplexityLevel.MEDIUM, ComplexityLevel.MEDIUM]
         assert backend.sizes() == [3, 1]
 
     def test_abstention_majority_is_agent_error(self):
         backend = CapturingBackend({"critic:x1": ["blah"] * 6})
-        agents = Agents(backend)
+        agents = Agents(backend).for_record(make_record())
         with pytest.raises(AgentError, match="abstained"):
-            agents.critique(make_record())
+            agents.critique("r")
         assert backend.sizes() == [3, 2, 1]
 
     def test_single_vote_mode(self):
         backend = CapturingBackend({"critic:x1": ["hard"]})
-        agents = Agents(backend)
-        level, votes = agents.critique(make_record(), votes=1)
+        agents = Agents(backend).for_record(make_record())
+        level, votes = agents.critique("r", votes=1)
         assert level == ComplexityLevel.HARD
         assert votes == [ComplexityLevel.HARD]
         assert backend.sizes() == [1]
 
     def test_even_or_nonpositive_votes_rejected(self):
         backend = CapturingBackend({})
-        agents = Agents(backend)
+        agents = Agents(backend).for_record(make_record())
         with pytest.raises(ValueError):
-            agents.critique(make_record(), votes=2)
+            agents.critique("r", votes=2)
         with pytest.raises(ValueError):
-            agents.critique(make_record(), votes=0)
+            agents.critique("r", votes=0)
         assert backend.sizes() == []
 
     def test_no_strict_majority_with_abstention(self):
         # one easy, one hard, one abstention: nothing exceeds half of 3
         script = {"critic:x1": ["easy", "blah", "blah", "hard"]}
         backend = CapturingBackend(script)
-        agents = Agents(backend)
-        level, votes = agents.critique(make_record())
+        agents = Agents(backend).for_record(make_record())
+        level, votes = agents.critique("r")
         assert level == ComplexityLevel.MEDIUM
         assert votes == [ComplexityLevel.EASY, None, ComplexityLevel.HARD]
         assert backend.sizes() == [3, 1]
@@ -228,7 +228,7 @@ class TestCritique:
             want, consumed = sequential_critique(sequence, votes)
             backend = CapturingBackend({"critic:x1": sequence})
             try:
-                got = Agents(backend).critique(make_record(), votes=votes)
+                got = Agents(backend).for_record(make_record()).critique("r", votes=votes)
             except (AgentError, ScriptExhausted) as exc:
                 got = type(exc)
             assert got == want, (sequence, votes)
@@ -241,12 +241,20 @@ class TestCritique:
             if all(_parses(text) for text in sequence[:votes]) and len(sequence) >= votes:
                 assert backend.sizes() == [votes], (sequence, votes)
 
+    def test_rerate_is_a_critique_of_the_candidate(self):
+        backend = CapturingBackend({"critic:x1": ["medium"]})
+        agents = Agents(backend).for_record(make_record())
+        level, _ = agents.critique("the rewritten trace", votes=1)
+        assert level == ComplexityLevel.MEDIUM
+        assert "the rewritten trace" in backend.requests[0].user
+        assert "Reasoning Process:\nthe rewritten trace" in backend.requests[0].user
+
 
 class TestRethink:
     def test_expand_uses_extension_template(self):
         backend = CapturingBackend({"rethinker:x1": ["longer trace"]})
-        agents = Agents(backend)
-        text = agents.rethink("p", "a", "r", RewriteDirection.EXPAND, "x1")
+        agents = Agents(backend).for_record(make_record())
+        text = agents.rethink("r", RewriteDirection.EXPAND)
         assert text == "longer trace"
         assert backend.requests[0].system.startswith(
             "You are a helpful assistant who is highly skilled at extending"
@@ -255,27 +263,28 @@ class TestRethink:
 
     def test_simplify_uses_simplification_template(self):
         backend = CapturingBackend({"rethinker:x1": ["shorter trace"]})
-        agents = Agents(backend)
-        agents.rethink("p", "a", "r", RewriteDirection.SIMPLIFY, "x1")
+        agents = Agents(backend).for_record(make_record())
+        agents.rethink("r", RewriteDirection.SIMPLIFY)
         assert backend.requests[0].system.startswith(
             "You are a helpful assistant who is highly skilled at simplifying"
         )
 
     def test_unchanged_output_resampled_once(self):
         agents = Agents(ScriptedBackend({"rethinker:x1": ["same", "different"]}))
-        assert agents.rethink("p", "a", "same", RewriteDirection.EXPAND, "x1") == "different"
+        agents = agents.for_record(make_record())
+        assert agents.rethink("same", RewriteDirection.EXPAND) == "different"
 
     def test_empty_twice_is_agent_error(self):
-        agents = Agents(ScriptedBackend({"rethinker:x1": ["", ""]}))
+        agents = Agents(ScriptedBackend({"rethinker:x1": ["", ""]})).for_record(make_record())
         with pytest.raises(AgentError, match="empty or unchanged"):
-            agents.rethink("p", "a", "r", RewriteDirection.EXPAND, "x1")
+            agents.rethink("r", RewriteDirection.EXPAND)
 
 
 class TestCorrupt:
     def test_returns_corrupted_text_without_gate(self):
         backend = CapturingBackend({"corruptor:x1": ["wrong trace"]})
-        agents = Agents(backend)
-        assert agents.corrupt("p", "a", "r", "x1") == "wrong trace"
+        agents = Agents(backend).for_record(make_record())
+        assert agents.corrupt("r") == "wrong trace"
         assert all(req.key == "corruptor:x1" for req in backend.requests)
         assert backend.requests[0].system.startswith(
             "You are an assistant who is skilled at converting correct"
@@ -283,84 +292,84 @@ class TestCorrupt:
 
     def test_gate_accepts_candidate_that_fails_verification(self):
         script = {"corruptor:x1": ["bad 1"], "verifier:x1": ["NO"]}
-        agents = Agents(ScriptedBackend(script), corruption_gate=True)
-        assert agents.corrupt("p", "a", "r", "x1") == "bad 1"
+        agents = Agents(ScriptedBackend(script), corruption_gate=True).for_record(make_record())
+        assert agents.corrupt("r") == "bad 1"
 
     def test_gate_resamples_when_candidate_verifies(self):
         script = {"corruptor:x1": ["bad 1", "bad 2"], "verifier:x1": ["YES", "NO"]}
-        agents = Agents(ScriptedBackend(script), corruption_gate=True)
-        assert agents.corrupt("p", "a", "r", "x1") == "bad 2"
+        agents = Agents(ScriptedBackend(script), corruption_gate=True).for_record(make_record())
+        assert agents.corrupt("r") == "bad 2"
 
     def test_gate_exhaustion_raises(self):
         script = {"corruptor:x1": ["bad 1", "bad 2"], "verifier:x1": ["YES", "YES"]}
-        agents = Agents(ScriptedBackend(script), corruption_gate=True)
+        agents = Agents(ScriptedBackend(script), corruption_gate=True).for_record(make_record())
         with pytest.raises(CorruptionNotIncorrect):
-            agents.corrupt("p", "a", "r", "x1")
+            agents.corrupt("r")
 
     def test_identical_output_twice_is_agent_error(self):
-        agents = Agents(ScriptedBackend({"corruptor:x1": ["r", "r"]}))
+        agents = Agents(ScriptedBackend({"corruptor:x1": ["r", "r"]})).for_record(make_record())
         with pytest.raises(AgentError):
-            agents.corrupt("p", "a", "r", "x1")
+            agents.corrupt("r")
 
 
 class TestVerify:
     def test_yes_and_no(self):
-        agents = Agents(ScriptedBackend({"verifier:x1": ["YES", "NO"]}))
-        assert agents.verify("p", "a", "r", "x1") is True
-        assert agents.verify("p", "a", "r", "x1") is False
+        agents = Agents(ScriptedBackend({"verifier:x1": ["YES", "NO"]})).for_record(make_record())
+        assert agents.verify("r") is True
+        assert agents.verify("r") is False
 
     def test_resample_path(self):
         agents = Agents(ScriptedBackend({"verifier:x1": ["maybe", "NO"]}))
-        assert agents.verify("p", "a", "r", "x1") is False
+        agents = agents.for_record(make_record())
+        assert agents.verify("r") is False
 
     def test_unparseable_twice_is_agent_error(self):
         agents = Agents(ScriptedBackend({"verifier:x1": ["maybe", "dunno"]}))
+        agents = agents.for_record(make_record())
         with pytest.raises(AgentError, match="unparseable"):
-            agents.verify("p", "a", "r", "x1")
+            agents.verify("r")
 
     def test_empty_inputs_rejected(self):
         agents = Agents(ScriptedBackend({}))
         with pytest.raises(ValueError):
-            agents.verify("", "a", "r", "x1")
+            agents.for_record(CoTRecord(id="x1", problem="", answer="a", reasoning="r")).verify("r")
+        with pytest.raises(ValueError):
+            agents.for_record(make_record()).verify("")
 
     def test_verifier_role_is_configurable(self):
         backend = CapturingBackend({"verifier:x1": ["YES"], "critic:x1": ["easy"]})
-        agents = Agents(backend, verifier_role=ModelRole.BASE)
-        agents.verify("p", "a", "r", "x1")
-        agents.critique(make_record(), votes=1)
+        agents = Agents(backend, verifier_role=ModelRole.BASE).for_record(make_record())
+        agents.verify("r")
+        agents.critique("r", votes=1)
         roles = {req.key: req.model_role for req in backend.requests}
         assert roles["verifier:x1"] == ModelRole.BASE
         assert roles["critic:x1"] == ModelRole.LARGE
-
-
-class TestRerate:
-    def test_rerate_critiques_replacement_text(self):
-        backend = CapturingBackend({"critic:x1": ["medium"]})
-        agents = Agents(backend)
-        level, _ = agents.rerate(make_record(), "the rewritten trace", votes=1)
-        assert level == ComplexityLevel.MEDIUM
-        assert "the rewritten trace" in backend.requests[0].user
-        assert "Reasoning Process:\nthe rewritten trace" in backend.requests[0].user
 
 
 class TestUsageTracking:
     def test_snapshot_counts_completions_and_tokens(self):
         script = {"critic:x1": ["easy", "easy", "easy"], "verifier:x1": ["YES"]}
         agents = Agents(ScriptedBackend(script))
-        agents.critique(make_record())
-        agents.verify("p", "a", "r", "x1")
-        completions, tokens = agents.usage_snapshot()
-        assert completions == {"critic": 3, "verifier": 1}
-        assert tokens["critic"] > 0 and tokens["verifier"] > 0
+        bound = agents.for_record(make_record())
+        bound.critique("r")
+        bound.verify("r")
+        assert bound.completions == {"critic": 3, "verifier": 1}
+        assert bound.tokens["critic"] > 0 and bound.tokens["verifier"] > 0
+        assert agents.completions == {} and agents.tokens == {}
 
     def test_critic_prompt_counts_once_per_request(self):
         script = {"critic:x1": ["easy", "easy", "easy"], "critic:x2": ["easy"]}
         agents = Agents(ScriptedBackend(script))
-        agents.critique(make_record("x1"))
-        _, three_votes = agents.usage_snapshot()
-        agents.critique(make_record("x2"), votes=1)
-        completions, tokens = agents.usage_snapshot()
-        assert completions == {"critic": 4}
+        three_votes = agents.for_record(make_record("x1"))
+        three_votes.critique("r")
+        one_vote = agents.for_record(make_record("x2"))
+        one_vote.critique("r", votes=1)
+        assert three_votes.completions == {"critic": 3} and one_vote.completions == {"critic": 1}
         # The same prompt once plus one word per vote: three votes cost two
         # words more than one vote.
-        assert three_votes["critic"] - (tokens["critic"] - three_votes["critic"]) == 2
+        assert three_votes.tokens["critic"] - one_vote.tokens["critic"] == 2
+
+    def test_unbound_agents_refuse_to_call(self):
+        agents = Agents(ScriptedBackend({"critic:x1": ["easy"]}))
+        with pytest.raises(RuntimeError, match="for_record"):
+            agents.critique("r", votes=1)

@@ -162,6 +162,7 @@ class TestCurateResume:
         self, curate_paths, six_record_script, tmp_path, capsys
     ):
         baseline = self.run_baseline(curate_paths)
+        summary = capsys.readouterr().out.splitlines()[-1]
 
         config_path = tmp_path / "serial.yaml"
         config_path.write_text(
@@ -202,6 +203,8 @@ class TestCurateResume:
         assert (tmp / "resumed.jsonl").read_bytes() == baseline["curated"]
         assert (tmp / "resumed.discards.jsonl").read_bytes() == baseline["discards"]
         assert (tmp / "resumed.families.jsonl").read_bytes() == baseline["families"]
+        # The resumed summary counts the agent calls of both runs.
+        assert capsys.readouterr().out.splitlines()[-1] == summary
 
     def test_checkpoint_from_another_config_or_input_is_fatal(
         self, curate_paths, six_record_dataset, tmp_path, capsys

@@ -25,7 +25,6 @@ FULL_CONFIG = {
     },
     "schedule": {
         "beta_small": 0.05, "beta_medium": 0.1, "beta_large": 0.4,
-        "alpha": 0.3, "m0": 0.5,
     },
     "templates_dir": "custom_templates",
 }
@@ -76,8 +75,6 @@ class TestFullRoundTrip:
         assert config.pipeline.corruption_gate is True
         assert config.pipeline.checkpoint_path == "run.checkpoint.json"
         assert config.schedule.beta_small == 0.05
-        assert config.schedule.alpha == 0.3
-        assert config.schedule.m0 == 0.5
         assert config.templates_dir == "custom_templates"
 
     def test_partial_sections_keep_other_defaults(self, tmp_path):
@@ -173,12 +170,15 @@ class TestSectionKeys:
         config = load_config(write_yaml(tmp_path, payload))
         assert config.sampling.temperature == 0.2
         assert config.pipeline == load_config(None).pipeline
+        # Schedule keys an earlier version read still load, and change nothing.
+        old = load_config(write_yaml(tmp_path, {"schedule": {"alpha": 0.3, "m0": 0.5}}))
+        assert old.schedule == BetaSchedule()
 
     def test_values_cast_to_field_types(self, tmp_path):
-        payload = {"sampling": {"top_k": "7"}, "schedule": {"m0": 1}}
+        payload = {"sampling": {"top_k": "7"}, "schedule": {"beta_large": 1}}
         config = load_config(write_yaml(tmp_path, payload))
         assert config.sampling.top_k == 7 and isinstance(config.sampling.top_k, int)
-        assert config.schedule.m0 == 1.0 and isinstance(config.schedule.m0, float)
+        assert config.schedule.beta_large == 1.0 and isinstance(config.schedule.beta_large, float)
 
     @pytest.mark.parametrize("section, values", [
         ("pipeline", {"corruption_gate": "false"}),

@@ -204,6 +204,7 @@ def http_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
@@ -265,9 +266,9 @@ class TestHTTPBackend:
         http_server.playbook.extend(
             (200, ok_payload(text)) for text in ("easy", "blah", "hard", "easy")
         )
-        agents = Agents(backend_for(http_server))
         record = CoTRecord(id="r1", problem="p", answer="a", reasoning="r")
-        assert agents.critique(record) == (
+        agents = Agents(backend_for(http_server)).for_record(record)
+        assert agents.critique(record.reasoning) == (
             ComplexityLevel.EASY,
             [ComplexityLevel.EASY, ComplexityLevel.HARD, ComplexityLevel.EASY],
         )

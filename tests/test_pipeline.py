@@ -110,6 +110,28 @@ class TestSixRecordFixture:
         assert [d["id"] for d in discards] == ["r2", "r4", "r6"]
         assert stats.validate() == []
 
+    def test_reused_agents_report_each_run_alone(self, six_record_dataset, six_record_script):
+        class Replay:
+            """Serves the script afresh after each reset."""
+
+            def reset(self):
+                self.inner = ScriptedBackend(six_record_script)
+
+            def complete(self, request):
+                return self.inner.complete(request)
+
+        backend = Replay()
+        agents = Agents(backend)
+        totals = []
+        for _run in range(2):
+            backend.reset()
+            _c, _f, stats, _d = run_crv(six_record_dataset, PipelineConfig(), agents)
+            totals.append(stats.to_dict())
+        assert totals[0] == totals[1]
+        assert totals[0]["completions_by_stage"] == {
+            "critic": 33, "verifier": 12, "rethinker": 8, "corruptor": 3,
+        }
+
 
 class TestEdgeCases:
     def test_empty_input(self):
@@ -260,7 +282,10 @@ class TestCheckpointing:
         curated, _families, stats, _discards = run_crv(dataset, config, Agents(backend))
         assert [r.id for r in curated] == ["r1", "r3", "r5"]
         assert backend.history == []
-        assert stats.completions_by_stage == {}
+        # The totals come from the journaled outcomes, not from this process.
+        assert stats.completions_by_stage == {
+            "critic": 33, "verifier": 12, "rethinker": 8, "corruptor": 3,
+        }
 
     def test_missing_checkpoint_is_fresh_run(self, tmp_path, six_record_script):
         config = PipelineConfig(
@@ -294,7 +319,8 @@ class TestCheckpointing:
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         completed = {"r1": {"status": ACCEPTED_MEDIUM, "record": {}, "family": None,
-                            "discard_reason": None, "attempts": 1, "ever_verified": True}}
+                            "discard_reason": None, "attempts": 1, "ever_verified": True,
+                            "completions_by_stage": {"critic": 3}, "tokens_by_stage": {}}}
         save_checkpoint(str(path), completed)
         assert load_checkpoint(str(path)) == completed
 
@@ -312,12 +338,14 @@ class TestJournal:
     IDS = ["r1", "r2", "r3", "r4", "r5", "r6"]
 
     def outputs(self, dataset, script, checkpoint=None, config=None):
+        """The curated, discard and family rows and the stats, as text."""
         config = config or PipelineConfig(max_concurrency=1)
         config.checkpoint_path = str(checkpoint) if checkpoint else None
         backend = ScriptedBackend(script)
-        curated, families, _stats, discards = run_crv(dataset, config, Agents(backend))
+        curated, families, stats, discards = run_crv(dataset, config, Agents(backend))
         rows = (
             [r.to_output_dict() for r in curated], discards, [f.to_dict() for f in families],
+            [stats.to_dict()],
         )
         return tuple("".join(dump_row(row) + "\n" for row in part) for part in rows), backend
 
@@ -459,7 +487,37 @@ class TestJournal:
         path.write_text(json.dumps(
             {"format": "cogforge-checkpoint-v1", "completed": {}}, indent=1, sort_keys=True
         ) + "\n")
-        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v2 header"):
+        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v3 header"):
+            load_checkpoint(str(path))
+
+    def test_v2_journal_refused(self, tmp_path):
+        # A v2 row carries no usage; resuming from it would under-report.
+        path = tmp_path / "checkpoint.json"
+        path.write_text(dump_row(
+            {"format": "cogforge-checkpoint-v2", "fingerprint": None, "completed": {}}
+        ) + "\n")
+        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v3 header"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("usage", [
+        {"tokens_by_stage": {}},
+        {"completions_by_stage": {}},
+        {"completions_by_stage": [3], "tokens_by_stage": {}},
+        {"completions_by_stage": {"critic": "3"}, "tokens_by_stage": {}},
+        {"completions_by_stage": {"critic": 3.0}, "tokens_by_stage": {}},
+        {"completions_by_stage": {}, "tokens_by_stage": {"critic": True}},
+        {"completions_by_stage": {}, "tokens_by_stage": {"critic": None}},
+    ], ids=["no-completions", "no-tokens", "list", "string", "float", "bool", "null"])
+    def test_row_without_integer_usage_rejected(self, tmp_path, usage):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(str(path), {})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(dump_row({"id": "r1", "status": DISCARDED, **usage}) + "\n")
+        with pytest.raises(CorruptCheckpoint, match="malformed entry"):
+            load_checkpoint(str(path))
+        path.write_text(dump_row({"format": pipeline.CHECKPOINT_FORMAT, "fingerprint": None,
+                                  "completed": {"r1": {"status": DISCARDED, **usage}}}) + "\n")
+        with pytest.raises(CorruptCheckpoint, match="malformed entry"):
             load_checkpoint(str(path))
 
     def test_gateway_error_keeps_records_in_flight(self, tmp_path, six_record_script):

@@ -179,9 +179,6 @@ class TestBetaSchedule:
     def test_nonpositive_small_flagged(self):
         assert any("beta_small" in v for v in BetaSchedule(beta_small=0.0).validate())
 
-    def test_negative_alpha_flagged(self):
-        assert any("alpha" in v for v in BetaSchedule(alpha=-0.1).validate())
-
 
 class TestPipelineStats:
     def test_conservation_holds(self):
