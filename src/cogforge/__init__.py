@@ -43,7 +43,7 @@ from .loss import (
     margin,
     sequence_logprob,
 )
-from .pairs import EmptyFamily, assign_beta, build_pairs, count_by_gap
+from .pairs import EmptyFamily, assign_beta, build_pairs
 from .pipeline import (
     CorruptCheckpoint,
     DuplicateId,

@@ -12,11 +12,13 @@ single JSON object for machine consumption.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 import requests
@@ -40,7 +42,7 @@ from .loss import (
     grad_check,
     join_quads,
 )
-from .pairs import EmptyFamily, assign_beta, build_pairs, count_by_gap
+from .pairs import EmptyFamily, assign_beta, build_pairs
 from .pipeline import CorruptCheckpoint, DuplicateId, run_crv
 from .records import BetaSchedule, CoTRecord, GapType, LogProbQuad, RecordFamily
 
@@ -49,6 +51,10 @@ log = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
+
+# Fields a row must carry, not null, for RecordFamily.from_dict and join_quads.
+FAMILY_FIELDS = ("id", "problem", "answer", "original_rating", "r_original")
+LOGPROB_FIELDS = ("id", "lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,18 +130,11 @@ def _build_backend(config: AppConfig, mock_script: str | None):
 
 
 def _load_dataset(path: str) -> list[CoTRecord]:
-    dataset = []
-    for row in read_rows(path):
-        try:
-            dataset.append(
-                CoTRecord(
-                    id=str(row["id"]), problem=row["problem"], answer=row["answer"],
-                    reasoning=row["reasoning"],
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}: input row missing field {exc}") from exc
-    return dataset
+    return [
+        CoTRecord(id=str(row["id"]), problem=row["problem"], answer=row["answer"],
+                  reasoning=row["reasoning"])
+        for row in read_rows(path, required=("id", "problem", "answer", "reasoning"))
+    ]
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -169,21 +168,36 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 def cmd_pairs(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    families = [RecordFamily.from_dict(row) for row in read_rows(args.families)]
-    built = []
-    skipped = 0
-    for family in families:
-        try:
-            built.extend(build_pairs(family, config.schedule))
-        except EmptyFamily as exc:
-            log.warning("%s", exc)
-            skipped += 1
-    write_rows(args.output, [pair.to_dict() for pair in built])
-    counts = count_by_gap(built)
-    print(f"families: {len(families)} ({skipped} without constructible pairs)")
-    print(f"pairs: {len(built)} " + ", ".join(f"{gap} {n}" for gap, n in counts.items()))
+    counts = {gap.value: 0 for gap in GapType}
+    families = skipped = 0
+
+    def pair_rows() -> Iterator[dict]:
+        # One family in memory at a time: its pairs are written as it is built.
+        nonlocal families, skipped
+        for row in read_rows(args.families, required=FAMILY_FIELDS):
+            families += 1
+            try:
+                built = build_pairs(RecordFamily.from_dict(row), config.schedule)
+            except EmptyFamily as exc:
+                log.warning("%s", exc)
+                skipped += 1
+                continue
+            for pair in built:
+                counts[pair.gap.value] += 1
+                yield pair.to_dict()
+
+    # A failed run must leave --output as it was, so write beside it and rename.
+    partial = f"{args.output}.tmp"
+    try:
+        written = write_rows(partial, pair_rows())
+        os.replace(partial, args.output)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+    print(f"families: {families} ({skipped} without constructible pairs)")
+    print(f"pairs: {written} " + ", ".join(f"{gap} {n}" for gap, n in counts.items()))
     print(json.dumps(
-        {"families": len(families), "skipped": skipped, "pairs": len(built), "by_gap": counts},
+        {"families": families, "skipped": skipped, "pairs": written, "by_gap": counts},
         sort_keys=True,
     ))
     return EXIT_OK
@@ -191,17 +205,20 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 def cmd_loss_eval(args: argparse.Namespace) -> int:
     schedule = load_schedule(args.schedule) if args.schedule else load_config(args.config).schedule
-    joined = join_quads(list(read_rows(args.pairs)), list(read_rows(args.logprobs)))
+    # Generators, not lists: join_quads keeps only the id and gap of each pair row.
+    joined = join_quads(read_rows(args.pairs, required=("id", "gap")),
+                        read_rows(args.logprobs, required=LOGPROB_FIELDS))
     report = cogpo_loss([(quad, gap) for _, quad, gap in joined], schedule)
 
     margin_sums: dict[str, list[float]] = {}
-    out_rows = []
-    for (pair_id, _quad, gap), m, term in zip(joined, report.margins, report.terms):
+    for (_id, _quad, gap), m in zip(joined, report.margins):
         margin_sums.setdefault(gap.value, []).append(m)
-        out_rows.append({"id": pair_id, "gap": gap.value, "beta": assign_beta(gap, schedule),
-                         "margin": m, "loss_term": term})
     if args.output:
-        write_rows(args.output, out_rows)
+        write_rows(args.output, (
+            {"id": pair_id, "gap": gap.value, "beta": assign_beta(gap, schedule),
+             "margin": m, "loss_term": term}
+            for (pair_id, _quad, gap), m, term in zip(joined, report.margins, report.terms)
+        ))
     mean_by_gap = {gap: sum(values) / len(values) for gap, values in sorted(margin_sums.items())}
     for gap, mean in mean_by_gap.items():
         print(f"mean margin ({gap}): {mean:.6f}")

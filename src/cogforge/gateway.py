@@ -276,9 +276,7 @@ class ScriptedBackend:
 def load_script(path: str) -> dict[str, list[str]]:
     """Read a scripted-backend file: JSON Lines of {"key", "responses"}."""
     script: dict[str, list[str]] = {}
-    for number, row in enumerate(read_rows(path), start=1):
-        if "key" not in row or "responses" not in row:
-            raise ValueError(f"{path}: row {number}: expected fields 'key' and 'responses'")
+    for number, row in enumerate(read_rows(path, required=("key", "responses")), start=1):
         key = row["key"]
         if key in script:
             raise ValueError(f"{path}: row {number}: duplicate script key {key!r}")

@@ -6,8 +6,12 @@ import json
 from collections.abc import Iterable, Iterator
 
 
-def read_rows(path: str) -> Iterator[dict]:
-    """Yield one dict per non-blank line; errors carry path and line number."""
+def read_rows(path: str, required: tuple[str, ...] = ()) -> Iterator[dict]:
+    """Yield one dict per non-blank line; errors carry path and line number.
+
+    A row that lacks one of the ``required`` fields, or holds null there, is
+    an error too.
+    """
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -19,6 +23,10 @@ def read_rows(path: str) -> Iterator[dict]:
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            for field in required:
+                if row.get(field) is None:
+                    state = "null" if field in row else "missing"
+                    raise ValueError(f"{path}:{lineno}: {state} field {field!r}")
             yield row
 
 

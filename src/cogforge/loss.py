@@ -281,23 +281,25 @@ def grad_check(
 
 
 def join_quads(
-    pair_rows: list[dict], logprob_rows: list[dict]
+    pair_rows: Iterable[dict], logprob_rows: Iterable[dict]
 ) -> list[tuple[str, LogProbQuad, GapType]]:
-    """One-to-one join of pair rows with externally computed log-probs by id."""
-    by_id: dict[str, dict] = {}
+    """One-to-one join of pair rows with externally computed log-probs by id.
+
+    The log-prob rows are drained first, down to four floats each; the pair
+    rows are then consumed one at a time, and only their id and gap are kept.
+    """
+    by_id: dict[str, tuple[float, float, float, float]] = {}
     for row in logprob_rows:
         if row["id"] in by_id:
             raise JoinError(f"duplicate log-prob id {row['id']!r}")
-        by_id[row["id"]] = row
+        by_id[row["id"]] = (float(row["lp_w_theta"]), float(row["lp_w_ref"]),
+                            float(row["lp_l_theta"]), float(row["lp_l_ref"]))
     joined = []
     for pair_row in pair_rows:
         pair_id = pair_row["id"]
         if pair_id not in by_id:
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
-        row = by_id.pop(pair_id)
-        quad = LogProbQuad(float(row["lp_w_theta"]), float(row["lp_w_ref"]),
-                           float(row["lp_l_theta"]), float(row["lp_l_ref"]))
-        joined.append((pair_id, quad, GapType(pair_row["gap"])))
+        joined.append((pair_id, LogProbQuad(*by_id.pop(pair_id)), GapType(pair_row["gap"])))
     if by_id:
         leftover = sorted(by_id)
         raise JoinError(f"log-prob rows with no matching pair: {leftover[:5]}")

@@ -77,9 +77,3 @@ def build_pairs(family: RecordFamily, schedule: BetaSchedule) -> list[Preference
         raise EmptyFamily(f"family {family.id}: no constructible pair")
     return built
 
-
-def count_by_gap(pairs: list[PreferencePair]) -> dict[str, int]:
-    counts = {gap.value: 0 for gap in GapType}
-    for pair in pairs:
-        counts[pair.gap.value] += 1
-    return counts

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from cogforge import cli
 from cogforge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _build_backend, entrypoint
 from cogforge.config import load_config
 from cogforge.jsonl import dump_row, read_rows
@@ -301,6 +302,7 @@ class TestPairs:
         summary = last_json_line(capsys)
         assert summary["skipped"] == 1
         assert summary["pairs"] == 0
+        assert summary["by_gap"] == {"small": 0, "medium": 0, "large": 0}
 
     def test_schedule_from_config(self, tmp_path, capsys):
         config_path = tmp_path / "config.yaml"
@@ -317,6 +319,43 @@ class TestPairs:
         assert code == EXIT_OK
         betas = {row["gap"]: row["beta"] for row in read_rows(output_path)}
         assert betas == {"small": 0.2, "medium": 0.4, "large": 0.8}
+
+    def test_each_family_is_built_before_the_next_is_read(self, tmp_path, monkeypatch):
+        events = []
+        read_rows_, build_pairs_ = cli.read_rows, cli.build_pairs
+
+        def traced_read_rows(*args, **kwargs):
+            for row in read_rows_(*args, **kwargs):
+                events.append(("read", row["id"]))
+                yield row
+
+        def traced_build_pairs(family, schedule):
+            events.append(("build", family.id))
+            return build_pairs_(family, schedule)
+
+        monkeypatch.setattr(cli, "read_rows", traced_read_rows)
+        monkeypatch.setattr(cli, "build_pairs", traced_build_pairs)
+        families_path = write_jsonl(tmp_path / "families.jsonl", family_rows())
+        code = entrypoint(["pairs", "--families", families_path,
+                           "--output", str(tmp_path / "pairs.jsonl")])
+        assert code == EXIT_OK
+        assert events == [
+            ("read", "fam-easy"), ("build", "fam-easy"),
+            ("read", "fam-medium"), ("build", "fam-medium"),
+        ]
+
+    def test_failed_run_leaves_output_untouched(self, tmp_path, capsys):
+        invalid = dict(family_rows()[1], r_rewritten="a rewrite a medium family cannot have")
+        families_path = write_jsonl(tmp_path / "families.jsonl", [family_rows()[0], invalid])
+        output = tmp_path / "pairs.jsonl"
+        output.write_bytes(b"old bytes\n")
+        code = entrypoint(["pairs", "--families", families_path, "--output", str(output)])
+        assert code == EXIT_FATAL
+        assert "fam-medium" in capsys.readouterr().err
+        assert output.read_bytes() == b"old bytes\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "families.jsonl", "pairs.jsonl",
+        ]
 
 
 def pair_row(pair_id: str, gap: str) -> dict:
@@ -398,6 +437,43 @@ class TestLossEval:
         code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
         assert code == EXIT_FATAL
         assert "error:" in capsys.readouterr().err
+
+
+def without(row: dict, field: str) -> dict:
+    return {key: value for key, value in row.items() if key != field}
+
+
+class TestMalformedRows:
+    """A row the command cannot use is an `error:` naming the file and field."""
+
+    @pytest.mark.parametrize("file, rows, field", [
+        pytest.param("families", [without(family_rows()[0], "r_original")], "r_original",
+                     id="family-without-r_original"),
+        pytest.param("logprobs", [without(logprob_row("a"), "id")], "id",
+                     id="logprob-without-id"),
+        pytest.param("logprobs", [without(logprob_row("a"), "lp_l_ref")], "lp_l_ref",
+                     id="logprob-without-lp_l_ref"),
+        pytest.param("logprobs", [dict(logprob_row("a"), lp_w_theta=None)], "lp_w_theta",
+                     id="logprob-null-value"),
+        pytest.param("pairs", [without(pair_row("a", "small"), "gap")], "gap",
+                     id="pair-without-gap"),
+    ])
+    def test_malformed_row_is_fatal(self, tmp_path, capsys, file, rows, field):
+        paths = {
+            "families": write_jsonl(tmp_path / "families.jsonl", family_rows()),
+            "pairs": write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")]),
+            "logprobs": write_jsonl(tmp_path / "logprobs.jsonl", [logprob_row("a")]),
+        }
+        paths[file] = write_jsonl(tmp_path / f"{file}.jsonl", rows)
+        if file == "families":
+            argv = ["pairs", "--families", paths["families"],
+                    "--output", str(tmp_path / "out.jsonl")]
+        else:
+            argv = ["loss-eval", "--pairs", paths["pairs"], "--logprobs", paths["logprobs"]]
+        assert entrypoint(argv) == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[file]}:1: ")
+        assert repr(field) in err
 
 
 class TestSelftest:

@@ -319,3 +319,27 @@ class TestJoinQuads:
     def test_duplicate_logprob_rejected(self):
         with pytest.raises(JoinError, match="duplicate"):
             join_quads([self.pair_row("a")], [self.logprob_row("a"), self.logprob_row("a")])
+
+    def test_logprobs_drained_before_pairs_are_pulled(self):
+        events = []
+        logprobs = [self.logprob_row("b"), self.logprob_row("a")]
+
+        def logprob_rows():
+            for row in logprobs:
+                events.append(("logprob", row["id"]))
+                yield row
+
+        def pair_rows():
+            for row in [self.pair_row("a"), self.pair_row("b", "large")]:
+                events.append(("pair", row["id"]))
+                # The join keeps each log-prob row's four floats, not the row.
+                for logprob in logprobs:
+                    logprob.clear()
+                yield row
+
+        joined = join_quads(pair_rows(), logprob_rows())
+        assert events == [("logprob", "b"), ("logprob", "a"), ("pair", "a"), ("pair", "b")]
+        assert [(pair_id, gap) for pair_id, _q, gap in joined] == [
+            ("a", GapType.SMALL), ("b", GapType.LARGE),
+        ]
+        assert joined[1][1] == LogProbQuad(-1.0, -1.5, -2.5, -2.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cogforge.pairs import EmptyFamily, assign_beta, build_pairs, count_by_gap
+from cogforge.pairs import EmptyFamily, assign_beta, build_pairs
 from cogforge.records import BetaSchedule, ComplexityLevel, GapType, RecordFamily
 
 SCHEDULE = BetaSchedule()
@@ -120,12 +120,3 @@ class TestBuildPairs:
 
     def test_pair_count_never_exceeds_three(self):
         assert len(build_pairs(easy_family(), SCHEDULE)) <= 3
-
-
-class TestCountByGap:
-    def test_counts(self):
-        pairs = build_pairs(easy_family(), SCHEDULE)
-        assert count_by_gap(pairs) == {"small": 1, "medium": 1, "large": 1}
-
-    def test_empty(self):
-        assert count_by_gap([]) == {"small": 0, "medium": 0, "large": 0}
