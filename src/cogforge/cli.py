@@ -20,9 +20,6 @@ import os
 import sys
 from collections.abc import Iterator
 
-import numpy as np
-import requests
-
 from .agents import GOLDEN_INPUTS, TEMPLATE_NAMES, Agents, load_golden_fixture, load_templates
 from .config import AppConfig, load_config, load_schedule
 from .gateway import (
@@ -114,10 +111,14 @@ def _derived_path(output: str, tag: str) -> str:
 
 
 def _build_backend(config: AppConfig, mock_script: str | None):
+    """The backend as a context manager: leaving it closes an HTTP backend's
+    pooled connections; the scripted backend holds nothing to close."""
     if mock_script:
-        return ScriptedBackend(load_script(mock_script))
+        return contextlib.nullcontext(ScriptedBackend(load_script(mock_script)))
     if not config.endpoints:
         raise ConfigError("no endpoints configured; supply a config file or --mock-script")
+    import requests
+
     # One pooled connection per worker; requests keeps 10 per host by default
     # and reconnects for every worker beyond that.
     session = requests.Session()
@@ -141,16 +142,16 @@ def cmd_curate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.checkpoint:
         config.pipeline.checkpoint_path = args.checkpoint
-    backend = _build_backend(config, args.mock_script)
-    agents = Agents(
-        backend,
-        templates=load_templates(config.templates_dir),
-        sampling=config.sampling,
-        verifier_role=config.pipeline.verifier_role,
-        corruption_gate=config.pipeline.corruption_gate,
-    )
-    dataset = _load_dataset(args.input)
-    curated, families, stats, discards = run_crv(dataset, config.pipeline, agents)
+    with _build_backend(config, args.mock_script) as backend:
+        agents = Agents(
+            backend,
+            templates=load_templates(config.templates_dir),
+            sampling=config.sampling,
+            verifier_role=config.pipeline.verifier_role,
+            corruption_gate=config.pipeline.corruption_gate,
+        )
+        dataset = _load_dataset(args.input)
+        curated, families, stats, discards = run_crv(dataset, config.pipeline, agents)
 
     write_rows(args.output, [record.to_output_dict() for record in curated])
     discards_path = args.discards or _derived_path(args.output, "discards")
@@ -231,6 +232,8 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    import numpy as np
+
     checks: list[tuple[str, bool, str]] = []
     schedule = BetaSchedule()
 

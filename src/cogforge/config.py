@@ -73,7 +73,10 @@ def _build(cls, raw: dict):
 
 def _read_mapping(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        raw = yaml.safe_load(handle)
+        try:
+            raw = yaml.safe_load(handle)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if raw is None:
         return {}
     if not isinstance(raw, dict):

@@ -19,11 +19,12 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
-
-import requests
+from typing import TYPE_CHECKING, Protocol
 
 from .jsonl import read_rows
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -139,7 +140,8 @@ class HTTPBackend:
 
     Transient failures (connection errors, timeouts, HTTP 429/5xx) are retried
     with exponential backoff up to ``max_retries`` total attempts; anything
-    else from the provider is a ProviderError immediately.
+    else from the provider is a ProviderError immediately. ``close()`` (or
+    leaving a ``with`` block) closes the session and its pooled connections.
     """
 
     def __init__(
@@ -151,6 +153,8 @@ class HTTPBackend:
         session: requests.Session | None = None,
         sleep=time.sleep,
     ) -> None:
+        import requests
+
         if max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
         self._endpoints = dict(endpoints)
@@ -160,7 +164,18 @@ class HTTPBackend:
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
 
+    def close(self) -> None:
+        self._session.close()
+
+    def __enter__(self) -> HTTPBackend:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def complete(self, request: ChatRequest) -> ChatResponse:
+        import requests
+
         endpoint = self._endpoints.get(request.model_role)
         if endpoint is None:
             raise ConfigError(f"no endpoint configured for role {request.model_role.value!r}")

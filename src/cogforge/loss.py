@@ -6,17 +6,23 @@ log-prob quads and betas. It computes each pair's term as softplus(-margin)
 rather than the literal -log(sigmoid(margin)); the two are identical
 mathematically and the softplus form neither overflows nor loses the tail for
 margins out to +/-1e4.
+
+numpy is imported inside the functions that use it, not at module level, so
+that the commands that never touch the loss (``curate`` and ``pairs``) start
+without loading it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .pairs import assign_beta
 from .records import BetaSchedule, GapType, LogProbQuad
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyBatch(ValueError):
@@ -48,12 +54,17 @@ class LossReport:
 
 
 def _rows(quads: Iterable[LogProbQuad]) -> np.ndarray:
+    import numpy as np
+
     return np.array([(q.lp_w_theta, q.lp_w_ref, q.lp_l_theta, q.lp_l_ref) for q in quads])
 
 
-def _mean_loss(quads: np.ndarray, betas: np.ndarray, empty: str) -> LossReport:
+def _mean_loss(quads: np.ndarray, betas: Sequence[float], empty: str) -> LossReport:
     """The loss core: mean softplus(-margin) over rows of (lp_w_theta, lp_w_ref,
     lp_l_theta, lp_l_ref) with one beta per row, plus each row's margin and term."""
+    import numpy as np
+
+    betas = np.asarray(betas, dtype=float)
     if len(quads) == 0:
         raise EmptyBatch(empty)
     if not np.all(betas > 0):
@@ -68,17 +79,17 @@ def _mean_loss(quads: np.ndarray, betas: np.ndarray, empty: str) -> LossReport:
 
 def margin(q: LogProbQuad, beta: float) -> float:
     """Beta-scaled policy-vs-reference log-ratio difference, chosen minus rejected."""
-    return _mean_loss(_rows([q]), np.array([beta], dtype=float), "no quad").margins[0]
+    return dpo_loss([q], beta).margins[0]
 
 
 def dpo_loss(quads: list[LogProbQuad], beta: float) -> LossReport:
     """Mean softplus(-margin) at a single preference strength."""
-    return _mean_loss(_rows(quads), np.full(len(quads), beta, dtype=float), "no quads")
+    return _mean_loss(_rows(quads), [beta] * len(quads), "no quads")
 
 
 def cogpo_loss(pairs: list[tuple[LogProbQuad, GapType]], schedule: BetaSchedule) -> LossReport:
     """Mean softplus(-margin) with each pair's beta resolved by its gap."""
-    betas = np.array([assign_beta(gap, schedule) for _, gap in pairs], dtype=float)
+    betas = [assign_beta(gap, schedule) for _, gap in pairs]
     return _mean_loss(_rows(q for q, _ in pairs), betas, "no pairs")
 
 
@@ -109,6 +120,8 @@ class ToyPolicy:
         logits: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
+        import numpy as np
+
         if vocab_size < 1 or n_buckets < 1:
             raise ValueError("vocab_size and n_buckets must be positive")
         self.vocab_size = vocab_size
@@ -132,6 +145,8 @@ class ToyPolicy:
 
     def log_softmax(self) -> np.ndarray:
         """Next-token log-probabilities of every bucket, one row each."""
+        import numpy as np
+
         shifted = self.logits - self.logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -143,6 +158,8 @@ class ToyPolicy:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bucket and token index arrays of the response's steps, after
         checking that every token is in the vocabulary."""
+        import numpy as np
+
         for token in (*prompt, *response):
             if not 0 <= token < self.vocab_size:
                 raise TokenOutOfRange(f"token {token} outside vocabulary of size {self.vocab_size}")
@@ -187,6 +204,8 @@ def _token_objective(
     """Walks every response once under each policy and returns the token loss
     as a function of a policy log-softmax table, optionally with the analytic
     gradient w.r.t. the policy logits (reference held fixed)."""
+    import numpy as np
+
     sequences = [(p.prompt, response) for p in batch for response in (p.chosen, p.rejected)]
     walks = [policy.steps(prompt, response) for prompt, response in sequences]
     ref = [sequence_logprob(reference, prompt, response) for prompt, response in sequences]

@@ -258,9 +258,24 @@ class TestBuildBackend:
             "endpoints": {"large": {"url": url, "model": "m"}},
             "pipeline": {"max_concurrency": concurrency},
         }))
-        backend = _build_backend(load_config(str(config_path)), None)
-        adapter = backend._session.get_adapter(url)
-        assert adapter.poolmanager.connection_pool_kw["maxsize"] == pooled
+        with _build_backend(load_config(str(config_path)), None) as backend:
+            adapter = backend._session.get_adapter(url)
+            assert adapter.poolmanager.connection_pool_kw["maxsize"] == pooled
+
+    def test_curate_closes_the_http_backend(self, tmp_path, monkeypatch, capsys):
+        closed = []
+        monkeypatch.setattr(cli.HTTPBackend, "close", lambda self: closed.append(self))
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump({
+            "endpoints": {"large": {"url": "http://127.0.0.1:9/v1", "model": "m"}},
+        }))
+        code = entrypoint([
+            "--config", str(config_path), "curate",
+            "--input", write_jsonl(tmp_path / "empty.jsonl", []),
+            "--output", str(tmp_path / "out.jsonl"),
+        ])
+        assert code == EXIT_OK
+        assert len(closed) == 1
 
 
 class TestPairs:
@@ -429,6 +444,21 @@ class TestLossEval:
         summary = last_json_line(capsys)
         assert abs(summary["mean_margin_by_gap"]["small"] - 0.3) < 1e-12
 
+    @pytest.mark.parametrize("flag", ["--config", "--schedule"])
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys, flag):
+        bad_path = tmp_path / "bad.yaml"
+        bad_path.write_text("pipeline: [unclosed\n", encoding="utf-8")
+        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
+        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a")])
+        argv = ["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path]
+        if flag == "--config":
+            argv = ["--config", str(bad_path), *argv]
+        else:
+            argv += ["--schedule", str(bad_path)]
+        code = entrypoint(argv)
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err.startswith(f"error: {bad_path}: ")
+
     def test_join_mismatch_is_fatal(self, tmp_path, capsys):
         pairs_path = write_jsonl(
             tmp_path / "pairs.jsonl", [pair_row("a", "small"), pair_row("b", "large")]
@@ -502,6 +532,33 @@ class TestSelftest:
         )
         assert result.returncode == EXIT_OK, result.stderr
         assert "prompt-golden" in result.stdout
+
+
+class TestColdStart:
+    def test_curate_and_pairs_import_neither_numpy_nor_requests(self, tmp_path):
+        # A None entry in sys.modules makes any import of that name fail.
+        root = Path(__file__).resolve().parent.parent
+        families = write_jsonl(tmp_path / "families.jsonl", [])
+        dataset = write_jsonl(tmp_path / "dataset.jsonl", [])
+        script = write_script(tmp_path / "script.jsonl", {})
+        program = "\n".join([
+            "import sys",
+            "sys.modules['numpy'] = None",
+            "sys.modules['requests'] = None",
+            "import cogforge",
+            "from cogforge.cli import entrypoint",
+            f"assert entrypoint(['pairs', '--families', {families!r},"
+            f" '--output', {str(tmp_path / 'pairs.jsonl')!r}]) == 0",
+            f"assert entrypoint(['curate', '--mock-script', {script!r}, '--input', {dataset!r},"
+            f" '--output', {str(tmp_path / 'curated.jsonl')!r}]) == 0",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", program], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestParser:

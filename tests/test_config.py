@@ -203,3 +203,11 @@ class TestSectionKeys:
         path.write_text(yaml.safe_dump({"beta_large": "big"}), encoding="utf-8")
         with pytest.raises(ConfigError, match="sched.yaml"):
             load_schedule(str(path))
+
+    def test_malformed_yaml_is_config_error(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("pipeline: [unclosed\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="config.yaml: while parsing"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match="config.yaml: while parsing"):
+            load_schedule(str(path))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import socket
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -273,6 +275,20 @@ class TestHTTPBackend:
             [ComplexityLevel.EASY, ComplexityLevel.HARD, ComplexityLevel.EASY],
         )
         assert [seen["body"].get("n", 1) for seen in http_server.seen] == [3, 2, 2, 1]
+
+    def test_close_releases_the_pooled_connections(self, http_server):
+        http_server.playbook.append((200, ok_payload("medium")))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backend = backend_for(http_server)
+            backend.complete(make_request())
+            pools = backend._session.get_adapter("http://127.0.0.1/").poolmanager.pools
+            assert len(pools) == 1
+            backend.close()
+            assert len(pools) == 0
+            del backend
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_client_error_is_immediate_provider_error(self, http_server):
         http_server.playbook.append((400, {"error": "bad request"}))
