@@ -1,9 +1,9 @@
 """The three curation agents as prompt-render, complete, parse operations.
 
 Agent names double as scripted-backend key prefixes: ``critic``, ``rethinker``,
-``corruptor``, ``verifier``. The corruptor's optional incorrectness gate calls
-the verifier and therefore consumes ``verifier:<id>`` script positions after
-the acceptance path's.
+``corruptor``, ``verifier``. The corruptor's optional incorrectness gate
+(``PipelineConfig.corruption_gate``) calls the verifier and therefore consumes
+``verifier:<id>`` script positions after the acceptance path's.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
+from .config import PipelineConfig
 from .gateway import ChatRequest, ChatResponse, CompletionBackend, ModelRole, SamplingParams
 from .records import ComplexityLevel, CoTRecord, ParseError, parse_complexity, parse_verdict
 
@@ -100,12 +101,14 @@ def load_templates(directory: str | None = None) -> dict[str, PromptTemplate]:
 class Agents:
     """The agent operations on one backend, run for one record at a time.
 
-    ``for_record(record)`` returns a copy bound to that record: its operations
-    render prompts from the record's problem and answer, key script positions
-    by its id, and count their completions (returned choices) and tokens (the
-    backend's usage per request) per agent in the copy's own ``completions``
-    and ``tokens``. The backend and templates are shared, so bound copies may
-    run concurrently; each copy belongs to one record's walk.
+    ``for_record(record, config)`` returns a copy bound to that record: its
+    operations render prompts from the record's problem and answer, key script
+    positions by its id, send verification to ``config.verifier_role``, gate
+    corruption on ``config.corruption_gate`` (``PipelineConfig()`` when no
+    config is given), and count their completions (returned choices) and
+    tokens (the backend's usage per request) per agent in the copy's own
+    ``completions`` and ``tokens``. The backend and templates are shared, so
+    bound copies may run concurrently; each copy belongs to one record's walk.
     """
 
     def __init__(
@@ -113,8 +116,6 @@ class Agents:
         backend: CompletionBackend,
         templates: dict[str, PromptTemplate] | None = None,
         sampling: SamplingParams = SamplingParams(),
-        verifier_role: ModelRole = ModelRole.LARGE,
-        corruption_gate: bool = False,
     ) -> None:
         self._backend = backend
         self._templates = templates if templates is not None else load_templates()
@@ -122,26 +123,24 @@ class Agents:
         if missing:
             raise ValueError(f"missing templates: {missing}")
         self._sampling = sampling
-        self._verifier_role = verifier_role
-        self._corruption_gate = corruption_gate
         self._record: CoTRecord | None = None
+        self._config: PipelineConfig | None = None
         self.completions: dict[str, int] = {}
         self.tokens: dict[str, int] = {}
 
-    def for_record(self, record: CoTRecord) -> Agents:
+    def for_record(self, record: CoTRecord, config: PipelineConfig | None = None) -> Agents:
         bound = copy.copy(self)
         bound._record = record
+        bound._config = config if config is not None else PipelineConfig()
         bound.completions = {}
         bound.tokens = {}
         return bound
 
-    def _call(
-        self, agent: str, template: str, reasoning: str, role: ModelRole = ModelRole.LARGE,
-        n: int = 1,
-    ) -> ChatResponse:
+    def _call(self, agent: str, template: str, reasoning: str, n: int = 1) -> ChatResponse:
         record = self._record
         if record is None:
             raise RuntimeError("agent operations need a record: use for_record(record)")
+        role = self._config.verifier_role if agent == "verifier" else ModelRole.LARGE
         system, user = self._templates[template].render(record.problem, record.answer, reasoning)
         request = ChatRequest(
             model_role=role, system=system, user=user, sampling=self._sampling,
@@ -204,7 +203,7 @@ class Agents:
     def corrupt(self, reasoning: str) -> str:
         """Produce a deliberately incorrect variant of a correct trace."""
         candidate = self._rewrite("corruptor", "rethinker_incorrect", reasoning)
-        if self._corruption_gate:
+        if self._config.corruption_gate:
             if self.verify(candidate):
                 candidate = self._rewrite("corruptor", "rethinker_incorrect", reasoning)
                 if self.verify(candidate):
@@ -230,7 +229,7 @@ class Agents:
             raise ValueError("verify requires non-empty problem, answer, and reasoning")
         last = ""
         for _attempt in range(2):
-            response = self._call("verifier", "verifier", reasoning, role=self._verifier_role)
+            response = self._call("verifier", "verifier", reasoning)
             last = response.text
             try:
                 return parse_verdict(response.text)

@@ -4,9 +4,9 @@ Subcommands: curate (run the full curation pipeline), pairs (build preference
 pairs from curated families), loss-eval (score externally computed
 log-probabilities), selftest (numeric and prompt-conformance checks).
 
-Exit codes are a stable contract: 0 clean, 1 fatal error, 2 completed with
-some records discarded. The last stdout line of curate/pairs/loss-eval is a
-single JSON object for machine consumption.
+Exit codes are a stable contract: 0 clean, 1 fatal error (usage errors
+included), 2 completed with some records discarded. The last stdout line of
+curate/pairs/loss-eval is a single JSON object for machine consumption.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from collections.abc import Iterator
 
 from .agents import GOLDEN_INPUTS, TEMPLATE_NAMES, Agents, load_golden_fixture, load_templates
-from .config import AppConfig, load_config, load_schedule
+from .config import AppConfig, load_config
 from .gateway import (
     ConfigError,
     GatewayError,
@@ -54,8 +54,15 @@ FAMILY_FIELDS = ("id", "problem", "answer", "original_rating", "r_original")
 LOGPROB_FIELDS = ("id", "lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here means a partial success."""
+
+    def exit(self, status: int = EXIT_OK, message: str | None = None):
+        super().exit(EXIT_FATAL if status == 2 else status, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cogforge",
         description="Curate chain-of-thought data and build gap-weighted preference pairs.",
     )
@@ -82,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loss_eval.add_argument("--pairs", required=True, help="pair JSONL from the pairs subcommand")
     loss_eval.add_argument("--logprobs", required=True, help="log-prob JSONL keyed by pair id")
-    loss_eval.add_argument("--schedule", help="YAML file overriding the beta schedule")
     loss_eval.add_argument("--output", help="per-pair report JSONL")
     loss_eval.set_defaults(func=cmd_loss_eval)
 
@@ -147,8 +153,6 @@ def cmd_curate(args: argparse.Namespace) -> int:
             backend,
             templates=load_templates(config.templates_dir),
             sampling=config.sampling,
-            verifier_role=config.pipeline.verifier_role,
-            corruption_gate=config.pipeline.corruption_gate,
         )
         dataset = _load_dataset(args.input)
         curated, families, stats, discards = run_crv(dataset, config.pipeline, agents)
@@ -205,7 +209,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_eval(args: argparse.Namespace) -> int:
-    schedule = load_schedule(args.schedule) if args.schedule else load_config(args.config).schedule
+    schedule = load_config(args.config).schedule
     # Generators, not lists: join_quads keeps only the id and gap of each pair row.
     joined = join_quads(read_rows(args.pairs, required=("id", "gap")),
                         read_rows(args.logprobs, required=LOGPROB_FIELDS))

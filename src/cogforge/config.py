@@ -10,11 +10,31 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from urllib.parse import urlparse
 
-import yaml
-
 from .gateway import ConfigError, Endpoint, ModelRole, SamplingParams
-from .pipeline import PipelineConfig
 from .records import BetaSchedule
+
+
+@dataclass
+class PipelineConfig:
+    """The curation settings, each applied by ``run_crv``: the verifier role and
+    the corruption gate through ``Agents.for_record``."""
+
+    retry_cap: int = 3
+    votes: int = 3
+    max_concurrency: int = 4
+    verifier_role: ModelRole = ModelRole.LARGE
+    corruption_gate: bool = False
+    checkpoint_path: str | None = None
+
+    def validate(self) -> list[str]:
+        violations = []
+        if self.retry_cap < 1:
+            violations.append("retry_cap: must be >= 1")
+        if self.votes < 1 or self.votes % 2 == 0:
+            violations.append("votes: must be a positive odd integer")
+        if self.max_concurrency < 1:
+            violations.append("max_concurrency: must be >= 1")
+        return violations
 
 
 @dataclass
@@ -72,6 +92,9 @@ def _build(cls, raw: dict):
 
 
 def _read_mapping(path: str) -> dict:
+    # Imported here: runs without a config file never parse YAML.
+    import yaml
+
     with open(path, encoding="utf-8") as handle:
         try:
             raw = yaml.safe_load(handle)
@@ -92,7 +115,7 @@ def load_config(path: str | None) -> AppConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     violations = config.validate()
     if violations:
-        raise ConfigError("; ".join(violations))
+        raise ConfigError(f"{path}: {'; '.join(violations)}")
     return config
 
 
@@ -107,15 +130,3 @@ def _from_raw(raw: dict) -> AppConfig:
         schedule=_build(BetaSchedule, _section(raw, "schedule")),
         templates_dir=raw.get("templates_dir"),
     )
-
-
-def load_schedule(path: str) -> BetaSchedule:
-    """Read a beta schedule from a YAML file holding just the schedule keys."""
-    try:
-        schedule = _build(BetaSchedule, _read_mapping(path))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    violations = schedule.validate()
-    if violations:
-        raise ConfigError(f"{path}: {'; '.join(violations)}")
-    return schedule

@@ -150,9 +150,6 @@ class ToyPolicy:
         shifted = self.logits - self.logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
-    def log_probs(self, bucket: int) -> np.ndarray:
-        return self.log_softmax()[bucket]
-
     def steps(
         self, prompt: tuple[int, ...], response: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray]:

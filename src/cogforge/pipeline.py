@@ -19,7 +19,8 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from .agents import AgentError, Agents, direction_for
-from .gateway import ConfigError, GatewayError, ModelRole
+from .config import PipelineConfig
+from .gateway import ConfigError, GatewayError
 from .jsonl import dump_row
 from .records import (
     ComplexityLevel,
@@ -48,26 +49,6 @@ class CorruptCheckpoint(RuntimeError):
 
 
 @dataclass
-class PipelineConfig:
-    retry_cap: int = 3
-    votes: int = 3
-    max_concurrency: int = 4
-    verifier_role: ModelRole = ModelRole.LARGE
-    corruption_gate: bool = False
-    checkpoint_path: str | None = None
-
-    def validate(self) -> list[str]:
-        violations = []
-        if self.retry_cap < 1:
-            violations.append("retry_cap: must be >= 1")
-        if self.votes < 1 or self.votes % 2 == 0:
-            violations.append("votes: must be a positive odd integer")
-        if self.max_concurrency < 1:
-            violations.append("max_concurrency: must be >= 1")
-        return violations
-
-
-@dataclass
 class RecordOutcome:
     record: CoTRecord
     status: str
@@ -90,6 +71,20 @@ class RecordOutcome:
             "tokens_by_stage": self.tokens,
         }
 
+    @classmethod
+    def from_checkpoint(cls, row: dict) -> RecordOutcome:
+        family = row["family"]
+        return cls(
+            record=CoTRecord.from_dict(row["record"]),
+            status=row["status"],
+            family=RecordFamily.from_dict(family) if family is not None else None,
+            discard_reason=row["discard_reason"],
+            attempts=row["attempts"],
+            ever_verified=row["ever_verified"],
+            completions=row["completions_by_stage"],
+            tokens=row["tokens_by_stage"],
+        )
+
 
 def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -> RecordOutcome:
     """Walk one record through the CRV state machine.
@@ -103,7 +98,7 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     holds the record's agent usage, discarded or not.
     """
     work = copy.deepcopy(record)
-    agents = agents.for_record(work)
+    agents = agents.for_record(work, config)
     outcome = RecordOutcome(
         record=work, status=DISCARDED, completions=agents.completions, tokens=agents.tokens
     )
@@ -192,8 +187,9 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, dict
     Line 1 is the header (format tag, fingerprint, compacted map); each later
     line is one record appended as it completed. A last segment without its
     newline is a torn append and is dropped. Given a fingerprint, a header
-    written for another config or dataset is refused. Every row needs a known
-    status and its two usage maps of integers.
+    written for another config or dataset is refused. Every row must decode
+    as a RecordOutcome with a known status, a family exactly when the status
+    accepts the record, and two usage maps of integers.
     """
     if not os.path.exists(path):
         return {}
@@ -215,10 +211,14 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, dict
             raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")
         completed[record_id] = row
     for record_id, row in completed.items():
-        if not (isinstance(row, dict)
-                and row.get("status") in (ACCEPTED_MEDIUM, ACCEPTED_REWRITTEN, DISCARDED)
-                and _is_usage(row.get("completions_by_stage"))
-                and _is_usage(row.get("tokens_by_stage"))):
+        try:
+            outcome = RecordOutcome.from_checkpoint(row)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            outcome = None
+        if not (outcome is not None
+                and outcome.status in (ACCEPTED_MEDIUM, ACCEPTED_REWRITTEN, DISCARDED)
+                and (outcome.family is None) == (outcome.status == DISCARDED)
+                and _is_usage(outcome.completions) and _is_usage(outcome.tokens)):
             raise CorruptCheckpoint(f"{path}: malformed entry for record {record_id!r}")
     return completed
 
@@ -308,29 +308,26 @@ def run_crv(
     stats = PipelineStats(intake_total=len(dataset))
     stats.intake_by_level = {level.value: 0 for level in ComplexityLevel}
     for record in dataset:
-        row = completed[record.id]
-        final = CoTRecord.from_dict(row["record"])
-        if final.rating_history:
-            intake = final.rating_history[0]["rating"]
-        else:
-            intake = "unrated"
+        outcome = RecordOutcome.from_checkpoint(completed[record.id])
+        final = outcome.record
+        intake = final.rating_history[0]["rating"] if final.rating_history else "unrated"
         stats.intake_by_level[intake] = stats.intake_by_level.get(intake, 0) + 1
-        if row["ever_verified"]:
+        if outcome.ever_verified:
             stats.verified += 1
-        for total, usage in ((stats.completions_by_stage, row["completions_by_stage"]),
-                             (stats.tokens_by_stage, row["tokens_by_stage"])):
+        for total, usage in ((stats.completions_by_stage, outcome.completions),
+                             (stats.tokens_by_stage, outcome.tokens)):
             for agent, count in usage.items():
                 total[agent] = total.get(agent, 0) + count
-        if row["status"] == DISCARDED:
+        if outcome.status == DISCARDED:
             stats.discarded += 1
             discards.append(
-                {"id": final.id, "reason": row["discard_reason"], "attempts": row["attempts"]}
+                {"id": final.id, "reason": outcome.discard_reason, "attempts": outcome.attempts}
             )
         else:
-            if row["status"] == ACCEPTED_REWRITTEN:
+            if outcome.status == ACCEPTED_REWRITTEN:
                 stats.rewritten += 1
             curated.append(final)
-            families.append(RecordFamily.from_dict(row["family"]))
+            families.append(outcome.family)
     stats.final_size = len(curated)
 
     curated = assemble_sft(curated)

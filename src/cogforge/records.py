@@ -170,17 +170,6 @@ class PreferencePair:
             "beta": self.beta,
         }
 
-    @classmethod
-    def from_dict(cls, row: dict) -> PreferencePair:
-        return cls(
-            id=row["id"],
-            prompt=row["prompt"],
-            chosen=row["chosen"],
-            rejected=row["rejected"],
-            gap=GapType(row["gap"]),
-            beta=float(row["beta"]),
-        )
-
 
 @dataclass(frozen=True)
 class BetaSchedule:

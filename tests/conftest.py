@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cogforge.agents import Agents
-from cogforge.gateway import ScriptedBackend
+from cogforge.gateway import ChatRequest, ChatResponse, ScriptedBackend
 from cogforge.records import CoTRecord
 
 # Hand-traced walk of the curation state machine (retry_cap=3, votes=3):
@@ -38,6 +38,26 @@ SIX_RECORD_SCRIPT = {
     "rethinker:r6": ["rw r6 a", "rw r6 b", "rw r6 c"],
     "verifier:r6": ["NO", "NO", "NO"],
 }
+
+
+class CapturingBackend:
+    """Scripted backend that also records every request it serves and counts
+    the choices it returns."""
+
+    def __init__(self, script: dict[str, list[str]], **kwargs):
+        self.inner = ScriptedBackend(script, **kwargs)
+        self.requests: list[ChatRequest] = []
+        self.choices = 0
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        self.requests.append(request)
+        response = self.inner.complete(request)
+        self.choices += len(response.choices)
+        return response
+
+    def sizes(self) -> list[int]:
+        """The ``n`` of each request, in order."""
+        return [request.n for request in self.requests]
 
 
 def make_dataset(n: int = 6) -> list[CoTRecord]:

@@ -17,28 +17,10 @@ from cogforge.agents import (
     load_golden_fixture,
     load_templates,
 )
-from cogforge.gateway import ChatRequest, ChatResponse, ModelRole, ScriptedBackend, ScriptExhausted
+from conftest import CapturingBackend
+from cogforge.config import PipelineConfig
+from cogforge.gateway import ModelRole, ScriptedBackend, ScriptExhausted
 from cogforge.records import ComplexityLevel, CoTRecord, ParseError, parse_complexity
-
-
-class CapturingBackend:
-    """Scripted backend that also records every request it serves and counts
-    the choices it returns."""
-
-    def __init__(self, script: dict[str, list[str]], **kwargs):
-        self.inner = ScriptedBackend(script, **kwargs)
-        self.requests: list[ChatRequest] = []
-        self.choices = 0
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        self.requests.append(request)
-        response = self.inner.complete(request)
-        self.choices += len(response.choices)
-        return response
-
-    def sizes(self) -> list[int]:
-        """The ``n`` of each request, in order."""
-        return [request.n for request in self.requests]
 
 
 def make_record(record_id: str = "x1") -> CoTRecord:
@@ -280,6 +262,9 @@ class TestRethink:
             agents.rethink("r", RewriteDirection.EXPAND)
 
 
+GATED = PipelineConfig(corruption_gate=True)
+
+
 class TestCorrupt:
     def test_returns_corrupted_text_without_gate(self):
         backend = CapturingBackend({"corruptor:x1": ["wrong trace"]})
@@ -292,17 +277,17 @@ class TestCorrupt:
 
     def test_gate_accepts_candidate_that_fails_verification(self):
         script = {"corruptor:x1": ["bad 1"], "verifier:x1": ["NO"]}
-        agents = Agents(ScriptedBackend(script), corruption_gate=True).for_record(make_record())
+        agents = Agents(ScriptedBackend(script)).for_record(make_record(), GATED)
         assert agents.corrupt("r") == "bad 1"
 
     def test_gate_resamples_when_candidate_verifies(self):
         script = {"corruptor:x1": ["bad 1", "bad 2"], "verifier:x1": ["YES", "NO"]}
-        agents = Agents(ScriptedBackend(script), corruption_gate=True).for_record(make_record())
+        agents = Agents(ScriptedBackend(script)).for_record(make_record(), GATED)
         assert agents.corrupt("r") == "bad 2"
 
     def test_gate_exhaustion_raises(self):
         script = {"corruptor:x1": ["bad 1", "bad 2"], "verifier:x1": ["YES", "YES"]}
-        agents = Agents(ScriptedBackend(script), corruption_gate=True).for_record(make_record())
+        agents = Agents(ScriptedBackend(script)).for_record(make_record(), GATED)
         with pytest.raises(CorruptionNotIncorrect):
             agents.corrupt("r")
 
@@ -338,7 +323,8 @@ class TestVerify:
 
     def test_verifier_role_is_configurable(self):
         backend = CapturingBackend({"verifier:x1": ["YES"], "critic:x1": ["easy"]})
-        agents = Agents(backend, verifier_role=ModelRole.BASE).for_record(make_record())
+        config = PipelineConfig(verifier_role=ModelRole.BASE)
+        agents = Agents(backend).for_record(make_record(), config)
         agents.verify("r")
         agents.critique("r", votes=1)
         roles = {req.key: req.model_role for req in backend.requests}

@@ -430,34 +430,29 @@ class TestLossEval:
 
     def test_schedule_override(self, tmp_path, capsys):
         schedule_path = tmp_path / "sched.yaml"
-        schedule_path.write_text(
-            yaml.safe_dump({"beta_small": 0.3, "beta_medium": 0.4, "beta_large": 0.9}),
-            encoding="utf-8",
-        )
+        schedule = {"beta_small": 0.3, "beta_medium": 0.4, "beta_large": 0.9}
+        schedule_path.write_text(yaml.safe_dump({"schedule": schedule}), encoding="utf-8")
         pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
         logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a", 1.0)])
         code = entrypoint([
+            "--config", str(schedule_path),
             "loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path,
-            "--schedule", str(schedule_path),
         ])
         assert code == EXIT_OK
         summary = last_json_line(capsys)
         assert abs(summary["mean_margin_by_gap"]["small"] - 0.3) < 1e-12
 
-    @pytest.mark.parametrize("flag", ["--config", "--schedule"])
-    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys, flag):
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys):
         bad_path = tmp_path / "bad.yaml"
         bad_path.write_text("pipeline: [unclosed\n", encoding="utf-8")
         pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
         logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a")])
-        argv = ["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path]
-        if flag == "--config":
-            argv = ["--config", str(bad_path), *argv]
-        else:
-            argv += ["--schedule", str(bad_path)]
-        code = entrypoint(argv)
+        code = entrypoint([
+            "--config", str(bad_path),
+            "loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path,
+        ])
         assert code == EXIT_FATAL
-        assert capsys.readouterr().err.startswith(f"error: {bad_path}: ")
+        assert capsys.readouterr().err.startswith(f"error: {bad_path}: while parsing")
 
     def test_join_mismatch_is_fatal(self, tmp_path, capsys):
         pairs_path = write_jsonl(
@@ -536,6 +531,7 @@ class TestSelftest:
 
 class TestColdStart:
     def test_curate_and_pairs_import_neither_numpy_nor_requests(self, tmp_path):
+        # Nor yaml, without --config.
         # A None entry in sys.modules makes any import of that name fail.
         root = Path(__file__).resolve().parent.parent
         families = write_jsonl(tmp_path / "families.jsonl", [])
@@ -545,6 +541,7 @@ class TestColdStart:
             "import sys",
             "sys.modules['numpy'] = None",
             "sys.modules['requests'] = None",
+            "sys.modules['yaml'] = None",
             "import cogforge",
             "from cogforge.cli import entrypoint",
             f"assert entrypoint(['pairs', '--families', {families!r},"
@@ -569,3 +566,25 @@ class TestParser:
     def test_unknown_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit):
             entrypoint(["transmogrify"])
+
+    # argparse's own usage-error status, 2, would read as EXIT_PARTIAL.
+    @pytest.mark.parametrize("argv", [
+        ["loss-eval", "--pairs", "p.jsonl", "--logprobs", "l.jsonl", "--schedule", "s.yaml"],
+        ["pairs", "--families", "f.jsonl", "--output", "p.jsonl", "--no-such-flag"],
+    ], ids=["removed-flag", "unknown-flag"])
+    def test_unknown_flag_exits_fatal(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            entrypoint(argv)
+        assert info.value.code == EXIT_FATAL
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_missing_required_flag_exits_fatal(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            entrypoint(["pairs"])
+        assert info.value.code == EXIT_FATAL
+        assert "required" in capsys.readouterr().err
+
+    def test_help_still_exits_clean(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            entrypoint(["--help"])
+        assert info.value.code == EXIT_OK

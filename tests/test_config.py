@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 import yaml
 
-from cogforge.config import AppConfig, load_config, load_schedule
+from cogforge.config import AppConfig, load_config
 from cogforge.gateway import ConfigError, ModelRole
 from cogforge.records import BetaSchedule
 
@@ -105,7 +105,7 @@ class TestViolations:
 
     def test_schedule_out_of_order(self, tmp_path):
         payload = {"schedule": {"beta_small": 0.5, "beta_medium": 0.2, "beta_large": 0.1}}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="config.yaml: beta ordering"):
             load_config(write_yaml(tmp_path, payload))
 
     def test_bad_sampling(self, tmp_path):
@@ -142,26 +142,27 @@ class TestViolations:
             load_config(str(tmp_path / "absent.yaml"))
 
 
+def write_schedule(tmp_path, text: str) -> str:
+    path = tmp_path / "sched.yaml"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 class TestLoadSchedule:
+    """A sweep's file holds only the ``schedule:`` section."""
+
     def test_defaults_when_file_empty(self, tmp_path):
-        path = tmp_path / "sched.yaml"
-        path.write_text("", encoding="utf-8")
-        assert load_schedule(str(path)) == BetaSchedule()
+        assert load_config(write_schedule(tmp_path, "schedule:\n")).schedule == BetaSchedule()
 
     def test_overrides(self, tmp_path):
-        path = tmp_path / "sched.yaml"
-        path.write_text(
-            yaml.safe_dump({"beta_small": 0.2, "beta_medium": 0.3, "beta_large": 0.9}),
-            encoding="utf-8",
-        )
-        schedule = load_schedule(str(path))
+        payload = {"schedule": {"beta_small": 0.2, "beta_medium": 0.3, "beta_large": 0.9}}
+        schedule = load_config(write_schedule(tmp_path, yaml.safe_dump(payload))).schedule
         assert (schedule.beta_small, schedule.beta_medium, schedule.beta_large) == (0.2, 0.3, 0.9)
 
     def test_invalid_schedule_rejected(self, tmp_path):
-        path = tmp_path / "sched.yaml"
-        path.write_text(yaml.safe_dump({"beta_small": -0.1}), encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_schedule(str(path))
+        path = write_schedule(tmp_path, yaml.safe_dump({"schedule": {"beta_small": -0.1}}))
+        with pytest.raises(ConfigError, match="sched.yaml: beta_small: must be positive"):
+            load_config(path)
 
 
 class TestSectionKeys:
@@ -199,15 +200,15 @@ class TestSectionKeys:
     def test_bad_value_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="config.yaml"):
             load_config(write_yaml(tmp_path, {"sampling": {"top_k": "many"}}))
-        path = tmp_path / "sched.yaml"
-        path.write_text(yaml.safe_dump({"beta_large": "big"}), encoding="utf-8")
-        with pytest.raises(ConfigError, match="sched.yaml"):
-            load_schedule(str(path))
+        path = write_schedule(tmp_path, yaml.safe_dump({"schedule": {"beta_large": "big"}}))
+        with pytest.raises(ConfigError, match="sched.yaml: could not convert"):
+            load_config(path)
 
     def test_malformed_yaml_is_config_error(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text("pipeline: [unclosed\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="config.yaml: while parsing"):
             load_config(str(path))
-        with pytest.raises(ConfigError, match="config.yaml: while parsing"):
-            load_schedule(str(path))
+        path = write_schedule(tmp_path, "schedule: {beta_small: [unclosed\n")
+        with pytest.raises(ConfigError, match="sched.yaml: while parsing"):
+            load_config(path)

@@ -163,7 +163,7 @@ class TestToyPolicy:
     def test_rows_normalize_to_one(self):
         policy = ToyPolicy(vocab_size=5, n_buckets=3, rng=np.random.default_rng(1))
         for bucket in range(3):
-            total = float(np.exp(policy.log_probs(bucket)).sum())
+            total = float(np.exp(policy.log_softmax()[bucket]).sum())
             assert abs(total - 1.0) < 1e-12
 
     def test_bucket_hash_is_stable(self):

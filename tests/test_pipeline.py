@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_script
+from conftest import CapturingBackend, make_dataset, random_script
 from cogforge import pipeline
 from cogforge.agents import Agents
-from cogforge.gateway import ConfigError, ScriptedBackend, UnknownKey
+from cogforge.gateway import ConfigError, ModelRole, ScriptedBackend, UnknownKey
 from cogforge.jsonl import dump_row, write_rows
 from cogforge.pipeline import (
     ACCEPTED_MEDIUM,
@@ -30,7 +30,7 @@ from cogforge.pipeline import (
     run_crv,
     save_checkpoint,
 )
-from cogforge.records import ComplexityLevel, CoTRecord, Source
+from cogforge.records import ComplexityLevel, CoTRecord, RecordFamily, Source
 
 
 class TestSixRecordFixture:
@@ -233,6 +233,34 @@ class TestEdgeCases:
             run_crv([], PipelineConfig(votes=2), Agents(ScriptedBackend({})))
 
 
+class TestConfigApplied:
+    """run_crv applies the verifier role and the corruption gate it fingerprints."""
+
+    def test_corruption_gate_asks_the_verifier(self):
+        backend = CapturingBackend({
+            "critic:r1": ["medium"] * 3,
+            "verifier:r1": ["YES", "NO"],
+            "corruptor:r1": ["bad trace"],
+        })
+        config = PipelineConfig(max_concurrency=1, corruption_gate=True)
+        _curated, families, _stats, _discards = run_crv(make_dataset(1), config, Agents(backend))
+        assert [request.key for request in backend.requests] == [
+            "critic:r1", "verifier:r1", "corruptor:r1", "verifier:r1",
+        ]
+        assert "bad trace" in backend.requests[-1].user
+        assert families[0].r_corrupted == "bad trace"
+
+    def test_verifier_role(self, six_record_dataset, six_record_script):
+        backend = CapturingBackend(six_record_script)
+        config = PipelineConfig(max_concurrency=1, verifier_role=ModelRole.BASE)
+        run_crv(six_record_dataset, config, Agents(backend))
+        roles = {(request.key.split(":")[0], request.model_role) for request in backend.requests}
+        assert roles == {
+            ("critic", ModelRole.LARGE), ("rethinker", ModelRole.LARGE),
+            ("corruptor", ModelRole.LARGE), ("verifier", ModelRole.BASE),
+        }
+
+
 class TestCheckpointing:
     def run_files(self, tmp_path, tag, dataset, script, checkpoint=None):
         config = PipelineConfig(
@@ -318,11 +346,18 @@ class TestCheckpointing:
 
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        completed = {"r1": {"status": ACCEPTED_MEDIUM, "record": {}, "family": None,
-                            "discard_reason": None, "attempts": 1, "ever_verified": True,
-                            "completions_by_stage": {"critic": 3}, "tokens_by_stage": {}}}
+        record = CoTRecord(id="r1", problem="p", answer="a", reasoning="t")
+        family = RecordFamily(id="r1", problem="p", answer="a",
+                              original_rating=ComplexityLevel.MEDIUM, r_original="t")
+        completed = {"r1": {"status": ACCEPTED_MEDIUM, "record": record.to_dict(),
+                            "family": family.to_dict(), "discard_reason": None, "attempts": 1,
+                            "ever_verified": True, "completions_by_stage": {"critic": 3},
+                            "tokens_by_stage": {}}}
         save_checkpoint(str(path), completed)
         assert load_checkpoint(str(path)) == completed
+
+
+MISSING = object()
 
 
 def script_for(script, record_ids):
@@ -518,6 +553,32 @@ class TestJournal:
         path.write_text(dump_row({"format": pipeline.CHECKPOINT_FORMAT, "fingerprint": None,
                                   "completed": {"r1": {"status": DISCARDED, **usage}}}) + "\n")
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("change", [
+        {"record": MISSING},
+        {"record": {"id": "r1"}},
+        {"record": ["r1"]},
+        {"record": "r1"},
+        {"family": {"id": "r1"}},
+        {"family": None},
+        {"status": DISCARDED},
+    ], ids=["no-record", "record-without-problem", "record-list", "record-string",
+            "family-without-problem", "accepted-without-family", "discarded-with-family"])
+    def test_row_that_does_not_decode_rejected(self, tmp_path, six_record_script, change):
+        full = tmp_path / "full.json"
+        run_crv(make_dataset(1), PipelineConfig(checkpoint_path=str(full)),
+                Agents(ScriptedBackend(six_record_script)))
+        row = {**load_checkpoint(str(full))["r1"], **change}
+        row = {key: value for key, value in row.items() if value is not MISSING}
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(str(path), {})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(dump_row({"id": "r1", **row}) + "\n")
+        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+            load_checkpoint(str(path))
+        save_checkpoint(str(path), {"r1": row})
+        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
             load_checkpoint(str(path))
 
     def test_gateway_error_keeps_records_in_flight(self, tmp_path, six_record_script):

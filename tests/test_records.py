@@ -162,11 +162,6 @@ class TestPreferencePair:
             PreferencePair(id="p", prompt="q", chosen="a", rejected="b",
                            gap=GapType.SMALL, beta=0.0)
 
-    def test_round_trip(self):
-        pair = PreferencePair(id="p", prompt="q", chosen="a", rejected="b",
-                              gap=GapType.LARGE, beta=0.5)
-        assert PreferencePair.from_dict(pair.to_dict()) == pair
-
 
 class TestBetaSchedule:
     def test_defaults_are_valid(self):
