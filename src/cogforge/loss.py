@@ -7,6 +7,12 @@ rather than the literal -log(sigmoid(margin)); the two are identical
 mathematically and the softplus form neither overflows nor loses the tail for
 margins out to +/-1e4.
 
+``grad_check`` verifies the analytic gradient of the token-level loss against
+central finite differences. Each probe is the whole loss at perturbed logits,
+taken through the same core; the probes of one bucket row (two per logit)
+are evaluated together, one core call per row, holding 2V tables of B x V
+floats. A NaN or infinite gradient coordinate fails the check.
+
 numpy is imported inside the functions that use it, not at module level, so
 that the commands that never touch the loss (``curate`` and ``pairs``) start
 without loading it.
@@ -14,7 +20,7 @@ without loading it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -105,6 +111,14 @@ def beta_dpo_adjust(beta_i: float, alpha: float, m_i: float, m_0: float) -> floa
     return adjusted
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a 2-D logit array."""
+    import numpy as np
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 class ToyPolicy:
     """Tabular softmax policy over a tiny vocabulary.
 
@@ -145,10 +159,7 @@ class ToyPolicy:
 
     def log_softmax(self) -> np.ndarray:
         """Next-token log-probabilities of every bucket, one row each."""
-        import numpy as np
-
-        shifted = self.logits - self.logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return _log_softmax(self.logits)
 
     def steps(
         self, prompt: tuple[int, ...], response: tuple[int, ...]
@@ -195,35 +206,19 @@ def quad_from_tokens(policy: ToyPolicy, reference: ToyPolicy, pair: TokenPair) -
     )
 
 
-def _token_objective(
+def _token_walks(
     batch: list[TokenPair], schedule: BetaSchedule, policy: ToyPolicy, reference: ToyPolicy
-) -> Callable[..., LossReport]:
-    """Walks every response once under each policy and returns the token loss
-    as a function of a policy log-softmax table, optionally with the analytic
-    gradient w.r.t. the policy logits (reference held fixed)."""
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[float], np.ndarray]:
+    """Each response's (bucket, token) walk under the policy, chosen then
+    rejected for every pair; each response's reference log-prob, in the same
+    order; and each pair's beta."""
     import numpy as np
 
     sequences = [(p.prompt, response) for p in batch for response in (p.chosen, p.rejected)]
     walks = [policy.steps(prompt, response) for prompt, response in sequences]
     ref = [sequence_logprob(reference, prompt, response) for prompt, response in sequences]
     betas = np.array([assign_beta(p.gap, schedule) for p in batch], dtype=float)
-
-    def objective(table: np.ndarray, with_gradient: bool = False) -> LossReport:
-        lp = [float(table[buckets, tokens].sum()) for buckets, tokens in walks]
-        quads = np.column_stack((lp[0::2], ref[0::2], lp[1::2], ref[1::2]))
-        report = _mean_loss(quads, betas, "no token pairs")
-        if with_gradient:
-            # dLoss/dmargin = -sigmoid(-margin)/n; the margin is beta-linear in
-            # the chosen log-prob and anti-linear in the rejected one. Each step
-            # adds coef * (onehot(token) - softmax(bucket)) to its bucket's row.
-            weight = np.exp(-np.logaddexp(0.0, report.margins)) * betas / len(batch)
-            report.gradient = np.zeros_like(table)
-            for (buckets, tokens), coef in zip(walks, np.column_stack((-weight, weight)).ravel()):
-                np.add.at(report.gradient, buckets, -coef * np.exp(table[buckets]))
-                np.add.at(report.gradient, (buckets, tokens), coef)
-        return report
-
-    return objective
+    return walks, ref, betas
 
 
 def cogpo_token_loss(
@@ -235,8 +230,23 @@ def cogpo_token_loss(
 ) -> LossReport:
     """Gap-weighted loss through the toy policy, optionally with the analytic
     gradient w.r.t. the policy logits (reference held fixed)."""
-    objective = _token_objective(batch, schedule, policy, reference)
-    return objective(policy.log_softmax(), with_gradient)
+    import numpy as np
+
+    walks, ref, betas = _token_walks(batch, schedule, policy, reference)
+    table = policy.log_softmax()
+    lp = [float(table[buckets, tokens].sum()) for buckets, tokens in walks]
+    quads = np.column_stack((lp[0::2], ref[0::2], lp[1::2], ref[1::2]))
+    report = _mean_loss(quads, betas, "no token pairs")
+    if with_gradient:
+        # dLoss/dmargin = -sigmoid(-margin)/n; the margin is beta-linear in
+        # the chosen log-prob and anti-linear in the rejected one. Each step
+        # adds coef * (onehot(token) - softmax(bucket)) to its bucket's row.
+        weight = np.exp(-np.logaddexp(0.0, report.margins)) * betas / len(batch)
+        report.gradient = np.zeros_like(table)
+        for (buckets, tokens), coef in zip(walks, np.column_stack((-weight, weight)).ravel()):
+            np.add.at(report.gradient, buckets, -coef * np.exp(table[buckets]))
+            np.add.at(report.gradient, (buckets, tokens), coef)
+    return report
 
 
 @dataclass
@@ -259,10 +269,27 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare the analytic gradient against central finite differences.
 
+    Each probe's loss is the whole objective at logits shifted by +/-epsilon
+    in one coordinate, computed through the loss core and independently of
+    the gradient code. Probes are evaluated one bucket row at a time: for row
+    b, 2V probed log-softmax tables are held at once (row b of each is the
+    log-softmax of the shifted row, every other row the base table), every
+    response's log-prob is read from all of them through a per-response
+    (bucket, token) count matrix, and the 2V * batch quads go through the
+    loss core in one call. The extra memory of one such evaluation is the 2V
+    tables of B x V floats; the count matrix (2 * batch rows of B x V) is
+    built once.
+
+    A coordinate whose analytic or numeric value is NaN or infinite has an
+    infinite relative error, so the check fails with it as the worst
+    coordinate: the first in row-major order of those with the largest error.
+
     ``corruption`` shifts one analytic coordinate by +1.0 as a negative
     control; the report must then fail on that coordinate. Failure is a report
     outcome, never an exception.
     """
+    import numpy as np
+
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     reference = reference if reference is not None else policy.snapshot()
@@ -270,26 +297,40 @@ def grad_check(
     if corruption is not None:
         analytic[corruption] += 1.0
 
-    objective = _token_objective(batch, schedule, policy, reference)
-    probe = policy.snapshot()
-    max_rel = 0.0
-    worst = (0, 0)
-    for b in range(policy.n_buckets):
-        for v in range(policy.vocab_size):
-            probe.logits[b, v] += epsilon
-            up = objective(probe.log_softmax()).loss
-            probe.logits[b, v] -= 2 * epsilon
-            down = objective(probe.log_softmax()).loss
-            probe.logits[b, v] = policy.logits[b, v]
-            numeric = (up - down) / (2 * epsilon)
-            a = float(analytic[b, v])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-4)
-            if rel > max_rel:
-                max_rel = rel
-                worst = (b, v)
+    walks, ref, betas = _token_walks(batch, schedule, policy, reference)
+    n_buckets, vocab = policy.logits.shape
+    counts = np.zeros((len(walks), n_buckets * vocab))
+    for row, (buckets, tokens) in zip(counts, walks):
+        np.add.at(row, buckets * vocab + tokens, 1.0)
+    # Probe p < V shifts logit p of the row by +epsilon; probe V + p by -epsilon.
+    shifts = epsilon * np.concatenate((np.eye(vocab), -np.eye(vocab)))
+    base = policy.log_softmax()
+    tables = np.repeat(base[np.newaxis], 2 * vocab, axis=0)
+    quads = np.empty((2 * vocab, len(batch), 4))
+    quads[:, :, 1], quads[:, :, 3] = ref[0::2], ref[1::2]
+    probe_betas = np.tile(betas, 2 * vocab)
+    numeric = np.empty_like(analytic)
+    for b in range(n_buckets):
+        tables[:, b] = _log_softmax(policy.logits[b] + shifts)
+        lp = tables.reshape(2 * vocab, -1) @ counts.T
+        quads[:, :, 0], quads[:, :, 2] = lp[:, 0::2], lp[:, 1::2]
+        terms = _mean_loss(quads.reshape(-1, 4), probe_betas, "no token pairs").terms
+        losses = np.array(terms).reshape(2 * vocab, -1).mean(axis=1)
+        numeric[b] = (losses[:vocab] - losses[vocab:]) / (2 * epsilon)
+        tables[:, b] = base[b]
+
+    with np.errstate(invalid="ignore"):
+        rel = np.where(
+            np.isfinite(analytic) & np.isfinite(numeric),
+            np.abs(analytic - numeric)
+            / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4),
+            np.inf,
+        )
+    b, v = np.unravel_index(np.argmax(rel), rel.shape)
+    max_rel = float(rel[b, v])
     return GradCheckReport(
         max_rel_error=max_rel,
-        worst_coordinate=worst,
+        worst_coordinate=(int(b), int(v)),
         epsilon=epsilon,
         tolerance=tolerance,
         passed=max_rel < tolerance,

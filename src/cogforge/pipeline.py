@@ -5,7 +5,7 @@ Records are independent work items on a bounded worker pool. Output ordering
 always follows input ordering, and with a scripted backend the whole run is a
 pure function of (dataset, script, config). Agent failures discard the one
 record; a gateway failure aborts the batch once the records in flight have
-finished and been checkpointed.
+finished and been checkpointed, and no record starts after it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
@@ -242,7 +243,9 @@ def run_crv(
     Fatal errors (gateway, config, corrupt checkpoint) propagate; per-record
     agent failures become discards. When config.checkpoint_path is set, each
     completed record is appended to the checkpoint, and the file is compacted
-    when the run ends or aborts; before an abort propagates, records still in
+    when the run ends or aborts. Once a record fails with an error that aborts
+    the run, such as a gateway failure, no further record starts (it would pay
+    backend calls for nothing); before the abort propagates, records still in
     flight are finished and kept. A resumed run reproduces the uninterrupted
     outputs and stats byte for byte under the same scripted backend: the
     stats sum every record's journaled agent usage, whichever run paid it.
@@ -279,21 +282,33 @@ def run_crv(
             journal.write(dump_row({"id": outcome.record.id, **row}) + "\n")
             journal.flush()
 
+    aborting = threading.Event()
+
+    def process(record: CoTRecord) -> RecordOutcome | None:
+        """The record's outcome, or None for a record skipped by an abort."""
+        if aborting.is_set():
+            return None
+        try:
+            return _process_record(record, agents, config)
+        except Exception:
+            aborting.set()
+            raise
+
     pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
     try:
-        futures = {
-            pool.submit(_process_record, record, agents, config): record.id for record in todo
-        }
+        futures = {pool.submit(process, record): record.id for record in todo}
         try:
             for future in as_completed(futures):
-                finish(future.result())
+                outcome = future.result()
+                if outcome is not None:
+                    finish(outcome)
         except GatewayError as exc:
             # Keep the paid-for work of records already in flight.
             log.warning("aborting on %s: finishing the records in flight", type(exc).__name__)
             pool.shutdown(wait=True, cancel_futures=True)
             for future, record_id in futures.items():
                 if (record_id not in completed and not future.cancelled()
-                        and future.exception() is None):
+                        and future.exception() is None and future.result() is not None):
                     finish(future.result())
             raise
     finally:

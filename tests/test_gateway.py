@@ -202,7 +202,7 @@ def http_server():
     server = HTTPServer(("127.0.0.1", 0), _ScriptedHTTPHandler)
     server.playbook = []
     server.seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield server
     server.shutdown()

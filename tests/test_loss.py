@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cogforge import loss
 from cogforge.loss import (
     EmptyBatch,
     JoinError,
@@ -26,6 +27,7 @@ from cogforge.loss import (
     sequence_logprob,
 )
 from cogforge.records import BetaSchedule, GapType, LogProbQuad
+from test_loss_pin import make_case as benchmark_shape_case
 
 LN2 = 0.6931471805599453
 GAPS = (GapType.SMALL, GapType.MEDIUM, GapType.LARGE)
@@ -288,6 +290,61 @@ class TestGradCheck:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValueError):
             grad_check(small_batch(), BetaSchedule(), ToyPolicy(3, 2), epsilon=0.0)
+
+    @pytest.mark.parametrize("coordinate", [(b, v) for b in range(2) for v in range(3)])
+    def test_every_corrupted_coordinate_is_the_worst(self, coordinate):
+        rng = np.random.default_rng(21)
+        policy = ToyPolicy(vocab_size=3, n_buckets=2, rng=rng)
+        reference = ToyPolicy(vocab_size=3, n_buckets=2, rng=rng)
+        report = grad_check(small_batch(), BetaSchedule(), policy, reference, corruption=coordinate)
+        assert not report.passed
+        assert report.worst_coordinate == coordinate
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_shape_passes(self, seed):
+        batch, policy, reference = benchmark_shape_case(seed)
+        report = grad_check(batch, BetaSchedule(), policy, reference)
+        assert report.passed
+        assert report.max_rel_error < 1e-6
+
+    def test_matches_per_coordinate_reference(self):
+        """One loss evaluation per probe, as a loop: both it and the batched
+        check agree with the analytic gradient to 1e-6 everywhere."""
+        batch, policy, reference = benchmark_shape_case(4)
+        schedule, epsilon = BetaSchedule(), 1e-5
+        analytic = cogpo_token_loss(batch, schedule, policy, reference, with_gradient=True).gradient
+        probe = policy.snapshot()
+        numeric = np.empty_like(analytic)
+        for b in range(policy.n_buckets):
+            for v in range(policy.vocab_size):
+                probe.logits[b, v] = policy.logits[b, v] + epsilon
+                up = cogpo_token_loss(batch, schedule, probe, reference).loss
+                probe.logits[b, v] = policy.logits[b, v] - epsilon
+                down = cogpo_token_loss(batch, schedule, probe, reference).loss
+                probe.logits[b, v] = policy.logits[b, v]
+                numeric[b, v] = (up - down) / (2 * epsilon)
+        rel = np.abs(analytic - numeric) / np.maximum(
+            np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4
+        )
+        assert rel.max() < 1e-6
+        report = grad_check(batch, schedule, policy, reference, epsilon=epsilon)
+        assert report.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_analytic_coordinate_fails(self, monkeypatch, bad):
+        exact = loss.cogpo_token_loss
+
+        def faulty(*args, **kwargs):
+            report = exact(*args, **kwargs)
+            report.gradient[3, 4] = report.gradient[7, 2] = bad
+            return report
+
+        monkeypatch.setattr(loss, "cogpo_token_loss", faulty)
+        batch, policy, reference = benchmark_shape_case(1)
+        report = grad_check(batch, BetaSchedule(), policy, reference)
+        assert not report.passed
+        assert report.worst_coordinate == (3, 4)  # the first in row-major order
+        assert report.max_rel_error == math.inf
 
 
 class TestJoinQuads:

@@ -625,6 +625,45 @@ class TestJournal:
         assert resumed == baseline
 
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_no_record_starts_after_a_gateway_error(self, tmp_path, six_record_script, k):
+        """Only record k's script is missing. The abort's log line is held
+        until a later record reaches the backend (or 0.5 s pass), so a worker
+        free to start the next record has done so before the pool shuts down."""
+        dataset = make_dataset(6)
+        baseline, _ = self.outputs(dataset, six_record_script)
+        later = set(self.IDS[k + 1:])
+        later_called = threading.Event()
+
+        class Watched(ScriptedBackend):
+            def complete(self, request):
+                if request.key.split(":", 1)[1] in later:
+                    later_called.set()
+                return super().complete(request)
+
+        class HoldAbort(logging.Handler):
+            def emit(self, record):
+                if record.getMessage().startswith("aborting"):
+                    later_called.wait(0.5)
+
+        logger = logging.getLogger("cogforge.pipeline")
+        handler = HoldAbort()
+        logger.addHandler(handler)
+        checkpoint = tmp_path / "checkpoint.json"
+        config = PipelineConfig(max_concurrency=1, checkpoint_path=str(checkpoint))
+        backend = Watched(script_for(six_record_script, self.IDS[:k] + self.IDS[k + 1:]))
+        try:
+            with pytest.raises(UnknownKey):
+                run_crv(dataset, config, Agents(backend))
+        finally:
+            logger.removeHandler(handler)
+        assert set(load_checkpoint(str(checkpoint))) == set(self.IDS[:k])
+        assert not {key.split(":", 1)[1] for key in backend.history} & later
+
+        resumed, _ = self.outputs(dataset, six_record_script, checkpoint)
+        assert resumed == baseline
+
+
 class TestRandomizedRuns:
     def test_conservation_over_200_random_scripts(self):
         rng = np.random.default_rng(20260819)
