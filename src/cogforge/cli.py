@@ -191,14 +191,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                 counts[pair.gap.value] += 1
                 yield pair.to_dict()
 
-    # A failed run must leave --output as it was, so write beside it and rename.
-    partial = f"{args.output}.tmp"
-    try:
-        written = write_rows(partial, pair_rows())
-        os.replace(partial, args.output)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(partial)
+    written = write_rows(args.output, pair_rows())
     print(f"families: {families} ({skipped} without constructible pairs)")
     print(f"pairs: {written} " + ", ".join(f"{gap} {n}" for gap, n in counts.items()))
     print(json.dumps(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from collections.abc import Iterable, Iterator
 
 
@@ -37,10 +39,23 @@ def dump_row(row: dict) -> str:
 
 
 def write_rows(path: str, rows: Iterable[dict]) -> int:
+    """Write one row per line and return how many were written.
+
+    The rows go to ``<path>.tmp``, which replaces ``path`` once the last one
+    is written. On any exception, KeyboardInterrupt included, the temp file is
+    removed and ``path`` is left as it was, so a reader never sees it torn.
+    """
+    partial = f"{path}.tmp"
     written = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(dump_row(row))
-            handle.write("\n")
-            written += 1
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            for row in rows:
+                handle.write(dump_row(row))
+                handle.write("\n")
+                written += 1
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
     return written

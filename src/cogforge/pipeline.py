@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .agents import AgentError, Agents, direction_for
 from .config import PipelineConfig
 from .gateway import ConfigError, GatewayError
-from .jsonl import dump_row
+from .jsonl import dump_row, write_rows
 from .records import (
     ComplexityLevel,
     CoTRecord,
@@ -182,15 +182,15 @@ def _is_usage(value) -> bool:
     return isinstance(value, dict) and all(type(count) is int for count in value.values())
 
 
-def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, dict]:
-    """Read the completed-record map; absent file means a fresh run.
+def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, RecordOutcome]:
+    """Read the completed records' outcomes by id; absent file means a fresh run.
 
     Line 1 is the header (format tag, fingerprint, compacted map); each later
     line is one record appended as it completed. A last segment without its
     newline is a torn append and is dropped. Given a fingerprint, a header
     written for another config or dataset is refused. Every row must decode
-    as a RecordOutcome with a known status, a family exactly when the status
-    accepts the record, and two usage maps of integers.
+    as a RecordOutcome of the record it is filed under, with a known status,
+    a family exactly when the status accepts it, and two integer usage maps.
     """
     if not os.path.exists(path):
         return {}
@@ -211,28 +211,26 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, dict
         if not isinstance(record_id, str):
             raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")
         completed[record_id] = row
-    for record_id, row in completed.items():
+    for record_id, row in completed.items():  # each row is replaced by its outcome
         try:
             outcome = RecordOutcome.from_checkpoint(row)
         except (AttributeError, KeyError, TypeError, ValueError):
             outcome = None
-        if not (outcome is not None
+        if not (outcome is not None and outcome.record.id == record_id
                 and outcome.status in (ACCEPTED_MEDIUM, ACCEPTED_REWRITTEN, DISCARDED)
                 and (outcome.family is None) == (outcome.status == DISCARDED)
                 and _is_usage(outcome.completions) and _is_usage(outcome.tokens)):
             raise CorruptCheckpoint(f"{path}: malformed entry for record {record_id!r}")
+        completed[record_id] = outcome
     return completed
 
 
-def save_checkpoint(path: str, completed: dict[str, dict], fingerprint: str | None = None) -> None:
-    """Compact the map into a one-line header file, via a temp file and rename
-    so a reader never sees it torn."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(dump_row(
-            {"format": CHECKPOINT_FORMAT, "fingerprint": fingerprint, "completed": completed}
-        ) + "\n")
-    os.replace(tmp, path)
+def save_checkpoint(path: str, completed: dict[str, RecordOutcome],
+                    fingerprint: str | None = None) -> None:
+    """Compact the outcomes into a one-line header file; write_rows replaces
+    the file whole, so a reader never sees it torn."""
+    rows = {record_id: outcome.to_checkpoint() for record_id, outcome in completed.items()}
+    write_rows(path, [{"format": CHECKPOINT_FORMAT, "fingerprint": fingerprint, "completed": rows}])
 
 
 def run_crv(
@@ -241,11 +239,10 @@ def run_crv(
     """Curate a batch; returns (curated set, families, stats, discard rows).
 
     Fatal errors (gateway, config, corrupt checkpoint) propagate; per-record
-    agent failures become discards. When config.checkpoint_path is set, each
-    completed record is appended to the checkpoint, and the file is compacted
-    when the run ends or aborts. Once a record fails with an error that aborts
-    the run, such as a gateway failure, no further record starts (it would pay
-    backend calls for nothing); before the abort propagates, records still in
+    agent failures become discards. Each record ends as one RecordOutcome,
+    appended to config.checkpoint_path (if set) as it completes; the file is
+    compacted when the run ends or aborts. After a gateway failure no further
+    record starts, and the first such error is raised once the records in
     flight are finished and kept. A resumed run reproduces the uninterrupted
     outputs and stats byte for byte under the same scripted backend: the
     stats sum every record's journaled agent usage, whichever run paid it.
@@ -262,7 +259,7 @@ def run_crv(
         if problems:
             raise ValueError(f"record {record.id}: {'; '.join(problems)}")
 
-    completed: dict[str, dict] = {}
+    completed: dict[str, RecordOutcome] = {}
     journal = None
     path = config.checkpoint_path
     if path:
@@ -276,10 +273,9 @@ def run_crv(
         log.info("resuming: %d of %d records already completed", len(completed), len(dataset))
 
     def finish(outcome: RecordOutcome) -> None:
-        row = outcome.to_checkpoint()
-        completed[outcome.record.id] = row
+        completed[outcome.record.id] = outcome
         if journal is not None:
-            journal.write(dump_row({"id": outcome.record.id, **row}) + "\n")
+            journal.write(dump_row({"id": outcome.record.id, **outcome.to_checkpoint()}) + "\n")
             journal.flush()
 
     aborting = threading.Event()
@@ -294,28 +290,26 @@ def run_crv(
             aborting.set()
             raise
 
+    failure: GatewayError | None = None
     pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
     try:
-        futures = {pool.submit(process, record): record.id for record in todo}
-        try:
-            for future in as_completed(futures):
+        for future in as_completed([pool.submit(process, record) for record in todo]):
+            try:
                 outcome = future.result()
                 if outcome is not None:
                     finish(outcome)
-        except GatewayError as exc:
-            # Keep the paid-for work of records already in flight.
-            log.warning("aborting on %s: finishing the records in flight", type(exc).__name__)
-            pool.shutdown(wait=True, cancel_futures=True)
-            for future, record_id in futures.items():
-                if (record_id not in completed and not future.cancelled()
-                        and future.exception() is None and future.result() is not None):
-                    finish(future.result())
-            raise
+            except GatewayError as exc:
+                # Keep draining: records in flight finish, records not yet started return None.
+                if failure is None:
+                    log.warning("aborting on %s: finishing the records in flight", type(exc).__name__)
+                    failure = exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
         if journal is not None:
             journal.close()
             save_checkpoint(path, completed, fingerprint)
+    if failure is not None:
+        raise failure
 
     curated: list[CoTRecord] = []
     families: list[RecordFamily] = []
@@ -323,7 +317,7 @@ def run_crv(
     stats = PipelineStats(intake_total=len(dataset))
     stats.intake_by_level = {level.value: 0 for level in ComplexityLevel}
     for record in dataset:
-        outcome = RecordOutcome.from_checkpoint(completed[record.id])
+        outcome = completed[record.id]
         final = outcome.record
         intake = final.rating_history[0]["rating"] if final.rating_history else "unrated"
         stats.intake_by_level[intake] = stats.intake_by_level.get(intake, 0) + 1

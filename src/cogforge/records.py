@@ -23,7 +23,6 @@ class Source(str, Enum):
 
     ORIGINAL = "original"
     REWRITTEN = "rewritten"
-    CORRUPTED = "corrupted"
 
 
 class GapType(str, Enum):
@@ -298,6 +297,4 @@ def validate_record(record: CoTRecord, retry_cap: int = 3) -> list[str]:
         violations.append("rewrite_count: negative")
     elif record.rewrite_count > retry_cap:
         violations.append("rewrite_count: exceeds cap")
-    if record.source == Source.CORRUPTED and record.verified:
-        violations.append("verified: a corrupted trace cannot be verified")
     return violations

@@ -67,6 +67,15 @@ def make_dataset(n: int = 6) -> list[CoTRecord]:
     ]
 
 
+@pytest.fixture(autouse=True)
+def no_leftover_temp_files(tmp_path):
+    """Fail a test that leaves a ``*.tmp`` file under its tmp_path: every
+    writer must rename its temp file into place or remove it."""
+    yield
+    leftovers = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*.tmp"))
+    assert not leftovers, f"temp files left behind: {leftovers}"
+
+
 @pytest.fixture
 def six_record_dataset() -> list[CoTRecord]:
     return make_dataset(6)

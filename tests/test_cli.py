@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cogforge import cli
+from cogforge import cli, jsonl
 from cogforge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _build_backend, entrypoint
 from cogforge.config import load_config
 from cogforge.jsonl import dump_row, read_rows
@@ -36,6 +36,20 @@ def dataset_rows(records) -> list[dict]:
         {"id": r.id, "problem": r.problem, "answer": r.answer, "reasoning": r.reasoning}
         for r in records
     ]
+
+
+def fail_writes_after(monkeypatch, rows: int) -> None:
+    """Make the JSONL writer raise OSError once ``rows`` rows are written."""
+    real_dump_row = jsonl.dump_row
+    dumped = []
+
+    def dump_row(row):
+        if len(dumped) == rows:
+            raise OSError("disk full")
+        dumped.append(row)
+        return real_dump_row(row)
+
+    monkeypatch.setattr(jsonl, "dump_row", dump_row)
 
 
 def last_json_line(capsys) -> dict:
@@ -140,6 +154,34 @@ class TestCurate:
         ])
         assert code == EXIT_FATAL
         assert "missing field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failing, rows_before", [(0, 1), (1, 4), (2, 7)],
+                             ids=["curated", "discards", "families"])
+    def test_failed_write_leaves_that_output_untouched(
+        self, curate_paths, monkeypatch, capsys, failing, rows_before
+    ):
+        """Each output (three rows apiece here) is replaced on its own: those
+        written before the failing one are new, it and the rest are as they were."""
+        tmp = curate_paths["tmp"]
+        outputs = [tmp / "curated.jsonl", tmp / "curated.discards.jsonl",
+                   tmp / "curated.families.jsonl"]
+        for path in outputs:
+            path.write_bytes(b"old bytes\n")
+        fail_writes_after(monkeypatch, rows_before)
+        code = entrypoint([
+            "curate",
+            "--input", curate_paths["input"],
+            "--output", curate_paths["output"],
+            "--mock-script", curate_paths["script"],
+        ])
+        assert code == EXIT_FATAL
+        assert "disk full" in capsys.readouterr().err
+        assert [path.read_bytes() == b"old bytes\n" for path in outputs] == [
+            index >= failing for index in range(3)
+        ]
+        assert sorted(path.name for path in tmp.iterdir()) == sorted(
+            ["input.jsonl", "script.jsonl"] + [path.name for path in outputs]
+        )
 
 
 class TestCurateResume:
@@ -453,6 +495,28 @@ class TestLossEval:
         ])
         assert code == EXIT_FATAL
         assert capsys.readouterr().err.startswith(f"error: {bad_path}: while parsing")
+
+    def test_failed_write_leaves_report_untouched(self, tmp_path, monkeypatch, capsys):
+        pairs_path = write_jsonl(
+            tmp_path / "pairs.jsonl",
+            [pair_row("a", "small"), pair_row("b", "medium"), pair_row("c", "large")],
+        )
+        logprobs_path = write_jsonl(
+            tmp_path / "lp.jsonl", [logprob_row("a"), logprob_row("b"), logprob_row("c")]
+        )
+        report = tmp_path / "report.jsonl"
+        report.write_bytes(b"old bytes\n")
+        fail_writes_after(monkeypatch, 1)
+        code = entrypoint([
+            "loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path,
+            "--output", str(report),
+        ])
+        assert code == EXIT_FATAL
+        assert "disk full" in capsys.readouterr().err
+        assert report.read_bytes() == b"old bytes\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "lp.jsonl", "pairs.jsonl", "report.jsonl",
+        ]
 
     def test_join_mismatch_is_fatal(self, tmp_path, capsys):
         pairs_path = write_jsonl(

@@ -22,6 +22,7 @@ from cogforge.pipeline import (
     CorruptCheckpoint,
     DuplicateId,
     PipelineConfig,
+    RecordOutcome,
     assemble_sft,
     checkpoint_fingerprint,
     complexity_report,
@@ -349,15 +350,21 @@ class TestCheckpointing:
         record = CoTRecord(id="r1", problem="p", answer="a", reasoning="t")
         family = RecordFamily(id="r1", problem="p", answer="a",
                               original_rating=ComplexityLevel.MEDIUM, r_original="t")
-        completed = {"r1": {"status": ACCEPTED_MEDIUM, "record": record.to_dict(),
-                            "family": family.to_dict(), "discard_reason": None, "attempts": 1,
-                            "ever_verified": True, "completions_by_stage": {"critic": 3},
-                            "tokens_by_stage": {}}}
+        completed = {"r1": RecordOutcome(record=record, status=ACCEPTED_MEDIUM, family=family,
+                                         attempts=1, ever_verified=True,
+                                         completions={"critic": 3}, tokens={})}
         save_checkpoint(str(path), completed)
         assert load_checkpoint(str(path)) == completed
 
 
 MISSING = object()
+
+
+def write_header(path, completed: dict[str, dict], fingerprint: str | None = None) -> None:
+    """A checkpoint whose header holds ``completed`` as given, row dicts and all."""
+    path.write_text(dump_row(
+        {"format": pipeline.CHECKPOINT_FORMAT, "fingerprint": fingerprint, "completed": completed}
+    ) + "\n")
 
 
 def script_for(script, record_ids):
@@ -414,8 +421,8 @@ class TestJournal:
         checkpoint = tmp_path / "checkpoint.json"
         fingerprint = checkpoint_fingerprint(dataset, PipelineConfig())
         save_checkpoint(str(checkpoint), {"r1": rows["r1"], "r2": rows["r2"]}, fingerprint)
-        r3 = dump_row({"id": "r3", **rows["r3"]}) + "\n"
-        r4 = dump_row({"id": "r4", **rows["r4"]})
+        r3 = dump_row({"id": "r3", **rows["r3"].to_checkpoint()}) + "\n"
+        r4 = dump_row({"id": "r4", **rows["r4"].to_checkpoint()})
         with open(checkpoint, "a", encoding="utf-8") as handle:
             handle.write(r3 + r4[: len(r4) // 2])
         assert set(load_checkpoint(str(checkpoint), fingerprint)) == {"r1", "r2", "r3"}
@@ -513,7 +520,7 @@ class TestJournal:
 
     def test_malformed_header_entry_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {"r1": {"status": "weird"}})
+        write_header(path, {"r1": {"status": "weird"}})
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
             load_checkpoint(str(path))
 
@@ -550,8 +557,7 @@ class TestJournal:
             handle.write(dump_row({"id": "r1", "status": DISCARDED, **usage}) + "\n")
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
             load_checkpoint(str(path))
-        path.write_text(dump_row({"format": pipeline.CHECKPOINT_FORMAT, "fingerprint": None,
-                                  "completed": {"r1": {"status": DISCARDED, **usage}}}) + "\n")
+        write_header(path, {"r1": {"status": DISCARDED, **usage}})
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
             load_checkpoint(str(path))
 
@@ -569,7 +575,7 @@ class TestJournal:
         full = tmp_path / "full.json"
         run_crv(make_dataset(1), PipelineConfig(checkpoint_path=str(full)),
                 Agents(ScriptedBackend(six_record_script)))
-        row = {**load_checkpoint(str(full))["r1"], **change}
+        row = {**load_checkpoint(str(full))["r1"].to_checkpoint(), **change}
         row = {key: value for key, value in row.items() if value is not MISSING}
         path = tmp_path / "checkpoint.json"
         save_checkpoint(str(path), {})
@@ -577,9 +583,33 @@ class TestJournal:
             handle.write(dump_row({"id": "r1", **row}) + "\n")
         with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
             load_checkpoint(str(path))
-        save_checkpoint(str(path), {"r1": row})
+        write_header(path, {"r1": row})
         with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("where", ["header", "journal"])
+    @pytest.mark.parametrize("moved", ["r2", "r3"], ids=["discarded", "accepted"])
+    def test_row_filed_under_another_id_rejected(self, tmp_path, six_record_script, where, moved):
+        """A row that decodes cleanly but belongs to another record must not
+        stand in for the record it is filed under: at r1's key, r2's discard
+        would drop r1 and write r2 twice, and r3's acceptance would duplicate
+        a curated id."""
+        dataset = make_dataset(6)
+        full = tmp_path / "full.json"
+        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
+                Agents(ScriptedBackend(six_record_script)))
+        row = load_checkpoint(str(full))[moved].to_checkpoint()
+        path = tmp_path / "checkpoint.json"
+        fingerprint = checkpoint_fingerprint(dataset, PipelineConfig())
+        if where == "header":
+            write_header(path, {"r1": row}, fingerprint)
+        else:
+            write_header(path, {}, fingerprint)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(dump_row({"id": "r1", **row}) + "\n")
+        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+            run_crv(dataset, PipelineConfig(checkpoint_path=str(path)),
+                    Agents(ScriptedBackend(six_record_script)))
 
     def test_gateway_error_keeps_records_in_flight(self, tmp_path, six_record_script):
         """r2 fails while r1 is still in flight; r1 finishes only once the

@@ -13,7 +13,6 @@ from cogforge.records import (
     PipelineStats,
     PreferencePair,
     RecordFamily,
-    Source,
     parse_complexity,
     parse_verdict,
     validate_record,
@@ -98,12 +97,6 @@ class TestValidateRecord:
         record.rewrite_count = 4
         assert any("exceeds cap" in v for v in validate_record(record, retry_cap=3))
         assert validate_record(record, retry_cap=4) == []
-
-    def test_corrupted_source_cannot_be_verified(self):
-        record = make_record()
-        record.source = Source.CORRUPTED
-        record.verified = True
-        assert any("corrupted" in v for v in validate_record(record))
 
 
 class TestCoTRecord:
