@@ -12,7 +12,7 @@ import copy
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from importlib import resources
 
@@ -135,6 +135,14 @@ class Agents:
         bound.completions = {}
         bound.tokens = {}
         return bound
+
+    def settings(self) -> dict:
+        """What shapes a response besides the record and the backend: each
+        template's system text and the sampling parameters."""
+        return {
+            "templates": {name: self._templates[name].system_text for name in TEMPLATE_NAMES},
+            "sampling": asdict(self._sampling),
+        }
 
     def _call(self, agent: str, template: str, reasoning: str, n: int = 1) -> ChatResponse:
         record = self._record

@@ -254,13 +254,14 @@ class ScriptedBackend:
     ScriptExhausted and consumes none. Fully deterministic: identical script
     plus identical call sequence yields identical responses. A key the script
     does not hold raises UnknownKey. Usage counts words, the prompt once per
-    call.
+    call; each distinct system text is split once.
     """
 
     def __init__(self, script: dict[str, list[str]]) -> None:
         self._script = {key: list(responses) for key, responses in script.items()}
         self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
+        self._system_words: dict[str, int] = {}
         self.history: list[str] = []
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -280,7 +281,10 @@ class ScriptedBackend:
                 )
             self._cursors[key] = position + request.n
             texts = tuple(responses[position:position + request.n])
-        prompt_tokens = len(request.system.split()) + len(request.user.split())
+        system_words = self._system_words.get(request.system)
+        if system_words is None:
+            system_words = self._system_words[request.system] = len(request.system.split())
+        prompt_tokens = system_words + len(request.user.split())
         completion_tokens = sum(len(text.split()) for text in texts)
         return ChatResponse(
             choices=texts,

@@ -32,10 +32,14 @@ def read_rows(path: str, required: tuple[str, ...] = ()) -> Iterator[dict]:
             yield row
 
 
+# sort_keys so identical content is identical bytes regardless of how the
+# dict was assembled; resume determinism depends on this. One encoder serves
+# every row: encode() keeps no state between calls.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def dump_row(row: dict) -> str:
-    # sort_keys so identical content is identical bytes regardless of how the
-    # dict was assembled; resume determinism depends on this.
-    return json.dumps(row, ensure_ascii=False, sort_keys=True)
+    return _ENCODER.encode(row)
 
 
 def write_rows(path: str, rows: Iterable[dict]) -> int:

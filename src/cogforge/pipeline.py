@@ -1,27 +1,27 @@
 """Batch curation: rate each trace, rewrite and re-verify the unsuitable ones,
 assemble the curated set, and journal progress after every record.
 
-Records are independent work items on a bounded worker pool. Output ordering
-always follows input ordering, and with a scripted backend the whole run is a
-pure function of (dataset, script, config). Agent failures discard the one
-record; a gateway failure aborts the batch once the records in flight have
-finished and been checkpointed, and no record starts after it.
+Records are independent work items. Up to ``max_concurrency`` long-lived
+worker threads take them one at a time, in input order, and walk each to its
+outcome. Output ordering always follows input ordering, and with a scripted
+backend the whole run is a pure function of (dataset, script, config,
+templates, sampling). Agent failures discard the one record; any other failure
+aborts the batch once the records in flight have finished and been
+checkpointed, and no record starts after it.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import logging
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .agents import AgentError, Agents, direction_for
 from .config import PipelineConfig
-from .gateway import ConfigError, GatewayError
+from .gateway import ConfigError
 from .jsonl import dump_row, write_rows
 from .records import (
     ComplexityLevel,
@@ -34,7 +34,7 @@ from .records import (
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_FORMAT = "cogforge-checkpoint-v3"
+CHECKPOINT_FORMAT = "cogforge-checkpoint-v4"
 
 ACCEPTED_MEDIUM = "accepted_medium"
 ACCEPTED_REWRITTEN = "accepted_rewritten"
@@ -98,7 +98,9 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     record with the attempts and verifications counted so far. The outcome
     holds the record's agent usage, discarded or not.
     """
-    work = copy.deepcopy(record)
+    # History entries are only ever appended, so a fresh list keeps the
+    # caller's record as it was.
+    work = replace(record, rating_history=list(record.rating_history))
     agents = agents.for_record(work, config)
     outcome = RecordOutcome(
         record=work, status=DISCARDED, completions=agents.completions, tokens=agents.tokens
@@ -153,16 +155,19 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     return outcome
 
 
-def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig) -> str:
-    """SHA-256 over the settings that shape a record's outcome and over the
-    input rows in order. Concurrency, paths and the backend are left out: a
-    resume may change them and still reproduce the same outputs."""
+def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig,
+                           agents: Agents) -> str:
+    """SHA-256 over the settings that shape a record's outcome (the walk's
+    config, the agents' templates and sampling) and over the input rows in
+    order. Concurrency, paths and the backend are left out: a resume may
+    change them and still reproduce the same outputs."""
     digest = hashlib.sha256()
     settings = {
         "retry_cap": config.retry_cap,
         "votes": config.votes,
         "verifier_role": config.verifier_role.value,
         "corruption_gate": config.corruption_gate,
+        **agents.settings(),
     }
     for row in [settings] + [record.to_dict() for record in dataset]:
         digest.update(dump_row(row).encode("utf-8") + b"\n")
@@ -190,7 +195,8 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, Reco
     newline is a torn append and is dropped. Given a fingerprint, a header
     written for another config or dataset is refused. Every row must decode
     as a RecordOutcome of the record it is filed under, with a known status,
-    a family exactly when the status accepts it, and two integer usage maps.
+    a family of that record exactly when the status accepts it, and two
+    integer usage maps.
     """
     if not os.path.exists(path):
         return {}
@@ -217,6 +223,7 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, Reco
         except (AttributeError, KeyError, TypeError, ValueError):
             outcome = None
         if not (outcome is not None and outcome.record.id == record_id
+                and (outcome.family is None or outcome.family.id == record_id)
                 and outcome.status in (ACCEPTED_MEDIUM, ACCEPTED_REWRITTEN, DISCARDED)
                 and (outcome.family is None) == (outcome.status == DISCARDED)
                 and _is_usage(outcome.completions) and _is_usage(outcome.tokens)):
@@ -241,11 +248,12 @@ def run_crv(
     Fatal errors (gateway, config, corrupt checkpoint) propagate; per-record
     agent failures become discards. Each record ends as one RecordOutcome,
     appended to config.checkpoint_path (if set) as it completes; the file is
-    compacted when the run ends or aborts. After a gateway failure no further
-    record starts, and the first such error is raised once the records in
-    flight are finished and kept. A resumed run reproduces the uninterrupted
-    outputs and stats byte for byte under the same scripted backend: the
-    stats sum every record's journaled agent usage, whichever run paid it.
+    compacted when the run ends or aborts. After any other failure, or a
+    KeyboardInterrupt in the calling thread, no further record starts, and
+    the first such error is raised once the records in flight are finished
+    and kept. A resumed run reproduces the uninterrupted outputs and stats
+    byte for byte under the same scripted backend: the stats sum every
+    record's journaled agent usage, whichever run paid it.
     """
     violations = config.validate()
     if violations:
@@ -263,7 +271,7 @@ def run_crv(
     journal = None
     path = config.checkpoint_path
     if path:
-        fingerprint = checkpoint_fingerprint(dataset, config)
+        fingerprint = checkpoint_fingerprint(dataset, config, agents)
         completed = load_checkpoint(path, fingerprint)
         # Rewriting the header first drops a torn tail before any append.
         save_checkpoint(path, completed, fingerprint)
@@ -272,42 +280,66 @@ def run_crv(
     if completed:
         log.info("resuming: %d of %d records already completed", len(completed), len(dataset))
 
+    # The lock guards the record iterator, the first failure, the count of
+    # records in flight, `completed` and the journal: workers share them all.
+    lock = threading.Lock()
+    settled = threading.Condition(lock)  # notified as each record in flight ends
+    pending = iter(todo)
+    failure: BaseException | None = None
+    in_flight = 0
+
     def finish(outcome: RecordOutcome) -> None:
         completed[outcome.record.id] = outcome
         if journal is not None:
             journal.write(dump_row({"id": outcome.record.id, **outcome.to_checkpoint()}) + "\n")
             journal.flush()
 
-    aborting = threading.Event()
+    def stop(exc: BaseException) -> None:
+        """Hand out no further record; the first failure is the one raised."""
+        nonlocal failure
+        with lock:
+            if failure is None:
+                failure = exc
+                log.warning("aborting on %s: finishing the records in flight", type(exc).__name__)
 
-    def process(record: CoTRecord) -> RecordOutcome | None:
-        """The record's outcome, or None for a record skipped by an abort."""
-        if aborting.is_set():
-            return None
-        try:
-            return _process_record(record, agents, config)
-        except Exception:
-            aborting.set()
-            raise
-
-    failure: GatewayError | None = None
-    pool = ThreadPoolExecutor(max_workers=config.max_concurrency)
-    try:
-        for future in as_completed([pool.submit(process, record) for record in todo]):
+    def work() -> None:
+        nonlocal in_flight
+        while True:
+            with lock:
+                record = next(pending, None) if failure is None else None
+                if record is None:
+                    return
+                in_flight += 1
             try:
-                outcome = future.result()
-                if outcome is not None:
+                outcome = _process_record(record, agents, config)
+                with lock:
                     finish(outcome)
-            except GatewayError as exc:
-                # Keep draining: records in flight finish, records not yet started return None.
-                if failure is None:
-                    log.warning("aborting on %s: finishing the records in flight", type(exc).__name__)
-                    failure = exc
+            except BaseException as exc:
+                stop(exc)
+                return
+            finally:
+                with lock:
+                    in_flight -= 1
+                    settled.notify()
+
+    workers = [threading.Thread(target=work, name=f"cogforge-crv-{n}")
+               for n in range(min(config.max_concurrency, len(todo)))]
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    except BaseException as exc:  # a KeyboardInterrupt while waiting
+        stop(exc)
+        # An interrupted join() may mark a live thread stopped, so wait for
+        # the records in flight instead; no new one starts after stop().
+        with lock:
+            settled.wait_for(lambda: in_flight == 0)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
         if journal is not None:
-            journal.close()
-            save_checkpoint(path, completed, fingerprint)
+            with lock:
+                journal.close()
+                save_checkpoint(path, completed, fingerprint)
     if failure is not None:
         raise failure
 

@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 from cogforge import cli, jsonl
+from cogforge.agents import TEMPLATE_NAMES, load_templates
 from cogforge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _build_backend, entrypoint
 from cogforge.config import load_config
 from cogforge.jsonl import dump_row, read_rows
@@ -274,6 +275,38 @@ class TestCurateResume:
         edited = write_jsonl(tmp_path / "edited.jsonl", rows)
         assert curate(edited) == EXIT_FATAL
         assert "different config or dataset" in capsys.readouterr().err
+
+        # Templates and sampling shape the responses too.
+        templates_dir = tmp_path / "templates"
+        templates_dir.mkdir()
+        for name in TEMPLATE_NAMES:
+            text = load_templates()[name].system_text
+            (templates_dir / f"{name}.txt").write_text(
+                text + (" Be brief." if name == "critic" else "") + "\n", encoding="utf-8"
+            )
+        for changed in ({"templates_dir": str(templates_dir)},
+                        {"sampling": {"temperature": 0.0}}):
+            config_path.write_text(yaml.safe_dump(changed), encoding="utf-8")
+            assert curate(curate_paths["input"], "--config", str(config_path)) == EXIT_FATAL
+            assert "different config or dataset" in capsys.readouterr().err
+
+    def test_family_of_another_record_is_fatal(self, curate_paths, tmp_path, capsys):
+        checkpoint_path = tmp_path / "run.checkpoint.json"
+        argv = [
+            "curate",
+            "--input", curate_paths["input"],
+            "--output", str(tmp_path / "out.jsonl"),
+            "--checkpoint", str(checkpoint_path),
+            "--mock-script", curate_paths["script"],
+        ]
+        assert entrypoint(argv) == EXIT_PARTIAL
+        header = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        completed = header["completed"]
+        completed["r1"]["family"] = completed["r3"]["family"]
+        checkpoint_path.write_text(dump_row(header) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert entrypoint(argv) == EXIT_FATAL
+        assert "malformed entry for record 'r1'" in capsys.readouterr().err
 
 
 def family_rows() -> list[dict]:

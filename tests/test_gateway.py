@@ -128,6 +128,19 @@ class TestScriptedBackend:
         assert response.usage.prompt_tokens == 2
         assert response.usage.total == 4
 
+    def test_prompt_usage_keys_by_exact_system_text(self):
+        """System texts that differ only in whitespace each count as split()
+        does, including pairs of one length and different word counts."""
+        systems = ["alpha beta", "alphabeta ", "alpha  beta", " alpha beta\n",
+                   "alpha\tbeta gamma", "alphabeta  gamma", "alpha beta gamma"]
+        calls = systems + systems[::-1]
+        backend = ScriptedBackend({"critic:r1": ["ok"] * len(calls)})
+        for system in calls:
+            request = ChatRequest(model_role=ModelRole.LARGE, system=system,
+                                  user="one two three", key="critic:r1")
+            usage = backend.complete(request).usage
+            assert usage.prompt_tokens == len(system.split()) + 3, repr(system)
+
     def test_empty_response_passes_through(self):
         backend = ScriptedBackend({"critic:r1": [""]})
         assert backend.complete(make_request()).text == ""

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
+import signal
+import sys
 import threading
 import time
 
@@ -12,8 +15,8 @@ import pytest
 
 from conftest import CapturingBackend, make_dataset, random_script
 from cogforge import pipeline
-from cogforge.agents import Agents
-from cogforge.gateway import ConfigError, ModelRole, ScriptedBackend, UnknownKey
+from cogforge.agents import Agents, load_templates
+from cogforge.gateway import ConfigError, ModelRole, SamplingParams, ScriptedBackend, UnknownKey
 from cogforge.jsonl import dump_row, write_rows
 from cogforge.pipeline import (
     ACCEPTED_MEDIUM,
@@ -367,6 +370,11 @@ def write_header(path, completed: dict[str, dict], fingerprint: str | None = Non
     ) + "\n")
 
 
+def default_fingerprint(dataset) -> str:
+    """The fingerprint a run over ``dataset`` with every default setting writes."""
+    return checkpoint_fingerprint(dataset, PipelineConfig(), Agents(ScriptedBackend({})))
+
+
 def script_for(script, record_ids):
     return {
         key: values for key, values in script.items() if key.split(":", 1)[1] in record_ids
@@ -379,12 +387,13 @@ class TestJournal:
 
     IDS = ["r1", "r2", "r3", "r4", "r5", "r6"]
 
-    def outputs(self, dataset, script, checkpoint=None, config=None):
+    def outputs(self, dataset, script, checkpoint=None, config=None, **agent_settings):
         """The curated, discard and family rows and the stats, as text."""
         config = config or PipelineConfig(max_concurrency=1)
         config.checkpoint_path = str(checkpoint) if checkpoint else None
         backend = ScriptedBackend(script)
-        curated, families, stats, discards = run_crv(dataset, config, Agents(backend))
+        agents = Agents(backend, **agent_settings)
+        curated, families, stats, discards = run_crv(dataset, config, agents)
         rows = (
             [r.to_output_dict() for r in curated], discards, [f.to_dict() for f in families],
             [stats.to_dict()],
@@ -419,7 +428,7 @@ class TestJournal:
         # A journal as a killed run leaves it: header, one appended row and
         # half of the next one.
         checkpoint = tmp_path / "checkpoint.json"
-        fingerprint = checkpoint_fingerprint(dataset, PipelineConfig())
+        fingerprint = default_fingerprint(dataset)
         save_checkpoint(str(checkpoint), {"r1": rows["r1"], "r2": rows["r2"]}, fingerprint)
         r3 = dump_row({"id": "r3", **rows["r3"].to_checkpoint()}) + "\n"
         r4 = dump_row({"id": "r4", **rows["r4"].to_checkpoint()})
@@ -441,7 +450,7 @@ class TestJournal:
         dataset = make_dataset(6)
         baseline, _ = self.outputs(dataset, six_record_script)
         checkpoint = tmp_path / "checkpoint.json"
-        save_checkpoint(str(checkpoint), {}, checkpoint_fingerprint(dataset, PipelineConfig()))
+        save_checkpoint(str(checkpoint), {}, default_fingerprint(dataset))
         with open(checkpoint, "a", encoding="utf-8") as handle:
             handle.write('{"id": "r1", "status": "disc')
 
@@ -503,6 +512,29 @@ class TestJournal:
                                   PipelineConfig(max_concurrency=3))
         assert resumed == self.outputs(dataset, six_record_script)[0]
 
+    def test_changed_templates_or_sampling_is_refused(self, tmp_path, six_record_script):
+        """Templates and sampling shape every live response, so a checkpoint
+        written under others is refused; the same ones resume byte-identically."""
+        dataset = make_dataset(6)
+        baseline, _ = self.outputs(dataset, six_record_script)
+        checkpoint = tmp_path / "checkpoint.json"
+        with pytest.raises(UnknownKey):
+            self.outputs(dataset, script_for(six_record_script, self.IDS[:3]), checkpoint)
+        before = checkpoint.read_bytes()
+        templates = load_templates()
+        critic = templates["critic"]
+        templates["critic"] = dataclasses.replace(critic, system_text=critic.system_text + " Be brief.")
+        for changed in ({"templates": templates},
+                        {"sampling": SamplingParams(temperature=0.0)},
+                        {"sampling": SamplingParams(max_tokens=512)}):
+            with pytest.raises(CorruptCheckpoint, match="different config or dataset"):
+                self.outputs(dataset, six_record_script, checkpoint, **changed)
+            assert checkpoint.read_bytes() == before
+        resumed, backend = self.outputs(dataset, six_record_script, checkpoint,
+                                        templates=load_templates(), sampling=SamplingParams())
+        assert resumed == baseline
+        assert {key.split(":", 1)[1] for key in backend.history} == set(self.IDS[3:])
+
     @pytest.mark.parametrize("tail", [
         b'{"id": "r2", "status": "weird"}\n',
         b'{"status": "discarded"}\n',
@@ -529,7 +561,7 @@ class TestJournal:
         path.write_text(json.dumps(
             {"format": "cogforge-checkpoint-v1", "completed": {}}, indent=1, sort_keys=True
         ) + "\n")
-        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v3 header"):
+        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v4 header"):
             load_checkpoint(str(path))
 
     def test_v2_journal_refused(self, tmp_path):
@@ -538,7 +570,7 @@ class TestJournal:
         path.write_text(dump_row(
             {"format": "cogforge-checkpoint-v2", "fingerprint": None, "completed": {}}
         ) + "\n")
-        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v3 header"):
+        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v4 header"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("usage", [
@@ -600,7 +632,7 @@ class TestJournal:
                 Agents(ScriptedBackend(six_record_script)))
         row = load_checkpoint(str(full))[moved].to_checkpoint()
         path = tmp_path / "checkpoint.json"
-        fingerprint = checkpoint_fingerprint(dataset, PipelineConfig())
+        fingerprint = default_fingerprint(dataset)
         if where == "header":
             write_header(path, {"r1": row}, fingerprint)
         else:
@@ -610,6 +642,28 @@ class TestJournal:
         with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)),
                     Agents(ScriptedBackend(six_record_script)))
+
+    @pytest.mark.parametrize("where", ["header", "journal"])
+    def test_family_of_another_record_rejected(self, tmp_path, six_record_script, where):
+        """r1's row carrying r3's family would curate r1 but list r3's family
+        twice, and pairs would build duplicate pair ids from it."""
+        dataset = make_dataset(6)
+        full = tmp_path / "full.json"
+        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
+                Agents(ScriptedBackend(six_record_script)))
+        loaded = load_checkpoint(str(full))
+        row = {**loaded["r1"].to_checkpoint(), "family": loaded["r3"].family.to_dict()}
+        path = tmp_path / "checkpoint.json"
+        fingerprint = default_fingerprint(dataset)
+        if where == "header":
+            write_header(path, {"r1": row}, fingerprint)
+        else:
+            write_header(path, {}, fingerprint)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(dump_row({"id": "r1", **row}) + "\n")
+        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+            run_crv(dataset, PipelineConfig(checkpoint_path=str(path)),
+                    Agents(ScriptedBackend({})))
 
     def test_gateway_error_keeps_records_in_flight(self, tmp_path, six_record_script):
         """r2 fails while r1 is still in flight; r1 finishes only once the
@@ -692,6 +746,177 @@ class TestJournal:
 
         resumed, _ = self.outputs(dataset, six_record_script, checkpoint)
         assert resumed == baseline
+
+
+    @pytest.mark.parametrize("error", [RuntimeError("backend bug"), KeyboardInterrupt()],
+                             ids=["RuntimeError", "KeyboardInterrupt"])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_unexpected_failure_stops_the_run(self, tmp_path, six_record_script, error, k):
+        """Any exception out of record k's walk, not only a GatewayError,
+        ends the run the same way: it propagates as raised, no later record
+        reaches the backend, and the records before k are kept, compacted."""
+        dataset = make_dataset(6)
+        baseline, _ = self.outputs(dataset, six_record_script)
+        failing = f"critic:{self.IDS[k]}"
+
+        class Failing(ScriptedBackend):
+            def complete(self, request):
+                if request.key == failing:
+                    raise error
+                return super().complete(request)
+
+        checkpoint = tmp_path / "checkpoint.json"
+        config = PipelineConfig(max_concurrency=1, checkpoint_path=str(checkpoint))
+        backend = Failing(six_record_script)
+        with pytest.raises(type(error)) as raised:
+            run_crv(dataset, config, Agents(backend))
+        assert raised.value is error
+        assert {key.split(":", 1)[1] for key in backend.history} == set(self.IDS[:k])
+        assert set(load_checkpoint(str(checkpoint), default_fingerprint(dataset))) == set(
+            self.IDS[:k]
+        )
+        with open(checkpoint, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
+        resumed, _ = self.outputs(dataset, six_record_script, checkpoint)
+        assert resumed == baseline
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_interrupt_in_the_caller_finishes_records_in_flight(
+        self, tmp_path, six_record_script
+    ):
+        """Ctrl-C while run_crv waits on its workers: r3, in flight, finishes
+        and is kept; no later record starts; the KeyboardInterrupt propagates
+        after the checkpoint is compacted."""
+        main = threading.main_thread()
+        if (threading.current_thread() is not main
+                or signal.getsignal(signal.SIGINT) is not signal.default_int_handler):
+            pytest.skip("needs the default SIGINT handler on the main thread")
+        dataset = make_dataset(6)
+        baseline, _ = self.outputs(dataset, six_record_script)
+        stopping = threading.Event()
+
+        class Interrupting(ScriptedBackend):
+            def complete(self, request):
+                if request.key == "critic:r3" and not stopping.is_set():
+                    signal.pthread_kill(main.ident, signal.SIGINT)
+                    assert stopping.wait(10)
+                return super().complete(request)
+
+        class OnStop(logging.Handler):
+            def emit(self, record):
+                if record.getMessage().startswith("aborting on KeyboardInterrupt"):
+                    stopping.set()
+
+        logger = logging.getLogger("cogforge.pipeline")
+        handler = OnStop()
+        logger.addHandler(handler)
+        checkpoint = tmp_path / "checkpoint.json"
+        config = PipelineConfig(max_concurrency=1, checkpoint_path=str(checkpoint))
+        backend = Interrupting(six_record_script)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_crv(dataset, config, Agents(backend))
+        finally:
+            logger.removeHandler(handler)
+        assert {key.split(":", 1)[1] for key in backend.history} == {"r1", "r2", "r3"}
+        assert set(load_checkpoint(str(checkpoint), default_fingerprint(dataset))) == {
+            "r1", "r2", "r3"
+        }
+        with open(checkpoint, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 1
+
+        resumed, _ = self.outputs(dataset, six_record_script, checkpoint)
+        assert resumed == baseline
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("concurrency", [1, 2, 6])
+    def test_in_flight_records_and_threads_bounded(self, concurrency):
+        """Records in flight (first to last backend call) and threads calling
+        the backend never exceed max_concurrency. Each record's first call
+        waits until `concurrency` records have started, so the bound is
+        reached, and 20 ms more, so a thread beyond it would start one too."""
+        ids = [f"r{i}" for i in range(1, 13)]
+        script = random_script(np.random.default_rng(concurrency), ids)
+        lock = threading.Lock()
+        spans: dict[str, list[float]] = {}
+        threads: set[int] = set()
+        filled = threading.Event()
+
+        class Watched(ScriptedBackend):
+            def complete(self, request):
+                record_id = request.key.split(":", 1)[1]
+                with lock:
+                    threads.add(threading.get_ident())
+                    first = record_id not in spans
+                    spans.setdefault(record_id, [time.perf_counter(), 0.0])
+                    if len(spans) >= concurrency:
+                        filled.set()
+                if first:
+                    filled.wait(2)
+                    time.sleep(0.02)
+                try:
+                    return super().complete(request)
+                finally:
+                    with lock:
+                        spans[record_id][1] = time.perf_counter()
+
+        _curated, _families, stats, _discards = run_crv(
+            make_dataset(12), PipelineConfig(max_concurrency=concurrency),
+            Agents(Watched(script)),
+        )
+        assert stats.intake_total == 12 and set(spans) == set(ids)
+        events = sorted([(start, 1) for start, _ in spans.values()]
+                        + [(end, -1) for _, end in spans.values()])
+        in_flight = peak = 0
+        for _time, step in events:
+            in_flight += step
+            peak = max(peak, in_flight)
+        assert peak == concurrency
+        assert 1 <= len(threads) <= concurrency
+        assert threading.get_ident() not in threads
+
+    def test_input_records_left_unmodified(self, six_record_script):
+        dataset = make_dataset(6)
+        dataset[2].add_rating("imported", ComplexityLevel.HARD, [ComplexityLevel.HARD, None])
+        dataset[3].rating_history.append({"stage": "imported", "rating": "easy", "votes": []})
+        before = [record.to_dict() for record in dataset]
+        curated, _families, _stats, _discards = run_crv(
+            dataset, PipelineConfig(max_concurrency=2), Agents(ScriptedBackend(six_record_script))
+        )
+        assert [record.to_dict() for record in dataset] == before
+        by_id = {record.id: record for record in curated}
+        assert by_id["r3"].rating_history[0] == before[2]["rating_history"][0]
+        assert len(by_id["r3"].rating_history) == 3
+
+    def test_eight_workers_under_fast_switching_match_one(self, tmp_path):
+        """More workers than cores and a 1 µs switch interval: a record handed
+        out twice would consume its script twice, and a lost update to the
+        shared outcomes or journal would lose a record."""
+        ids = [f"r{i}" for i in range(1, 201)]
+        script = random_script(np.random.default_rng(11), ids)
+        dataset = make_dataset(200)
+
+        def outputs(concurrency, checkpoint=None):
+            config = PipelineConfig(max_concurrency=concurrency, checkpoint_path=checkpoint)
+            curated, families, stats, discards = run_crv(
+                dataset, config, Agents(ScriptedBackend(script))
+            )
+            return ([r.to_output_dict() for r in curated], [f.to_dict() for f in families],
+                    discards, stats.to_dict())
+
+        expected = outputs(1)
+        checkpoint = str(tmp_path / "checkpoint.json")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = outputs(8, checkpoint)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert set(load_checkpoint(checkpoint, default_fingerprint(dataset))) == set(ids)
 
 
 class TestRandomizedRuns:
