@@ -8,7 +8,7 @@ whose beta is selected per pair by gap, with a toy policy for end-to-end
 gradient verification.
 """
 
-from .agents import AgentError, Agents, CorruptionNotIncorrect, RewriteDirection, load_templates
+from .agents import AgentError, Agents, CorruptionNotIncorrect, load_templates
 from .gateway import (
     ChatRequest,
     ChatResponse,

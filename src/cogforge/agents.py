@@ -13,7 +13,6 @@ import json
 import logging
 import os
 from dataclasses import asdict, dataclass
-from enum import Enum
 from importlib import resources
 
 from .config import PipelineConfig
@@ -43,20 +42,6 @@ class AgentError(RuntimeError):
 
 class CorruptionNotIncorrect(AgentError):
     """With the incorrectness gate on, every corruption candidate still verified YES."""
-
-
-class RewriteDirection(str, Enum):
-    EXPAND = "expand"
-    SIMPLIFY = "simplify"
-
-
-def direction_for(level: ComplexityLevel) -> RewriteDirection:
-    """Terse traces get expanded, convoluted ones simplified; medium has no direction."""
-    if level == ComplexityLevel.EASY:
-        return RewriteDirection.EXPAND
-    if level == ComplexityLevel.HARD:
-        return RewriteDirection.SIMPLIFY
-    raise ValueError("medium-rated traces are never rewritten")
 
 
 @dataclass(frozen=True)
@@ -103,12 +88,13 @@ class Agents:
 
     ``for_record(record, config)`` returns a copy bound to that record: its
     operations render prompts from the record's problem and answer, key script
-    positions by its id, send verification to ``config.verifier_role``, gate
-    corruption on ``config.corruption_gate`` (``PipelineConfig()`` when no
-    config is given), and count their completions (returned choices) and
-    tokens (the backend's usage per request) per agent in the copy's own
-    ``completions`` and ``tokens``. The backend and templates are shared, so
-    bound copies may run concurrently; each copy belongs to one record's walk.
+    positions by its id, ask the critic for ``config.votes`` votes, send
+    verification to ``config.verifier_role``, gate corruption on
+    ``config.corruption_gate`` (``PipelineConfig()`` when no config is given),
+    and count their completions (returned choices) and tokens (the backend's
+    usage per request) per agent in the copy's own ``completions`` and
+    ``tokens``. The backend and templates are shared, so bound copies may run
+    concurrently; each copy belongs to one record's walk.
     """
 
     def __init__(
@@ -124,7 +110,7 @@ class Agents:
             raise ValueError(f"missing templates: {missing}")
         self._sampling = sampling
         self._record: CoTRecord | None = None
-        self._config: PipelineConfig | None = None
+        self._config = PipelineConfig()
         self.completions: dict[str, int] = {}
         self.tokens: dict[str, int] = {}
 
@@ -159,10 +145,9 @@ class Agents:
         self.tokens[agent] = self.tokens.get(agent, 0) + response.usage.total
         return response
 
-    def critique(
-        self, reasoning: str, votes: int = 3
-    ) -> tuple[ComplexityLevel, list[ComplexityLevel | None]]:
-        """Rate a trace by majority over ``votes`` independent completions.
+    def critique(self, reasoning: str) -> tuple[ComplexityLevel, list[ComplexityLevel | None]]:
+        """Rate a trace by majority over the config's ``votes`` independent
+        completions.
 
         Each unparseable completion gets one re-sample, then counts as an
         abstention (None in the vote list). A label wins only with a strict
@@ -174,6 +159,7 @@ class Agents:
         its re-sample, so a scripted key is consumed exactly as by one
         request per completion.
         """
+        votes = self._config.votes
         if votes < 1 or votes % 2 == 0:
             raise ValueError("votes must be a positive odd integer")
         cast: list[ComplexityLevel | None] = []
@@ -203,10 +189,13 @@ class Agents:
                 return level, cast
         return ComplexityLevel.MEDIUM, cast
 
-    def rethink(self, reasoning: str, direction: RewriteDirection) -> str:
-        """Rewrite a trace in the given direction; never returns it unchanged."""
-        template = "rethinker_easy" if direction == RewriteDirection.EXPAND else "rethinker_hard"
-        return self._rewrite("rethinker", template, reasoning)
+    def rethink(self, reasoning: str, level: ComplexityLevel) -> str:
+        """Rewrite a trace to suit its rating: an easy one is expanded
+        (``rethinker_easy``), a hard one simplified (``rethinker_hard``).
+        Never returns it unchanged; a medium trace is never rewritten."""
+        if level == ComplexityLevel.MEDIUM:
+            raise ValueError("medium-rated traces are never rewritten")
+        return self._rewrite("rethinker", f"rethinker_{level.value}", reasoning)
 
     def corrupt(self, reasoning: str) -> str:
         """Produce a deliberately incorrect variant of a correct trace."""

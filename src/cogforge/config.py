@@ -16,8 +16,8 @@ from .records import BetaSchedule
 
 @dataclass
 class PipelineConfig:
-    """The curation settings, each applied by ``run_crv``: the verifier role and
-    the corruption gate through ``Agents.for_record``."""
+    """The curation settings, each applied by ``run_crv``: the critic's votes,
+    the verifier role and the corruption gate through ``Agents.for_record``."""
 
     retry_cap: int = 3
     votes: int = 3

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import TYPE_CHECKING
 
 from .pairs import assign_beta
@@ -119,6 +120,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+_FNV_OFFSET = 0x811C9DC5
+
+
+def _fnv1a(h: int, token: int) -> int:
+    """One FNV-1a update: the 32-bit hash of a context extended by ``token``."""
+    return ((h ^ ((token + 1) & 0xFFFFFFFF)) * 0x01000193) & 0xFFFFFFFF
+
+
 class ToyPolicy:
     """Tabular softmax policy over a tiny vocabulary.
 
@@ -151,11 +160,7 @@ class ToyPolicy:
             self.logits = rng.normal(0.0, 1.0, size=(n_buckets, vocab_size))
 
     def bucket(self, context: tuple[int, ...]) -> int:
-        h = 0x811C9DC5
-        for token in context:
-            h ^= (token + 1) & 0xFFFFFFFF
-            h = (h * 0x01000193) & 0xFFFFFFFF
-        return h % self.n_buckets
+        return reduce(_fnv1a, context, _FNV_OFFSET) % self.n_buckets
 
     def log_softmax(self) -> np.ndarray:
         """Next-token log-probabilities of every bucket, one row each."""
@@ -165,13 +170,19 @@ class ToyPolicy:
         self, prompt: tuple[int, ...], response: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Bucket and token index arrays of the response's steps, after
-        checking that every token is in the vocabulary."""
+        checking that every token is in the vocabulary. Step i's bucket is
+        ``bucket(prompt + response[:i])``, with the hash carried forward one
+        token at a time."""
         import numpy as np
 
         for token in (*prompt, *response):
             if not 0 <= token < self.vocab_size:
                 raise TokenOutOfRange(f"token {token} outside vocabulary of size {self.vocab_size}")
-        buckets = [self.bucket((*prompt, *response[:i])) for i in range(len(response))]
+        h = reduce(_fnv1a, prompt, _FNV_OFFSET)
+        buckets = []
+        for token in response:
+            buckets.append(h % self.n_buckets)
+            h = _fnv1a(h, token)
         return np.array(buckets, dtype=int), np.array(response, dtype=int)
 
     def snapshot(self) -> ToyPolicy:
@@ -216,7 +227,9 @@ def _token_walks(
 
     sequences = [(p.prompt, response) for p in batch for response in (p.chosen, p.rejected)]
     walks = [policy.steps(prompt, response) for prompt, response in sequences]
-    ref = [sequence_logprob(reference, prompt, response) for prompt, response in sequences]
+    ref_table = reference.log_softmax()
+    ref = [float(ref_table[reference.steps(prompt, response)].sum())
+           for prompt, response in sequences]
     betas = np.array([assign_beta(p.gap, schedule) for p in batch], dtype=float)
     return walks, ref, betas
 

@@ -19,7 +19,7 @@ import os
 import threading
 from dataclasses import dataclass, field, replace
 
-from .agents import AgentError, Agents, direction_for
+from .agents import AgentError, Agents
 from .config import PipelineConfig
 from .gateway import ConfigError
 from .jsonl import dump_row, write_rows
@@ -106,7 +106,7 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
         record=work, status=DISCARDED, completions=agents.completions, tokens=agents.tokens
     )
     try:
-        intake, votes = agents.critique(work.reasoning, votes=config.votes)
+        intake, votes = agents.critique(work.reasoning)
         work.add_rating("intake", intake, votes)
         rewriting = intake != ComplexityLevel.MEDIUM
         text, level = work.reasoning, intake
@@ -114,14 +114,14 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
             outcome.attempts = attempt
             candidate = text
             if rewriting:
-                candidate = agents.rethink(text, direction_for(level))
+                candidate = agents.rethink(text, level)
             if not agents.verify(candidate):
                 # Retry from the last trusted text; the rewrite prompts
                 # presume a correct input trace.
                 continue
             outcome.ever_verified = True
             if rewriting:
-                level, new_votes = agents.critique(candidate, votes=config.votes)
+                level, new_votes = agents.critique(candidate)
                 work.add_rating(f"re-rate-{attempt}", level, new_votes)
                 if level != ComplexityLevel.MEDIUM:
                     text = candidate
@@ -351,7 +351,9 @@ def run_crv(
     for record in dataset:
         outcome = completed[record.id]
         final = outcome.record
-        intake = final.rating_history[0]["rating"] if final.rating_history else "unrated"
+        # The first entry the record's walk appended; the input may carry older ones.
+        walked = final.rating_history[len(record.rating_history):]
+        intake = walked[0]["rating"] if walked else "unrated"
         stats.intake_by_level[intake] = stats.intake_by_level.get(intake, 0) + 1
         if outcome.ever_verified:
             stats.verified += 1

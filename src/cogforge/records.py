@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 
@@ -230,16 +230,7 @@ class PipelineStats:
         return violations
 
     def to_dict(self) -> dict:
-        return {
-            "intake_total": self.intake_total,
-            "intake_by_level": self.intake_by_level,
-            "rewritten": self.rewritten,
-            "verified": self.verified,
-            "discarded": self.discarded,
-            "final_size": self.final_size,
-            "completions_by_stage": self.completions_by_stage,
-            "tokens_by_stage": self.tokens_by_stage,
-        }
+        return asdict(self)
 
 
 _COMPLEXITY_WORDS = {level.value: level for level in ComplexityLevel}

@@ -12,8 +12,6 @@ from cogforge.agents import (
     AgentError,
     Agents,
     CorruptionNotIncorrect,
-    RewriteDirection,
-    direction_for,
     load_golden_fixture,
     load_templates,
 )
@@ -69,16 +67,6 @@ class TestTemplates:
         del templates["verifier"]
         with pytest.raises(ValueError, match="verifier"):
             Agents(ScriptedBackend({}), templates=templates)
-
-
-class TestDirectionFor:
-    def test_mapping(self):
-        assert direction_for(ComplexityLevel.EASY) == RewriteDirection.EXPAND
-        assert direction_for(ComplexityLevel.HARD) == RewriteDirection.SIMPLIFY
-
-    def test_medium_has_no_direction(self):
-        with pytest.raises(ValueError):
-            direction_for(ComplexityLevel.MEDIUM)
 
 
 def _parses(text: str) -> bool:
@@ -170,19 +158,19 @@ class TestCritique:
 
     def test_single_vote_mode(self):
         backend = CapturingBackend({"critic:x1": ["hard"]})
-        agents = Agents(backend).for_record(make_record())
-        level, votes = agents.critique("r", votes=1)
+        agents = Agents(backend).for_record(make_record(), PipelineConfig(votes=1))
+        level, votes = agents.critique("r")
         assert level == ComplexityLevel.HARD
         assert votes == [ComplexityLevel.HARD]
         assert backend.sizes() == [1]
 
     def test_even_or_nonpositive_votes_rejected(self):
         backend = CapturingBackend({})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend)
         with pytest.raises(ValueError):
-            agents.critique("r", votes=2)
+            agents.for_record(make_record(), PipelineConfig(votes=2)).critique("r")
         with pytest.raises(ValueError):
-            agents.critique("r", votes=0)
+            agents.for_record(make_record(), PipelineConfig(votes=0)).critique("r")
         assert backend.sizes() == []
 
     def test_no_strict_majority_with_abstention(self):
@@ -210,7 +198,8 @@ class TestCritique:
             want, consumed = sequential_critique(sequence, votes)
             backend = CapturingBackend({"critic:x1": sequence})
             try:
-                got = Agents(backend).for_record(make_record()).critique("r", votes=votes)
+                bound = Agents(backend).for_record(make_record(), PipelineConfig(votes=votes))
+                got = bound.critique("r")
             except (AgentError, ScriptExhausted) as exc:
                 got = type(exc)
             assert got == want, (sequence, votes)
@@ -225,8 +214,8 @@ class TestCritique:
 
     def test_rerate_is_a_critique_of_the_candidate(self):
         backend = CapturingBackend({"critic:x1": ["medium"]})
-        agents = Agents(backend).for_record(make_record())
-        level, _ = agents.critique("the rewritten trace", votes=1)
+        agents = Agents(backend).for_record(make_record(), PipelineConfig(votes=1))
+        level, _ = agents.critique("the rewritten trace")
         assert level == ComplexityLevel.MEDIUM
         assert "the rewritten trace" in backend.requests[0].user
         assert "Reasoning Process:\nthe rewritten trace" in backend.requests[0].user
@@ -236,7 +225,7 @@ class TestRethink:
     def test_expand_uses_extension_template(self):
         backend = CapturingBackend({"rethinker:x1": ["longer trace"]})
         agents = Agents(backend).for_record(make_record())
-        text = agents.rethink("r", RewriteDirection.EXPAND)
+        text = agents.rethink("r", ComplexityLevel.EASY)
         assert text == "longer trace"
         assert backend.requests[0].system.startswith(
             "You are a helpful assistant who is highly skilled at extending"
@@ -246,7 +235,7 @@ class TestRethink:
     def test_simplify_uses_simplification_template(self):
         backend = CapturingBackend({"rethinker:x1": ["shorter trace"]})
         agents = Agents(backend).for_record(make_record())
-        agents.rethink("r", RewriteDirection.SIMPLIFY)
+        agents.rethink("r", ComplexityLevel.HARD)
         assert backend.requests[0].system.startswith(
             "You are a helpful assistant who is highly skilled at simplifying"
         )
@@ -254,12 +243,19 @@ class TestRethink:
     def test_unchanged_output_resampled_once(self):
         agents = Agents(ScriptedBackend({"rethinker:x1": ["same", "different"]}))
         agents = agents.for_record(make_record())
-        assert agents.rethink("same", RewriteDirection.EXPAND) == "different"
+        assert agents.rethink("same", ComplexityLevel.EASY) == "different"
 
     def test_empty_twice_is_agent_error(self):
         agents = Agents(ScriptedBackend({"rethinker:x1": ["", ""]})).for_record(make_record())
         with pytest.raises(AgentError, match="empty or unchanged"):
-            agents.rethink("r", RewriteDirection.EXPAND)
+            agents.rethink("r", ComplexityLevel.EASY)
+
+    def test_medium_is_never_rewritten(self):
+        backend = CapturingBackend({"rethinker:x1": ["rewrite"]})
+        agents = Agents(backend).for_record(make_record())
+        with pytest.raises(ValueError, match="never rewritten"):
+            agents.rethink("r", ComplexityLevel.MEDIUM)
+        assert backend.requests == []
 
 
 GATED = PipelineConfig(corruption_gate=True)
@@ -323,10 +319,10 @@ class TestVerify:
 
     def test_verifier_role_is_configurable(self):
         backend = CapturingBackend({"verifier:x1": ["YES"], "critic:x1": ["easy"]})
-        config = PipelineConfig(verifier_role=ModelRole.BASE)
+        config = PipelineConfig(votes=1, verifier_role=ModelRole.BASE)
         agents = Agents(backend).for_record(make_record(), config)
         agents.verify("r")
-        agents.critique("r", votes=1)
+        agents.critique("r")
         roles = {req.key: req.model_role for req in backend.requests}
         assert roles["verifier:x1"] == ModelRole.BASE
         assert roles["critic:x1"] == ModelRole.LARGE
@@ -348,8 +344,8 @@ class TestUsageTracking:
         agents = Agents(ScriptedBackend(script))
         three_votes = agents.for_record(make_record("x1"))
         three_votes.critique("r")
-        one_vote = agents.for_record(make_record("x2"))
-        one_vote.critique("r", votes=1)
+        one_vote = agents.for_record(make_record("x2"), PipelineConfig(votes=1))
+        one_vote.critique("r")
         assert three_votes.completions == {"critic": 3} and one_vote.completions == {"critic": 1}
         # The same prompt once plus one word per vote: three votes cost two
         # words more than one vote.
@@ -358,4 +354,4 @@ class TestUsageTracking:
     def test_unbound_agents_refuse_to_call(self):
         agents = Agents(ScriptedBackend({"critic:x1": ["easy"]}))
         with pytest.raises(RuntimeError, match="for_record"):
-            agents.critique("r", votes=1)
+            agents.critique("r")

@@ -177,6 +177,36 @@ class TestToyPolicy:
         other = ToyPolicy(vocab_size=3, n_buckets=2, rng=np.random.default_rng(99))
         assert other.bucket((0, 1)) == policy.bucket((0, 1))
 
+    def test_steps_bucket_every_prefix(self):
+        rng = np.random.default_rng(5)
+        policy = ToyPolicy(vocab_size=7, n_buckets=5, rng=rng)
+        cases = [((), ()), ((), (3,)), ((1, 2), ()), ((), (0, 6, 6, 1))]
+        for _ in range(200):
+            prompt = tuple(int(t) for t in rng.integers(0, 7, size=rng.integers(0, 6)))
+            response = tuple(int(t) for t in rng.integers(0, 7, size=rng.integers(0, 9)))
+            cases.append((prompt, response))
+        for prompt, response in cases:
+            buckets, tokens = policy.steps(prompt, response)
+            want = [policy.bucket(prompt + response[:i]) for i in range(len(response))]
+            assert buckets.tolist() == want, (prompt, response)
+            assert tokens.tolist() == list(response)
+
+    def test_steps_hash_each_token_once(self, monkeypatch):
+        updates = 0
+        fnv1a = loss._fnv1a
+
+        def counting(h, token):
+            nonlocal updates
+            updates += 1
+            return fnv1a(h, token)
+
+        monkeypatch.setattr(loss, "_fnv1a", counting)
+        policy = ToyPolicy(vocab_size=4, n_buckets=16)
+        for prompt_len, response_len in ((0, 0), (0, 64), (8, 1), (8, 1024)):
+            updates = 0
+            policy.steps((1,) * prompt_len, (2,) * response_len)
+            assert updates <= prompt_len + response_len, (prompt_len, response_len)
+
     def test_snapshot_is_independent(self):
         policy = ToyPolicy(vocab_size=2, n_buckets=1)
         frozen = policy.snapshot()

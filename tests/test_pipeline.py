@@ -418,6 +418,23 @@ class TestJournal:
         assert resumed == baseline
         assert {key.split(":", 1)[1] for key in backend.history} == set(self.IDS[k:])
 
+    def test_intake_counts_the_rating_the_walk_appended(self, tmp_path, six_record_script):
+        """r3 arrives with an older `hard` rating; the critic rates it easy."""
+        dataset = make_dataset(6)
+        dataset[2].add_rating("imported", ComplexityLevel.HARD, [ComplexityLevel.HARD])
+        want = {"easy": 2, "medium": 2, "hard": 2}
+
+        def intake(script, checkpoint=None):
+            config = PipelineConfig(max_concurrency=1, checkpoint_path=checkpoint)
+            return run_crv(dataset, config, Agents(ScriptedBackend(script)))[2].intake_by_level
+
+        assert intake(six_record_script) == want
+        checkpoint = str(tmp_path / "checkpoint.json")
+        with pytest.raises(UnknownKey):
+            intake(script_for(six_record_script, self.IDS[:3]), checkpoint)
+        assert set(load_checkpoint(checkpoint)) == set(self.IDS[:3])
+        assert intake(six_record_script, checkpoint) == want
+
     def test_torn_tail_is_dropped_and_its_record_rerun(self, tmp_path, six_record_script):
         dataset = make_dataset(6)
         baseline, _ = self.outputs(dataset, six_record_script)
