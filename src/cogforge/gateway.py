@@ -30,6 +30,9 @@ log = logging.getLogger(__name__)
 
 API_KEY_ENV = "COGFORGE_API_KEY"
 
+# Statuses another attempt may cure: timeout, too early, rate limit, transient 5xx.
+RETRYABLE_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
+
 
 class GatewayError(RuntimeError):
     """Base class for fatal backend failures."""
@@ -138,9 +141,9 @@ class Endpoint:
 class HTTPBackend:
     """OpenAI-compatible chat-completions client with bounded retry.
 
-    Transient failures (connection errors, timeouts, HTTP 429/5xx) are retried
-    with exponential backoff up to ``max_retries`` total attempts; anything
-    else from the provider is a ProviderError immediately. ``close()`` (or
+    Transport failures and the RETRYABLE_STATUSES are retried with exponential
+    backoff up to ``max_retries`` total attempts; any other status, 501 and
+    505 included, is a ProviderError on the first response. ``close()`` (or
     leaving a ``with`` block) closes the session and its pooled connections.
     """
 
@@ -209,12 +212,12 @@ class HTTPBackend:
                 last_failure = f"transport failure: {exc}"
                 log.warning("completion attempt %d failed: %s", attempt + 1, exc)
                 continue
-            if response.status_code == 429 or response.status_code >= 500:
+            if not 200 <= response.status_code < 300:
                 last_failure = f"HTTP {response.status_code}: {response.text[:500]}"
+                if response.status_code not in RETRYABLE_STATUSES:
+                    raise ProviderError(last_failure)
                 log.warning("completion attempt %d failed: %s", attempt + 1, last_failure)
                 continue
-            if response.status_code < 200 or response.status_code >= 300:
-                raise ProviderError(f"HTTP {response.status_code}: {response.text[:500]}")
             return self._parse(response, request.n)
         if last_failure.startswith("HTTP"):
             raise ProviderError(f"retries exhausted: {last_failure}")
@@ -293,11 +296,15 @@ class ScriptedBackend:
 
 
 def load_script(path: str) -> dict[str, list[str]]:
-    """Read a scripted-backend file: JSON Lines of {"key", "responses"}."""
+    """Read a scripted-backend file: JSON Lines of {"key": str, "responses": [str, ...]}."""
     script: dict[str, list[str]] = {}
     for number, row in enumerate(read_rows(path, required=("key", "responses")), start=1):
-        key = row["key"]
+        key, responses = row["key"], row["responses"]
+        if not isinstance(key, str):
+            raise ValueError(f"{path}: row {number}: 'key' is not a string")
+        if not (isinstance(responses, list) and all(isinstance(text, str) for text in responses)):
+            raise ValueError(f"{path}: row {number}: 'responses' is not a list of strings")
         if key in script:
             raise ValueError(f"{path}: row {number}: duplicate script key {key!r}")
-        script[key] = [str(text) for text in row["responses"]]
+        script[key] = responses
     return script

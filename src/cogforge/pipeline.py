@@ -34,11 +34,7 @@ from .records import (
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_FORMAT = "cogforge-checkpoint-v4"
-
-ACCEPTED_MEDIUM = "accepted_medium"
-ACCEPTED_REWRITTEN = "accepted_rewritten"
-DISCARDED = "discarded"
+CHECKPOINT_FORMAT = "cogforge-checkpoint-v5"
 
 
 class DuplicateId(ValueError):
@@ -51,10 +47,16 @@ class CorruptCheckpoint(RuntimeError):
 
 @dataclass
 class RecordOutcome:
+    """What one record's walk decided, and nothing that follows from it.
+
+    Accepted exactly when ``discard_reason`` is None; ``r_corrupted`` is the
+    corruptor's variant of the input trace (None if that failed). run_crv
+    builds the family from the input record, ``record`` and this outcome.
+    """
+
     record: CoTRecord
-    status: str
-    family: RecordFamily | None = None
     discard_reason: str | None = None
+    r_corrupted: str | None = None
     attempts: int = 0
     ever_verified: bool = False
     completions: dict[str, int] = field(default_factory=dict)
@@ -62,10 +64,9 @@ class RecordOutcome:
 
     def to_checkpoint(self) -> dict:
         return {
-            "status": self.status,
-            "record": self.record.to_dict(),
-            "family": self.family.to_dict() if self.family is not None else None,
+            "record": self.record.to_output_dict(),
             "discard_reason": self.discard_reason,
+            "r_corrupted": self.r_corrupted,
             "attempts": self.attempts,
             "ever_verified": self.ever_verified,
             "completions_by_stage": self.completions,
@@ -74,12 +75,10 @@ class RecordOutcome:
 
     @classmethod
     def from_checkpoint(cls, row: dict) -> RecordOutcome:
-        family = row["family"]
         return cls(
             record=CoTRecord.from_dict(row["record"]),
-            status=row["status"],
-            family=RecordFamily.from_dict(family) if family is not None else None,
             discard_reason=row["discard_reason"],
+            r_corrupted=row["r_corrupted"],
             attempts=row["attempts"],
             ever_verified=row["ever_verified"],
             completions=row["completions_by_stage"],
@@ -95,16 +94,15 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     verified rewrite re-rated: medium accepts it, easy/hard makes it the next
     attempt's input. Both paths share one budget of ``retry_cap`` attempts; a
     NO verdict retries from the last trusted text. An AgentError discards the
-    record with the attempts and verifications counted so far. The outcome
-    holds the record's agent usage, discarded or not.
+    record with the attempts and verifications counted so far. An accepted
+    record's input trace is then corrupted; a failed corruption keeps the
+    acceptance. The outcome holds the record's agent usage, discarded or not.
     """
     # History entries are only ever appended, so a fresh list keeps the
     # caller's record as it was.
     work = replace(record, rating_history=list(record.rating_history))
     agents = agents.for_record(work, config)
-    outcome = RecordOutcome(
-        record=work, status=DISCARDED, completions=agents.completions, tokens=agents.tokens
-    )
+    outcome = RecordOutcome(record=work, completions=agents.completions, tokens=agents.tokens)
     try:
         intake, votes = agents.critique(work.reasoning)
         work.add_rating("intake", intake, votes)
@@ -128,11 +126,6 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
                     continue
                 work.source = Source.REWRITTEN
                 work.rewrite_count = attempt
-            outcome.family = RecordFamily(
-                id=work.id, problem=work.problem, answer=work.answer, original_rating=intake,
-                r_original=work.reasoning, r_rewritten=candidate if rewriting else None,
-            )
-            outcome.status = ACCEPTED_REWRITTEN if rewriting else ACCEPTED_MEDIUM
             work.reasoning = candidate
             work.verified = True
             break
@@ -145,18 +138,15 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
         log.warning("record %s discarded: %s", work.id, exc)
         outcome.discard_reason = str(exc)
 
-    if outcome.family is not None:
+    if outcome.discard_reason is None:
         try:
-            outcome.family.r_corrupted = agents.corrupt(outcome.family.r_original)
+            outcome.r_corrupted = agents.corrupt(record.reasoning)
         except AgentError as exc:
-            # Acceptance stands; the family just cannot contribute
-            # corruption-based pairs.
             log.warning("record %s: corruption failed, family kept without it: %s", work.id, exc)
     return outcome
 
 
-def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig,
-                           agents: Agents) -> str:
+def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig, agents: Agents) -> str:
     """SHA-256 over the settings that shape a record's outcome (the walk's
     config, the agents' templates and sampling) and over the input rows in
     order. Concurrency, paths and the backend are left out: a resume may
@@ -169,7 +159,7 @@ def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig,
         "corruption_gate": config.corruption_gate,
         **agents.settings(),
     }
-    for row in [settings] + [record.to_dict() for record in dataset]:
+    for row in [settings] + [record.to_output_dict() for record in dataset]:
         digest.update(dump_row(row).encode("utf-8") + b"\n")
     return digest.hexdigest()
 
@@ -194,8 +184,8 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, Reco
     line is one record appended as it completed. A last segment without its
     newline is a torn append and is dropped. Given a fingerprint, a header
     written for another config or dataset is refused. Every row must decode
-    as a RecordOutcome of the record it is filed under, with a known status,
-    a family of that record exactly when the status accepts it, and two
+    as a RecordOutcome of the record it is filed under, with a string or null
+    ``discard_reason`` (which decides acceptance) and ``r_corrupted``, and two
     integer usage maps.
     """
     if not os.path.exists(path):
@@ -223,9 +213,7 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, Reco
         except (AttributeError, KeyError, TypeError, ValueError):
             outcome = None
         if not (outcome is not None and outcome.record.id == record_id
-                and (outcome.family is None or outcome.family.id == record_id)
-                and outcome.status in (ACCEPTED_MEDIUM, ACCEPTED_REWRITTEN, DISCARDED)
-                and (outcome.family is None) == (outcome.status == DISCARDED)
+                and {type(outcome.discard_reason), type(outcome.r_corrupted)} <= {str, type(None)}
                 and _is_usage(outcome.completions) and _is_usage(outcome.tokens)):
             raise CorruptCheckpoint(f"{path}: malformed entry for record {record_id!r}")
         completed[record_id] = outcome
@@ -361,16 +349,21 @@ def run_crv(
                              (stats.tokens_by_stage, outcome.tokens)):
             for agent, count in usage.items():
                 total[agent] = total.get(agent, 0) + count
-        if outcome.status == DISCARDED:
+        if outcome.discard_reason is not None:
             stats.discarded += 1
             discards.append(
                 {"id": final.id, "reason": outcome.discard_reason, "attempts": outcome.attempts}
             )
-        else:
-            if outcome.status == ACCEPTED_REWRITTEN:
-                stats.rewritten += 1
-            curated.append(final)
-            families.append(outcome.family)
+            continue
+        # Judged by the intake, not the source: an input may arrive rewritten.
+        rewritten = intake != ComplexityLevel.MEDIUM.value
+        stats.rewritten += rewritten
+        curated.append(final)
+        families.append(RecordFamily(
+            id=record.id, problem=record.problem, answer=record.answer,
+            original_rating=ComplexityLevel(intake), r_original=record.reasoning,
+            r_rewritten=final.reasoning if rewritten else None, r_corrupted=outcome.r_corrupted,
+        ))
     stats.final_size = len(curated)
 
     curated = assemble_sft(curated)

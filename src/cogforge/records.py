@@ -38,7 +38,8 @@ class CoTRecord:
     """One training tuple: problem, verified answer, reasoning trace, provenance.
 
     ``rating_history`` keeps every rating round (all votes, not just the
-    winner) so curation decisions stay auditable.
+    winner) so curation decisions stay auditable; ``rating`` reads the latest
+    round's winner from it and is stored nowhere else.
     """
 
     id: str
@@ -46,13 +47,16 @@ class CoTRecord:
     answer: str
     reasoning: str
     source: Source = Source.ORIGINAL
-    rating: ComplexityLevel | None = None
     rating_history: list[dict] = field(default_factory=list)
     rewrite_count: int = 0
     verified: bool | None = None
 
+    @property
+    def rating(self) -> ComplexityLevel | None:
+        """The latest round's rating; None before the first round."""
+        return ComplexityLevel(self.rating_history[-1]["rating"]) if self.rating_history else None
+
     def add_rating(self, stage: str, rating: ComplexityLevel, votes: list[ComplexityLevel | None]) -> None:
-        self.rating = rating
         self.rating_history.append(
             {
                 "stage": stage,
@@ -62,7 +66,7 @@ class CoTRecord:
         )
 
     def to_output_dict(self) -> dict:
-        """Row shape for the curated-output JSONL."""
+        """The one row shape: curated output, checkpoint record, fingerprint row."""
         return {
             "id": self.id,
             "problem": self.problem,
@@ -74,20 +78,15 @@ class CoTRecord:
             "verified": self.verified,
         }
 
-    def to_dict(self) -> dict:
-        rating = self.rating.value if self.rating is not None else None
-        return {**self.to_output_dict(), "rating": rating}
-
     @classmethod
     def from_dict(cls, row: dict) -> CoTRecord:
-        rating = row.get("rating")
+        """Inverse of to_output_dict; a ``"rating"`` key is ignored."""
         return cls(
             id=row["id"],
             problem=row["problem"],
             answer=row["answer"],
             reasoning=row["reasoning"],
             source=Source(row.get("source", "original")),
-            rating=ComplexityLevel(rating) if rating else None,
             rating_history=list(row.get("rating_history", [])),
             rewrite_count=int(row.get("rewrite_count", 0)),
             verified=row.get("verified"),

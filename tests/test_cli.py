@@ -156,6 +156,18 @@ class TestCurate:
         assert code == EXIT_FATAL
         assert "missing field" in capsys.readouterr().err
 
+    def test_malformed_script_row_is_fatal(self, tmp_path, six_record_dataset, capsys):
+        input_path = write_jsonl(tmp_path / "in.jsonl", dataset_rows(six_record_dataset))
+        script_path = write_jsonl(tmp_path / "script.jsonl", [{"key": "critic:r1", "responses": 5}])
+        code = entrypoint([
+            "curate", "--input", input_path, "--output", str(tmp_path / "out.jsonl"),
+            "--mock-script", script_path,
+        ])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err.startswith(
+            f"error: {script_path}: row 1: 'responses' is not a list of strings"
+        )
+
     @pytest.mark.parametrize("failing, rows_before", [(0, 1), (1, 4), (2, 7)],
                              ids=["curated", "discards", "families"])
     def test_failed_write_leaves_that_output_untouched(
@@ -302,7 +314,9 @@ class TestCurateResume:
         assert entrypoint(argv) == EXIT_PARTIAL
         header = json.loads(checkpoint_path.read_text(encoding="utf-8"))
         completed = header["completed"]
-        completed["r1"]["family"] = completed["r3"]["family"]
+        # A v4-shaped row: a status and r3's family, no r_corrupted.
+        del completed["r1"]["r_corrupted"]
+        completed["r1"].update(status="accepted_rewritten", family={"id": "r3"})
         checkpoint_path.write_text(dump_row(header) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert entrypoint(argv) == EXIT_FATAL

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import re
 import socket
 import sys
 import threading
@@ -190,6 +191,19 @@ class TestLoadScript:
         with pytest.raises(ValueError, match="responses"):
             load_script(str(path))
 
+    @pytest.mark.parametrize("row, field", [
+        ({"key": "critic:r1", "responses": "medium"}, "responses"),
+        ({"key": "critic:r1", "responses": 5}, "responses"),
+        ({"key": "critic:r1", "responses": ["easy", None]}, "responses"),
+        ({"key": 7, "responses": ["easy"]}, "key"),
+    ], ids=["string-responses", "number-responses", "null-response", "number-key"])
+    def test_malformed_row_names_file_row_and_field(self, tmp_path, row, field):
+        path = tmp_path / "script.jsonl"
+        good = json.dumps({"key": "verifier:r1", "responses": ["YES"]})
+        path.write_text(good + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 2: '{field}' is not a"):
+            load_script(str(path))
+
 
 class _ScriptedHTTPHandler(BaseHTTPRequestHandler):
     """Pops (status, payload) pairs off the server and records request bodies."""
@@ -315,6 +329,20 @@ class TestHTTPBackend:
         )
         assert backend_for(http_server).complete(make_request()).text == "hard"
         assert len(http_server.seen) == 3
+
+    def test_request_timeout_is_retried(self, http_server):
+        http_server.playbook.extend([(408, {"error": "timeout"}), (200, ok_payload("easy"))])
+        assert backend_for(http_server).complete(make_request()).text == "easy"
+        assert len(http_server.seen) == 2
+
+    @pytest.mark.parametrize("status", [501, 505])
+    def test_unfixable_server_error_is_not_retried(self, http_server, status):
+        http_server.playbook.extend([(status, {"error": "no"}), (200, ok_payload("easy"))])
+        sleeps = []
+        with pytest.raises(ProviderError, match=f"^HTTP {status}"):
+            backend_for(http_server, sleep=sleeps.append).complete(make_request())
+        assert len(http_server.seen) == 1
+        assert sleeps == []
 
     def test_server_errors_exhaust_to_provider_error(self, http_server):
         http_server.playbook.extend([(500, {"error": "boom"})] * 3)

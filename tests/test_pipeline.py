@@ -16,12 +16,16 @@ import pytest
 from conftest import CapturingBackend, make_dataset, random_script
 from cogforge import pipeline
 from cogforge.agents import Agents, load_templates
-from cogforge.gateway import ConfigError, ModelRole, SamplingParams, ScriptedBackend, UnknownKey
+from cogforge.gateway import (
+    ConfigError,
+    ModelRole,
+    SamplingParams,
+    ScriptedBackend,
+    TransportError,
+    UnknownKey,
+)
 from cogforge.jsonl import dump_row, write_rows
 from cogforge.pipeline import (
-    ACCEPTED_MEDIUM,
-    ACCEPTED_REWRITTEN,
-    DISCARDED,
     CorruptCheckpoint,
     DuplicateId,
     PipelineConfig,
@@ -34,7 +38,7 @@ from cogforge.pipeline import (
     run_crv,
     save_checkpoint,
 )
-from cogforge.records import ComplexityLevel, CoTRecord, RecordFamily, Source
+from cogforge.records import ComplexityLevel, CoTRecord, Source
 
 
 class TestSixRecordFixture:
@@ -207,6 +211,22 @@ class TestEdgeCases:
         assert "abstained" in discards[0]["reason"]
         assert stats.intake_by_level["unrated"] == 1
 
+    def test_rewritten_input_rated_medium_is_not_counted_rewritten(self):
+        """Rewritten counts accepted records whose intake was not medium,
+        whatever source a library input arrives with."""
+        record = CoTRecord(id="r1", problem="p", answer="a", reasoning="trace 1",
+                           source=Source.REWRITTEN, rewrite_count=1)
+        script = {"critic:r1": ["medium"] * 3, "verifier:r1": ["YES"], "corruptor:r1": ["bad"]}
+        curated, families, stats, _discards = run_crv(
+            [record], PipelineConfig(), Agents(ScriptedBackend(script))
+        )
+        assert curated[0].source == Source.REWRITTEN
+        assert stats.rewritten == 0 and stats.final_size == 1
+        assert families[0].to_dict() == {
+            "id": "r1", "problem": "p", "answer": "a", "original_rating": "medium",
+            "r_original": "trace 1", "r_rewritten": None, "r_corrupted": "bad",
+        }
+
     def test_corruption_failure_keeps_acceptance(self):
         script = {
             "critic:r1": ["medium"] * 3,
@@ -350,12 +370,15 @@ class TestCheckpointing:
 
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        record = CoTRecord(id="r1", problem="p", answer="a", reasoning="t")
-        family = RecordFamily(id="r1", problem="p", answer="a",
-                              original_rating=ComplexityLevel.MEDIUM, r_original="t")
-        completed = {"r1": RecordOutcome(record=record, status=ACCEPTED_MEDIUM, family=family,
-                                         attempts=1, ever_verified=True,
-                                         completions={"critic": 3}, tokens={})}
+        accepted = CoTRecord(id="r1", problem="p", answer="a", reasoning="t", verified=True)
+        accepted.add_rating("intake", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM, None])
+        discarded = CoTRecord(id="r2", problem="p", answer="a", reasoning="u")
+        completed = {
+            "r1": RecordOutcome(record=accepted, r_corrupted="bad t", attempts=1,
+                                ever_verified=True, completions={"critic": 3}, tokens={}),
+            "r2": RecordOutcome(record=discarded, discard_reason="abstained", attempts=0,
+                                completions={"critic": 6}, tokens={"critic": 40}),
+        }
         save_checkpoint(str(path), completed)
         assert load_checkpoint(str(path)) == completed
 
@@ -417,6 +440,36 @@ class TestJournal:
         resumed, backend = self.outputs(dataset, six_record_script, checkpoint)
         assert resumed == baseline
         assert {key.split(":", 1)[1] for key in backend.history} == set(self.IDS[k:])
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    @pytest.mark.parametrize("k", range(34))
+    def test_abort_at_every_backend_request(self, tmp_path, six_record_script, k, concurrency):
+        """The k-th of the walk's 34 backend requests raises TransportError;
+        a resume on a fresh backend reproduces the uninterrupted run."""
+        dataset = make_dataset(6)
+        baseline, backend = self.outputs(dataset, six_record_script)
+        assert len(backend.history) == 34
+        lock = threading.Lock()
+        sent = []
+
+        class FailingAt(ScriptedBackend):
+            def complete(self, request):
+                with lock:
+                    sent.append(request.key)
+                    failing = len(sent) == k + 1
+                if failing:
+                    raise TransportError(f"request {k} lost")
+                return super().complete(request)
+
+        checkpoint = tmp_path / "checkpoint.json"
+        config = PipelineConfig(max_concurrency=concurrency, checkpoint_path=str(checkpoint))
+        with pytest.raises(TransportError, match=f"request {k} lost"):
+            run_crv(dataset, config, Agents(FailingAt(six_record_script)))
+        with open(checkpoint, encoding="utf-8") as handle:
+            assert len(handle.readlines()) == 1  # compacted on the way out
+        resumed, _ = self.outputs(dataset, six_record_script, checkpoint,
+                                  PipelineConfig(max_concurrency=concurrency))
+        assert resumed == baseline
 
     def test_intake_counts_the_rating_the_walk_appended(self, tmp_path, six_record_script):
         """r3 arrives with an older `hard` rating; the critic rates it easy."""
@@ -507,7 +560,7 @@ class TestJournal:
     def test_torn_multibyte_character_is_a_torn_tail(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         save_checkpoint(str(path), {})
-        torn = dump_row({"id": "r1", "status": DISCARDED, "note": "\u00e9t\u00e9"}).encode("utf-8")
+        torn = dump_row({"id": "r1", "discard_reason": "\u00e9t\u00e9"}).encode("utf-8")
         with open(path, "ab") as handle:
             handle.write(torn[: torn.index(b"\xc3") + 1])
         assert load_checkpoint(str(path)) == {}
@@ -578,7 +631,7 @@ class TestJournal:
         path.write_text(json.dumps(
             {"format": "cogforge-checkpoint-v1", "completed": {}}, indent=1, sort_keys=True
         ) + "\n")
-        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v4 header"):
+        with pytest.raises(CorruptCheckpoint, match=f"not a {pipeline.CHECKPOINT_FORMAT} header"):
             load_checkpoint(str(path))
 
     def test_v2_journal_refused(self, tmp_path):
@@ -587,7 +640,16 @@ class TestJournal:
         path.write_text(dump_row(
             {"format": "cogforge-checkpoint-v2", "fingerprint": None, "completed": {}}
         ) + "\n")
-        with pytest.raises(CorruptCheckpoint, match="not a cogforge-checkpoint-v4 header"):
+        with pytest.raises(CorruptCheckpoint, match=f"not a {pipeline.CHECKPOINT_FORMAT} header"):
+            load_checkpoint(str(path))
+
+    def test_v4_journal_refused(self, tmp_path):
+        # A v4 row stores the family and status the v5 row derives.
+        path = tmp_path / "checkpoint.json"
+        path.write_text(dump_row(
+            {"format": "cogforge-checkpoint-v4", "fingerprint": None, "completed": {}}
+        ) + "\n")
+        with pytest.raises(CorruptCheckpoint, match=f"not a {pipeline.CHECKPOINT_FORMAT} header"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("usage", [
@@ -600,13 +662,16 @@ class TestJournal:
         {"completions_by_stage": {}, "tokens_by_stage": {"critic": None}},
     ], ids=["no-completions", "no-tokens", "list", "string", "float", "bool", "null"])
     def test_row_without_integer_usage_rejected(self, tmp_path, usage):
+        row = RecordOutcome(record=CoTRecord(id="r1", problem="p", answer="a", reasoning="t"),
+                            discard_reason="abstained").to_checkpoint()
+        del row["completions_by_stage"], row["tokens_by_stage"]
         path = tmp_path / "checkpoint.json"
         save_checkpoint(str(path), {})
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write(dump_row({"id": "r1", "status": DISCARDED, **usage}) + "\n")
+            handle.write(dump_row({"id": "r1", **row, **usage}) + "\n")
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
             load_checkpoint(str(path))
-        write_header(path, {"r1": {"status": DISCARDED, **usage}})
+        write_header(path, {"r1": {**row, **usage}})
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
             load_checkpoint(str(path))
 
@@ -615,11 +680,11 @@ class TestJournal:
         {"record": {"id": "r1"}},
         {"record": ["r1"]},
         {"record": "r1"},
-        {"family": {"id": "r1"}},
-        {"family": None},
-        {"status": DISCARDED},
+        {"r_corrupted": ["bad"]},
+        {"discard_reason": 3},
+        {"r_corrupted": MISSING},
     ], ids=["no-record", "record-without-problem", "record-list", "record-string",
-            "family-without-problem", "accepted-without-family", "discarded-with-family"])
+            "corrupted-not-a-string", "reason-not-a-string", "no-corrupted"])
     def test_row_that_does_not_decode_rejected(self, tmp_path, six_record_script, change):
         full = tmp_path / "full.json"
         run_crv(make_dataset(1), PipelineConfig(checkpoint_path=str(full)),
@@ -662,14 +727,17 @@ class TestJournal:
 
     @pytest.mark.parametrize("where", ["header", "journal"])
     def test_family_of_another_record_rejected(self, tmp_path, six_record_script, where):
-        """r1's row carrying r3's family would curate r1 but list r3's family
-        twice, and pairs would build duplicate pair ids from it."""
+        """A v4-shaped row, r1's with a status and r3's family but no
+        r_corrupted, is refused as malformed, not read as r1's outcome."""
         dataset = make_dataset(6)
         full = tmp_path / "full.json"
-        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
-                Agents(ScriptedBackend(six_record_script)))
-        loaded = load_checkpoint(str(full))
-        row = {**loaded["r1"].to_checkpoint(), "family": loaded["r3"].family.to_dict()}
+        _curated, families, _stats, _discards = run_crv(
+            dataset, PipelineConfig(checkpoint_path=str(full)),
+            Agents(ScriptedBackend(six_record_script)),
+        )
+        row = load_checkpoint(str(full))["r1"].to_checkpoint()
+        del row["r_corrupted"]
+        row.update(status="accepted_medium", family=families[1].to_dict())
         path = tmp_path / "checkpoint.json"
         fingerprint = default_fingerprint(dataset)
         if where == "header":
@@ -899,11 +967,11 @@ class TestWorkers:
         dataset = make_dataset(6)
         dataset[2].add_rating("imported", ComplexityLevel.HARD, [ComplexityLevel.HARD, None])
         dataset[3].rating_history.append({"stage": "imported", "rating": "easy", "votes": []})
-        before = [record.to_dict() for record in dataset]
+        before = [json.loads(dump_row(record.to_output_dict())) for record in dataset]
         curated, _families, _stats, _discards = run_crv(
             dataset, PipelineConfig(max_concurrency=2), Agents(ScriptedBackend(six_record_script))
         )
-        assert [record.to_dict() for record in dataset] == before
+        assert [record.to_output_dict() for record in dataset] == before
         by_id = {record.id: record for record in curated}
         assert by_id["r3"].rating_history[0] == before[2]["rating_history"][0]
         assert len(by_id["r3"].rating_history) == 3

@@ -104,7 +104,7 @@ class TestCoTRecord:
         record = make_record()
         record.add_rating("intake", ComplexityLevel.EASY, [ComplexityLevel.EASY, None, ComplexityLevel.EASY])
         record.verified = True
-        clone = CoTRecord.from_dict(record.to_dict())
+        clone = CoTRecord.from_dict(record.to_output_dict())
         assert clone == record
 
     def test_rating_history_keeps_votes(self):
@@ -112,6 +112,19 @@ class TestCoTRecord:
         record.add_rating("intake", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM] * 3)
         assert record.rating == ComplexityLevel.MEDIUM
         assert record.rating_history[0]["votes"] == ["medium", "medium", "medium"]
+
+    def test_rating_reads_the_latest_round(self):
+        record = make_record()
+        assert record.rating is None
+        record.add_rating("intake", ComplexityLevel.EASY, [ComplexityLevel.EASY] * 3)
+        assert record.rating == ComplexityLevel.EASY
+        record.add_rating("re-rate-1", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM, None])
+        assert record.rating == ComplexityLevel.MEDIUM
+        assert "rating" not in record.to_output_dict()
+
+    def test_from_dict_ignores_a_rating_key(self):
+        row = {**make_record().to_output_dict(), "rating": "hard"}
+        assert CoTRecord.from_dict(row).rating is None
 
     def test_output_dict_shape(self):
         row = make_record().to_output_dict()

@@ -1,0 +1,58 @@
+"""run_crv against the benchmark's reference walk: every record's exact outcome.
+
+``bench/reference.py`` restates the curation state machine without importing
+the package, and ``bench/gen.py`` generates inputs with unparseable labels and
+degenerate rewrites. Both are loaded from their files and left untouched.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+from cogforge.agents import Agents
+from cogforge.gateway import ScriptedBackend
+from cogforge.pipeline import PipelineConfig, run_crv
+from cogforge.records import CoTRecord
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"cogforge_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _bench_module("reference")
+gen = _bench_module("gen")
+
+
+@pytest.mark.parametrize("votes", [1, 3])
+@pytest.mark.parametrize("retry_cap", [1, 2, 3])
+def test_outputs_equal_the_reference_walk(retry_cap, votes):
+    rows, script = gen.curation_inputs(random.Random(100 * retry_cap + votes), 200)
+    dataset = [
+        CoTRecord(id=row["id"], problem=row["problem"], answer=row["answer"],
+                  reasoning=row["reasoning"])
+        for row in rows
+    ]
+    config = PipelineConfig(retry_cap=retry_cap, votes=votes, max_concurrency=2)
+    curated, families, stats, discards = run_crv(dataset, config, Agents(ScriptedBackend(script)))
+
+    predictions = [reference.walk(row, script, retry_cap=retry_cap, votes=votes) for row in rows]
+    problems = reference.check_curation(
+        rows, predictions, [record.to_output_dict() for record in curated], discards,
+        [family.to_dict() for family in families],
+    )
+    assert problems == []
+    assert stats.rewritten == sum(p["status"] == reference.ACCEPTED_REWRITTEN for p in predictions)
+    assert sum(stats.completions_by_stage.values()) == sum(p["calls"] for p in predictions)
+    # The inputs reach every outcome: plain and rewritten acceptances, and discards.
+    assert {p["status"] for p in predictions} == {
+        reference.ACCEPTED_MEDIUM, reference.ACCEPTED_REWRITTEN, reference.DISCARDED,
+    }
