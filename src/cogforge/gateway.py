@@ -13,6 +13,7 @@ and script files depend on it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import threading
@@ -249,6 +250,14 @@ class HTTPBackend:
         return ChatResponse(choices=tuple(texts), usage=tokens)
 
 
+@functools.lru_cache(maxsize=64)
+def _word_count(text: str) -> int:
+    """Words as ``str.split()`` sees them. One trace goes to the critic, the
+    verifier, their re-samples and the corruptor in turn, so a memo of the
+    last few dozen texts catches most repeats and never grows past them."""
+    return len(text.split())
+
+
 class ScriptedBackend:
     """Replays canned responses keyed by ``"<agent>:<record_id>"``.
 
@@ -256,15 +265,16 @@ class ScriptedBackend:
     attempt index is positional; a call for more entries than remain raises
     ScriptExhausted and consumes none. Fully deterministic: identical script
     plus identical call sequence yields identical responses. A key the script
-    does not hold raises UnknownKey. Usage counts words, the prompt once per
-    call; each distinct system text is split once.
+    does not hold raises UnknownKey. Usage counts words as ``str.split()``
+    sees them: the system and user prompt once per request, and every
+    returned choice. Recent texts are counted once, through a bounded memo
+    shared by all instances.
     """
 
     def __init__(self, script: dict[str, list[str]]) -> None:
         self._script = {key: list(responses) for key, responses in script.items()}
         self._cursors: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._system_words: dict[str, int] = {}
         self.history: list[str] = []
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -284,15 +294,10 @@ class ScriptedBackend:
                 )
             self._cursors[key] = position + request.n
             texts = tuple(responses[position:position + request.n])
-        system_words = self._system_words.get(request.system)
-        if system_words is None:
-            system_words = self._system_words[request.system] = len(request.system.split())
-        prompt_tokens = system_words + len(request.user.split())
-        completion_tokens = sum(len(text.split()) for text in texts)
-        return ChatResponse(
-            choices=texts,
-            usage=TokenUsage(prompt_tokens=prompt_tokens, completion_tokens=completion_tokens),
-        )
+        return ChatResponse(choices=texts, usage=TokenUsage(
+            prompt_tokens=_word_count(request.system) + _word_count(request.user),
+            completion_tokens=sum(map(_word_count, texts)),
+        ))
 
 
 def load_script(path: str) -> dict[str, list[str]]:

@@ -12,7 +12,6 @@ checkpointed, and no record starts after it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -146,11 +145,25 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     return outcome
 
 
+def _accepted_soundly(record: CoTRecord, outcome: RecordOutcome) -> bool:
+    """An accepted outcome's walk rated the input at intake and ended on a
+    verified medium trace; a checkpoint row may claim acceptance without."""
+    final = outcome.record
+    walked = final.rating_history[len(record.rating_history):]
+    try:
+        ComplexityLevel(walked[0]["rating"])
+        return final.verified is True and final.rating == ComplexityLevel.MEDIUM
+    except (IndexError, KeyError, TypeError, ValueError):
+        return False
+
+
 def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig, agents: Agents) -> str:
     """SHA-256 over the settings that shape a record's outcome (the walk's
     config, the agents' templates and sampling) and over the input rows in
     order. Concurrency, paths and the backend are left out: a resume may
     change them and still reproduce the same outputs."""
+    import hashlib  # only --checkpoint runs pay the few ms it takes to load
+
     digest = hashlib.sha256()
     settings = {
         "retry_cap": config.retry_cap,
@@ -241,7 +254,9 @@ def run_crv(
     the first such error is raised once the records in flight are finished
     and kept. A resumed run reproduces the uninterrupted outputs and stats
     byte for byte under the same scripted backend: the stats sum every
-    record's journaled agent usage, whichever run paid it.
+    record's journaled agent usage, whichever run paid it. A journaled
+    acceptance without its walk's intake rating, or whose record is not a
+    verified medium trace, is refused as CorruptCheckpoint.
     """
     violations = config.validate()
     if violations:
@@ -261,6 +276,11 @@ def run_crv(
     if path:
         fingerprint = checkpoint_fingerprint(dataset, config, agents)
         completed = load_checkpoint(path, fingerprint)
+        for record in dataset:
+            outcome = completed.get(record.id)
+            if (outcome is not None and outcome.discard_reason is None
+                    and not _accepted_soundly(record, outcome)):
+                raise CorruptCheckpoint(f"{path}: malformed entry for record {record.id!r}")
         # Rewriting the header first drops a torn tail before any append.
         save_checkpoint(path, completed, fingerprint)
         journal = open(path, "a", encoding="utf-8")

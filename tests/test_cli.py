@@ -322,6 +322,27 @@ class TestCurateResume:
         assert entrypoint(argv) == EXIT_FATAL
         assert "malformed entry for record 'r1'" in capsys.readouterr().err
 
+    def test_accepted_row_without_a_rating_is_fatal(self, curate_paths, tmp_path, capsys):
+        checkpoint_path = tmp_path / "run.checkpoint.json"
+        argv = [
+            "curate",
+            "--input", curate_paths["input"],
+            "--output", str(tmp_path / "out.jsonl"),
+            "--checkpoint", str(checkpoint_path),
+            "--mock-script", curate_paths["script"],
+        ]
+        assert entrypoint(argv) == EXIT_PARTIAL
+        header = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        row = header["completed"]["r1"]
+        assert row["discard_reason"] is None
+        row["record"]["rating_history"] = []
+        checkpoint_path.write_text(dump_row(header) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert entrypoint(argv) == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert "malformed entry for record 'r1'" in err
+        assert "ComplexityLevel" not in err
+
 
 def family_rows() -> list[dict]:
     return [
@@ -642,7 +663,7 @@ class TestSelftest:
 
 class TestColdStart:
     def test_curate_and_pairs_import_neither_numpy_nor_requests(self, tmp_path):
-        # Nor yaml, without --config.
+        # Nor yaml, without --config, nor hashlib, without --checkpoint.
         # A None entry in sys.modules makes any import of that name fail.
         root = Path(__file__).resolve().parent.parent
         families = write_jsonl(tmp_path / "families.jsonl", [])
@@ -653,6 +674,7 @@ class TestColdStart:
             "sys.modules['numpy'] = None",
             "sys.modules['requests'] = None",
             "sys.modules['yaml'] = None",
+            "sys.modules['hashlib'] = None",
             "import cogforge",
             "from cogforge.cli import entrypoint",
             f"assert entrypoint(['pairs', '--families', {families!r},"

@@ -26,6 +26,7 @@ from cogforge.gateway import (
     SamplingParams,
     ScriptedBackend,
     ScriptExhausted,
+    TokenUsage,
     TransportError,
     UnknownKey,
     load_script,
@@ -141,6 +142,47 @@ class TestScriptedBackend:
                                   user="one two three", key="critic:r1")
             usage = backend.complete(request).usage
             assert usage.prompt_tokens == len(system.split()) + 3, repr(system)
+
+    @pytest.mark.parametrize("text", [
+        "one\u3000two", "one\x85two", "one\xa0two", "one\u2028two",
+        " \t\none \r\n\x0b\x0ctwo\u3000\x85 three\xa0\u2028 ",
+        "\u3000\x85\xa0\u2028 ", "one\u200btwo",
+    ], ids=["ideographic", "next-line", "no-break", "line-separator", "mixed-runs",
+            "only-whitespace", "zero-width-is-no-space"])
+    def test_word_counts_follow_split_on_unicode_whitespace(self, text):
+        backend = ScriptedBackend({"critic:r1": [text, text]})
+        request = ChatRequest(model_role=ModelRole.LARGE, system=text + "s", user=text + "u",
+                              key="critic:r1")
+        for _ in range(2):  # the second call is served from the memo
+            usage = backend.complete(request).usage
+            assert usage.prompt_tokens == len((text + "s").split()) + len((text + "u").split())
+            assert usage.completion_tokens == len(text.split())
+
+    def test_word_counts_survive_eviction(self):
+        """Several times more distinct texts than the memo holds, each seen
+        again after it has been evicted, all counted as split() does."""
+        texts = [" ".join(["w"] * (i % 7)) + "x" * i for i in range(4 * 64)]
+        calls = texts + texts[::-1] + texts
+        backend = ScriptedBackend({"critic:r1": calls})
+        for text in calls:
+            request = ChatRequest(model_role=ModelRole.LARGE, system="sys " + text,
+                                  user=text + " usr", key="critic:r1")
+            usage = backend.complete(request).usage
+            assert usage.completion_tokens == len(text.split()), repr(text)
+            assert usage.prompt_tokens == 2 * len(text.split()) + 2, repr(text)
+
+    def test_two_backends_count_alike_and_keep_their_own_cursors(self):
+        script = {"critic:r1": ["a b", "c d e", "f"]}
+        one, two = ScriptedBackend(script), ScriptedBackend(script)
+        first = one.complete(make_request(n=2))
+        assert [one.complete(make_request()).text, two.complete(make_request(n=3)).choices] == [
+            "f", ("a b", "c d e", "f"),
+        ]
+        assert first.usage == TokenUsage(prompt_tokens=2, completion_tokens=5)
+        again = ScriptedBackend(script).complete(make_request(n=2))
+        assert again.usage == first.usage
+        with pytest.raises(ScriptExhausted):
+            two.complete(make_request())
 
     def test_empty_response_passes_through(self):
         backend = ScriptedBackend({"critic:r1": [""]})

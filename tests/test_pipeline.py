@@ -750,6 +750,33 @@ class TestJournal:
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)),
                     Agents(ScriptedBackend({})))
 
+    @pytest.mark.parametrize("damage", ["no-history", "unknown-intake", "unverified", "not-medium"])
+    def test_accepted_row_without_a_sound_walk_rejected(self, tmp_path, six_record_script, damage):
+        """An accepted row must carry its walk's intake rating and end on a
+        verified medium trace; otherwise the resume refuses it up front instead
+        of failing while it assembles the outputs."""
+        dataset = make_dataset(6)
+        full = tmp_path / "full.json"
+        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
+                Agents(ScriptedBackend(six_record_script)))
+        row = load_checkpoint(str(full))["r1"].to_checkpoint()
+        assert row["discard_reason"] is None
+        record = row["record"]
+        if damage == "no-history":
+            record["rating_history"] = []
+        elif damage == "unknown-intake":
+            record["rating_history"][0]["rating"] = "unrated"
+        elif damage == "unverified":
+            record["verified"] = None
+        else:
+            record["rating_history"][-1]["rating"] = "hard"
+        path = tmp_path / "checkpoint.json"
+        write_header(path, {"r1": row}, default_fingerprint(dataset))
+        backend = ScriptedBackend(six_record_script)
+        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+            run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
+        assert backend.history == []
+
     def test_gateway_error_keeps_records_in_flight(self, tmp_path, six_record_script):
         """r2 fails while r1 is still in flight; r1 finishes only once the
         abort is under way, and must still reach the checkpoint."""

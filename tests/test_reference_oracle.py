@@ -1,4 +1,5 @@
-"""run_crv against the benchmark's reference walk: every record's exact outcome.
+"""run_crv on the benchmark's inputs: every record's exact outcome against the
+reference walk, and its usage against plain ``str.split()`` counts.
 
 ``bench/reference.py`` restates the curation state machine without importing
 the package, and ``bench/gen.py`` generates inputs with unparseable labels and
@@ -9,13 +10,15 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from cogforge import gateway
 from cogforge.agents import Agents
 from cogforge.gateway import ScriptedBackend
-from cogforge.pipeline import PipelineConfig, run_crv
+from cogforge.pipeline import PipelineConfig, load_checkpoint, run_crv
 from cogforge.records import CoTRecord
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -56,3 +59,34 @@ def test_outputs_equal_the_reference_walk(retry_cap, votes):
     assert {p["status"] for p in predictions} == {
         reference.ACCEPTED_MEDIUM, reference.ACCEPTED_REWRITTEN, reference.DISCARDED,
     }
+
+
+@pytest.mark.parametrize("concurrency", [1, 8])
+def test_memoized_word_counts_equal_plain_split(tmp_path, monkeypatch, concurrency):
+    """The scripted backend's bounded word-count memo, shared by the workers
+    and switched between them as often as the interpreter allows, reports the
+    stats and each record's usage that uncached counting does."""
+    rows, script = gen.curation_inputs(random.Random(15), 200)
+    dataset = [
+        CoTRecord(id=row["id"], problem=row["problem"], answer=row["answer"],
+                  reasoning=row["reasoning"])
+        for row in rows
+    ]
+
+    def usage(name):
+        path = str(tmp_path / f"{name}.checkpoint.json")
+        config = PipelineConfig(max_concurrency=concurrency, checkpoint_path=path)
+        stats = run_crv(dataset, config, Agents(ScriptedBackend(script)))[2]
+        return stats.to_dict(), {
+            record_id: outcome.tokens for record_id, outcome in load_checkpoint(path).items()
+        }
+
+    interval = sys.getswitchinterval()
+    if concurrency > 1:
+        sys.setswitchinterval(1e-6)
+    try:
+        memoized = usage("memoized")
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(gateway, "_word_count", lambda text: len(text.split()))
+    assert memoized == usage("plain")
