@@ -117,23 +117,14 @@ def _derived_path(output: str, tag: str) -> str:
 
 
 def _build_backend(config: AppConfig, mock_script: str | None):
-    """The backend as a context manager: leaving it closes an HTTP backend's
-    pooled connections; the scripted backend holds nothing to close."""
+    """The backend as a context manager: leaving it closes the connections an
+    HTTP backend opened, one per worker thread and endpoint origin; the
+    scripted backend holds nothing to close."""
     if mock_script:
         return contextlib.nullcontext(ScriptedBackend(load_script(mock_script)))
     if not config.endpoints:
         raise ConfigError("no endpoints configured; supply a config file or --mock-script")
-    import requests
-
-    # One pooled connection per worker; requests keeps 10 per host by default
-    # and reconnects for every worker beyond that.
-    session = requests.Session()
-    adapter = requests.adapters.HTTPAdapter(
-        pool_maxsize=max(10, config.pipeline.max_concurrency)
-    )
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return HTTPBackend(config.endpoints, session=session)
+    return HTTPBackend(config.endpoints)
 
 
 def _load_dataset(path: str) -> list[CoTRecord]:

@@ -14,6 +14,7 @@ and script files depend on it.
 from __future__ import annotations
 
 import functools
+import json
 import logging
 import os
 import threading
@@ -21,11 +22,14 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Protocol
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .jsonl import read_rows
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
+
+    _Route = tuple[http.client.HTTPConnection, bool, dict[str, str]]
 
 log = logging.getLogger(__name__)
 
@@ -140,12 +144,21 @@ class Endpoint:
 
 
 class HTTPBackend:
-    """OpenAI-compatible chat-completions client with bounded retry.
+    """OpenAI-compatible chat-completions client with bounded retry, on the
+    standard library's ``http.client``.
+
+    Each worker thread keeps one persistent HTTP/1.1 connection per endpoint
+    origin. An idle connection the server has closed is dropped before it is
+    reused; a request that may have reached the server is never re-sent
+    except as the next attempt of the retry loop. Proxies come from
+    ``http_proxy``, ``https_proxy`` and ``no_proxy``: an https endpoint is
+    reached through a CONNECT tunnel, an http one by sending the proxy the
+    absolute URL. TLS is verified against the system trust store.
 
     Transport failures and the RETRYABLE_STATUSES are retried with exponential
     backoff up to ``max_retries`` total attempts; any other status, 501 and
     505 included, is a ProviderError on the first response. ``close()`` (or
-    leaving a ``with`` block) closes the session and its pooled connections.
+    leaving a ``with`` block) closes every connection the backend opened.
     """
 
     def __init__(
@@ -154,22 +167,25 @@ class HTTPBackend:
         timeout: float = 120.0,
         max_retries: int = 3,
         backoff_base: float = 0.5,
-        session: requests.Session | None = None,
         sleep=time.sleep,
     ) -> None:
-        import requests
-
         if max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
-        self._endpoints = dict(endpoints)
+        self._endpoints = {role: (endpoint, urlsplit(endpoint.url))
+                           for role, endpoint in endpoints.items()}
         self._timeout = timeout
         self._max_retries = max_retries
         self._backoff_base = backoff_base
-        self._session = session if session is not None else requests.Session()
         self._sleep = sleep
+        self._local = threading.local()  # .routes: origin -> this thread's route
+        self._lock = threading.Lock()  # guards _opened
+        self._opened: list[http.client.HTTPConnection] = []
 
     def close(self) -> None:
-        self._session.close()
+        with self._lock:
+            opened = list(self._opened)
+        for connection in opened:
+            connection.close()
 
     def __enter__(self) -> HTTPBackend:
         return self
@@ -178,11 +194,12 @@ class HTTPBackend:
         self.close()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        import requests
+        from http.client import HTTPException
 
-        endpoint = self._endpoints.get(request.model_role)
-        if endpoint is None:
+        entry = self._endpoints.get(request.model_role)
+        if entry is None:
             raise ConfigError(f"no endpoint configured for role {request.model_role.value!r}")
+        endpoint, url = entry
         body = {
             "model": endpoint.model,
             "messages": [
@@ -196,39 +213,92 @@ class HTTPBackend:
         }
         if request.n != 1:
             body["n"] = request.n
-        headers = {"Content-Type": "application/json"}
+        payload = json.dumps(body).encode()
+        connection, absolute, proxy_headers = self._route(url)
+        headers = {"Content-Type": "application/json", **proxy_headers}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
+        target = endpoint.url if absolute else (
+            (url.path or "/") + ("?" + url.query if url.query else ""))
 
         last_failure = ""
         for attempt in range(self._max_retries):
             if attempt:
                 self._sleep(self._backoff_base * 2 ** (attempt - 1))
+            if connection.sock is not None and _closed_by_peer(connection.sock):
+                connection.close()  # the next request opens a new socket
             try:
-                response = self._session.post(
-                    endpoint.url, json=body, headers=headers, timeout=self._timeout
-                )
-            except requests.RequestException as exc:
+                connection.request("POST", target, payload, headers)
+                response = connection.getresponse()
+                data = response.read()
+            except (OSError, HTTPException) as exc:
+                connection.close()
                 last_failure = f"transport failure: {exc}"
                 log.warning("completion attempt %d failed: %s", attempt + 1, exc)
                 continue
-            if not 200 <= response.status_code < 300:
-                last_failure = f"HTTP {response.status_code}: {response.text[:500]}"
-                if response.status_code not in RETRYABLE_STATUSES:
+            if not 200 <= response.status < 300:
+                last_failure = f"HTTP {response.status}: {data.decode('utf-8', 'replace')[:500]}"
+                if response.status not in RETRYABLE_STATUSES:
                     raise ProviderError(last_failure)
                 log.warning("completion attempt %d failed: %s", attempt + 1, last_failure)
                 continue
-            return self._parse(response, request.n)
+            return self._parse(data, request.n)
         if last_failure.startswith("HTTP"):
             raise ProviderError(f"retries exhausted: {last_failure}")
         raise TransportError(f"retries exhausted: {last_failure}")
 
-    def _parse(self, response: requests.Response, n: int) -> ChatResponse:
+    def _route(self, url: SplitResult) -> _Route:
+        """This thread's route to the URL's origin, opened on first use."""
+        routes = self._local.__dict__.setdefault("routes", {})
+        origin = (url.scheme, url.netloc)
+        route = routes.get(origin)
+        if route is None:
+            route = routes[origin] = self._open(url)
+            with self._lock:
+                self._opened.append(route[0])
+        return route
+
+    def _open(self, url: SplitResult) -> _Route:
+        """A connection to the URL's origin, or to the proxy the environment
+        names for it, whether the request must name the absolute URL (a
+        forward proxy's), and the headers the proxy needs. No socket is
+        opened until the first request."""
+        import http.client
+        import ssl
+        import urllib.request
+
+        https = url.scheme == "https"
+        port = url.port or (443 if https else 80)
+        proxy = None if urllib.request.proxy_bypass(url.hostname) else (
+            urllib.request.getproxies().get(url.scheme))
+        address, headers = (url.hostname, port), {}
+        if proxy:
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http":
+                raise ConfigError(
+                    f"unsupported {proxy_url.scheme!r} proxy for {url.scheme} endpoints")
+            address = (proxy_url.hostname, proxy_url.port or 80)
+            if proxy_url.username is not None:
+                import base64
+
+                credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(credentials.encode()).decode("ascii"))
+        if not https:
+            connection = http.client.HTTPConnection(*address, timeout=self._timeout)
+            return connection, bool(proxy), headers
+        connection = http.client.HTTPSConnection(
+            *address, timeout=self._timeout, context=ssl.create_default_context())
+        if proxy:
+            connection.set_tunnel(url.hostname, port, headers=headers)
+        return connection, False, {}
+
+    def _parse(self, data: bytes, n: int) -> ChatResponse:
         # Fewer choices than requested (a provider that ignores ``n``) are
         # accepted; callers ask again for the rest.
         try:
-            payload = response.json()
+            payload = json.loads(data)
             choices = payload["choices"]
             if not isinstance(choices, list):
                 raise TypeError(f"choices is a {type(choices).__name__}, not a list")
@@ -248,6 +318,19 @@ class HTTPBackend:
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
         return ChatResponse(choices=tuple(texts), usage=tokens)
+
+
+def _closed_by_peer(sock) -> bool:
+    """An idle keep-alive socket with something to read has been closed by
+    the server (or holds bytes no request asked for): it cannot carry the
+    next request."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 @functools.lru_cache(maxsize=64)

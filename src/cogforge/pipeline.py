@@ -145,16 +145,20 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     return outcome
 
 
-def _accepted_soundly(record: CoTRecord, outcome: RecordOutcome) -> bool:
-    """An accepted outcome's walk rated the input at intake and ended on a
-    verified medium trace; a checkpoint row may claim acceptance without."""
+def _walked_soundly(record: CoTRecord, outcome: RecordOutcome) -> bool:
+    """Every rating the walk appended is a ComplexityLevel, and an accepted
+    walk rated the input at intake and ended on a verified medium trace. A
+    discarded walk may have appended none (the critic abstained). Only an
+    edited or foreign checkpoint row can fail this."""
     final = outcome.record
     walked = final.rating_history[len(record.rating_history):]
     try:
-        ComplexityLevel(walked[0]["rating"])
-        return final.verified is True and final.rating == ComplexityLevel.MEDIUM
-    except (IndexError, KeyError, TypeError, ValueError):
+        for entry in walked:
+            ComplexityLevel(entry["rating"])
+    except (KeyError, TypeError, ValueError):
         return False
+    return outcome.discard_reason is not None or (
+        bool(walked) and final.verified is True and final.rating == ComplexityLevel.MEDIUM)
 
 
 def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig, agents: Agents) -> str:
@@ -254,9 +258,10 @@ def run_crv(
     the first such error is raised once the records in flight are finished
     and kept. A resumed run reproduces the uninterrupted outputs and stats
     byte for byte under the same scripted backend: the stats sum every
-    record's journaled agent usage, whichever run paid it. A journaled
-    acceptance without its walk's intake rating, or whose record is not a
-    verified medium trace, is refused as CorruptCheckpoint.
+    record's journaled agent usage, whichever run paid it. A journaled row
+    whose walk appended a rating that is no ComplexityLevel, or an acceptance
+    without its walk's intake rating or whose record is not a verified
+    medium trace, is refused as CorruptCheckpoint.
     """
     violations = config.validate()
     if violations:
@@ -278,8 +283,7 @@ def run_crv(
         completed = load_checkpoint(path, fingerprint)
         for record in dataset:
             outcome = completed.get(record.id)
-            if (outcome is not None and outcome.discard_reason is None
-                    and not _accepted_soundly(record, outcome)):
+            if outcome is not None and not _walked_soundly(record, outcome):
                 raise CorruptCheckpoint(f"{path}: malformed entry for record {record.id!r}")
         # Rewriting the header first drops a torn tail before any append.
         save_checkpoint(path, completed, fingerprint)

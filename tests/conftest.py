@@ -1,7 +1,12 @@
-"""Shared fixtures: the hand-traced six-record script and a randomized
-script generator for property tests."""
+"""Shared fixtures: the hand-traced six-record script, a randomized script
+generator for property tests, and a keep-alive loopback HTTP server."""
 
 from __future__ import annotations
+
+import json
+import os
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -115,3 +120,96 @@ def random_script(
         ]
         script[f"corruptor:{record_id}"] = [f"corrupted {record_id} #{i}" for i in range(2)]
     return script
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """Answers every POST with one ``medium`` choice over HTTP/1.1 keep-alive,
+    and refuses every CONNECT with 502, as a proxy that will not tunnel."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out in two writes
+    server: KeepAliveServer
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+            self.connection_number = self.server.connections
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.record(self)
+        data = json.dumps({
+            "choices": [{"message": {"role": "assistant", "content": "medium"}}],
+            "usage": {"prompt_tokens": 7, "completion_tokens": 1},
+        }).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        # With no Connection: close header the client cannot know.
+        self.close_connection = self.server.close_after_first
+
+    def do_CONNECT(self):
+        self.server.record(self)
+        self.send_error(502)
+
+    def log_message(self, *args):
+        pass
+
+
+class KeepAliveServer(ThreadingHTTPServer):
+    """Counts the connections it accepts and closes, and records each request
+    with the connection that carried it. ``close_after_first`` makes it close
+    every connection after the first response."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.lock = threading.Lock()
+        self.closed_changed = threading.Condition(self.lock)
+        self.connections = self.closed = 0
+        self.seen: list[dict] = []
+        self.close_after_first = False
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat/completions"
+
+    def record(self, handler: _KeepAliveHandler) -> None:
+        with self.lock:
+            self.seen.append({"connection": handler.connection_number,
+                              "command": handler.command, "target": handler.path,
+                              "headers": dict(handler.headers)})
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.closed += 1
+            self.closed_changed.notify_all()
+
+    def wait_closed(self, count: int, timeout: float = 10.0) -> bool:
+        """Whether ``count`` connections have been closed on the server's side
+        (after the client closed them, or the server did) within the timeout."""
+        with self.lock:
+            return self.closed_changed.wait_for(lambda: self.closed >= count, timeout)
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clears the proxy variables the tests run under; a test sets its own."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+@pytest.fixture
+def keepalive_server(proxy_env):
+    """A KeepAliveServer on loopback, reached directly: no proxy is set."""
+    server = KeepAliveServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)

@@ -7,15 +7,21 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
 import yaml
+from conftest import SIX_RECORD_SCRIPT, make_dataset
 
 from cogforge import cli, jsonl
 from cogforge.agents import TEMPLATE_NAMES, load_templates
 from cogforge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _build_backend, entrypoint
 from cogforge.config import load_config
+from cogforge.gateway import ChatRequest, ModelRole
 from cogforge.jsonl import dump_row, read_rows
 
 LN2 = 0.6931471805599453
@@ -343,6 +349,27 @@ class TestCurateResume:
         assert "malformed entry for record 'r1'" in err
         assert "ComplexityLevel" not in err
 
+    def test_discarded_row_with_a_bogus_rating_is_fatal(self, curate_paths, tmp_path, capsys):
+        checkpoint_path = tmp_path / "run.checkpoint.json"
+        argv = [
+            "curate",
+            "--input", curate_paths["input"],
+            "--output", str(tmp_path / "out.jsonl"),
+            "--checkpoint", str(checkpoint_path),
+            "--mock-script", curate_paths["script"],
+        ]
+        assert entrypoint(argv) == EXIT_PARTIAL
+        header = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        row = header["completed"]["r2"]
+        assert row["discard_reason"] is not None
+        row["record"]["rating_history"][0]["rating"] = "bogus"
+        checkpoint_path.write_text(dump_row(header) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert entrypoint(argv) == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert "malformed entry for record 'r2'" in captured.err
+        assert "bogus" not in captured.out
+
 
 def family_rows() -> list[dict]:
     return [
@@ -360,17 +387,29 @@ def family_rows() -> list[dict]:
 
 
 class TestBuildBackend:
-    @pytest.mark.parametrize("concurrency, pooled", [(16, 16), (4, 10)])
-    def test_http_pool_holds_a_connection_per_worker(self, tmp_path, concurrency, pooled):
-        url = "https://gateway.example.com/v1/chat/completions"
+    @pytest.mark.parametrize("workers, requests_each", [(16, 16), (4, 10)])
+    def test_http_pool_holds_a_connection_per_worker(
+        self, tmp_path, keepalive_server, workers, requests_each
+    ):
         config_path = tmp_path / "config.yaml"
         config_path.write_text(yaml.safe_dump({
-            "endpoints": {"large": {"url": url, "model": "m"}},
-            "pipeline": {"max_concurrency": concurrency},
+            "endpoints": {"large": {"url": keepalive_server.url, "model": "m"}},
         }))
+        request = ChatRequest(model_role=ModelRole.LARGE, system="s", user="u")
+        barrier = threading.Barrier(workers)
+
+        def work():
+            barrier.wait(10)  # every worker is its own thread
+            return [backend.complete(request).text for _ in range(requests_each)]
+
         with _build_backend(load_config(str(config_path)), None) as backend:
-            adapter = backend._session.get_adapter(url)
-            assert adapter.poolmanager.connection_pool_kw["maxsize"] == pooled
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(work) for _ in range(workers)]
+                texts = [future.result() for future in futures]
+        assert texts == [["medium"] * requests_each] * workers
+        assert keepalive_server.connections == workers
+        assert len(keepalive_server.seen) == workers * requests_each
+        assert keepalive_server.wait_closed(workers)
 
     def test_curate_closes_the_http_backend(self, tmp_path, monkeypatch, capsys):
         closed = []
@@ -386,6 +425,75 @@ class TestBuildBackend:
         ])
         assert code == EXIT_OK
         assert len(closed) == 1
+
+
+def stub_call(port: int, method: str, path: str) -> dict:
+    connection = HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request(method, path, body=b"{}" if method == "POST" else None)
+        return json.loads(connection.getresponse().read())
+    finally:
+        connection.close()
+
+
+@pytest.fixture(scope="module")
+def six_record_stub(tmp_path_factory):
+    """``bench/stub.py`` serving the six-record script over loopback in a
+    child process; yields its port."""
+    tmp = tmp_path_factory.mktemp("stub")
+    port_file = tmp / "stub.port"
+    with open(tmp / "stub.err", "wb") as err:
+        stub = subprocess.Popen([
+            sys.executable, str(Path(__file__).resolve().parents[1] / "bench" / "stub.py"),
+            "--script", write_script(tmp / "script.jsonl", SIX_RECORD_SCRIPT),
+            "--dataset", write_jsonl(tmp / "input.jsonl", dataset_rows(make_dataset(6))),
+            "--templates", str(Path(cli.__file__).parent / "templates"),
+            "--port-file", str(port_file),
+        ], stdout=subprocess.DEVNULL, stderr=err)
+    try:
+        limit = time.monotonic() + 30
+        while not port_file.exists():
+            assert stub.poll() is None and time.monotonic() < limit, (tmp / "stub.err").read_text()
+            time.sleep(0.02)
+        yield int(port_file.read_text())
+    finally:
+        stub.terminate()
+        try:
+            stub.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            stub.kill()
+            stub.wait()
+
+
+class TestLiveCurate:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_live_run_equals_the_scripted_run(
+        self, six_record_stub, curate_paths, proxy_env, capsys, workers
+    ):
+        tmp = curate_paths["tmp"]
+        url = f"http://127.0.0.1:{six_record_stub}/v1/chat/completions"
+        pipeline = {"max_concurrency": workers}
+        scripted_config = tmp / "scripted.yaml"
+        scripted_config.write_text(yaml.safe_dump({"pipeline": pipeline}))
+        live_config = tmp / "live.yaml"
+        live_config.write_text(yaml.safe_dump({
+            "endpoints": {role: {"url": url, "model": "stub"} for role in ("base", "large")},
+            "pipeline": pipeline,
+        }))
+
+        def curate(config, stem, *extra):
+            code = entrypoint(["--config", str(config), "curate", "--input", curate_paths["input"],
+                               "--output", str(tmp / f"{stem}.jsonl"), *extra])
+            assert code == EXIT_PARTIAL
+            outputs = [(tmp / f"{stem}{part}.jsonl").read_bytes()
+                       for part in ("", ".families", ".discards")]
+            return outputs, capsys.readouterr().out.splitlines()[-1]
+
+        scripted = curate(scripted_config, "scripted", "--mock-script", curate_paths["script"])
+        stub_call(six_record_stub, "POST", "/__reset")
+        assert curate(live_config, "live") == scripted
+        stats = stub_call(six_record_stub, "GET", "/__stats")
+        assert (stats["errors"], stats["requests"], stats["connections"]) == (0, 34, workers)
 
 
 class TestPairs:
@@ -669,6 +777,11 @@ class TestColdStart:
         families = write_jsonl(tmp_path / "families.jsonl", [])
         dataset = write_jsonl(tmp_path / "dataset.jsonl", [])
         script = write_script(tmp_path / "script.jsonl", {})
+        config = tmp_path / "live.yaml"
+        config.write_text(yaml.safe_dump({
+            "endpoints": {"large": {"url": "https://gateway.example/v1/chat/completions",
+                                    "model": "m"}},
+        }))
         program = "\n".join([
             "import sys",
             "sys.modules['numpy'] = None",
@@ -681,6 +794,12 @@ class TestColdStart:
             f" '--output', {str(tmp_path / 'pairs.jsonl')!r}]) == 0",
             f"assert entrypoint(['curate', '--mock-script', {script!r}, '--input', {dataset!r},"
             f" '--output', {str(tmp_path / 'curated.jsonl')!r}]) == 0",
+            # A live run reads its endpoints from a config file; with no
+            # input it sends no request and loads no HTTP client.
+            "del sys.modules['yaml']",
+            f"assert entrypoint(['--config', {str(config)!r}, 'curate', '--input', {dataset!r},"
+            f" '--output', {str(tmp_path / 'live.jsonl')!r}]) == 0",
+            "assert 'http.client' not in sys.modules",
         ])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))

@@ -777,6 +777,50 @@ class TestJournal:
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
         assert backend.history == []
 
+    @pytest.mark.parametrize("damage", ["bogus-intake", "bogus-re-rate", "no-rating", "no-entry"])
+    def test_discarded_row_with_an_unknown_rating_rejected(
+        self, tmp_path, six_record_script, damage
+    ):
+        """Each rating a discarded walk appended must be a ComplexityLevel, or
+        the resumed stats would count it as an intake level of its own."""
+        dataset = make_dataset(6)
+        full = tmp_path / "full.json"
+        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
+                Agents(ScriptedBackend(six_record_script)))
+        row = load_checkpoint(str(full))["r4"].to_checkpoint()
+        assert row["discard_reason"] is not None
+        history = row["record"]["rating_history"]
+        assert [entry["stage"] for entry in history] == [
+            "intake", "re-rate-1", "re-rate-2", "re-rate-3"]
+        if damage == "bogus-intake":
+            history[0]["rating"] = "bogus"
+        elif damage == "bogus-re-rate":
+            history[2]["rating"] = None
+        elif damage == "no-rating":
+            del history[-1]["rating"]
+        else:
+            history[1] = "easy"
+        path = tmp_path / "checkpoint.json"
+        write_header(path, {"r4": row}, default_fingerprint(dataset))
+        backend = ScriptedBackend(six_record_script)
+        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r4'"):
+            run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
+        assert backend.history == []
+
+    def test_discarded_row_without_ratings_resumes(self, tmp_path, six_record_script):
+        """A walk whose critic abstained appended no rating: its row resumes,
+        counted as unrated."""
+        dataset = make_dataset(6)
+        script = dict(six_record_script, **{"critic:r2": ["???"] * 6})
+        checkpoint = tmp_path / "checkpoint.json"
+        baseline, _ = self.outputs(dataset, script)
+        with pytest.raises(UnknownKey):
+            self.outputs(dataset, script_for(script, ["r1", "r2"]), checkpoint)
+        assert load_checkpoint(str(checkpoint))["r2"].record.rating_history == []
+        resumed, _ = self.outputs(dataset, script, checkpoint)
+        assert resumed == baseline
+        assert json.loads(resumed[3])["intake_by_level"]["unrated"] == 1
+
     def test_gateway_error_keeps_records_in_flight(self, tmp_path, six_record_script):
         """r2 fails while r1 is still in flight; r1 finishes only once the
         abort is under way, and must still reach the checkpoint."""
