@@ -5,13 +5,23 @@ Every loss goes through one numpy core, ``_mean_loss``, over arrays of
 log-prob quads and betas. It computes each pair's term as softplus(-margin)
 rather than the literal -log(sigmoid(margin)); the two are identical
 mathematically and the softplus form neither overflows nor loses the tail for
-margins out to +/-1e4.
+margins out to +/-1e4. The core returns arrays; ``LossReport`` holds the
+loss, margins and terms as a float and lists.
 
-``grad_check`` verifies the analytic gradient of the token-level loss against
-central finite differences. Each probe is the whole loss at perturbed logits,
-taken through the same core; the probes of one bucket row (two per logit)
-are evaluated together, one core call per row, holding 2V tables of B x V
-floats. A NaN or infinite gradient coordinate fails the check.
+At token level each response is walked once under each policy into a row of
+step counts: how often it takes each (bucket, token) cell of the B x V logit
+table. A response's log-prob is its count row dotted with the log-softmax
+table, and the analytic gradient of the token-level loss is one product of
+the per-response coefficients with the count matrix.
+
+``grad_check`` verifies that gradient against central finite differences.
+Each probe is the whole loss at logits shifted by +/-epsilon in one
+coordinate, taken through the same core and never through gradient code. A
+probe of row b changes only that row's log-softmax, so every probe's
+log-probs come from one batched product of the B x 2V probed-minus-base rows
+with each response's counts in its row b, and all the probes' quads go
+through the core in one call. A NaN or infinite gradient coordinate fails
+the check.
 
 numpy is imported inside the functions that use it, not at module level, so
 that the commands that never touch the loss (``curate`` and ``pairs``) start
@@ -66,21 +76,29 @@ def _rows(quads: Iterable[LogProbQuad]) -> np.ndarray:
     return np.array([(q.lp_w_theta, q.lp_w_ref, q.lp_l_theta, q.lp_l_ref) for q in quads])
 
 
-def _mean_loss(quads: np.ndarray, betas: Sequence[float], empty: str) -> LossReport:
-    """The loss core: mean softplus(-margin) over rows of (lp_w_theta, lp_w_ref,
-    lp_l_theta, lp_l_ref) with one beta per row, plus each row's margin and term."""
+def _mean_loss(
+    quads: np.ndarray, betas: Sequence[float], empty: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The loss core, over rows of (lp_w_theta, lp_w_ref, lp_l_theta,
+    lp_l_ref) with one beta per row: each row's margin and its term
+    softplus(-margin). A batch's loss is the mean of its terms."""
     import numpy as np
 
     betas = np.asarray(betas, dtype=float)
+    if betas.shape != (len(quads),):
+        raise ValueError(f"{betas.size} betas for {len(quads)} rows; need one beta per row")
     if len(quads) == 0:
         raise EmptyBatch(empty)
     if not np.all(betas > 0):
         raise ValueError(f"beta must be positive, got {betas[~(betas > 0)][0]}")
-    finite = np.isfinite(quads).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(quads).all():
+        finite = np.isfinite(quads).all(axis=1)
         raise NonFinite(f"non-finite log-probability in {quads[~finite][0].tolist()}")
     margins = betas * ((quads[:, 0] - quads[:, 1]) - (quads[:, 2] - quads[:, 3]))
-    terms = np.logaddexp(0.0, -margins)
+    return margins, np.logaddexp(0.0, -margins)
+
+
+def _report(margins: np.ndarray, terms: np.ndarray) -> LossReport:
     return LossReport(loss=float(terms.mean()), margins=margins.tolist(), terms=terms.tolist())
 
 
@@ -91,13 +109,13 @@ def margin(q: LogProbQuad, beta: float) -> float:
 
 def dpo_loss(quads: list[LogProbQuad], beta: float) -> LossReport:
     """Mean softplus(-margin) at a single preference strength."""
-    return _mean_loss(_rows(quads), [beta] * len(quads), "no quads")
+    return _report(*_mean_loss(_rows(quads), [beta] * len(quads), "no quads"))
 
 
 def cogpo_loss(pairs: list[tuple[LogProbQuad, GapType]], schedule: BetaSchedule) -> LossReport:
     """Mean softplus(-margin) with each pair's beta resolved by its gap."""
     betas = [assign_beta(gap, schedule) for _, gap in pairs]
-    return _mean_loss(_rows(q for q, _ in pairs), betas, "no pairs")
+    return _report(*_mean_loss(_rows(q for q, _ in pairs), betas, "no pairs"))
 
 
 def beta_dpo_adjust(beta_i: float, alpha: float, m_i: float, m_0: float) -> float:
@@ -113,11 +131,11 @@ def beta_dpo_adjust(beta_i: float, alpha: float, m_i: float, m_0: float) -> floa
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a 2-D logit array."""
+    """Log-softmax along the last axis."""
     import numpy as np
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 _FNV_OFFSET = 0x811C9DC5
@@ -190,12 +208,35 @@ class ToyPolicy:
         return ToyPolicy(self.vocab_size, self.n_buckets, logits=self.logits)
 
 
+def _step_counts(
+    policy: ToyPolicy, sequences: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> np.ndarray:
+    """One row of B * V counts per (prompt, response): how often the
+    response's steps take each (bucket, token) cell of the policy's table.
+    Each response is walked once, through ``ToyPolicy.steps``."""
+    import numpy as np
+
+    walks = [policy.steps(prompt, response) for prompt, response in sequences]
+    none = np.zeros(0, dtype=int)
+    rows = np.repeat(np.arange(len(walks)), np.array([len(t) for _, t in walks], dtype=int))
+    buckets = np.concatenate([none, *(b for b, _ in walks)])
+    tokens = np.concatenate([none, *(t for _, t in walks)])
+    width = policy.n_buckets * policy.vocab_size
+    cells = rows * width + buckets * policy.vocab_size + tokens
+    return np.bincount(cells, minlength=len(walks) * width).reshape(len(walks), width).astype(float)
+
+
+def _logprobs(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each count row's log-prob under a log-softmax table. Each row is summed
+    on its own, so a response's log-prob does not depend on the rows around it."""
+    return (counts * table.ravel()).sum(axis=1)
+
+
 def sequence_logprob(
     policy: ToyPolicy, prompt: tuple[int, ...], response: tuple[int, ...]
 ) -> float:
     """Sum of per-step log-softmax probabilities of the response under the policy."""
-    buckets, tokens = policy.steps(prompt, response)
-    return float(policy.log_softmax()[buckets, tokens].sum())
+    return float(_logprobs(_step_counts(policy, [(prompt, response)]), policy.log_softmax())[0])
 
 
 @dataclass(frozen=True)
@@ -219,19 +260,17 @@ def quad_from_tokens(policy: ToyPolicy, reference: ToyPolicy, pair: TokenPair) -
 
 def _token_walks(
     batch: list[TokenPair], schedule: BetaSchedule, policy: ToyPolicy, reference: ToyPolicy
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[float], np.ndarray]:
-    """Each response's (bucket, token) walk under the policy, chosen then
-    rejected for every pair; each response's reference log-prob, in the same
-    order; and each pair's beta."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each response's step counts under the policy (a 2 * batch x B * V
+    matrix, chosen then rejected for every pair) and log-prob under the
+    reference, in the same order; and each pair's beta. Every response is
+    walked once under each policy."""
     import numpy as np
 
     sequences = [(p.prompt, response) for p in batch for response in (p.chosen, p.rejected)]
-    walks = [policy.steps(prompt, response) for prompt, response in sequences]
-    ref_table = reference.log_softmax()
-    ref = [float(ref_table[reference.steps(prompt, response)].sum())
-           for prompt, response in sequences]
+    ref = _logprobs(_step_counts(reference, sequences), reference.log_softmax())
     betas = np.array([assign_beta(p.gap, schedule) for p in batch], dtype=float)
-    return walks, ref, betas
+    return _step_counts(policy, sequences), ref, betas
 
 
 def cogpo_token_loss(
@@ -240,25 +279,30 @@ def cogpo_token_loss(
     policy: ToyPolicy,
     reference: ToyPolicy,
     with_gradient: bool = False,
+    *,
+    walks: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> LossReport:
     """Gap-weighted loss through the toy policy, optionally with the analytic
-    gradient w.r.t. the policy logits (reference held fixed)."""
+    gradient w.r.t. the policy logits (reference held fixed). ``walks`` is the
+    batch's ``_token_walks`` when the caller has already taken them."""
     import numpy as np
 
-    walks, ref, betas = _token_walks(batch, schedule, policy, reference)
+    counts, ref, betas = walks if walks is not None else _token_walks(
+        batch, schedule, policy, reference)
     table = policy.log_softmax()
-    lp = [float(table[buckets, tokens].sum()) for buckets, tokens in walks]
+    lp = _logprobs(counts, table)
     quads = np.column_stack((lp[0::2], ref[0::2], lp[1::2], ref[1::2]))
-    report = _mean_loss(quads, betas, "no token pairs")
+    margins, terms = _mean_loss(quads, betas, "no token pairs")
+    report = _report(margins, terms)
     if with_gradient:
         # dLoss/dmargin = -sigmoid(-margin)/n; the margin is beta-linear in
         # the chosen log-prob and anti-linear in the rejected one. Each step
-        # adds coef * (onehot(token) - softmax(bucket)) to its bucket's row.
-        weight = np.exp(-np.logaddexp(0.0, report.margins)) * betas / len(batch)
-        report.gradient = np.zeros_like(table)
-        for (buckets, tokens), coef in zip(walks, np.column_stack((-weight, weight)).ravel()):
-            np.add.at(report.gradient, buckets, -coef * np.exp(table[buckets]))
-            np.add.at(report.gradient, (buckets, tokens), coef)
+        # adds coef * (onehot(token) - softmax(bucket)) to its bucket's row,
+        # so the gradient is g - rowsum(g) * softmax for g = coef @ counts.
+        weight = np.exp(-np.logaddexp(0.0, margins)) * betas / len(batch)
+        coef = np.column_stack((-weight, weight)).ravel()
+        g = (coef @ counts).reshape(table.shape)
+        report.gradient = g - g.sum(axis=1, keepdims=True) * np.exp(table)
     return report
 
 
@@ -282,16 +326,18 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare the analytic gradient against central finite differences.
 
-    Each probe's loss is the whole objective at logits shifted by +/-epsilon
-    in one coordinate, computed through the loss core and independently of
-    the gradient code. Probes are evaluated one bucket row at a time: for row
-    b, 2V probed log-softmax tables are held at once (row b of each is the
-    log-softmax of the shifted row, every other row the base table), every
-    response's log-prob is read from all of them through a per-response
-    (bucket, token) count matrix, and the 2V * batch quads go through the
-    loss core in one call. The extra memory of one such evaluation is the 2V
-    tables of B x V floats; the count matrix (2 * batch rows of B x V) is
-    built once.
+    Every response is walked once under each policy, into the count matrix
+    of ``_token_walks``; the analytic gradient is one ``cogpo_token_loss``
+    call over those walks. Each probe's loss is the whole objective at
+    logits shifted by +/-epsilon in one coordinate, computed through the loss
+    core and independently of the gradient code. Probe p of row b changes
+    only row b of the log-softmax table, so a response's log-prob under it is
+    its base log-prob plus (probed row - base row) dotted with the response's
+    counts in row b. One batched product of the B x 2V x V row differences
+    with the B x V x (2 * batch) count slices gives every probe's log-probs,
+    and all B * 2V * batch quads go through the loss core in one call. The
+    extra memory is O(B * 2V * (V + 4 * batch)) floats: the row differences,
+    the probed log-probs and the quads with their margins and terms.
 
     A coordinate whose analytic or numeric value is NaN or infinite has an
     infinite relative error, so the check fails with it as the worst
@@ -306,31 +352,27 @@ def grad_check(
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     reference = reference if reference is not None else policy.snapshot()
-    analytic = cogpo_token_loss(batch, schedule, policy, reference, with_gradient=True).gradient
+    walks = _token_walks(batch, schedule, policy, reference)
+    analytic = cogpo_token_loss(
+        batch, schedule, policy, reference, with_gradient=True, walks=walks).gradient
     if corruption is not None:
         analytic[corruption] += 1.0
 
-    walks, ref, betas = _token_walks(batch, schedule, policy, reference)
+    counts, ref, betas = walks
     n_buckets, vocab = policy.logits.shape
-    counts = np.zeros((len(walks), n_buckets * vocab))
-    for row, (buckets, tokens) in zip(counts, walks):
-        np.add.at(row, buckets * vocab + tokens, 1.0)
-    # Probe p < V shifts logit p of the row by +epsilon; probe V + p by -epsilon.
-    shifts = epsilon * np.concatenate((np.eye(vocab), -np.eye(vocab)))
     base = policy.log_softmax()
-    tables = np.repeat(base[np.newaxis], 2 * vocab, axis=0)
-    quads = np.empty((2 * vocab, len(batch), 4))
-    quads[:, :, 1], quads[:, :, 3] = ref[0::2], ref[1::2]
-    probe_betas = np.tile(betas, 2 * vocab)
-    numeric = np.empty_like(analytic)
-    for b in range(n_buckets):
-        tables[:, b] = _log_softmax(policy.logits[b] + shifts)
-        lp = tables.reshape(2 * vocab, -1) @ counts.T
-        quads[:, :, 0], quads[:, :, 2] = lp[:, 0::2], lp[:, 1::2]
-        terms = _mean_loss(quads.reshape(-1, 4), probe_betas, "no token pairs").terms
-        losses = np.array(terms).reshape(2 * vocab, -1).mean(axis=1)
-        numeric[b] = (losses[:vocab] - losses[vocab:]) / (2 * epsilon)
-        tables[:, b] = base[b]
+    # Probe p < V of row b shifts logit (b, p) by +epsilon; probe V + p by -epsilon.
+    shifts = epsilon * np.concatenate((np.eye(vocab), -np.eye(vocab)))
+    delta = _log_softmax(policy.logits[:, np.newaxis] + shifts) - base[:, np.newaxis]
+    by_row = np.ascontiguousarray(counts.reshape(len(counts), n_buckets, vocab).transpose(1, 2, 0))
+    lp = _logprobs(counts, base) + np.matmul(delta, by_row)
+    quads = np.empty((n_buckets, 2 * vocab, len(batch), 4))
+    quads[..., 0], quads[..., 2] = lp[..., 0::2], lp[..., 1::2]
+    quads[..., 1], quads[..., 3] = ref[0::2], ref[1::2]
+    probe_betas = np.tile(betas, n_buckets * 2 * vocab)
+    _, terms = _mean_loss(quads.reshape(-1, 4), probe_betas, "no token pairs")
+    losses = terms.reshape(n_buckets, 2 * vocab, len(batch)).mean(axis=2)
+    numeric = (losses[:, :vocab] - losses[:, vocab:]) / (2 * epsilon)
 
     with np.errstate(invalid="ignore"):
         rel = np.where(

@@ -135,6 +135,23 @@ class TestCogpoLoss:
             cogpo_loss([], BetaSchedule())
 
 
+class TestLossCore:
+    @pytest.mark.parametrize("rows, betas, counted", [
+        (5, [0.1], 1), (5, [0.1, 0.2, 0.5], 3), (5, [0.1] * 6, 6), (5, 0.1, 1),
+        (2, np.full((2, 2), 0.1), 4), (0, [0.1], 1),
+    ])
+    def test_wrong_beta_count_names_both_counts(self, rows, betas, counted):
+        with pytest.raises(ValueError, match=f"^{counted} betas for {rows} rows"):
+            loss._mean_loss(np.zeros((rows, 4)), betas, "no rows")
+
+    def test_returns_arrays(self):
+        quads = np.array([[0.0, 0.0, -1.0, 0.0]] * 3)
+        margins, terms = loss._mean_loss(quads, [0.1] * 3, "no rows")
+        assert isinstance(margins, np.ndarray) and isinstance(terms, np.ndarray)
+        assert margins.tolist() == [0.1] * 3
+        assert np.abs(terms - math.log1p(math.exp(-0.1))).max() < 1e-15
+
+
 class TestBetaDpoAdjust:
     def test_fixed_point_is_exact(self):
         for beta in (0.1, 0.2, 0.5):
@@ -262,6 +279,47 @@ def small_batch() -> list[TokenPair]:
     ]
 
 
+def non_square_case(seed: int) -> tuple[list[TokenPair], ToyPolicy, ToyPolicy]:
+    """Vocabulary 5, 3 buckets, batch 7 with uneven response lengths (one
+    response empty), and a reference with 4 buckets."""
+    rng = np.random.default_rng(seed)
+    policy = ToyPolicy(vocab_size=5, n_buckets=3, rng=rng)
+    reference = ToyPolicy(vocab_size=5, n_buckets=4, rng=rng)
+
+    def tokens(n: int) -> tuple[int, ...]:
+        return tuple(int(t) for t in rng.integers(0, 5, size=n))
+
+    lengths = [(2, 4, 1), (0, 3, 2), (1, 1, 5), (3, 2, 0), (0, 6, 3), (2, 1, 1), (1, 5, 4)]
+    batch = [
+        TokenPair(prompt=tokens(p), chosen=tokens(c), rejected=tokens(r), gap=GAPS[i % 3])
+        for i, (p, c, r) in enumerate(lengths)
+    ]
+    return batch, policy, reference
+
+
+def assert_matches_loop_reference(batch, policy, reference, epsilon: float = 1e-5) -> None:
+    """Finite differences with one whole-loss evaluation per probe, as a loop:
+    the analytic gradient and ``grad_check`` both agree with it to 1e-6."""
+    schedule = BetaSchedule()
+    analytic = cogpo_token_loss(batch, schedule, policy, reference, with_gradient=True).gradient
+    probe = policy.snapshot()
+    numeric = np.empty_like(analytic)
+    for b in range(policy.n_buckets):
+        for v in range(policy.vocab_size):
+            probe.logits[b, v] = policy.logits[b, v] + epsilon
+            up = cogpo_token_loss(batch, schedule, probe, reference).loss
+            probe.logits[b, v] = policy.logits[b, v] - epsilon
+            down = cogpo_token_loss(batch, schedule, probe, reference).loss
+            probe.logits[b, v] = policy.logits[b, v]
+            numeric[b, v] = (up - down) / (2 * epsilon)
+    rel = np.abs(analytic - numeric) / np.maximum(
+        np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4
+    )
+    assert rel.max() < 1e-6
+    report = grad_check(batch, schedule, policy, reference, epsilon=epsilon)
+    assert report.max_rel_error < 1e-6
+
+
 class TestCogpoTokenLoss:
     def test_matches_manual_quads(self):
         rng = np.random.default_rng(16)
@@ -341,24 +399,49 @@ class TestGradCheck:
         """One loss evaluation per probe, as a loop: both it and the batched
         check agree with the analytic gradient to 1e-6 everywhere."""
         batch, policy, reference = benchmark_shape_case(4)
-        schedule, epsilon = BetaSchedule(), 1e-5
-        analytic = cogpo_token_loss(batch, schedule, policy, reference, with_gradient=True).gradient
-        probe = policy.snapshot()
-        numeric = np.empty_like(analytic)
-        for b in range(policy.n_buckets):
-            for v in range(policy.vocab_size):
-                probe.logits[b, v] = policy.logits[b, v] + epsilon
-                up = cogpo_token_loss(batch, schedule, probe, reference).loss
-                probe.logits[b, v] = policy.logits[b, v] - epsilon
-                down = cogpo_token_loss(batch, schedule, probe, reference).loss
-                probe.logits[b, v] = policy.logits[b, v]
-                numeric[b, v] = (up - down) / (2 * epsilon)
-        rel = np.abs(analytic - numeric) / np.maximum(
-            np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4
-        )
-        assert rel.max() < 1e-6
-        report = grad_check(batch, schedule, policy, reference, epsilon=epsilon)
-        assert report.max_rel_error < 1e-6
+        assert_matches_loop_reference(batch, policy, reference)
+
+    def test_non_square_matches_per_coordinate_reference(self):
+        """At a shape where vocabulary, buckets, batch and the reference's
+        buckets all differ, a swapped axis cannot pass unnoticed."""
+        batch, policy, reference = non_square_case(31)
+        assert {len(p.chosen) for p in batch} | {len(p.rejected) for p in batch} >= {0, 1, 4}
+        assert_matches_loop_reference(batch, policy, reference)
+
+    @pytest.mark.parametrize("coordinate", [(0, 0), (0, 4), (2, 0), (2, 4), (1, 3)])
+    def test_non_square_corrupted_corner_is_the_worst(self, coordinate):
+        batch, policy, reference = non_square_case(32)
+        report = grad_check(batch, BetaSchedule(), policy, reference, corruption=coordinate)
+        assert not report.passed
+        assert report.worst_coordinate == coordinate
+
+    def test_walks_each_response_once(self, monkeypatch):
+        batch, policy, reference = non_square_case(33)
+        walked: list[int] = []
+        token_loss_calls = 0
+        steps = ToyPolicy.steps
+        exact = loss.cogpo_token_loss
+
+        def counting_steps(self, prompt, response):
+            walked.append(id(self))
+            return steps(self, prompt, response)
+
+        def counting_loss(*args, **kwargs):
+            nonlocal token_loss_calls
+            token_loss_calls += 1
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(ToyPolicy, "steps", counting_steps)
+        monkeypatch.setattr(loss, "cogpo_token_loss", counting_loss)
+        assert grad_check(batch, BetaSchedule(), policy, reference).passed
+        assert walked.count(id(policy)) == 2 * len(batch)
+        assert walked.count(id(reference)) == 2 * len(batch)
+        assert len(walked) == 4 * len(batch)
+        assert token_loss_calls == 1
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(EmptyBatch):
+            grad_check([], BetaSchedule(), ToyPolicy(3, 2))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_analytic_coordinate_fails(self, monkeypatch, bad):
