@@ -48,7 +48,6 @@ from .pipeline import (
     CorruptCheckpoint,
     DuplicateId,
     PipelineConfig,
-    assemble_sft,
     complexity_report,
     format_complexity_report,
     run_crv,

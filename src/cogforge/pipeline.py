@@ -28,16 +28,17 @@ from .records import (
     PipelineStats,
     RecordFamily,
     Source,
+    rating_entry,
     validate_record,
 )
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_FORMAT = "cogforge-checkpoint-v5"
+CHECKPOINT_FORMAT = "cogforge-checkpoint-v6"
 
 
 class DuplicateId(ValueError):
-    """Two records (or curated outputs) share an id."""
+    """Two input records share an id."""
 
 
 class CorruptCheckpoint(RuntimeError):
@@ -46,43 +47,33 @@ class CorruptCheckpoint(RuntimeError):
 
 @dataclass
 class RecordOutcome:
-    """What one record's walk decided, and nothing that follows from it.
+    """What one record's walk added to its input record, and nothing else.
 
+    ``ratings`` are the rating entries the walk appended, intake first;
+    ``rewrite`` is the accepted rewrite, None unless one was accepted.
     Accepted exactly when ``discard_reason`` is None; ``r_corrupted`` is the
-    corruptor's variant of the input trace (None if that failed). run_crv
-    builds the family from the input record, ``record`` and this outcome.
+    corruptor's variant of the input trace (None if that failed). The usage
+    maps count the record's agent calls. _curate builds the curated record
+    and the family from the input record and this outcome.
     """
 
-    record: CoTRecord
+    ratings: list[dict] = field(default_factory=list)
+    rewrite: str | None = None
     discard_reason: str | None = None
     r_corrupted: str | None = None
     attempts: int = 0
     ever_verified: bool = False
-    completions: dict[str, int] = field(default_factory=dict)
-    tokens: dict[str, int] = field(default_factory=dict)
+    completions_by_stage: dict[str, int] = field(default_factory=dict)
+    tokens_by_stage: dict[str, int] = field(default_factory=dict)
 
-    def to_checkpoint(self) -> dict:
-        return {
-            "record": self.record.to_output_dict(),
-            "discard_reason": self.discard_reason,
-            "r_corrupted": self.r_corrupted,
-            "attempts": self.attempts,
-            "ever_verified": self.ever_verified,
-            "completions_by_stage": self.completions,
-            "tokens_by_stage": self.tokens,
-        }
+    def to_checkpoint(self, input_digest: str) -> dict:
+        """The checkpoint row: the digest of the input row, then the fields."""
+        return {"input": input_digest, **vars(self)}
 
-    @classmethod
-    def from_checkpoint(cls, row: dict) -> RecordOutcome:
-        return cls(
-            record=CoTRecord.from_dict(row["record"]),
-            discard_reason=row["discard_reason"],
-            r_corrupted=row["r_corrupted"],
-            attempts=row["attempts"],
-            ever_verified=row["ever_verified"],
-            completions=row["completions_by_stage"],
-            tokens=row["tokens_by_stage"],
-        )
+
+_ROW_KEYS = RecordOutcome().to_checkpoint("").keys()
+# A tuple, not a set: a row's rating may be unhashable, and `in` compares by ==.
+_LEVELS = tuple(level.value for level in ComplexityLevel)
 
 
 def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -> RecordOutcome:
@@ -97,16 +88,13 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
     record's input trace is then corrupted; a failed corruption keeps the
     acceptance. The outcome holds the record's agent usage, discarded or not.
     """
-    # History entries are only ever appended, so a fresh list keeps the
-    # caller's record as it was.
-    work = replace(record, rating_history=list(record.rating_history))
-    agents = agents.for_record(work, config)
-    outcome = RecordOutcome(record=work, completions=agents.completions, tokens=agents.tokens)
+    agents = agents.for_record(record, config)
+    outcome = RecordOutcome(completions_by_stage=agents.completions, tokens_by_stage=agents.tokens)
     try:
-        intake, votes = agents.critique(work.reasoning)
-        work.add_rating("intake", intake, votes)
+        intake, votes = agents.critique(record.reasoning)
+        outcome.ratings.append(rating_entry("intake", intake, votes))
         rewriting = intake != ComplexityLevel.MEDIUM
-        text, level = work.reasoning, intake
+        text, level = record.reasoning, intake
         for attempt in range(1, config.retry_cap + 1):
             outcome.attempts = attempt
             candidate = text
@@ -119,14 +107,11 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
             outcome.ever_verified = True
             if rewriting:
                 level, new_votes = agents.critique(candidate)
-                work.add_rating(f"re-rate-{attempt}", level, new_votes)
+                outcome.ratings.append(rating_entry(f"re-rate-{attempt}", level, new_votes))
                 if level != ComplexityLevel.MEDIUM:
                     text = candidate
                     continue
-                work.source = Source.REWRITTEN
-                work.rewrite_count = attempt
-            work.reasoning = candidate
-            work.verified = True
+                outcome.rewrite = candidate
             break
         else:
             outcome.discard_reason = (
@@ -134,41 +119,51 @@ def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -
                 if rewriting else f"medium trace failed verification {config.retry_cap} times"
             )
     except AgentError as exc:
-        log.warning("record %s discarded: %s", work.id, exc)
+        log.warning("record %s discarded: %s", record.id, exc)
         outcome.discard_reason = str(exc)
 
     if outcome.discard_reason is None:
         try:
             outcome.r_corrupted = agents.corrupt(record.reasoning)
         except AgentError as exc:
-            log.warning("record %s: corruption failed, family kept without it: %s", work.id, exc)
+            log.warning("record %s: corruption failed, family kept without it: %s", record.id, exc)
     return outcome
 
 
-def _walked_soundly(record: CoTRecord, outcome: RecordOutcome) -> bool:
-    """Every rating the walk appended is a ComplexityLevel, and an accepted
-    walk rated the input at intake and ended on a verified medium trace. A
-    discarded walk may have appended none (the critic abstained). Only an
-    edited or foreign checkpoint row can fail this."""
-    final = outcome.record
-    walked = final.rating_history[len(record.rating_history):]
-    try:
-        for entry in walked:
-            ComplexityLevel(entry["rating"])
-    except (KeyError, TypeError, ValueError):
-        return False
-    return outcome.discard_reason is not None or (
-        bool(walked) and final.verified is True and final.rating == ComplexityLevel.MEDIUM)
+def _curate(record: CoTRecord, outcome: RecordOutcome) -> tuple[CoTRecord, RecordFamily]:
+    """The curated record and the family of an accepted walk over ``record``:
+    the rewrite, if any, replaces the trace, and the walk's ratings follow
+    the input's history."""
+    rewritten = {} if outcome.rewrite is None else {
+        "reasoning": outcome.rewrite, "source": Source.REWRITTEN, "rewrite_count": outcome.attempts,
+    }
+    curated = replace(record, **rewritten, verified=True,
+                      rating_history=record.rating_history + outcome.ratings)
+    return curated, RecordFamily(
+        id=record.id, problem=record.problem, answer=record.answer,
+        original_rating=ComplexityLevel(outcome.ratings[0]["rating"]), r_original=record.reasoning,
+        r_rewritten=outcome.rewrite, r_corrupted=outcome.r_corrupted,
+    )
 
 
-def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig, agents: Agents) -> str:
-    """SHA-256 over the settings that shape a record's outcome (the walk's
-    config, the agents' templates and sampling) and over the input rows in
-    order. Concurrency, paths and the backend are left out: a resume may
-    change them and still reproduce the same outputs."""
+def input_digests(dataset: list[CoTRecord]) -> dict[str, str]:
+    """Each input row's SHA-256 by record id, in input order. A checkpoint row
+    names its record by this digest, and the fingerprint covers them all."""
     import hashlib  # only --checkpoint runs pay the few ms it takes to load
 
-    digest = hashlib.sha256()
+    return {
+        record.id: hashlib.sha256(dump_row(record.to_output_dict()).encode("utf-8")).hexdigest()
+        for record in dataset
+    }
+
+
+def checkpoint_fingerprint(inputs: dict[str, str], config: PipelineConfig, agents: Agents) -> str:
+    """SHA-256 over the settings that shape a record's outcome (the walk's
+    config, the agents' templates and sampling) and the input digests in
+    order. Concurrency, paths and the backend are left out: a resume may
+    change them and still reproduce the same outputs."""
+    import hashlib
+
     settings = {
         "retry_cap": config.retry_cap,
         "votes": config.votes,
@@ -176,8 +171,8 @@ def checkpoint_fingerprint(dataset: list[CoTRecord], config: PipelineConfig, age
         "corruption_gate": config.corruption_gate,
         **agents.settings(),
     }
-    for row in [settings] + [record.to_output_dict() for record in dataset]:
-        digest.update(dump_row(row).encode("utf-8") + b"\n")
+    digest = hashlib.sha256(dump_row(settings).encode("utf-8") + b"\n")
+    digest.update("".join(inputs.values()).encode("ascii"))
     return digest.hexdigest()
 
 
@@ -189,21 +184,51 @@ def _json_object(line: bytes) -> dict | None:
     return row if isinstance(row, dict) else None
 
 
-def _is_usage(value) -> bool:
-    """A per-agent usage map: an object of integers."""
-    return isinstance(value, dict) and all(type(count) is int for count in value.values())
+def _outcome_of(row, input_digest: str | None) -> RecordOutcome | None:
+    """The outcome a checkpoint row holds, or None unless the row is sound.
+
+    A sound row has exactly the v6 fields, and its ``input`` is the digest
+    of the input record it is filed under (None: no such record). Each
+    rating is an object whose ``rating`` is a ComplexityLevel; ``attempts``
+    is a non-negative int and ``ever_verified`` a bool; the reason and
+    ``r_corrupted`` are strings or null; the usage maps hold integers. An
+    accepted row made an attempt, was verified and ends rated medium, and
+    only an accepted row whose intake was not medium holds a rewrite, a
+    non-empty string. A discarded walk may have appended no rating (the
+    critic abstained).
+    """
+    if not (isinstance(row, dict) and row.keys() == _ROW_KEYS
+            and input_digest is not None and row.pop("input") == input_digest):
+        return None
+    outcome = RecordOutcome(**row)
+    ratings, attempts, verified = outcome.ratings, outcome.attempts, outcome.ever_verified
+    if not (type(ratings) is list
+            and all(type(entry) is dict and entry.get("rating") in _LEVELS for entry in ratings)
+            and type(attempts) is int and attempts >= 0 and type(verified) is bool
+            and all(text is None or type(text) is str
+                    for text in (outcome.discard_reason, outcome.r_corrupted))
+            and all(isinstance(usage, dict) and all(type(n) is int for n in usage.values())
+                    for usage in (outcome.completions_by_stage, outcome.tokens_by_stage))):
+        return None
+    accepted = outcome.discard_reason is None
+    if accepted and not (attempts >= 1 and verified and ratings
+                         and ratings[-1]["rating"] == ComplexityLevel.MEDIUM):
+        return None
+    rewritten = accepted and ratings[0]["rating"] != ComplexityLevel.MEDIUM
+    expected = str if rewritten else type(None)
+    return outcome if type(outcome.rewrite) is expected and outcome.rewrite != "" else None
 
 
-def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, RecordOutcome]:
+def load_checkpoint(path: str, inputs: dict[str, str],
+                    fingerprint: str | None = None) -> dict[str, RecordOutcome]:
     """Read the completed records' outcomes by id; absent file means a fresh run.
 
     Line 1 is the header (format tag, fingerprint, compacted map); each later
     line is one record appended as it completed. A last segment without its
     newline is a torn append and is dropped. Given a fingerprint, a header
-    written for another config or dataset is refused. Every row must decode
-    as a RecordOutcome of the record it is filed under, with a string or null
-    ``discard_reason`` (which decides acceptance) and ``r_corrupted``, and two
-    integer usage maps.
+    written for another config or dataset is refused. Header and journal rows
+    alike must pass _outcome_of against ``inputs`` (input_digests), so a row
+    filed under an id the dataset lacks, or of another record, is refused.
     """
     if not os.path.exists(path):
         return {}
@@ -225,23 +250,19 @@ def load_checkpoint(path: str, fingerprint: str | None = None) -> dict[str, Reco
             raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")
         completed[record_id] = row
     for record_id, row in completed.items():  # each row is replaced by its outcome
-        try:
-            outcome = RecordOutcome.from_checkpoint(row)
-        except (AttributeError, KeyError, TypeError, ValueError):
-            outcome = None
-        if not (outcome is not None and outcome.record.id == record_id
-                and {type(outcome.discard_reason), type(outcome.r_corrupted)} <= {str, type(None)}
-                and _is_usage(outcome.completions) and _is_usage(outcome.tokens)):
+        outcome = _outcome_of(row, inputs.get(record_id))
+        if outcome is None:
             raise CorruptCheckpoint(f"{path}: malformed entry for record {record_id!r}")
         completed[record_id] = outcome
     return completed
 
 
-def save_checkpoint(path: str, completed: dict[str, RecordOutcome],
+def save_checkpoint(path: str, completed: dict[str, RecordOutcome], inputs: dict[str, str],
                     fingerprint: str | None = None) -> None:
     """Compact the outcomes into a one-line header file; write_rows replaces
     the file whole, so a reader never sees it torn."""
-    rows = {record_id: outcome.to_checkpoint() for record_id, outcome in completed.items()}
+    rows = {record_id: outcome.to_checkpoint(inputs[record_id])
+            for record_id, outcome in completed.items()}
     write_rows(path, [{"format": CHECKPOINT_FORMAT, "fingerprint": fingerprint, "completed": rows}])
 
 
@@ -258,10 +279,10 @@ def run_crv(
     the first such error is raised once the records in flight are finished
     and kept. A resumed run reproduces the uninterrupted outputs and stats
     byte for byte under the same scripted backend: the stats sum every
-    record's journaled agent usage, whichever run paid it. A journaled row
-    whose walk appended a rating that is no ComplexityLevel, or an acceptance
-    without its walk's intake rating or whose record is not a verified
-    medium trace, is refused as CorruptCheckpoint.
+    record's journaled agent usage, whichever run paid it, and fresh and
+    journaled outcomes alike become curated records and families through
+    _curate. A checkpoint row that load_checkpoint finds unsound is refused
+    as CorruptCheckpoint before any record starts.
     """
     violations = config.validate()
     if violations:
@@ -279,14 +300,11 @@ def run_crv(
     journal = None
     path = config.checkpoint_path
     if path:
-        fingerprint = checkpoint_fingerprint(dataset, config, agents)
-        completed = load_checkpoint(path, fingerprint)
-        for record in dataset:
-            outcome = completed.get(record.id)
-            if outcome is not None and not _walked_soundly(record, outcome):
-                raise CorruptCheckpoint(f"{path}: malformed entry for record {record.id!r}")
+        inputs = input_digests(dataset)
+        fingerprint = checkpoint_fingerprint(inputs, config, agents)
+        completed = load_checkpoint(path, inputs, fingerprint)
         # Rewriting the header first drops a torn tail before any append.
-        save_checkpoint(path, completed, fingerprint)
+        save_checkpoint(path, completed, inputs, fingerprint)
         journal = open(path, "a", encoding="utf-8")
     todo = [record for record in dataset if record.id not in completed]
     if completed:
@@ -300,10 +318,11 @@ def run_crv(
     failure: BaseException | None = None
     in_flight = 0
 
-    def finish(outcome: RecordOutcome) -> None:
-        completed[outcome.record.id] = outcome
+    def finish(record_id: str, outcome: RecordOutcome) -> None:
+        completed[record_id] = outcome
         if journal is not None:
-            journal.write(dump_row({"id": outcome.record.id, **outcome.to_checkpoint()}) + "\n")
+            row = {"id": record_id, **outcome.to_checkpoint(inputs[record_id])}
+            journal.write(dump_row(row) + "\n")
             journal.flush()
 
     def stop(exc: BaseException) -> None:
@@ -325,7 +344,7 @@ def run_crv(
             try:
                 outcome = _process_record(record, agents, config)
                 with lock:
-                    finish(outcome)
+                    finish(record.id, outcome)
             except BaseException as exc:
                 stop(exc)
                 return
@@ -351,7 +370,7 @@ def run_crv(
         if journal is not None:
             with lock:
                 journal.close()
-                save_checkpoint(path, completed, fingerprint)
+                save_checkpoint(path, completed, inputs, fingerprint)
     if failure is not None:
         raise failure
 
@@ -362,51 +381,31 @@ def run_crv(
     stats.intake_by_level = {level.value: 0 for level in ComplexityLevel}
     for record in dataset:
         outcome = completed[record.id]
-        final = outcome.record
-        # The first entry the record's walk appended; the input may carry older ones.
-        walked = final.rating_history[len(record.rating_history):]
-        intake = walked[0]["rating"] if walked else "unrated"
+        intake = outcome.ratings[0]["rating"] if outcome.ratings else "unrated"
         stats.intake_by_level[intake] = stats.intake_by_level.get(intake, 0) + 1
         if outcome.ever_verified:
             stats.verified += 1
-        for total, usage in ((stats.completions_by_stage, outcome.completions),
-                             (stats.tokens_by_stage, outcome.tokens)):
+        for total, usage in ((stats.completions_by_stage, outcome.completions_by_stage),
+                             (stats.tokens_by_stage, outcome.tokens_by_stage)):
             for agent, count in usage.items():
                 total[agent] = total.get(agent, 0) + count
         if outcome.discard_reason is not None:
             stats.discarded += 1
             discards.append(
-                {"id": final.id, "reason": outcome.discard_reason, "attempts": outcome.attempts}
+                {"id": record.id, "reason": outcome.discard_reason, "attempts": outcome.attempts}
             )
             continue
         # Judged by the intake, not the source: an input may arrive rewritten.
-        rewritten = intake != ComplexityLevel.MEDIUM.value
-        stats.rewritten += rewritten
+        stats.rewritten += outcome.rewrite is not None
+        final, family = _curate(record, outcome)
         curated.append(final)
-        families.append(RecordFamily(
-            id=record.id, problem=record.problem, answer=record.answer,
-            original_rating=ComplexityLevel(intake), r_original=record.reasoning,
-            r_rewritten=final.reasoning if rewritten else None, r_corrupted=outcome.r_corrupted,
-        ))
+        families.append(family)
     stats.final_size = len(curated)
 
-    curated = assemble_sft(curated)
     conservation = stats.validate()
     if conservation:
         raise RuntimeError("; ".join(conservation))
     return curated, families, stats, discards
-
-
-def assemble_sft(accepted: list[CoTRecord]) -> list[CoTRecord]:
-    """Union of accepted records; duplicate-free by id, all verified mediums."""
-    seen: set[str] = set()
-    for record in accepted:
-        if record.id in seen:
-            raise DuplicateId(f"duplicate curated id {record.id!r}")
-        seen.add(record.id)
-        if record.verified is not True or record.rating != ComplexityLevel.MEDIUM:
-            raise ValueError(f"record {record.id} is not a verified medium-rated trace")
-    return list(accepted)
 
 
 def complexity_report(ratings: list[tuple[str, ComplexityLevel]]) -> dict[str, dict[str, int]]:

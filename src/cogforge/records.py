@@ -33,6 +33,12 @@ class GapType(str, Enum):
     LARGE = "large"
 
 
+def rating_entry(stage: str, rating: ComplexityLevel, votes: list[ComplexityLevel | None]) -> dict:
+    """One rating round as ``rating_history`` keeps it; None marks an abstention."""
+    votes = [v.value if v is not None else None for v in votes]
+    return {"stage": stage, "rating": rating.value, "votes": votes}
+
+
 @dataclass
 class CoTRecord:
     """One training tuple: problem, verified answer, reasoning trace, provenance.
@@ -57,16 +63,10 @@ class CoTRecord:
         return ComplexityLevel(self.rating_history[-1]["rating"]) if self.rating_history else None
 
     def add_rating(self, stage: str, rating: ComplexityLevel, votes: list[ComplexityLevel | None]) -> None:
-        self.rating_history.append(
-            {
-                "stage": stage,
-                "rating": rating.value,
-                "votes": [v.value if v is not None else None for v in votes],
-            }
-        )
+        self.rating_history.append(rating_entry(stage, rating, votes))
 
     def to_output_dict(self) -> dict:
-        """The one row shape: curated output, checkpoint record, fingerprint row."""
+        """The one row shape: curated output, and the input row a checkpoint digests."""
         return {
             "id": self.id,
             "problem": self.problem,

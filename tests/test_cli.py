@@ -341,7 +341,7 @@ class TestCurateResume:
         header = json.loads(checkpoint_path.read_text(encoding="utf-8"))
         row = header["completed"]["r1"]
         assert row["discard_reason"] is None
-        row["record"]["rating_history"] = []
+        row["ratings"] = []
         checkpoint_path.write_text(dump_row(header) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert entrypoint(argv) == EXIT_FATAL
@@ -362,7 +362,7 @@ class TestCurateResume:
         header = json.loads(checkpoint_path.read_text(encoding="utf-8"))
         row = header["completed"]["r2"]
         assert row["discard_reason"] is not None
-        row["record"]["rating_history"][0]["rating"] = "bogus"
+        row["ratings"][0]["rating"] = "bogus"
         checkpoint_path.write_text(dump_row(header) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert entrypoint(argv) == EXIT_FATAL

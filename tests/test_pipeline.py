@@ -30,10 +30,10 @@ from cogforge.pipeline import (
     DuplicateId,
     PipelineConfig,
     RecordOutcome,
-    assemble_sft,
     checkpoint_fingerprint,
     complexity_report,
     format_complexity_report,
+    input_digests,
     load_checkpoint,
     run_crv,
     save_checkpoint,
@@ -316,7 +316,7 @@ class TestCheckpointing:
         config = PipelineConfig(max_concurrency=1, checkpoint_path=str(checkpoint))
         with pytest.raises(UnknownKey):
             run_crv(dataset, config, Agents(ScriptedBackend(partial_script)))
-        assert set(load_checkpoint(str(checkpoint))) == {"r1", "r2", "r3"}
+        assert set(load_checkpoint(str(checkpoint), input_digests(dataset))) == {"r1", "r2", "r3"}
 
         resumed = self.run_files(
             tmp_path, "resumed", dataset, six_record_script, checkpoint=checkpoint
@@ -352,13 +352,13 @@ class TestCheckpointing:
         path = tmp_path / "checkpoint.json"
         path.write_text('{"format": "cogforge-checkpoint-v1", "completed": {"r1"')
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), {})
 
     def test_unknown_format_tag_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps({"format": "something-else", "completed": {}}))
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), {})
 
     def test_malformed_entry_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -366,24 +366,33 @@ class TestCheckpointing:
             {"format": "cogforge-checkpoint-v1", "completed": {"r1": {"status": "weird"}}}
         ))
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), {})
 
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        accepted = CoTRecord(id="r1", problem="p", answer="a", reasoning="t", verified=True)
-        accepted.add_rating("intake", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM, None])
-        discarded = CoTRecord(id="r2", problem="p", answer="a", reasoning="u")
+        inputs = input_digests(make_dataset(3))
+        intake = {"stage": "intake", "rating": "easy", "votes": ["easy", None]}
+        rerate = {"stage": "re-rate-2", "rating": "medium", "votes": ["medium", "medium"]}
         completed = {
-            "r1": RecordOutcome(record=accepted, r_corrupted="bad t", attempts=1,
-                                ever_verified=True, completions={"critic": 3}, tokens={}),
-            "r2": RecordOutcome(record=discarded, discard_reason="abstained", attempts=0,
-                                completions={"critic": 6}, tokens={"critic": 40}),
+            "r1": RecordOutcome(ratings=[{**intake, "rating": "medium"}], r_corrupted="bad t",
+                                attempts=1, ever_verified=True,
+                                completions_by_stage={"critic": 3}),
+            "r2": RecordOutcome(discard_reason="abstained", completions_by_stage={"critic": 6},
+                                tokens_by_stage={"critic": 40}),
+            "r3": RecordOutcome(ratings=[intake, rerate], rewrite="longer t", attempts=2,
+                                ever_verified=True, tokens_by_stage={"rethinker": 9}),
         }
-        save_checkpoint(str(path), completed)
-        assert load_checkpoint(str(path)) == completed
+        save_checkpoint(str(path), completed, inputs)
+        assert load_checkpoint(str(path), inputs) == completed
 
 
 MISSING = object()
+R1_DIGEST = input_digests(make_dataset(1))["r1"]
+# r1's input row with its problem emptied.
+OTHER_R1_DIGEST = input_digests(
+    [CoTRecord(id="r1", problem="", answer="answer 1", reasoning="trace 1")])["r1"]
+EASY_INTAKE = {"stage": "intake", "rating": "easy", "votes": ["easy"] * 3}
+MEDIUM_RERATE = {"stage": "re-rate-1", "rating": "medium", "votes": ["medium"] * 3}
 
 
 def write_header(path, completed: dict[str, dict], fingerprint: str | None = None) -> None:
@@ -395,7 +404,27 @@ def write_header(path, completed: dict[str, dict], fingerprint: str | None = Non
 
 def default_fingerprint(dataset) -> str:
     """The fingerprint a run over ``dataset`` with every default setting writes."""
-    return checkpoint_fingerprint(dataset, PipelineConfig(), Agents(ScriptedBackend({})))
+    return checkpoint_fingerprint(
+        input_digests(dataset), PipelineConfig(), Agents(ScriptedBackend({}))
+    )
+
+
+def write_checkpoint(path, where: str, rows: dict[str, dict],
+                     fingerprint: str | None = None) -> None:
+    """A checkpoint holding ``rows`` as given, in its header or as journal lines."""
+    if where == "header":
+        write_header(path, rows, fingerprint)
+        return
+    write_header(path, {}, fingerprint)
+    with open(path, "a", encoding="utf-8") as handle:
+        for record_id, row in rows.items():
+            handle.write(dump_row({"id": record_id, **row}) + "\n")
+
+
+def saved_rows(path) -> dict[str, dict]:
+    """The rows of a compacted checkpoint, by record id, as written."""
+    with open(path, encoding="utf-8") as handle:
+        return json.loads(handle.readline())["completed"]
 
 
 def script_for(script, record_ids):
@@ -434,7 +463,7 @@ class TestJournal:
                 self.outputs(dataset, partial, checkpoint)
         else:
             self.outputs(dataset, partial, checkpoint)
-        assert set(load_checkpoint(str(checkpoint))) == set(self.IDS[:k])
+        assert set(load_checkpoint(str(checkpoint), input_digests(dataset))) == set(self.IDS[:k])
         with open(checkpoint, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 1  # compacted on the way out
         resumed, backend = self.outputs(dataset, six_record_script, checkpoint)
@@ -485,7 +514,7 @@ class TestJournal:
         checkpoint = str(tmp_path / "checkpoint.json")
         with pytest.raises(UnknownKey):
             intake(script_for(six_record_script, self.IDS[:3]), checkpoint)
-        assert set(load_checkpoint(checkpoint)) == set(self.IDS[:3])
+        assert set(load_checkpoint(checkpoint, input_digests(dataset))) == set(self.IDS[:3])
         assert intake(six_record_script, checkpoint) == want
 
     def test_torn_tail_is_dropped_and_its_record_rerun(self, tmp_path, six_record_script):
@@ -493,18 +522,19 @@ class TestJournal:
         baseline, _ = self.outputs(dataset, six_record_script)
         full = tmp_path / "full.json"
         self.outputs(dataset, six_record_script, full)
-        rows = load_checkpoint(str(full))
+        inputs = input_digests(dataset)
+        rows = load_checkpoint(str(full), inputs)
 
         # A journal as a killed run leaves it: header, one appended row and
         # half of the next one.
         checkpoint = tmp_path / "checkpoint.json"
         fingerprint = default_fingerprint(dataset)
-        save_checkpoint(str(checkpoint), {"r1": rows["r1"], "r2": rows["r2"]}, fingerprint)
-        r3 = dump_row({"id": "r3", **rows["r3"].to_checkpoint()}) + "\n"
-        r4 = dump_row({"id": "r4", **rows["r4"].to_checkpoint()})
+        save_checkpoint(str(checkpoint), {"r1": rows["r1"], "r2": rows["r2"]}, inputs, fingerprint)
+        r3 = dump_row({"id": "r3", **rows["r3"].to_checkpoint(inputs["r3"])}) + "\n"
+        r4 = dump_row({"id": "r4", **rows["r4"].to_checkpoint(inputs["r4"])})
         with open(checkpoint, "a", encoding="utf-8") as handle:
             handle.write(r3 + r4[: len(r4) // 2])
-        assert set(load_checkpoint(str(checkpoint), fingerprint)) == {"r1", "r2", "r3"}
+        assert set(load_checkpoint(str(checkpoint), inputs, fingerprint)) == {"r1", "r2", "r3"}
 
         resumed, backend = self.outputs(dataset, six_record_script, checkpoint)
         assert resumed == baseline
@@ -520,7 +550,7 @@ class TestJournal:
         dataset = make_dataset(6)
         baseline, _ = self.outputs(dataset, six_record_script)
         checkpoint = tmp_path / "checkpoint.json"
-        save_checkpoint(str(checkpoint), {}, default_fingerprint(dataset))
+        save_checkpoint(str(checkpoint), {}, {}, default_fingerprint(dataset))
         with open(checkpoint, "a", encoding="utf-8") as handle:
             handle.write('{"id": "r1", "status": "disc')
 
@@ -533,11 +563,12 @@ class TestJournal:
                 previous = f"r{int(record_id[1:]) - 1}"
                 if agent == "critic" and previous != "r0":
                     deadline = time.monotonic() + 10
-                    while previous not in load_checkpoint(str(checkpoint)):
+                    while previous not in load_checkpoint(str(checkpoint), inputs):
                         assert time.monotonic() < deadline, f"{previous} not journaled"
                         time.sleep(0.001)
                 return self.inner.complete(request)
 
+        inputs = input_digests(dataset)
         saves = []
         real_save = pipeline.save_checkpoint
 
@@ -559,11 +590,11 @@ class TestJournal:
 
     def test_torn_multibyte_character_is_a_torn_tail(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {})
+        save_checkpoint(str(path), {}, {})
         torn = dump_row({"id": "r1", "discard_reason": "\u00e9t\u00e9"}).encode("utf-8")
         with open(path, "ab") as handle:
             handle.write(torn[: torn.index(b"\xc3") + 1])
-        assert load_checkpoint(str(path)) == {}
+        assert load_checkpoint(str(path), {}) == {}
 
     def test_changed_config_or_dataset_is_refused(self, tmp_path, six_record_script):
         dataset = make_dataset(6)
@@ -614,43 +645,32 @@ class TestJournal:
     ], ids=["bad-status", "no-id", "not-an-object", "unparseable", "blank"])
     def test_malformed_journal_row_rejected(self, tmp_path, tail):
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {})
+        save_checkpoint(str(path), {}, {})
         with open(path, "ab") as handle:
             handle.write(tail)
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), input_digests(make_dataset(6)))
 
     def test_malformed_header_entry_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         write_header(path, {"r1": {"status": "weird"}})
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), input_digests(make_dataset(6)))
 
-    def test_v1_snapshot_refused(self, tmp_path):
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4", "v5"])
+    def test_earlier_format_refused(self, tmp_path, version):
+        """A v1 snapshot spans several lines; v2 rows carry no usage; a v3
+        fingerprint leaves out templates and sampling; v4 rows store the
+        family and status; v5 rows repeat the whole record. None resumes."""
+        header = {"format": f"cogforge-checkpoint-{version}", "fingerprint": None, "completed": {}}
         path = tmp_path / "checkpoint.json"
-        path.write_text(json.dumps(
-            {"format": "cogforge-checkpoint-v1", "completed": {}}, indent=1, sort_keys=True
-        ) + "\n")
+        if version == "v1":
+            del header["fingerprint"]
+            path.write_text(json.dumps(header, indent=1, sort_keys=True) + "\n")
+        else:
+            path.write_text(dump_row(header) + "\n")
         with pytest.raises(CorruptCheckpoint, match=f"not a {pipeline.CHECKPOINT_FORMAT} header"):
-            load_checkpoint(str(path))
-
-    def test_v2_journal_refused(self, tmp_path):
-        # A v2 row carries no usage; resuming from it would under-report.
-        path = tmp_path / "checkpoint.json"
-        path.write_text(dump_row(
-            {"format": "cogforge-checkpoint-v2", "fingerprint": None, "completed": {}}
-        ) + "\n")
-        with pytest.raises(CorruptCheckpoint, match=f"not a {pipeline.CHECKPOINT_FORMAT} header"):
-            load_checkpoint(str(path))
-
-    def test_v4_journal_refused(self, tmp_path):
-        # A v4 row stores the family and status the v5 row derives.
-        path = tmp_path / "checkpoint.json"
-        path.write_text(dump_row(
-            {"format": "cogforge-checkpoint-v4", "fingerprint": None, "completed": {}}
-        ) + "\n")
-        with pytest.raises(CorruptCheckpoint, match=f"not a {pipeline.CHECKPOINT_FORMAT} header"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), {})
 
     @pytest.mark.parametrize("usage", [
         {"tokens_by_stage": {}},
@@ -662,68 +682,115 @@ class TestJournal:
         {"completions_by_stage": {}, "tokens_by_stage": {"critic": None}},
     ], ids=["no-completions", "no-tokens", "list", "string", "float", "bool", "null"])
     def test_row_without_integer_usage_rejected(self, tmp_path, usage):
-        row = RecordOutcome(record=CoTRecord(id="r1", problem="p", answer="a", reasoning="t"),
-                            discard_reason="abstained").to_checkpoint()
+        inputs = input_digests(make_dataset(1))
+        row = RecordOutcome(discard_reason="abstained").to_checkpoint(inputs["r1"])
+        write_header(tmp_path / "sound.json", {"r1": row})
+        assert load_checkpoint(str(tmp_path / "sound.json"), inputs)["r1"].discard_reason
         del row["completions_by_stage"], row["tokens_by_stage"]
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {})
+        save_checkpoint(str(path), {}, inputs)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(dump_row({"id": "r1", **row, **usage}) + "\n")
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), inputs)
         write_header(path, {"r1": {**row, **usage}})
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), inputs)
 
     @pytest.mark.parametrize("change", [
-        {"record": MISSING},
-        {"record": {"id": "r1"}},
-        {"record": ["r1"]},
-        {"record": "r1"},
+        {"input": MISSING},
+        {"input": OTHER_R1_DIGEST},
+        {"input": [R1_DIGEST]},
+        {"input": "r1"},
         {"r_corrupted": ["bad"]},
         {"discard_reason": 3},
         {"r_corrupted": MISSING},
+        {"discard_reason": "abstained", "attempts": "lots"},
+        {"discard_reason": "abstained", "attempts": -1},
+        {"attempts": True},
+        {"attempts": 0},
+        {"discard_reason": "abstained", "ever_verified": "maybe"},
+        {"ever_verified": 1},
+        {"ratings": ["medium"]},
+        {"ratings": {"stage": "intake", "rating": "medium", "votes": []}},
+        {"ratings": [{"stage": "intake", "rating": ["medium"], "votes": []}]},
+        {"rewrite": "rewrite r1"},
+        {"discard_reason": "abstained", "rewrite": "rewrite r1"},
+        {"ratings": [EASY_INTAKE, MEDIUM_RERATE]},
+        {"ratings": [EASY_INTAKE, MEDIUM_RERATE], "rewrite": ["rewrite r1"]},
+        {"ratings": [EASY_INTAKE, MEDIUM_RERATE], "rewrite": ""},
+        {"status": "accepted_medium"},
     ], ids=["no-record", "record-without-problem", "record-list", "record-string",
-            "corrupted-not-a-string", "reason-not-a-string", "no-corrupted"])
+            "corrupted-not-a-string", "reason-not-a-string", "no-corrupted",
+            "attempts-a-string", "attempts-negative", "attempts-a-bool", "accepted-without-attempt",
+            "verified-a-string", "verified-an-int", "rating-not-an-object", "ratings-not-a-list",
+            "rating-unhashable", "rewrite-of-a-medium-intake", "rewrite-of-a-discard",
+            "rewritten-without-rewrite", "rewrite-not-a-string", "rewrite-empty",
+            "unknown-field"])
     def test_row_that_does_not_decode_rejected(self, tmp_path, six_record_script, change):
+        """Damage to r1's accepted row, or to that row turned into a discard.
+        The ``record-*`` cases damage the ``input`` digest that ties the row
+        to its record: missing, another r1's, a list, an id."""
         full = tmp_path / "full.json"
+        inputs = input_digests(make_dataset(1))
         run_crv(make_dataset(1), PipelineConfig(checkpoint_path=str(full)),
                 Agents(ScriptedBackend(six_record_script)))
-        row = {**load_checkpoint(str(full))["r1"].to_checkpoint(), **change}
+        assert saved_rows(full)["r1"]["input"] == R1_DIGEST
+        assert load_checkpoint(str(full), inputs)["r1"].discard_reason is None
+        row = {**saved_rows(full)["r1"], **change}
         row = {key: value for key, value in row.items() if value is not MISSING}
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {})
+        save_checkpoint(str(path), {}, inputs)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(dump_row({"id": "r1", **row}) + "\n")
         with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), inputs)
         write_header(path, {"r1": row})
         with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
-            load_checkpoint(str(path))
+            load_checkpoint(str(path), inputs)
 
     @pytest.mark.parametrize("where", ["header", "journal"])
-    @pytest.mark.parametrize("moved", ["r2", "r3"], ids=["discarded", "accepted"])
+    @pytest.mark.parametrize("moved", ["r2", "r3", "r2-renamed"],
+                             ids=["discarded", "accepted", "renamed"])
     def test_row_filed_under_another_id_rejected(self, tmp_path, six_record_script, where, moved):
         """A row that decodes cleanly but belongs to another record must not
         stand in for the record it is filed under: at r1's key, r2's discard
-        would drop r1 and write r2 twice, and r3's acceptance would duplicate
-        a curated id."""
+        would drop r1 and write r2 twice, and r3's acceptance would curate r1
+        with r3's rewrite. Renaming r2 to r1 in its input row as well still
+        leaves r2's problem and trace in the digest."""
         dataset = make_dataset(6)
         full = tmp_path / "full.json"
         run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
                 Agents(ScriptedBackend(six_record_script)))
-        row = load_checkpoint(str(full))[moved].to_checkpoint()
-        path = tmp_path / "checkpoint.json"
-        fingerprint = default_fingerprint(dataset)
-        if where == "header":
-            write_header(path, {"r1": row}, fingerprint)
+        rows = saved_rows(full)
+        if moved == "r2-renamed":
+            renamed = dataclasses.replace(dataset[1], id="r1")
+            row = {**rows["r2"], "input": input_digests([renamed])["r1"]}
         else:
-            write_header(path, {}, fingerprint)
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(dump_row({"id": "r1", **row}) + "\n")
+            row = rows[moved]
+        path = tmp_path / "checkpoint.json"
+        write_checkpoint(path, where, {"r1": row}, default_fingerprint(dataset))
         with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)),
                     Agents(ScriptedBackend(six_record_script)))
+
+    @pytest.mark.parametrize("where", ["header", "journal"])
+    def test_row_of_a_record_not_in_the_dataset_rejected(self, tmp_path, six_record_script, where):
+        """A row filed under an id the dataset lacks would count as one more
+        completed record and be compacted back into the file."""
+        dataset = make_dataset(6)
+        full = tmp_path / "full.json"
+        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
+                Agents(ScriptedBackend(six_record_script)))
+        rows = saved_rows(full)
+        foreign = dataclasses.replace(dataset[1], id="zz")
+        rows["zz"] = {**rows["r2"], "input": input_digests([foreign])["zz"]}
+        path = tmp_path / "checkpoint.json"
+        write_checkpoint(path, where, rows, default_fingerprint(dataset))
+        backend = ScriptedBackend(six_record_script)
+        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'zz'"):
+            run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
+        assert backend.history == []
 
     @pytest.mark.parametrize("where", ["header", "journal"])
     def test_family_of_another_record_rejected(self, tmp_path, six_record_script, where):
@@ -735,41 +802,34 @@ class TestJournal:
             dataset, PipelineConfig(checkpoint_path=str(full)),
             Agents(ScriptedBackend(six_record_script)),
         )
-        row = load_checkpoint(str(full))["r1"].to_checkpoint()
+        row = saved_rows(full)["r1"]
         del row["r_corrupted"]
         row.update(status="accepted_medium", family=families[1].to_dict())
         path = tmp_path / "checkpoint.json"
-        fingerprint = default_fingerprint(dataset)
-        if where == "header":
-            write_header(path, {"r1": row}, fingerprint)
-        else:
-            write_header(path, {}, fingerprint)
-            with open(path, "a", encoding="utf-8") as handle:
-                handle.write(dump_row({"id": "r1", **row}) + "\n")
+        write_checkpoint(path, where, {"r1": row}, default_fingerprint(dataset))
         with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)),
                     Agents(ScriptedBackend({})))
 
     @pytest.mark.parametrize("damage", ["no-history", "unknown-intake", "unverified", "not-medium"])
     def test_accepted_row_without_a_sound_walk_rejected(self, tmp_path, six_record_script, damage):
-        """An accepted row must carry its walk's intake rating and end on a
-        verified medium trace; otherwise the resume refuses it up front instead
-        of failing while it assembles the outputs."""
+        """An accepted row must carry its walk's intake rating, have been
+        verified, and end on a medium rating; otherwise the resume refuses it
+        up front instead of failing while it assembles the outputs."""
         dataset = make_dataset(6)
         full = tmp_path / "full.json"
         run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
                 Agents(ScriptedBackend(six_record_script)))
-        row = load_checkpoint(str(full))["r1"].to_checkpoint()
+        row = saved_rows(full)["r1"]
         assert row["discard_reason"] is None
-        record = row["record"]
         if damage == "no-history":
-            record["rating_history"] = []
+            row["ratings"] = []
         elif damage == "unknown-intake":
-            record["rating_history"][0]["rating"] = "unrated"
+            row["ratings"][0]["rating"] = "unrated"
         elif damage == "unverified":
-            record["verified"] = None
+            row["ever_verified"] = False
         else:
-            record["rating_history"][-1]["rating"] = "hard"
+            row["ratings"].append({**MEDIUM_RERATE, "rating": "hard"})
         path = tmp_path / "checkpoint.json"
         write_header(path, {"r1": row}, default_fingerprint(dataset))
         backend = ScriptedBackend(six_record_script)
@@ -787,9 +847,9 @@ class TestJournal:
         full = tmp_path / "full.json"
         run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
                 Agents(ScriptedBackend(six_record_script)))
-        row = load_checkpoint(str(full))["r4"].to_checkpoint()
+        row = saved_rows(full)["r4"]
         assert row["discard_reason"] is not None
-        history = row["record"]["rating_history"]
+        history = row["ratings"]
         assert [entry["stage"] for entry in history] == [
             "intake", "re-rate-1", "re-rate-2", "re-rate-3"]
         if damage == "bogus-intake":
@@ -816,10 +876,24 @@ class TestJournal:
         baseline, _ = self.outputs(dataset, script)
         with pytest.raises(UnknownKey):
             self.outputs(dataset, script_for(script, ["r1", "r2"]), checkpoint)
-        assert load_checkpoint(str(checkpoint))["r2"].record.rating_history == []
+        assert load_checkpoint(str(checkpoint), input_digests(dataset))["r2"].ratings == []
         resumed, _ = self.outputs(dataset, script, checkpoint)
         assert resumed == baseline
         assert json.loads(resumed[3])["intake_by_level"]["unrated"] == 1
+
+    def test_rows_hold_no_input_text(self, tmp_path, six_record_script):
+        """A row holds what its walk decided and names its input by digest:
+        no problem, answer or unchanged trace is written twice."""
+        dataset = make_dataset(6)
+        checkpoint = tmp_path / "checkpoint.json"
+        self.outputs(dataset, six_record_script, checkpoint)
+        rows = saved_rows(checkpoint)
+        assert list(rows) == self.IDS
+        for record in dataset:
+            row = dump_row(rows[record.id])
+            for text in (record.problem, record.answer, record.reasoning):
+                assert json.dumps(text) not in row, (record.id, text)
+        assert rows["r3"]["rewrite"] == "rewrite r3"
 
     def test_gateway_error_keeps_records_in_flight(self, tmp_path, six_record_script):
         """r2 fails while r1 is still in flight; r1 finishes only once the
@@ -857,7 +931,7 @@ class TestJournal:
                 run_crv(dataset, config, Agents(backend))
         finally:
             logger.removeHandler(handler)
-        kept = load_checkpoint(str(checkpoint))
+        kept = load_checkpoint(str(checkpoint), input_digests(dataset))
         assert "r1" in kept and "r2" not in kept
 
         resumed, _ = self.outputs(dataset, six_record_script, checkpoint,
@@ -897,7 +971,7 @@ class TestJournal:
                 run_crv(dataset, config, Agents(backend))
         finally:
             logger.removeHandler(handler)
-        assert set(load_checkpoint(str(checkpoint))) == set(self.IDS[:k])
+        assert set(load_checkpoint(str(checkpoint), input_digests(dataset))) == set(self.IDS[:k])
         assert not {key.split(":", 1)[1] for key in backend.history} & later
 
         resumed, _ = self.outputs(dataset, six_record_script, checkpoint)
@@ -928,9 +1002,9 @@ class TestJournal:
             run_crv(dataset, config, Agents(backend))
         assert raised.value is error
         assert {key.split(":", 1)[1] for key in backend.history} == set(self.IDS[:k])
-        assert set(load_checkpoint(str(checkpoint), default_fingerprint(dataset))) == set(
-            self.IDS[:k]
-        )
+        loaded = load_checkpoint(str(checkpoint), input_digests(dataset),
+                                 default_fingerprint(dataset))
+        assert set(loaded) == set(self.IDS[:k])
         with open(checkpoint, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 1
         assert list(tmp_path.glob("*.tmp")) == []
@@ -977,9 +1051,9 @@ class TestJournal:
         finally:
             logger.removeHandler(handler)
         assert {key.split(":", 1)[1] for key in backend.history} == {"r1", "r2", "r3"}
-        assert set(load_checkpoint(str(checkpoint), default_fingerprint(dataset))) == {
-            "r1", "r2", "r3"
-        }
+        loaded = load_checkpoint(str(checkpoint), input_digests(dataset),
+                                 default_fingerprint(dataset))
+        assert set(loaded) == {"r1", "r2", "r3"}
         with open(checkpoint, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 1
 
@@ -1072,7 +1146,8 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        assert set(load_checkpoint(checkpoint, default_fingerprint(dataset))) == set(ids)
+        loaded = load_checkpoint(checkpoint, input_digests(dataset), default_fingerprint(dataset))
+        assert set(loaded) == set(ids)
 
 
 class TestRandomizedRuns:
@@ -1114,28 +1189,6 @@ class TestRandomizedRuns:
                 stats.to_dict(),
             ))
         assert outputs[0] == outputs[1]
-
-
-class TestAssembleSft:
-    def accepted(self, record_id="r1"):
-        record = CoTRecord(id=record_id, problem="p", answer="a", reasoning="r")
-        record.add_rating("intake", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM] * 3)
-        record.verified = True
-        return record
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateId):
-            assemble_sft([self.accepted(), self.accepted()])
-
-    def test_unverified_rejected(self):
-        record = self.accepted()
-        record.verified = None
-        with pytest.raises(ValueError):
-            assemble_sft([record])
-
-    def test_union_preserved(self):
-        records = [self.accepted("a"), self.accepted("b")]
-        assert assemble_sft(records) == records
 
 
 class TestComplexityReport:

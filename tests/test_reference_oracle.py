@@ -18,7 +18,7 @@ import pytest
 from cogforge import gateway
 from cogforge.agents import Agents
 from cogforge.gateway import ScriptedBackend
-from cogforge.pipeline import PipelineConfig, load_checkpoint, run_crv
+from cogforge.pipeline import PipelineConfig, input_digests, load_checkpoint, run_crv
 from cogforge.records import CoTRecord
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -78,7 +78,8 @@ def test_memoized_word_counts_equal_plain_split(tmp_path, monkeypatch, concurren
         config = PipelineConfig(max_concurrency=concurrency, checkpoint_path=path)
         stats = run_crv(dataset, config, Agents(ScriptedBackend(script)))[2]
         return stats.to_dict(), {
-            record_id: outcome.tokens for record_id, outcome in load_checkpoint(path).items()
+            record_id: outcome.tokens_by_stage
+            for record_id, outcome in load_checkpoint(path, input_digests(dataset)).items()
         }
 
     interval = sys.getswitchinterval()
