@@ -33,12 +33,40 @@ def read_rows(path: str, required: tuple[str, ...] = ()) -> Iterator[dict]:
 
 
 # sort_keys so identical content is identical bytes regardless of how the
-# dict was assembled; resume determinism depends on this. One encoder serves
-# every row: encode() keeps no state between calls.
+# dict was assembled; resume determinism depends on this. Each encoder serves
+# every row it is given: encode() keeps no state between calls.
+#
+# The two encoders write the same bytes for any string that is ASCII and holds
+# no DEL: both escape the quote, the backslash and the C0 controls alike, and
+# only DEL and the characters above it are escaped by the ASCII encoder and
+# written raw by the other. Numbers, booleans and null never differ. The ASCII
+# escaper is the faster of the two, so a flat row that holds only such strings
+# goes through it. Any other row (nested, or holding DEL, non-ASCII text or
+# a key that is not a str) goes through the UTF-8 encoder, which writes
+# non-ASCII text raw.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_ASCII_ENCODER = json.JSONEncoder(ensure_ascii=True, sort_keys=True)
+_SCALARS = (int, float, bool, type(None))
+
+
+def _escapes_alike(row: dict) -> bool:
+    """Whether both encoders write ``row`` as the same bytes: every key is a
+    str and every value a str or scalar, each string ASCII without DEL.
+    isascii() is O(1) in CPython; only the DEL test scans the text."""
+    for key, value in row.items():
+        if type(key) is not str or not key.isascii() or "\x7f" in key:
+            return False
+        if type(value) is str:
+            if not value.isascii() or "\x7f" in value:
+                return False
+        elif type(value) not in _SCALARS:
+            return False
+    return True
 
 
 def dump_row(row: dict) -> str:
+    if type(row) is dict and _escapes_alike(row):
+        return _ASCII_ENCODER.encode(row)
     return _ENCODER.encode(row)
 
 

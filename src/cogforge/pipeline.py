@@ -184,18 +184,18 @@ def _json_object(line: bytes) -> dict | None:
     return row if isinstance(row, dict) else None
 
 
-def _outcome_of(row, input_digest: str | None) -> RecordOutcome | None:
+def _outcome_of(row, input_digest: str | None, retry_cap: int) -> RecordOutcome | None:
     """The outcome a checkpoint row holds, or None unless the row is sound.
 
     A sound row has exactly the v6 fields, and its ``input`` is the digest
     of the input record it is filed under (None: no such record). Each
     rating is an object whose ``rating`` is a ComplexityLevel; ``attempts``
-    is a non-negative int and ``ever_verified`` a bool; the reason and
-    ``r_corrupted`` are strings or null; the usage maps hold integers. An
-    accepted row made an attempt, was verified and ends rated medium, and
-    only an accepted row whose intake was not medium holds a rewrite, a
-    non-empty string. A discarded walk may have appended no rating (the
-    critic abstained).
+    is an int from 0 to the run's ``retry_cap`` and ``ever_verified`` a
+    bool; the reason and ``r_corrupted`` are strings or null; the usage
+    maps hold integers. An accepted row made an attempt, was verified and
+    ends rated medium, and only an accepted row whose intake was not medium
+    holds a rewrite, a non-empty string. A discarded walk may have appended
+    no rating (the critic abstained).
     """
     if not (isinstance(row, dict) and row.keys() == _ROW_KEYS
             and input_digest is not None and row.pop("input") == input_digest):
@@ -204,7 +204,7 @@ def _outcome_of(row, input_digest: str | None) -> RecordOutcome | None:
     ratings, attempts, verified = outcome.ratings, outcome.attempts, outcome.ever_verified
     if not (type(ratings) is list
             and all(type(entry) is dict and entry.get("rating") in _LEVELS for entry in ratings)
-            and type(attempts) is int and attempts >= 0 and type(verified) is bool
+            and type(attempts) is int and 0 <= attempts <= retry_cap and type(verified) is bool
             and all(text is None or type(text) is str
                     for text in (outcome.discard_reason, outcome.r_corrupted))
             and all(isinstance(usage, dict) and all(type(n) is int for n in usage.values())
@@ -219,16 +219,18 @@ def _outcome_of(row, input_digest: str | None) -> RecordOutcome | None:
     return outcome if type(outcome.rewrite) is expected and outcome.rewrite != "" else None
 
 
-def load_checkpoint(path: str, inputs: dict[str, str],
-                    fingerprint: str | None = None) -> dict[str, RecordOutcome]:
+def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str | None = None, *,
+                    retry_cap: int = PipelineConfig.retry_cap) -> dict[str, RecordOutcome]:
     """Read the completed records' outcomes by id; absent file means a fresh run.
 
     Line 1 is the header (format tag, fingerprint, compacted map); each later
     line is one record appended as it completed. A last segment without its
     newline is a torn append and is dropped. Given a fingerprint, a header
     written for another config or dataset is refused. Header and journal rows
-    alike must pass _outcome_of against ``inputs`` (input_digests), so a row
-    filed under an id the dataset lacks, or of another record, is refused.
+    alike must pass _outcome_of against ``inputs`` (input_digests) and the
+    run's ``retry_cap`` (PipelineConfig's default unless given), so a row
+    filed under an id the dataset lacks, of another record, or with more
+    attempts than the cap allows, is refused.
     """
     if not os.path.exists(path):
         return {}
@@ -250,7 +252,7 @@ def load_checkpoint(path: str, inputs: dict[str, str],
             raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")
         completed[record_id] = row
     for record_id, row in completed.items():  # each row is replaced by its outcome
-        outcome = _outcome_of(row, inputs.get(record_id))
+        outcome = _outcome_of(row, inputs.get(record_id), retry_cap)
         if outcome is None:
             raise CorruptCheckpoint(f"{path}: malformed entry for record {record_id!r}")
         completed[record_id] = outcome
@@ -302,7 +304,7 @@ def run_crv(
     if path:
         inputs = input_digests(dataset)
         fingerprint = checkpoint_fingerprint(inputs, config, agents)
-        completed = load_checkpoint(path, inputs, fingerprint)
+        completed = load_checkpoint(path, inputs, fingerprint, retry_cap=config.retry_cap)
         # Rewriting the header first drops a torn tail before any append.
         save_checkpoint(path, completed, inputs, fingerprint)
         journal = open(path, "a", encoding="utf-8")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -19,7 +21,14 @@ from conftest import SIX_RECORD_SCRIPT, make_dataset
 
 from cogforge import cli, jsonl
 from cogforge.agents import TEMPLATE_NAMES, load_templates
-from cogforge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, _build_backend, entrypoint
+from cogforge.cli import (
+    EXIT_FATAL,
+    EXIT_OK,
+    EXIT_PARTIAL,
+    LOGPROB_FIELDS,
+    _build_backend,
+    entrypoint,
+)
 from cogforge.config import load_config
 from cogforge.gateway import ChatRequest, ModelRole
 from cogforge.jsonl import dump_row, read_rows
@@ -370,6 +379,33 @@ class TestCurateResume:
         assert "malformed entry for record 'r2'" in captured.err
         assert "bogus" not in captured.out
 
+    def test_rewritten_row_over_the_retry_cap_is_fatal(self, curate_paths, tmp_path, capsys):
+        """An accepted rewrite claiming more attempts than retry_cap would be
+        curated with that rewrite_count. The run refuses it before r6 is walked:
+        with the empty script, any backend call would fail on r6 instead."""
+        checkpoint_path = tmp_path / "run.checkpoint.json"
+        argv = [
+            "curate",
+            "--input", curate_paths["input"],
+            "--output", str(tmp_path / "out.jsonl"),
+            "--checkpoint", str(checkpoint_path),
+        ]
+        assert entrypoint([*argv, "--mock-script", curate_paths["script"]]) == EXIT_PARTIAL
+        header = json.loads(checkpoint_path.read_text(encoding="utf-8"))
+        completed = header["completed"]
+        assert completed["r5"]["rewrite"] is not None
+        completed["r5"]["attempts"] = 99
+        del completed["r6"]
+        checkpoint_path.write_text(dump_row(header) + "\n", encoding="utf-8")
+        (tmp_path / "out.jsonl").unlink()
+        capsys.readouterr()
+        empty_script = write_script(tmp_path / "empty.jsonl", {})
+        assert entrypoint([*argv, "--mock-script", empty_script]) == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert "malformed entry for record 'r5'" in err
+        assert "r6" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 def family_rows() -> list[dict]:
     return [
@@ -702,6 +738,65 @@ class TestLossEval:
         code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
         assert code == EXIT_FATAL
         assert "error:" in capsys.readouterr().err
+
+
+class TestPreferenceOutputBytes:
+    """`pairs` and `loss-eval --output` write pinned bytes over families whose
+    texts mix plain ASCII with DEL, C0 controls, quotes, backslashes and
+    non-ASCII characters, so every kind of row the writer sees is covered."""
+
+    # SHA-256 of pairs.jsonl and of the loss-eval report, recorded while
+    # dump_row had one encoder: choosing an encoder per row must not move them.
+    PAIRS_DIGEST = "0f2b5c51620d4472f5be2d31c2e6413951265afcb6939bb80020ca7ea94773ec"
+    REPORT_DIGEST = "33ff0a3e9b192740af4176bc22857256f47c78ce430945be5412415500cad57a"
+
+    PLAIN = "abcdefghij klmnop 0123456789 .,;:()"
+    # Per family: plain text, ASCII escapes with DEL, without it, non-ASCII.
+    EXTRAS = [
+        [],
+        ["\x7f", '"', "\\", "\x00", "\n"],
+        ['"', "\\", "\\u00e9", "\x01", "\t", "\x1f"],
+        ["é", "×", "中文", "😀", "\u2028", "\x80", "\x7f", '"'],
+    ]
+
+    def family_rows(self) -> list[dict]:
+        rng = random.Random(19)
+        rows = []
+        for n in range(80):
+            extras = self.EXTRAS[n % 4]
+
+            def text() -> str:
+                chars = [rng.choice(self.PLAIN) for _ in range(rng.randint(5, 60))]
+                for _ in range(rng.randint(1, 4) if extras else 0):
+                    chars.insert(rng.randint(0, len(chars)), rng.choice(extras))
+                return "".join(chars)
+
+            rating = ("easy", "medium", "hard")[rng.randrange(3)]
+            rows.append({
+                "id": f"fam-{n}" + ("é" if n % 7 == 0 else ""),
+                "problem": text(), "answer": text(),
+                "original_rating": rating, "r_original": text(),
+                "r_rewritten": None if rating == "medium" or n % 5 == 0 else text(),
+                "r_corrupted": None if n % 11 == 0 else text(),
+            })
+        return rows
+
+    def test_pairs_and_report_bytes_are_pinned(self, tmp_path):
+        families_path = write_jsonl(tmp_path / "families.jsonl", self.family_rows())
+        pairs_path = tmp_path / "pairs.jsonl"
+        assert entrypoint(["pairs", "--families", families_path,
+                           "--output", str(pairs_path)]) == EXIT_OK
+        rng = random.Random(23)
+        logprobs = [
+            {"id": row["id"], **{field: rng.uniform(-40.0, -1.0) for field in LOGPROB_FIELDS[1:]}}
+            for row in read_rows(str(pairs_path))
+        ]
+        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", logprobs)
+        report_path = tmp_path / "report.jsonl"
+        assert entrypoint(["loss-eval", "--pairs", str(pairs_path), "--logprobs", logprobs_path,
+                           "--output", str(report_path)]) == EXIT_OK
+        assert hashlib.sha256(pairs_path.read_bytes()).hexdigest() == self.PAIRS_DIGEST
+        assert hashlib.sha256(report_path.read_bytes()).hexdigest() == self.REPORT_DIGEST
 
 
 def without(row: dict, field: str) -> dict:

@@ -709,6 +709,7 @@ class TestJournal:
         {"discard_reason": "abstained", "attempts": -1},
         {"attempts": True},
         {"attempts": 0},
+        {"attempts": PipelineConfig().retry_cap + 1},
         {"discard_reason": "abstained", "ever_verified": "maybe"},
         {"ever_verified": 1},
         {"ratings": ["medium"]},
@@ -723,10 +724,10 @@ class TestJournal:
     ], ids=["no-record", "record-without-problem", "record-list", "record-string",
             "corrupted-not-a-string", "reason-not-a-string", "no-corrupted",
             "attempts-a-string", "attempts-negative", "attempts-a-bool", "accepted-without-attempt",
-            "verified-a-string", "verified-an-int", "rating-not-an-object", "ratings-not-a-list",
-            "rating-unhashable", "rewrite-of-a-medium-intake", "rewrite-of-a-discard",
-            "rewritten-without-rewrite", "rewrite-not-a-string", "rewrite-empty",
-            "unknown-field"])
+            "attempts-over-cap", "verified-a-string", "verified-an-int", "rating-not-an-object",
+            "ratings-not-a-list", "rating-unhashable", "rewrite-of-a-medium-intake",
+            "rewrite-of-a-discard", "rewritten-without-rewrite", "rewrite-not-a-string",
+            "rewrite-empty", "unknown-field"])
     def test_row_that_does_not_decode_rejected(self, tmp_path, six_record_script, change):
         """Damage to r1's accepted row, or to that row turned into a discard.
         The ``record-*`` cases damage the ``input`` digest that ties the row
