@@ -184,25 +184,6 @@ class ToyPolicy:
         """Next-token log-probabilities of every bucket, one row each."""
         return _log_softmax(self.logits)
 
-    def steps(
-        self, prompt: tuple[int, ...], response: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Bucket and token index arrays of the response's steps, after
-        checking that every token is in the vocabulary. Step i's bucket is
-        ``bucket(prompt + response[:i])``, with the hash carried forward one
-        token at a time."""
-        import numpy as np
-
-        for token in (*prompt, *response):
-            if not 0 <= token < self.vocab_size:
-                raise TokenOutOfRange(f"token {token} outside vocabulary of size {self.vocab_size}")
-        h = reduce(_fnv1a, prompt, _FNV_OFFSET)
-        buckets = []
-        for token in response:
-            buckets.append(h % self.n_buckets)
-            h = _fnv1a(h, token)
-        return np.array(buckets, dtype=int), np.array(response, dtype=int)
-
     def snapshot(self) -> ToyPolicy:
         """Immutable-by-convention copy, used as the frozen reference."""
         return ToyPolicy(self.vocab_size, self.n_buckets, logits=self.logits)
@@ -213,17 +194,24 @@ def _step_counts(
 ) -> np.ndarray:
     """One row of B * V counts per (prompt, response): how often the
     response's steps take each (bucket, token) cell of the policy's table.
-    Each response is walked once, through ``ToyPolicy.steps``."""
+    Step i takes token ``response[i]`` in bucket ``bucket(prompt +
+    response[:i])``. Each sequence is walked once: every prompt and response
+    token's range is checked, and the hash is carried forward one token at a
+    time."""
     import numpy as np
 
-    walks = [policy.steps(prompt, response) for prompt, response in sequences]
-    none = np.zeros(0, dtype=int)
-    rows = np.repeat(np.arange(len(walks)), np.array([len(t) for _, t in walks], dtype=int))
-    buckets = np.concatenate([none, *(b for b, _ in walks)])
-    tokens = np.concatenate([none, *(t for _, t in walks)])
-    width = policy.n_buckets * policy.vocab_size
-    cells = rows * width + buckets * policy.vocab_size + tokens
-    return np.bincount(cells, minlength=len(walks) * width).reshape(len(walks), width).astype(float)
+    vocab, width = policy.vocab_size, policy.n_buckets * policy.vocab_size
+    cells = []
+    for row, (prompt, response) in enumerate(sequences):
+        h, start = _FNV_OFFSET, len(prompt)
+        for i, token in enumerate((*prompt, *response)):
+            if not 0 <= token < vocab:
+                raise TokenOutOfRange(f"token {token} outside vocabulary of size {vocab}")
+            if i >= start:
+                cells.append(row * width + h % policy.n_buckets * vocab + token)
+            h = _fnv1a(h, token)
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(sequences) * width)
+    return counts.reshape(len(sequences), width).astype(float)
 
 
 def _logprobs(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -392,6 +380,32 @@ def grad_check(
     )
 
 
+_QUAD_FIELDS = ("lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref")
+
+
+def _row_id(row: dict, kind: str) -> str:
+    if not isinstance(row["id"], str):
+        raise JoinError(f"{kind} row id {row['id']!r}: field 'id' is not a string")
+    return row["id"]
+
+
+def _checked_quad(row_id: str, row: dict) -> tuple[float, float, float, float]:
+    """The row's four log-probs as floats, each a JSON number in float range;
+    a boolean, a string or any other value is a ``JoinError``."""
+    quad = []
+    for name in _QUAD_FIELDS:
+        value = row[name]
+        try:
+            if not isinstance(value, float) and (isinstance(value, bool)
+                                                 or not isinstance(value, int)):
+                raise TypeError
+            quad.append(float(value))
+        except (TypeError, OverflowError):
+            raise JoinError(f"log-prob row {row_id!r}: field {name!r} is not a number "
+                            f"in float range: {value!r}") from None
+    return tuple(quad)
+
+
 def join_quads(
     pair_rows: Iterable[dict], logprob_rows: Iterable[dict]
 ) -> list[tuple[str, LogProbQuad, GapType]]:
@@ -399,16 +413,18 @@ def join_quads(
 
     The log-prob rows are drained first, down to four floats each; the pair
     rows are then consumed one at a time, and only their id and gap are kept.
+    An id must be a string and a log-prob a JSON number (not a boolean or a
+    string); any other value is a ``JoinError`` naming the row and the field.
     """
     by_id: dict[str, tuple[float, float, float, float]] = {}
     for row in logprob_rows:
-        if row["id"] in by_id:
-            raise JoinError(f"duplicate log-prob id {row['id']!r}")
-        by_id[row["id"]] = (float(row["lp_w_theta"]), float(row["lp_w_ref"]),
-                            float(row["lp_l_theta"]), float(row["lp_l_ref"]))
+        row_id = _row_id(row, "log-prob")
+        if row_id in by_id:
+            raise JoinError(f"duplicate log-prob id {row_id!r}")
+        by_id[row_id] = _checked_quad(row_id, row)
     joined = []
     for pair_row in pair_rows:
-        pair_id = pair_row["id"]
+        pair_id = _row_id(pair_row, "pair")
         if pair_id not in by_id:
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
         joined.append((pair_id, LogProbQuad(*by_id.pop(pair_id)), GapType(pair_row["gap"])))

@@ -62,9 +62,6 @@ class CoTRecord:
         """The latest round's rating; None before the first round."""
         return ComplexityLevel(self.rating_history[-1]["rating"]) if self.rating_history else None
 
-    def add_rating(self, stage: str, rating: ComplexityLevel, votes: list[ComplexityLevel | None]) -> None:
-        self.rating_history.append(rating_entry(stage, rating, votes))
-
     def to_output_dict(self) -> dict:
         """The one row shape: curated output, and the input row a checkpoint digests."""
         return {
@@ -77,20 +74,6 @@ class CoTRecord:
             "rewrite_count": self.rewrite_count,
             "verified": self.verified,
         }
-
-    @classmethod
-    def from_dict(cls, row: dict) -> CoTRecord:
-        """Inverse of to_output_dict; a ``"rating"`` key is ignored."""
-        return cls(
-            id=row["id"],
-            problem=row["problem"],
-            answer=row["answer"],
-            reasoning=row["reasoning"],
-            source=Source(row.get("source", "original")),
-            rating_history=list(row.get("rating_history", [])),
-            rewrite_count=int(row.get("rewrite_count", 0)),
-            verified=row.get("verified"),
-        )
 
 
 @dataclass

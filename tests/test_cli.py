@@ -739,6 +739,25 @@ class TestLossEval:
         assert code == EXIT_FATAL
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file, field, value", [
+        ("logprobs", "id", ["a"]),
+        ("pairs", "id", ["a"]),
+        ("logprobs", "lp_w_theta", {"x": 1}),
+        ("logprobs", "lp_w_theta", True),
+        ("logprobs", "lp_w_ref", "1.5"),
+    ])
+    def test_badly_typed_row_is_one_error_line(self, tmp_path, capsys, file, field, value):
+        rows = {"pairs": [pair_row("a", "small")], "logprobs": [logprob_row("a")]}
+        rows[file][0][field] = value
+        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", rows["pairs"])
+        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", rows["logprobs"])
+        code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"field {field!r}" in captured.err
+
 
 class TestPreferenceOutputBytes:
     """`pairs` and `loss-eval --output` write pinned bytes over families whose

@@ -202,11 +202,12 @@ class TestToyPolicy:
             prompt = tuple(int(t) for t in rng.integers(0, 7, size=rng.integers(0, 6)))
             response = tuple(int(t) for t in rng.integers(0, 7, size=rng.integers(0, 9)))
             cases.append((prompt, response))
-        for prompt, response in cases:
-            buckets, tokens = policy.steps(prompt, response)
-            want = [policy.bucket(prompt + response[:i]) for i in range(len(response))]
-            assert buckets.tolist() == want, (prompt, response)
-            assert tokens.tolist() == list(response)
+        want = np.zeros((len(cases), policy.n_buckets, policy.vocab_size))
+        for row, (prompt, response) in enumerate(cases):
+            for i, token in enumerate(response):
+                want[row, policy.bucket(prompt + response[:i]), token] += 1
+        counts = loss._step_counts(policy, cases)
+        assert counts.tolist() == want.reshape(len(cases), -1).tolist()
 
     def test_steps_hash_each_token_once(self, monkeypatch):
         updates = 0
@@ -221,7 +222,7 @@ class TestToyPolicy:
         policy = ToyPolicy(vocab_size=4, n_buckets=16)
         for prompt_len, response_len in ((0, 0), (0, 64), (8, 1), (8, 1024)):
             updates = 0
-            policy.steps((1,) * prompt_len, (2,) * response_len)
+            loss._step_counts(policy, [((1,) * prompt_len, (2,) * response_len)])
             assert updates <= prompt_len + response_len, (prompt_len, response_len)
 
     def test_snapshot_is_independent(self):
@@ -419,19 +420,19 @@ class TestGradCheck:
         batch, policy, reference = non_square_case(33)
         walked: list[int] = []
         token_loss_calls = 0
-        steps = ToyPolicy.steps
+        step_counts = loss._step_counts
         exact = loss.cogpo_token_loss
 
-        def counting_steps(self, prompt, response):
-            walked.append(id(self))
-            return steps(self, prompt, response)
+        def counting_walks(policy, sequences):
+            walked.extend(id(policy) for _ in sequences)
+            return step_counts(policy, sequences)
 
         def counting_loss(*args, **kwargs):
             nonlocal token_loss_calls
             token_loss_calls += 1
             return exact(*args, **kwargs)
 
-        monkeypatch.setattr(ToyPolicy, "steps", counting_steps)
+        monkeypatch.setattr(loss, "_step_counts", counting_walks)
         monkeypatch.setattr(loss, "cogpo_token_loss", counting_loss)
         assert grad_check(batch, BetaSchedule(), policy, reference).passed
         assert walked.count(id(policy)) == 2 * len(batch)
@@ -489,6 +490,26 @@ class TestJoinQuads:
     def test_duplicate_logprob_rejected(self):
         with pytest.raises(JoinError, match="duplicate"):
             join_quads([self.pair_row("a")], [self.logprob_row("a"), self.logprob_row("a")])
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", ["a"]), ("id", 7), ("lp_w_theta", {"x": 1}), ("lp_w_theta", True),
+        ("lp_w_ref", "1.5"), ("lp_l_theta", None), ("lp_l_ref", 10 ** 400),
+    ], ids=["list-id", "int-id", "object", "boolean", "string", "null", "over-float-range"])
+    def test_badly_typed_logprob_row_rejected(self, field, value):
+        row = dict(self.logprob_row("a"), **{field: value})
+        with pytest.raises(JoinError, match=f"{field!r} is not a") as caught:
+            join_quads([self.pair_row("a")], [row])
+        if field != "id":
+            assert "log-prob row 'a'" in str(caught.value)
+
+    def test_badly_typed_pair_id_rejected(self):
+        with pytest.raises(JoinError, match=r"pair row id \['a'\]: field 'id' is not a string"):
+            join_quads([self.pair_row(["a"])], [self.logprob_row("a")])
+
+    def test_integer_logprobs_are_numbers(self):
+        row = dict(self.logprob_row("a"), lp_w_theta=-1, lp_l_ref=0)
+        (_id, quad, _gap), = join_quads([self.pair_row("a")], [row])
+        assert quad == LogProbQuad(-1.0, -1.5, -2.5, 0.0)
 
     def test_logprobs_drained_before_pairs_are_pulled(self):
         events = []

@@ -38,7 +38,7 @@ from cogforge.pipeline import (
     run_crv,
     save_checkpoint,
 )
-from cogforge.records import ComplexityLevel, CoTRecord, Source
+from cogforge.records import ComplexityLevel, CoTRecord, Source, rating_entry
 
 
 class TestSixRecordFixture:
@@ -503,7 +503,8 @@ class TestJournal:
     def test_intake_counts_the_rating_the_walk_appended(self, tmp_path, six_record_script):
         """r3 arrives with an older `hard` rating; the critic rates it easy."""
         dataset = make_dataset(6)
-        dataset[2].add_rating("imported", ComplexityLevel.HARD, [ComplexityLevel.HARD])
+        dataset[2].rating_history.append(
+            rating_entry("imported", ComplexityLevel.HARD, [ComplexityLevel.HARD]))
         want = {"easy": 2, "medium": 2, "hard": 2}
 
         def intake(script, checkpoint=None):
@@ -1111,7 +1112,8 @@ class TestWorkers:
 
     def test_input_records_left_unmodified(self, six_record_script):
         dataset = make_dataset(6)
-        dataset[2].add_rating("imported", ComplexityLevel.HARD, [ComplexityLevel.HARD, None])
+        dataset[2].rating_history.append(
+            rating_entry("imported", ComplexityLevel.HARD, [ComplexityLevel.HARD, None]))
         dataset[3].rating_history.append({"stage": "imported", "rating": "easy", "votes": []})
         before = [json.loads(dump_row(record.to_output_dict())) for record in dataset]
         curated, _families, _stats, _discards = run_crv(

