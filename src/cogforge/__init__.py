@@ -8,64 +8,43 @@ whose beta is selected per pair by gap, with a toy policy for end-to-end
 gradient verification.
 """
 
-from .agents import AgentError, Agents, CorruptionNotIncorrect, load_templates
-from .gateway import (
-    ChatRequest,
-    ChatResponse,
-    ConfigError,
-    Endpoint,
-    GatewayError,
-    HTTPBackend,
-    ModelRole,
-    ProviderError,
-    SamplingParams,
-    ScriptedBackend,
-    ScriptExhausted,
-    TransportError,
-    UnknownKey,
-    load_script,
-)
-from .loss import (
-    EmptyBatch,
-    GradCheckReport,
-    JoinError,
-    LossReport,
-    NonFinite,
-    NonPositiveBeta,
-    TokenOutOfRange,
-    TokenPair,
-    ToyPolicy,
-    beta_dpo_adjust,
-    cogpo_loss,
-    cogpo_token_loss,
-    dpo_loss,
-    grad_check,
-    margin,
-    sequence_logprob,
-)
-from .pairs import EmptyFamily, assign_beta, build_pairs
-from .pipeline import (
-    CorruptCheckpoint,
-    DuplicateId,
-    PipelineConfig,
-    complexity_report,
-    format_complexity_report,
-    run_crv,
-)
-from .records import (
-    BetaSchedule,
-    ComplexityLevel,
-    CoTRecord,
-    GapType,
-    LogProbQuad,
-    ParseError,
-    PipelineStats,
-    PreferencePair,
-    RecordFamily,
-    Source,
-    parse_complexity,
-    parse_verdict,
-    validate_record,
-)
+import importlib
+
+# Each public name and the module that defines it. A name is imported on
+# first use (PEP 562), so ``import cogforge`` loads no submodule and a
+# command loads only the layers it runs.
+_EXPORTS = {
+    "agents": ("AgentError", "Agents", "CorruptionNotIncorrect", "load_templates"),
+    "config": ("ConfigError", "Endpoint", "GatewayError", "ModelRole", "PipelineConfig",
+               "SamplingParams"),
+    "gateway": ("ChatRequest", "ChatResponse", "HTTPBackend", "ProviderError", "ScriptedBackend",
+                "ScriptExhausted", "TransportError", "UnknownKey", "load_script"),
+    "loss": ("EmptyBatch", "GradCheckReport", "JoinError", "LossReport", "NonFinite",
+             "NonPositiveBeta", "TokenOutOfRange", "TokenPair", "ToyPolicy", "beta_dpo_adjust",
+             "cogpo_loss", "cogpo_token_loss", "dpo_loss", "grad_check", "margin",
+             "sequence_logprob"),
+    "pairs": ("EmptyFamily", "assign_beta", "build_pairs"),
+    "pipeline": ("CorruptCheckpoint", "DuplicateId", "complexity_report",
+                 "format_complexity_report", "run_crv"),
+    "records": ("BetaSchedule", "ComplexityLevel", "CoTRecord", "GapType", "LogProbQuad",
+                "ParseError", "PipelineStats", "PreferencePair", "RecordFamily", "Source",
+                "parse_complexity", "parse_verdict", "validate_record"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

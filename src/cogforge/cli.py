@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import logging
 import math
@@ -20,27 +21,9 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .agents import GOLDEN_INPUTS, TEMPLATE_NAMES, Agents, load_golden_fixture, load_templates
-from .config import AppConfig, load_config
-from .gateway import (
-    ConfigError,
-    GatewayError,
-    HTTPBackend,
-    ScriptedBackend,
-    load_script,
-)
+from .config import AppConfig, ConfigError, GatewayError, load_config
 from .jsonl import read_rows, write_rows
-from .loss import (
-    JoinError,
-    TokenPair,
-    ToyPolicy,
-    cogpo_loss,
-    dpo_loss,
-    grad_check,
-    join_quads,
-)
 from .pairs import EmptyFamily, assign_beta, build_pairs
-from .pipeline import CorruptCheckpoint, DuplicateId, run_crv
 from .records import BetaSchedule, CoTRecord, GapType, LogProbQuad, RecordFamily
 
 log = logging.getLogger(__name__)
@@ -52,6 +35,34 @@ EXIT_PARTIAL = 2
 # Fields a row must carry, not null, for RecordFamily.from_dict and join_quads.
 FAMILY_FIELDS = ("id", "problem", "answer", "original_rating", "r_original")
 LOGPROB_FIELDS = ("id", "lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref")
+
+# The layers a command loads on first use, with the names this module takes
+# from each: ``pairs`` never loads the CRV walk, the HTTP client or the loss.
+_LAYERS = {
+    "agents": ("GOLDEN_INPUTS", "TEMPLATE_NAMES", "Agents", "load_golden_fixture",
+               "load_templates"),
+    "gateway": ("HTTPBackend", "ScriptedBackend", "load_script"),
+    "loss": ("TokenPair", "ToyPolicy", "cogpo_loss", "dpo_loss", "grad_check", "join_quads"),
+    "pipeline": ("run_crv",),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import each of the ``modules`` in _LAYERS and bind its names here. A
+    name already bound keeps its value, so a replacement set on this module
+    (by a test or a tracer) is what the commands call."""
+    for module in modules:
+        layer = importlib.import_module(f".{module}", __package__)
+        for name in _LAYERS[module]:
+            globals().setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAYERS.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,9 +117,18 @@ def entrypoint(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (GatewayError, CorruptCheckpoint, DuplicateId, JoinError, OSError, ValueError) as exc:
+    except _fatal_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
+
+
+def _fatal_errors() -> tuple[type[Exception], ...]:
+    """The errors entrypoint reports as one ``error:`` line. DuplicateId and
+    JoinError are ValueErrors; a CorruptCheckpoint comes only from a loaded
+    pipeline."""
+    pipeline = sys.modules.get(f"{__package__}.pipeline")
+    loaded = (pipeline.CorruptCheckpoint,) if pipeline is not None else ()
+    return (GatewayError, OSError, ValueError, *loaded)
 
 
 def _derived_path(output: str, tag: str) -> str:
@@ -120,6 +140,7 @@ def _build_backend(config: AppConfig, mock_script: str | None):
     """The backend as a context manager: leaving it closes the connections an
     HTTP backend opened, one per worker thread and endpoint origin; the
     scripted backend holds nothing to close."""
+    _load("gateway")
     if mock_script:
         return contextlib.nullcontext(ScriptedBackend(load_script(mock_script)))
     if not config.endpoints:
@@ -136,6 +157,7 @@ def _load_dataset(path: str) -> list[CoTRecord]:
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
+    _load("agents", "pipeline")
     config = load_config(args.config)
     if args.checkpoint:
         config.pipeline.checkpoint_path = args.checkpoint
@@ -193,6 +215,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
 
 
 def cmd_loss_eval(args: argparse.Namespace) -> int:
+    _load("loss")
     schedule = load_config(args.config).schedule
     # Generators, not lists: join_quads keeps only the id and gap of each pair row.
     joined = join_quads(read_rows(args.pairs, required=("id", "gap")),
@@ -222,6 +245,7 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     import numpy as np
 
+    _load("agents", "loss")
     checks: list[tuple[str, bool, str]] = []
     schedule = BetaSchedule()
 

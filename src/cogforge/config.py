@@ -3,15 +3,62 @@
 Secrets never live in the file; the API key comes from the environment
 (see :data:`cogforge.gateway.API_KEY_ENV`). Command-line flags override file
 values; the file overrides built-in defaults.
+
+The types a config holds for the backends (``ModelRole``, ``SamplingParams``,
+``Endpoint``) and ``ConfigError`` with its base ``GatewayError`` are defined
+here and re-exported by :mod:`cogforge.gateway`, so reading a config loads
+no HTTP client.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from urllib.parse import urlparse
 
-from .gateway import ConfigError, Endpoint, ModelRole, SamplingParams
 from .records import BetaSchedule
+
+
+class GatewayError(RuntimeError):
+    """Base class for fatal backend failures."""
+
+
+class ConfigError(GatewayError):
+    """Invalid or incomplete configuration (unmapped role, bad schedule, ...)."""
+
+
+class ModelRole(str, Enum):
+    """Which configured endpoint serves the request: the small target model
+    or the large agent model."""
+
+    BASE = "base"
+    LARGE = "large"
+
+
+@dataclass(frozen=True)
+class SamplingParams:
+    temperature: float = 0.7
+    top_p: float = 0.9
+    top_k: int = 50
+    max_tokens: int = 1024
+
+    def validate(self) -> list[str]:
+        violations = []
+        if self.temperature < 0:
+            violations.append("temperature: must be >= 0")
+        if not 0 < self.top_p <= 1:
+            violations.append("top_p: must be in (0, 1]")
+        if self.top_k < 1:
+            violations.append("top_k: must be a positive integer")
+        if self.max_tokens < 1:
+            violations.append("max_tokens: must be a positive integer")
+        return violations
+
+
+@dataclass(frozen=True)
+class Endpoint:
+    url: str
+    model: str
 
 
 @dataclass

@@ -20,10 +20,12 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Protocol
 from urllib.parse import SplitResult, unquote, urlsplit
 
+# The configuration types live in config, so that reading a config loads no
+# HTTP client; they are re-exported here.
+from .config import ConfigError, Endpoint, GatewayError, ModelRole, SamplingParams
 from .jsonl import read_rows
 
 if TYPE_CHECKING:
@@ -39,10 +41,6 @@ API_KEY_ENV = "COGFORGE_API_KEY"
 RETRYABLE_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
 
 
-class GatewayError(RuntimeError):
-    """Base class for fatal backend failures."""
-
-
 class TransportError(GatewayError):
     """Network-level failure that survived the retry budget."""
 
@@ -51,44 +49,12 @@ class ProviderError(GatewayError):
     """The provider answered, but with a non-2xx status or malformed payload."""
 
 
-class ConfigError(GatewayError):
-    """Invalid or incomplete configuration (unmapped role, bad schedule, ...)."""
-
-
 class ScriptExhausted(GatewayError):
     """A scripted response sequence ran out of entries."""
 
 
 class UnknownKey(GatewayError):
     """The scripted backend was asked for a key it does not hold."""
-
-
-class ModelRole(str, Enum):
-    """Which configured endpoint serves the request: the small target model
-    or the large agent model."""
-
-    BASE = "base"
-    LARGE = "large"
-
-
-@dataclass(frozen=True)
-class SamplingParams:
-    temperature: float = 0.7
-    top_p: float = 0.9
-    top_k: int = 50
-    max_tokens: int = 1024
-
-    def validate(self) -> list[str]:
-        violations = []
-        if self.temperature < 0:
-            violations.append("temperature: must be >= 0")
-        if not 0 < self.top_p <= 1:
-            violations.append("top_p: must be in (0, 1]")
-        if self.top_k < 1:
-            violations.append("top_k: must be a positive integer")
-        if self.max_tokens < 1:
-            violations.append("max_tokens: must be a positive integer")
-        return violations
 
 
 @dataclass(frozen=True)
@@ -135,12 +101,6 @@ class ChatResponse:
 
 class CompletionBackend(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    url: str
-    model: str
 
 
 class HTTPBackend:

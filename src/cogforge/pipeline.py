@@ -19,8 +19,7 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from .agents import AgentError, Agents
-from .config import PipelineConfig
-from .gateway import ConfigError
+from .config import ConfigError, PipelineConfig
 from .jsonl import dump_row, write_rows
 from .records import (
     ComplexityLevel,

@@ -113,11 +113,32 @@ class RecordFamily:
 
     @classmethod
     def from_dict(cls, row: dict) -> RecordFamily:
+        """The family a row holds. The id must be a non-empty string, the
+        problem, answer and original trace strings, the rating a complexity
+        level, and the rewrite and corruption strings or null; any other value
+        is a ValueError naming the row and the field."""
+        family_id = row["id"]
+        if not isinstance(family_id, str) or not family_id:
+            raise ValueError(f"family row id {family_id!r}: field 'id' is not a non-empty string")
+        for name in ("problem", "answer", "r_original"):
+            if not isinstance(row[name], str):
+                raise ValueError(
+                    f"family row {family_id!r}: field {name!r} is not a string: {row[name]!r}")
+        for name in ("r_rewritten", "r_corrupted"):
+            value = row.get(name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(
+                    f"family row {family_id!r}: field {name!r} is not a string or null: {value!r}")
+        try:
+            rating = ComplexityLevel(row["original_rating"])
+        except ValueError:
+            raise ValueError(f"family row {family_id!r}: field 'original_rating' is not a "
+                             f"complexity level: {row['original_rating']!r}") from None
         return cls(
-            id=row["id"],
+            id=family_id,
             problem=row["problem"],
             answer=row["answer"],
-            original_rating=ComplexityLevel(row["original_rating"]),
+            original_rating=rating,
             r_original=row["r_original"],
             r_rewritten=row.get("r_rewritten"),
             r_corrupted=row.get("r_corrupted"),

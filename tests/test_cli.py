@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import math
@@ -626,6 +627,26 @@ class TestPairs:
             "families.jsonl", "pairs.jsonl",
         ]
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", ["a"]), ("id", 7), ("id", ""),
+        ("problem", 5), ("answer", ["a1"]), ("r_original", {"text": "t"}),
+        ("r_rewritten", ["x"]), ("r_corrupted", 7), ("r_corrupted", True),
+        ("original_rating", "trivial"), ("original_rating", ["easy"]),
+    ])
+    def test_badly_typed_row_is_one_error_line(self, tmp_path, capsys, field, value):
+        rows = family_rows()
+        rows[0][field] = value
+        families_path = write_jsonl(tmp_path / "families.jsonl", rows)
+        output = tmp_path / "pairs.jsonl"
+        code = entrypoint(["pairs", "--families", families_path, "--output", str(output)])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"field {field!r}" in captured.err
+        assert repr(value if field == "id" else "fam-easy") in captured.err
+        assert not output.exists()
+
 
 def pair_row(pair_id: str, gap: str) -> dict:
     return {
@@ -922,6 +943,180 @@ class TestColdStart:
             capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
+
+
+def run_python(tmp_path, program: str) -> subprocess.CompletedProcess:
+    """Run ``program`` in a fresh interpreter on this tree's sources."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", program], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestLoadedModules:
+    """Which ``cogforge`` modules a command loads. This counts the entries in
+    ``sys.modules`` of a fresh interpreter, not time: a layer the command does
+    not run must stay unloaded, whatever loading it would cost."""
+
+    PAIRS = {"cogforge", "cogforge.cli", "cogforge.config", "cogforge.jsonl", "cogforge.pairs",
+             "cogforge.records"}
+
+    def loaded_by(self, tmp_path, argv: list[str]) -> set[str]:
+        program = "\n".join([
+            "import contextlib, io, json, sys",
+            "from cogforge.cli import entrypoint",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    code = entrypoint({argv!r})",
+            "assert code in (0, 2), code",
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'cogforge')))",
+        ])
+        result = run_python(tmp_path, program)
+        assert result.returncode == 0, result.stderr
+        return set(json.loads(result.stdout))
+
+    def test_import_cogforge_loads_no_submodule(self, tmp_path):
+        result = run_python(tmp_path, "\n".join([
+            "import sys",
+            "import cogforge",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cogforge'))",
+        ]))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "['cogforge']"
+
+    def test_pairs_loads_neither_the_walk_the_client_nor_the_loss(self, tmp_path):
+        families = write_jsonl(tmp_path / "families.jsonl", [])
+        loaded = self.loaded_by(tmp_path, ["pairs", "--families", families,
+                                           "--output", str(tmp_path / "pairs.jsonl")])
+        assert "cogforge.pairs" in loaded
+        assert loaded <= self.PAIRS
+
+    def test_loss_eval_adds_only_the_loss(self, tmp_path):
+        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
+        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a")])
+        loaded = self.loaded_by(tmp_path, ["loss-eval", "--pairs", pairs_path,
+                                           "--logprobs", logprobs_path])
+        assert "cogforge.loss" in loaded
+        assert loaded <= self.PAIRS | {"cogforge.loss"}
+
+    def test_curate_loads_no_loss(self, curate_paths):
+        loaded = self.loaded_by(curate_paths["tmp"], [
+            "curate", "--input", curate_paths["input"], "--output", curate_paths["output"],
+            "--mock-script", curate_paths["script"],
+        ])
+        assert "cogforge.pipeline" in loaded
+        assert "cogforge.loss" not in loaded
+
+    def test_public_names_are_their_home_modules_objects(self):
+        import cogforge
+
+        assert len(cogforge.__all__) == len(set(cogforge.__all__)) == 56
+        for name in cogforge.__all__:
+            value = getattr(cogforge, name)
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith("cogforge.")
+            assert getattr(home, name) is value, name
+        assert set(cogforge.__all__) <= set(dir(cogforge))
+
+    def test_unknown_names_raise_attribute_error(self):
+        import cogforge
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cogforge.no_such_name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
+        with pytest.raises(ImportError):
+            from cogforge import no_such_name
+
+
+class TestReplacedNames:
+    """What ``bench/traced.py`` wraps on ``cli`` is what the commands call, and
+    a command's fatal error is one ``error:`` line, whichever layer raised it."""
+
+    # The names bench/traced.py replaces on cli, by the command that calls them.
+    WRAPPED = {
+        "curate": {"load_config", "load_templates", "load_script", "run_crv"},
+        "pairs": {"load_config", "build_pairs"},
+        "loss-eval": {"load_config", "join_quads", "cogpo_loss"},
+    }
+
+    def test_replacements_are_called(self, curate_paths, monkeypatch, capsys):
+        calls = []
+        for name in set().union(*self.WRAPPED.values()):
+            original = getattr(cli, name)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, recording)
+        tmp = curate_paths["tmp"]
+        pairs_path, logprobs_path = str(tmp / "pairs.jsonl"), str(tmp / "lp.jsonl")
+        argvs = {
+            "curate": ["curate", "--input", curate_paths["input"],
+                       "--output", curate_paths["output"],
+                       "--mock-script", curate_paths["script"]],
+            "pairs": ["pairs", "--families", str(tmp / "curated.families.jsonl"),
+                      "--output", pairs_path],
+            "loss-eval": ["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path],
+        }
+        for command, argv in argvs.items():
+            calls.clear()
+            assert entrypoint(argv) in (EXIT_OK, EXIT_PARTIAL)
+            assert set(calls) == self.WRAPPED[command], command
+            if command == "pairs":
+                write_jsonl(logprobs_path, [logprob_row(row["id"]) for row in read_rows(pairs_path)])
+        assert calls.count("cogpo_loss") == 1
+
+    @pytest.mark.parametrize("error", [
+        "GatewayError", "ConfigError", "CorruptCheckpoint", "DuplicateId", "JoinError",
+        "OSError", "ValueError",
+    ])
+    def test_fatal_errors_are_one_line(self, curate_paths, monkeypatch, capsys, error):
+        import cogforge
+
+        exc_type = getattr(cogforge, error, None) or getattr(builtins, error)
+
+        def failing(*_args, **_kwargs):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "run_crv", failing)
+        code = entrypoint(["curate", "--input", curate_paths["input"],
+                           "--output", curate_paths["output"],
+                           "--mock-script", curate_paths["script"]])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.err == "error: boom\n"
+        assert not os.path.exists(curate_paths["output"])
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyError, TypeError, AssertionError])
+    def test_other_errors_are_not_swallowed(self, curate_paths, monkeypatch, error):
+        def failing(*_args, **_kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run_crv", failing)
+        with pytest.raises(error, match="boom"):
+            entrypoint(["curate", "--input", curate_paths["input"],
+                        "--output", curate_paths["output"],
+                        "--mock-script", curate_paths["script"]])
+
+    def test_corrupt_checkpoint_from_a_lazily_loaded_pipeline(self, curate_paths):
+        checkpoint = curate_paths["tmp"] / "checkpoint.json"
+        checkpoint.write_text("not a checkpoint\n", encoding="utf-8")
+        argv = ["curate", "--input", curate_paths["input"], "--output", curate_paths["output"],
+                "--mock-script", curate_paths["script"], "--checkpoint", str(checkpoint)]
+        result = run_python(curate_paths["tmp"], "\n".join([
+            "import sys",
+            "from cogforge.cli import entrypoint",
+            "assert 'cogforge.pipeline' not in sys.modules",
+            f"sys.exit(entrypoint({argv!r}))",
+        ]))
+        assert result.returncode == EXIT_FATAL
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "header" in result.stderr
 
 
 class TestParser:
