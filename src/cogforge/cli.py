@@ -32,7 +32,9 @@ EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
-# Fields a row must carry, not null, for RecordFamily.from_dict and join_quads.
+# Fields a row must carry, not null, for curate's records, RecordFamily.from_dict
+# and join_quads. Each of a record's fields must be a non-empty string.
+RECORD_FIELDS = ("id", "problem", "answer", "reasoning")
 FAMILY_FIELDS = ("id", "problem", "answer", "original_rating", "r_original")
 LOGPROB_FIELDS = ("id", "lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref")
 
@@ -150,9 +152,9 @@ def _build_backend(config: AppConfig, mock_script: str | None):
 
 def _load_dataset(path: str) -> list[CoTRecord]:
     return [
-        CoTRecord(id=str(row["id"]), problem=row["problem"], answer=row["answer"],
+        CoTRecord(id=row["id"], problem=row["problem"], answer=row["answer"],
                   reasoning=row["reasoning"])
-        for row in read_rows(path, required=("id", "problem", "answer", "reasoning"))
+        for row in read_rows(path, required=RECORD_FIELDS, strings=RECORD_FIELDS)
     ]
 
 
@@ -222,13 +224,15 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
                         read_rows(args.logprobs, required=LOGPROB_FIELDS))
     report = cogpo_loss([(quad, gap) for _, quad, gap in joined], schedule)
 
+    # Each gap's name and beta, resolved once per gap rather than once per pair.
+    name = {gap: gap.value for gap in GapType}
+    beta = {gap: assign_beta(gap, schedule) for gap in GapType}
     margin_sums: dict[str, list[float]] = {}
     for (_id, _quad, gap), m in zip(joined, report.margins):
-        margin_sums.setdefault(gap.value, []).append(m)
+        margin_sums.setdefault(name[gap], []).append(m)
     if args.output:
         write_rows(args.output, (
-            {"id": pair_id, "gap": gap.value, "beta": assign_beta(gap, schedule),
-             "margin": m, "loss_term": term}
+            {"id": pair_id, "gap": name[gap], "beta": beta[gap], "margin": m, "loss_term": term}
             for (pair_id, _quad, gap), m, term in zip(joined, report.margins, report.terms)
         ))
     mean_by_gap = {gap: sum(values) / len(values) for gap, values in sorted(margin_sums.items())}

@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .pairs import assign_beta
@@ -71,9 +72,12 @@ class LossReport:
 
 
 def _rows(quads: Iterable[LogProbQuad]) -> np.ndarray:
+    """The quads as the core's (n, 4) rows, taken from the tuples as they
+    are: a quad that holds a string is refused by the core, not converted."""
     import numpy as np
 
-    return np.array([(q.lp_w_theta, q.lp_w_ref, q.lp_l_theta, q.lp_l_ref) for q in quads])
+    rows = np.array(list(quads))
+    return rows if len(rows) else np.empty((0, 4))
 
 
 def _mean_loss(
@@ -114,7 +118,8 @@ def dpo_loss(quads: list[LogProbQuad], beta: float) -> LossReport:
 
 def cogpo_loss(pairs: list[tuple[LogProbQuad, GapType]], schedule: BetaSchedule) -> LossReport:
     """Mean softplus(-margin) with each pair's beta resolved by its gap."""
-    betas = [assign_beta(gap, schedule) for _, gap in pairs]
+    beta_of = {gap: assign_beta(gap, schedule) for gap in GapType}
+    betas = [beta_of[gap] for _, gap in pairs]
     return _report(*_mean_loss(_rows(q for q, _ in pairs), betas, "no pairs"))
 
 
@@ -381,6 +386,8 @@ def grad_check(
 
 
 _QUAD_FIELDS = ("lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref")
+_quad_values = itemgetter(*_QUAD_FIELDS)
+_GAPS = {gap.value: gap for gap in GapType}
 
 
 def _row_id(row: dict, kind: str) -> str:
@@ -415,19 +422,36 @@ def join_quads(
     rows are then consumed one at a time, and only their id and gap are kept.
     An id must be a string and a log-prob a JSON number (not a boolean or a
     string); any other value is a ``JoinError`` naming the row and the field.
+    A row whose id is a str and whose log-probs are all floats, as every
+    valid JSON row's are unless it writes a number as an integer, is taken
+    as it is; any other row goes through ``_row_id`` and ``_checked_quad``.
     """
-    by_id: dict[str, tuple[float, float, float, float]] = {}
+    by_id: dict[str, LogProbQuad] = {}
     for row in logprob_rows:
-        row_id = _row_id(row, "log-prob")
+        row_id = row["id"]
+        if type(row_id) is not str:
+            row_id = _row_id(row, "log-prob")
         if row_id in by_id:
             raise JoinError(f"duplicate log-prob id {row_id!r}")
-        by_id[row_id] = _checked_quad(row_id, row)
+        try:
+            w_theta, w_ref, l_theta, l_ref = quad = _quad_values(row)
+            floats = type(w_theta) is type(w_ref) is type(l_theta) is type(l_ref) is float
+        except KeyError:
+            floats = False
+        if not floats:
+            quad = _checked_quad(row_id, row)
+        by_id[row_id] = LogProbQuad._make(quad)
     joined = []
     for pair_row in pair_rows:
-        pair_id = _row_id(pair_row, "pair")
-        if pair_id not in by_id:
+        pair_id = pair_row["id"]
+        if type(pair_id) is not str:
+            pair_id = _row_id(pair_row, "pair")
+        quad = by_id.pop(pair_id, None)
+        if quad is None:
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
-        joined.append((pair_id, LogProbQuad(*by_id.pop(pair_id)), GapType(pair_row["gap"])))
+        value = pair_row["gap"]
+        gap = _GAPS.get(value) if type(value) is str else None
+        joined.append((pair_id, quad, gap if gap is not None else GapType(value)))
     if by_id:
         leftover = sorted(by_id)
         raise JoinError(f"log-prob rows with no matching pair: {leftover[:5]}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -192,10 +193,10 @@ class BetaSchedule:
         return violations
 
 
-@dataclass(frozen=True)
-class LogProbQuad:
+class LogProbQuad(NamedTuple):
     """The four sequence log-probabilities behind one preference margin:
-    policy/reference crossed with chosen/rejected."""
+    policy/reference crossed with chosen/rejected. A named tuple, so a batch
+    of quads is already the (n, 4) rows the loss core reads."""
 
     lp_w_theta: float
     lp_w_ref: float

@@ -114,6 +114,27 @@ class TestCurate:
         assert stats["discarded"] == 3
         assert stats["rewritten"] == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", ["r2"]), ("id", {"id": "r2"}), ("id", 2), ("id", 2.5), ("id", True), ("id", ""),
+        ("problem", 5), ("answer", ["a"]), ("reasoning", {"text": "t"}), ("reasoning", False),
+    ])
+    def test_badly_typed_input_row_is_one_error_line(self, tmp_path, capsys, six_record_dataset,
+                                                     field, value):
+        """The row is refused before any backend call: with the empty script,
+        a call would fail on a missing key instead."""
+        rows = dataset_rows(six_record_dataset)
+        rows[1][field] = value
+        input_path = write_jsonl(tmp_path / "input.jsonl", rows)
+        output = tmp_path / "curated.jsonl"
+        code = entrypoint(["curate", "--input", input_path, "--output", str(output),
+                           "--mock-script", write_script(tmp_path / "empty.jsonl", {})])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {input_path}:2: field {field!r} is not a non-empty "
+                                f"string: {value!r}\n")
+        assert not output.exists()
+
     def test_explicit_sidecar_paths(self, curate_paths, capsys):
         discards_path = str(curate_paths["tmp"] / "d.jsonl")
         families_path = str(curate_paths["tmp"] / "f.jsonl")
@@ -766,6 +787,9 @@ class TestLossEval:
         ("logprobs", "lp_w_theta", {"x": 1}),
         ("logprobs", "lp_w_theta", True),
         ("logprobs", "lp_w_ref", "1.5"),
+        ("logprobs", "lp_l_ref", 10 ** 400),
+        ("logprobs", "id", 7),
+        ("pairs", "id", True),
     ])
     def test_badly_typed_row_is_one_error_line(self, tmp_path, capsys, file, field, value):
         rows = {"pairs": [pair_row("a", "small")], "logprobs": [logprob_row("a")]}
@@ -778,6 +802,16 @@ class TestLossEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert f"field {field!r}" in captured.err
+
+    @pytest.mark.parametrize("gap", [["small"], "tiny"])
+    def test_gap_that_is_no_gap_type_is_one_error_line(self, tmp_path, capsys, gap):
+        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", gap)])
+        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a")])
+        code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {gap!r} is not a valid GapType\n"
 
 
 class TestPreferenceOutputBytes:

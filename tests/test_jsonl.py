@@ -1,5 +1,6 @@
-"""The JSONL writer: a failed write leaves its target as it was, and every row
-is written as the one reference encoder would write it."""
+"""The JSONL reader and writer: each line reads as ``json.loads`` reads it, a
+failed write leaves its target as it was, and every row is written as the one
+reference encoder would write it."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 
 import pytest
 
-from cogforge.jsonl import dump_row, write_rows
+from cogforge.jsonl import dump_row, read_rows, write_rows
 
 REFERENCE = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
@@ -118,3 +119,72 @@ class TestWriteRows:
         with pytest.raises(OSError):
             write_rows(str(tmp_path / "out.jsonl"), two_rows_then(OSError("disk full")))
         assert list(tmp_path.iterdir()) == []
+
+
+# Lines whose row or error the reader must report as json.loads does: bad
+# JSON, text after the value, a byte-order mark, values that are not objects,
+# and lines that strip to an object or to nothing. Each is written between two
+# good rows with CRLF line endings.
+LINES = [
+    '{"id": "a", "gap": "sm',
+    "{} x",
+    "{}   x",
+    '{"id": "a:small", "gap": "small"} x',
+    "1 2",
+    "\ufeff{}",
+    "[1]",
+    "null",
+    '"x"',
+    '{"lp": NaN, "big": -Infinity}',
+    " \t  ",
+    '{"id": "a"}\t',
+    '\t {"id": "a", "n": [1, {"m": null}]} ',
+    "",
+]
+
+
+def loads_outcome(path: str, lines: list[str]) -> str:
+    """The rows of ``lines`` and then the error, as the reader reports them
+    when each stripped line goes through ``json.loads``."""
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return repr((rows, f"{path}:{lineno}: not valid JSON: {exc}"))
+        if not isinstance(row, dict):
+            return repr((rows, f"{path}:{lineno}: expected a JSON object"))
+        rows.append(row)
+    return repr((rows, None))
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("line", LINES, ids=[repr(line) for line in LINES])
+    def test_each_line_reads_as_json_loads_reads_it(self, tmp_path, line):
+        lines = ['{"before": 1}', line, '{"after": 2}']
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\n")
+        rows = []
+        try:
+            for row in read_rows(str(path)):
+                rows.append(row)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        assert repr((rows, error)) == loads_outcome(str(path), lines)
+
+    def test_extra_data_is_reported_after_the_spaces(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"id": "a:small", "gap": "small"} x\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"rows.jsonl:1: not valid JSON: Extra data: "
+                                             r"line 1 column 35 \(char 34\)$"):
+            list(read_rows(str(path)))
+
+    def test_byte_order_mark_is_named(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\ufeff{}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="rows.jsonl:1: not valid JSON: Unexpected UTF-8 BOM"):
+            list(read_rows(str(path)))

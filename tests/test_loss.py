@@ -511,6 +511,62 @@ class TestJoinQuads:
         (_id, quad, _gap), = join_quads([self.pair_row("a")], [row])
         assert quad == LogProbQuad(-1.0, -1.5, -2.5, 0.0)
 
+    @pytest.mark.parametrize("gap", [["small"], "tiny", None, 1, {"gap": "small"}],
+                             ids=["list", "unknown", "null", "int", "object"])
+    def test_gap_that_is_no_gap_type_is_its_value_error(self, gap):
+        with pytest.raises(ValueError) as caught:
+            join_quads([self.pair_row("a", gap)], [self.logprob_row("a")])
+        assert str(caught.value) == f"{gap!r} is not a valid GapType"
+        assert not isinstance(caught.value, JoinError)
+
+    def test_every_gap_joins_as_its_member(self):
+        rows = [self.pair_row(gap.value + "-id", gap.value) for gap in GapType]
+        joined = join_quads(rows, [self.logprob_row(row["id"]) for row in rows])
+        assert [gap for _id, _q, gap in joined] == list(GapType)
+        assert all(type(gap) is GapType for _id, _q, gap in joined)
+
+    @pytest.mark.parametrize("value", [-1, 0, 10 ** 300, np.float64(-1.25)],
+                             ids=["negative-int", "zero", "300-digit-int", "numpy-float"])
+    def test_number_that_is_no_float_joins_as_a_float(self, value):
+        row = dict(self.logprob_row("a"), lp_l_theta=value)
+        (_id, quad, _gap), = join_quads([self.pair_row("a")], [row])
+        assert type(quad) is LogProbQuad
+        assert quad == (-1.0, -1.5, float(value), -2.0)
+        assert [type(v) for v in quad] == [float] * 4
+
+    @pytest.mark.parametrize("file, field, value, text", [
+        ("logprobs", "lp_w_theta", True,
+         "log-prob row 'a': field 'lp_w_theta' is not a number in float range: True"),
+        ("logprobs", "lp_w_ref", "1.5",
+         "log-prob row 'a': field 'lp_w_ref' is not a number in float range: '1.5'"),
+        ("logprobs", "lp_l_theta", None,
+         "log-prob row 'a': field 'lp_l_theta' is not a number in float range: None"),
+        ("logprobs", "lp_l_ref", 10 ** 400,
+         f"log-prob row 'a': field 'lp_l_ref' is not a number in float range: {10 ** 400!r}"),
+        ("logprobs", "id", 7, "log-prob row id 7: field 'id' is not a string"),
+        ("logprobs", "id", ["a"], "log-prob row id ['a']: field 'id' is not a string"),
+        ("pairs", "id", 7, "pair row id 7: field 'id' is not a string"),
+        ("pairs", "id", None, "pair row id None: field 'id' is not a string"),
+    ])
+    def test_refusal_texts(self, file, field, value, text):
+        rows = {"pairs": self.pair_row("a"), "logprobs": self.logprob_row("a")}
+        rows[file][field] = value
+        with pytest.raises(JoinError) as caught:
+            join_quads([rows["pairs"]], [rows["logprobs"]])
+        assert str(caught.value) == text
+
+    def test_bad_value_before_a_missing_field_is_refused(self):
+        row = self.logprob_row("a")
+        row["lp_w_theta"] = False
+        del row["lp_l_ref"]
+        with pytest.raises(JoinError, match="field 'lp_w_theta' is not a number"):
+            join_quads([self.pair_row("a")], [row])
+
+    def test_duplicate_is_refused_before_its_values(self):
+        with pytest.raises(JoinError, match="duplicate log-prob id 'a'"):
+            join_quads([self.pair_row("a")],
+                       [self.logprob_row("a"), dict(self.logprob_row("a"), lp_w_theta=True)])
+
     def test_logprobs_drained_before_pairs_are_pulled(self):
         events = []
         logprobs = [self.logprob_row("b"), self.logprob_row("a")]
@@ -534,3 +590,34 @@ class TestJoinQuads:
             ("a", GapType.SMALL), ("b", GapType.LARGE),
         ]
         assert joined[1][1] == LogProbQuad(-1.0, -1.5, -2.5, -2.0)
+
+
+class TestLogProbQuad:
+    """A quad is a named tuple of its four log-probs, so a batch of quads is
+    the (n, 4) rows the loss core reads."""
+
+    def test_keyword_construction_and_field_access(self):
+        quad = LogProbQuad(lp_w_theta=-1.0, lp_w_ref=-1.5, lp_l_theta=-2.5, lp_l_ref=-2.0)
+        assert (quad.lp_w_theta, quad.lp_w_ref, quad.lp_l_theta, quad.lp_l_ref) == (
+            -1.0, -1.5, -2.5, -2.0)
+        assert quad == LogProbQuad(-1.0, -1.5, -2.5, -2.0)
+        assert quad != LogProbQuad(-1.0, -1.5, -2.5, -2.5)
+        assert quad == (-1.0, -1.5, -2.5, -2.0)
+        assert len({quad, LogProbQuad(-1.0, -1.5, -2.5, -2.0)}) == 1
+
+    def test_immutable(self):
+        quad = LogProbQuad(-1.0, -1.5, -2.5, -2.0)
+        with pytest.raises(AttributeError):
+            quad.lp_w_theta = 0.0
+        assert quad.lp_w_theta == -1.0
+
+    def test_a_batch_is_its_rows(self):
+        quads = random_quads(np.random.default_rng(3), 5)
+        rows = loss._rows(iter(quads))
+        assert rows.dtype == float and rows.shape == (5, 4)
+        assert rows.tolist() == [list(quad) for quad in quads]
+        assert loss._rows([]).shape == (0, 4)
+
+    def test_a_quad_holding_a_string_is_refused(self):
+        with pytest.raises(TypeError):
+            dpo_loss([LogProbQuad("1.5", 0.0, 0.0, 0.0)], beta=0.1)
