@@ -36,7 +36,7 @@ EXIT_PARTIAL = 2
 # and join_quads. Each of a record's fields must be a non-empty string.
 RECORD_FIELDS = ("id", "problem", "answer", "reasoning")
 FAMILY_FIELDS = ("id", "problem", "answer", "original_rating", "r_original")
-LOGPROB_FIELDS = ("id", "lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref")
+LOGPROB_FIELDS = ("id", *LogProbQuad._fields)
 
 # The layers a command loads on first use, with the names this module takes
 # from each: ``pairs`` never loads the CRV walk, the HTTP client or the loss.
@@ -119,18 +119,9 @@ def entrypoint(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except _fatal_errors() as exc:
+    except (GatewayError, OSError, ValueError) as exc:  # unusable data is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
-
-
-def _fatal_errors() -> tuple[type[Exception], ...]:
-    """The errors entrypoint reports as one ``error:`` line. DuplicateId and
-    JoinError are ValueErrors; a CorruptCheckpoint comes only from a loaded
-    pipeline."""
-    pipeline = sys.modules.get(f"{__package__}.pipeline")
-    loaded = (pipeline.CorruptCheckpoint,) if pipeline is not None else ()
-    return (GatewayError, OSError, ValueError, *loaded)
 
 
 def _derived_path(output: str, tag: str) -> str:

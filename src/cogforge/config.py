@@ -116,10 +116,13 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _cast(name: str, value, base):
-    """``value`` cast to the type of the default ``base`` (a None default takes
-    it as is). A bool field takes only a YAML boolean, no other field takes
-    one, and an int field takes only a whole number."""
+    """``value`` cast to the type of the default ``base``. A None default is a
+    path, which takes a string or null as it is. A bool field takes only a
+    YAML boolean, no other field takes one, and an int field takes only a
+    whole number."""
     if base is None:
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{name}: {value!r} is not a valid str")
         return value
     fractional = isinstance(value, float) and not value.is_integer()
     if isinstance(base, bool) != isinstance(value, bool) or (type(base) is int and fractional):
@@ -175,5 +178,5 @@ def _from_raw(raw: dict) -> AppConfig:
         sampling=_build(SamplingParams, _section(raw, "sampling")),
         pipeline=_build(PipelineConfig, _section(raw, "pipeline")),
         schedule=_build(BetaSchedule, _section(raw, "schedule")),
-        templates_dir=raw.get("templates_dir"),
+        templates_dir=_cast("templates_dir", raw.get("templates_dir"), None),
     )

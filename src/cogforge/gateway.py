@@ -182,7 +182,7 @@ class HTTPBackend:
         target = endpoint.url if absolute else (
             (url.path or "/") + ("?" + url.query if url.query else ""))
 
-        last_failure = ""
+        kind, last_failure = TransportError, ""
         for attempt in range(self._max_retries):
             if attempt:
                 self._sleep(self._backoff_base * 2 ** (attempt - 1))
@@ -194,19 +194,18 @@ class HTTPBackend:
                 data = response.read()
             except (OSError, HTTPException) as exc:
                 connection.close()
-                last_failure = f"transport failure: {exc}"
+                kind, last_failure = TransportError, f"transport failure: {exc}"
                 log.warning("completion attempt %d failed: %s", attempt + 1, exc)
                 continue
             if not 200 <= response.status < 300:
-                last_failure = f"HTTP {response.status}: {data.decode('utf-8', 'replace')[:500]}"
+                kind, last_failure = ProviderError, (
+                    f"HTTP {response.status}: {data.decode('utf-8', 'replace')[:500]}")
                 if response.status not in RETRYABLE_STATUSES:
                     raise ProviderError(last_failure)
                 log.warning("completion attempt %d failed: %s", attempt + 1, last_failure)
                 continue
             return self._parse(data, request.n)
-        if last_failure.startswith("HTTP"):
-            raise ProviderError(f"retries exhausted: {last_failure}")
-        raise TransportError(f"retries exhausted: {last_failure}")
+        raise kind(f"retries exhausted: {last_failure}")
 
     def _route(self, url: SplitResult) -> _Route:
         """This thread's route to the URL's origin, opened on first use."""

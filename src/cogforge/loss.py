@@ -22,10 +22,6 @@ log-probs come from one batched product of the B x 2V probed-minus-base rows
 with each response's counts in its row b, and all the probes' quads go
 through the core in one call. A NaN or infinite gradient coordinate fails
 the check.
-
-numpy is imported inside the functions that use it, not at module level, so
-that the commands that never touch the loss (``curate`` and ``pairs``) start
-without loading it.
 """
 
 from __future__ import annotations
@@ -34,13 +30,11 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import itemgetter
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .pairs import assign_beta
 from .records import BetaSchedule, GapType, LogProbQuad
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class EmptyBatch(ValueError):
@@ -74,8 +68,6 @@ class LossReport:
 def _rows(quads: Iterable[LogProbQuad]) -> np.ndarray:
     """The quads as the core's (n, 4) rows, taken from the tuples as they
     are: a quad that holds a string is refused by the core, not converted."""
-    import numpy as np
-
     rows = np.array(list(quads))
     return rows if len(rows) else np.empty((0, 4))
 
@@ -86,8 +78,6 @@ def _mean_loss(
     """The loss core, over rows of (lp_w_theta, lp_w_ref, lp_l_theta,
     lp_l_ref) with one beta per row: each row's margin and its term
     softplus(-margin). A batch's loss is the mean of its terms."""
-    import numpy as np
-
     betas = np.asarray(betas, dtype=float)
     if betas.shape != (len(quads),):
         raise ValueError(f"{betas.size} betas for {len(quads)} rows; need one beta per row")
@@ -137,8 +127,6 @@ def beta_dpo_adjust(beta_i: float, alpha: float, m_i: float, m_0: float) -> floa
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax along the last axis."""
-    import numpy as np
-
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -166,8 +154,6 @@ class ToyPolicy:
         logits: np.ndarray | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
-        import numpy as np
-
         if vocab_size < 1 or n_buckets < 1:
             raise ValueError("vocab_size and n_buckets must be positive")
         self.vocab_size = vocab_size
@@ -203,8 +189,6 @@ def _step_counts(
     response[:i])``. Each sequence is walked once: every prompt and response
     token's range is checked, and the hash is carried forward one token at a
     time."""
-    import numpy as np
-
     vocab, width = policy.vocab_size, policy.n_buckets * policy.vocab_size
     cells = []
     for row, (prompt, response) in enumerate(sequences):
@@ -258,8 +242,6 @@ def _token_walks(
     matrix, chosen then rejected for every pair) and log-prob under the
     reference, in the same order; and each pair's beta. Every response is
     walked once under each policy."""
-    import numpy as np
-
     sequences = [(p.prompt, response) for p in batch for response in (p.chosen, p.rejected)]
     ref = _logprobs(_step_counts(reference, sequences), reference.log_softmax())
     betas = np.array([assign_beta(p.gap, schedule) for p in batch], dtype=float)
@@ -278,8 +260,6 @@ def cogpo_token_loss(
     """Gap-weighted loss through the toy policy, optionally with the analytic
     gradient w.r.t. the policy logits (reference held fixed). ``walks`` is the
     batch's ``_token_walks`` when the caller has already taken them."""
-    import numpy as np
-
     counts, ref, betas = walks if walks is not None else _token_walks(
         batch, schedule, policy, reference)
     table = policy.log_softmax()
@@ -340,8 +320,6 @@ def grad_check(
     control; the report must then fail on that coordinate. Failure is a report
     outcome, never an exception.
     """
-    import numpy as np
-
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     reference = reference if reference is not None else policy.snapshot()
@@ -385,8 +363,7 @@ def grad_check(
     )
 
 
-_QUAD_FIELDS = ("lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref")
-_quad_values = itemgetter(*_QUAD_FIELDS)
+_quad_values = itemgetter(*LogProbQuad._fields)
 _GAPS = {gap.value: gap for gap in GapType}
 
 
@@ -400,7 +377,7 @@ def _checked_quad(row_id: str, row: dict) -> tuple[float, float, float, float]:
     """The row's four log-probs as floats, each a JSON number in float range;
     a boolean, a string or any other value is a ``JoinError``."""
     quad = []
-    for name in _QUAD_FIELDS:
+    for name in LogProbQuad._fields:
         value = row[name]
         try:
             if not isinstance(value, float) and (isinstance(value, bool)
@@ -420,11 +397,12 @@ def join_quads(
 
     The log-prob rows are drained first, down to four floats each; the pair
     rows are then consumed one at a time, and only their id and gap are kept.
-    An id must be a string and a log-prob a JSON number (not a boolean or a
-    string); any other value is a ``JoinError`` naming the row and the field.
-    A row whose id is a str and whose log-probs are all floats, as every
-    valid JSON row's are unless it writes a number as an integer, is taken
-    as it is; any other row goes through ``_row_id`` and ``_checked_quad``.
+    An id must be a string, a gap the value of a ``GapType`` and a log-prob a
+    JSON number (not a boolean or a string); any other value is a
+    ``JoinError`` naming the row and the field. A row whose id is a str and
+    whose log-probs are all floats, as every valid JSON row's are unless it
+    writes a number as an integer, is taken as it is; any other row goes
+    through ``_row_id`` and ``_checked_quad``.
     """
     by_id: dict[str, LogProbQuad] = {}
     for row in logprob_rows:
@@ -451,7 +429,9 @@ def join_quads(
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
         value = pair_row["gap"]
         gap = _GAPS.get(value) if type(value) is str else None
-        joined.append((pair_id, quad, gap if gap is not None else GapType(value)))
+        if gap is None:
+            raise JoinError(f"pair row {pair_id!r}: field 'gap' is not a gap type: {value!r}")
+        joined.append((pair_id, quad, gap))
     if by_id:
         leftover = sorted(by_id)
         raise JoinError(f"log-prob rows with no matching pair: {leftover[:5]}")

@@ -40,7 +40,7 @@ class DuplicateId(ValueError):
     """Two input records share an id."""
 
 
-class CorruptCheckpoint(RuntimeError):
+class CorruptCheckpoint(ValueError):
     """The checkpoint file exists but cannot be trusted."""
 
 

@@ -241,35 +241,27 @@ _COMPLEXITY_WORDS = {level.value: level for level in ComplexityLevel}
 _VERDICT_WORDS = {"yes": True, "no": False}
 
 
-def _normalize_keyword(text: str) -> str:
-    """Trim surrounding whitespace, drop a single trailing period, case-fold.
-
-    Anything looser risks misclassifying free-form output as a label.
-    """
-    stripped = text.strip()
-    if stripped.endswith("."):
-        stripped = stripped[:-1]
-    return stripped.casefold()
+def _parse_label(text: str, words: dict, kind: str):
+    """The label ``words`` maps the output to once it is trimmed of surrounding
+    whitespace and a single trailing period and case-folded; anything looser
+    risks misclassifying free-form output as a label. Any other output is a
+    ParseError naming the ``kind`` of label."""
+    if not text:
+        raise ParseError("empty model output")
+    word = text.strip().removesuffix(".").casefold()
+    if word not in words:
+        raise ParseError(f"not a {kind}: {text!r}")
+    return words[word]
 
 
 def parse_complexity(text: str) -> ComplexityLevel:
     """Parse a one-word complexity label (easy/medium/hard) from raw output."""
-    if not text:
-        raise ParseError("empty model output")
-    word = _normalize_keyword(text)
-    if word not in _COMPLEXITY_WORDS:
-        raise ParseError(f"not a complexity label: {text!r}")
-    return _COMPLEXITY_WORDS[word]
+    return _parse_label(text, _COMPLEXITY_WORDS, "complexity label")
 
 
 def parse_verdict(text: str) -> bool:
     """Parse a one-word YES/NO verdict from raw output."""
-    if not text:
-        raise ParseError("empty model output")
-    word = _normalize_keyword(text)
-    if word not in _VERDICT_WORDS:
-        raise ParseError(f"not a YES/NO verdict: {text!r}")
-    return _VERDICT_WORDS[word]
+    return _parse_label(text, _VERDICT_WORDS, "YES/NO verdict")
 
 
 def validate_record(record: CoTRecord, retry_cap: int = 3) -> list[str]:

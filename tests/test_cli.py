@@ -181,6 +181,26 @@ class TestCurate:
         assert code == EXIT_FATAL
         assert "endpoints" in capsys.readouterr().err
 
+    def test_path_setting_that_is_no_string_is_one_error_line(self, curate_paths, monkeypatch,
+                                                              capsys):
+        """Refused at load: an int path would be read as a file descriptor."""
+        tmp = curate_paths["tmp"]
+        monkeypatch.chdir(tmp)
+        config = tmp / "config.yaml"
+        config.write_text("pipeline:\n  checkpoint_path: 7\n", encoding="utf-8")
+        code = entrypoint([
+            "--config", str(config), "curate",
+            "--input", curate_paths["input"],
+            "--output", curate_paths["output"],
+            "--mock-script", curate_paths["script"],
+        ])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: checkpoint_path: 7 is not a valid str\n"
+        assert sorted(path.name for path in tmp.iterdir()) == [
+            "config.yaml", "input.jsonl", "script.jsonl"]
+
     def test_malformed_input_row_is_fatal(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "in.jsonl", [{"id": "r1", "problem": "p"}])
         script_path = write_script(tmp_path / "script.jsonl", {})
@@ -811,7 +831,7 @@ class TestLossEval:
         assert code == EXIT_FATAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {gap!r} is not a valid GapType\n"
+        assert captured.err == f"error: pair row 'a': field 'gap' is not a gap type: {gap!r}\n"
 
 
 class TestPreferenceOutputBytes:

@@ -191,6 +191,19 @@ class TestSectionKeys:
         with pytest.raises(ConfigError, match="config.yaml"):
             load_config(write_yaml(tmp_path, {section: values}))
 
+    @pytest.mark.parametrize("payload, text", [
+        ({"pipeline": {"checkpoint_path": 7}}, "checkpoint_path: 7 is not a valid str"),
+        ({"pipeline": {"checkpoint_path": [1]}}, "checkpoint_path: [1] is not a valid str"),
+        ({"pipeline": {"checkpoint_path": False}}, "checkpoint_path: False is not a valid str"),
+        ({"templates_dir": 5}, "templates_dir: 5 is not a valid str"),
+        ({"templates_dir": {"dir": "t"}}, "templates_dir: {'dir': 't'} is not a valid str"),
+    ])
+    def test_path_that_is_no_string_is_config_error(self, tmp_path, payload, text):
+        path = write_yaml(tmp_path, payload)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == f"{path}: {text}"
+
     def test_whole_numbers_and_booleans_load(self, tmp_path):
         payload = {"sampling": {"top_k": 7.0}, "pipeline": {"corruption_gate": False}}
         config = load_config(write_yaml(tmp_path, payload))

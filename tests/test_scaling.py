@@ -5,11 +5,13 @@ Each case runs at n and then 4n ``bench/gen.py`` records or families and
 counts its work. Each count at 4n must be at most 4.6 times the count at n.
 Counts are exact, so the gate holds on a host whose speed swings.
 
-- Checkpointed ``run_crv``, fresh and then resumed: backend requests, and
-  bytes through ``dump_row`` (the checkpoint's header, each appended row and
-  each compaction, and the input digests). A compaction after every record
-  (the quadratic snapshot that the append-only journal replaced) multiplies
-  the bytes by about 13.
+- ``curate`` at ``max_concurrency`` 1 and 4, counted apart in three runs:
+  plain; with a fresh ``--checkpoint``, stopped at the second half of the
+  records; and resumed from that checkpoint. Each counts the backend
+  requests answered and the bytes through ``dump_row`` (the outputs, and
+  with a checkpoint its header, each appended row, each compaction and the
+  input digests). A compaction after every record (the quadratic snapshot
+  that the append-only journal replaced) multiplies the bytes by about 13.
 - ``pairs`` and then ``loss-eval --output``: rows through ``read_rows``, and
   calls and bytes through ``dump_row``.
 - Streaming, by the ``tracemalloc`` peak of each command: the ``pairs`` peak
@@ -35,11 +37,8 @@ from pathlib import Path
 import pytest
 
 from cogforge import cli, jsonl, pipeline
-from cogforge.agents import Agents
 from cogforge.gateway import ScriptedBackend
 from cogforge.jsonl import dump_row
-from cogforge.pipeline import PipelineConfig, run_crv
-from cogforge.records import CoTRecord
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 N = 50
@@ -60,40 +59,76 @@ def _bench_module(name: str):
 gen = _bench_module("gen")
 
 
-def checkpointed_work(tmp_path, monkeypatch, n: int) -> dict[str, int]:
-    """Backend requests and ``dump_row`` bytes of a fresh checkpointed run
-    over n records plus its resume."""
+def curate_work(tmp_path, n: int, concurrency: int) -> dict[str, dict[str, int]]:
+    """Backend requests answered and ``dump_row`` bytes of each ``curate``
+    run over n records at ``concurrency`` workers: plain; with a fresh
+    ``--checkpoint`` and a script without the second half's records, so the
+    run stops at the first of them; and resumed with the whole script."""
+    work = tmp_path / f"{n}-{concurrency}"
+    work.mkdir()
     rows, script = gen.curation_inputs(random.Random(9), n)
-    dataset = [
-        CoTRecord(id=row["id"], problem=row["problem"], answer=row["answer"],
-                  reasoning=row["reasoning"])
-        for row in rows
-    ]
-    counts = {"requests": 0, "dump_row_bytes": 0}
+    late = {row["id"] for row in rows[n // 2:]}
+    first_half = {key: texts for key, texts in script.items() if key.split(":", 1)[1] not in late}
+    input_path, checkpoint = str(work / "input.jsonl"), str(work / "run.ckpt.json")
+    gen.write_jsonl(input_path, rows)
+    config = work / "config.yaml"
+    config.write_text(f"pipeline:\n  max_concurrency: {concurrency}\n", encoding="utf-8")
+    runs = {"plain": (script, [], cli.EXIT_PARTIAL),
+            "fresh": (first_half, ["--checkpoint", checkpoint], cli.EXIT_FATAL),
+            "resumed": (script, ["--checkpoint", checkpoint], cli.EXIT_PARTIAL)}
+    counts = {}
+    for run, (run_script, flags, exit_code) in runs.items():
+        script_path = str(work / f"{run}.script.jsonl")
+        gen.write_script(script_path, run_script)
+        backends = []
+        tally = counts[run] = {"requests": 0, "dump_row_bytes": 0}
 
-    def counting(row: dict) -> str:
-        line = dump_row(row)
-        counts["dump_row_bytes"] += len(line)
-        return line
+        def counting(row: dict) -> str:
+            line = dump_row(row)
+            tally["dump_row_bytes"] += len(line)  # workers call it only under run_crv's lock
+            return line
 
-    monkeypatch.setattr(jsonl, "dump_row", counting)
-    monkeypatch.setattr(pipeline, "dump_row", counting)
-    config = PipelineConfig(max_concurrency=1, checkpoint_path=str(tmp_path / f"{n}.ckpt.json"))
-    for _run in ("fresh", "resumed"):
-        backend = ScriptedBackend(script)
-        curated = run_crv(dataset, config, Agents(backend))[0]
-        counts["requests"] += len(backend.history)
-    assert curated
+        def recording(entries: dict[str, list[str]]) -> ScriptedBackend:
+            backends.append(ScriptedBackend(entries))
+            return backends[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "ScriptedBackend", recording)
+            patch.setattr(jsonl, "dump_row", counting)
+            patch.setattr(pipeline, "dump_row", counting)
+            assert cli.entrypoint([
+                "--config", str(config), "curate", "--input", input_path,
+                "--output", str(work / f"{run}.jsonl"), "--mock-script", script_path, *flags,
+            ]) == exit_code
+        # A stopped run's workers may each ask once for a key the script lacks.
+        tally["requests"] = sum(key in run_script for key in backends[0].history)
     return counts
 
 
-def test_checkpointed_curate_work_is_linear(tmp_path, monkeypatch):
-    small = checkpointed_work(tmp_path, monkeypatch, N)
-    large = checkpointed_work(tmp_path, monkeypatch, GROWTH * N)
+@pytest.fixture(scope="module")
+def curate_runs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("curate")
+    return {concurrency: (curate_work(tmp_path, N, concurrency),
+                          curate_work(tmp_path, GROWTH * N, concurrency))
+            for concurrency in (1, 4)}
+
+
+def assert_linear(small: dict[str, int], large: dict[str, int], what: str) -> None:
     for name in small:
-        assert small[name] > 0, name
+        assert small[name] > 0, f"{name} of {what}"
         ratio = large[name] / small[name]
-        assert ratio <= BOUND, f"{name} grew {ratio:.2f}x for {GROWTH}x the records"
+        assert ratio <= BOUND, f"{name} of {what} grew {ratio:.2f}x for {GROWTH}x the records"
+
+
+def test_plain_curate_work_is_linear(curate_runs):
+    for concurrency, (small, large) in curate_runs.items():
+        assert_linear(small["plain"], large["plain"], f"plain curate at {concurrency}")
+
+
+def test_checkpointed_curate_work_is_linear(curate_runs):
+    for concurrency, (small, large) in curate_runs.items():
+        for run in ("fresh", "resumed"):
+            assert_linear(small[run], large[run], f"{run} curate at {concurrency}")
 
 
 def preference_work(tmp_path, n: int, trace_words: tuple[int, int]) -> dict[str, int]:
