@@ -152,6 +152,8 @@ def _load_dataset(path: str) -> list[CoTRecord]:
 def cmd_curate(args: argparse.Namespace) -> int:
     _load("agents", "pipeline")
     config = load_config(args.config)
+    if args.checkpoint == "":
+        raise ConfigError("--checkpoint: empty path")
     if args.checkpoint:
         config.pipeline.checkpoint_path = args.checkpoint
     with _build_backend(config, args.mock_script) as backend:

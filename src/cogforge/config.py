@@ -12,6 +12,7 @@ no HTTP client.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from urllib.parse import urlparse
@@ -117,17 +118,22 @@ def _section(raw: dict, name: str) -> dict:
 
 def _cast(name: str, value, base):
     """``value`` cast to the type of the default ``base``. A None default is a
-    path, which takes a string or null as it is. A bool field takes only a
-    YAML boolean, no other field takes one, and an int field takes only a
-    whole number."""
+    path, which takes a non-empty string or null as it is. A bool field takes
+    only a YAML boolean, no other field takes one, an int field takes only a
+    whole number and a float field only a finite one."""
     if base is None:
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{name}: {value!r} is not a valid str")
+        if value == "":
+            raise ValueError(f"{name}: empty path")
         return value
     fractional = isinstance(value, float) and not value.is_integer()
     if isinstance(base, bool) != isinstance(value, bool) or (type(base) is int and fractional):
         raise ValueError(f"{name}: {value!r} is not a valid {type(base).__name__}")
-    return type(base)(value)
+    cast = type(base)(value)
+    if type(base) is float and not math.isfinite(cast):
+        raise ValueError(f"{name}: {value!r} is not a finite float")
+    return cast
 
 
 def _build(cls, raw: dict):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from collections.abc import Iterable, Iterator
@@ -52,42 +53,31 @@ def read_rows(
             yield row
 
 
-# sort_keys so identical content is identical bytes regardless of how the
-# dict was assembled; resume determinism depends on this. Each encoder serves
-# every row it is given: encode() keeps no state between calls.
+# One C encoder writes every row as json.JSONEncoder(ensure_ascii=False,
+# sort_keys=True).encode(row) does: iterencode makes the same c_make_encoder
+# call with another escaper, and a fresh markers dict per row keeps its
+# circular-reference check. sort_keys so identical content is identical bytes
+# regardless of how the dict was assembled; resume determinism depends on this.
 #
-# The two encoders write the same bytes for any string that is ASCII and holds
-# no DEL: both escape the quote, the backslash and the C0 controls alike, and
-# only DEL and the characters above it are escaped by the ASCII encoder and
-# written raw by the other. Numbers, booleans and null never differ. The ASCII
-# escaper is the faster of the two, so a flat row that holds only such strings
-# goes through it. Any other row (nested, or holding DEL, non-ASCII text or
-# a key that is not a str) goes through the UTF-8 encoder, which writes
-# non-ASCII text raw.
-_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-_ASCII_ENCODER = json.JSONEncoder(ensure_ascii=True, sort_keys=True)
-_SCALARS = (int, float, bool, type(None))
+# The ASCII escaper, the faster, writes the same bytes as the UTF-8 one for a
+# string that is ASCII without DEL: only DEL and the characters above it are
+# escaped by the first and written raw by the second. Such a string goes
+# through it, any other through the UTF-8 one. The last 32 results are kept:
+# a family's pair rows repeat its problem and traces, each then escaped once.
+_make_encoder = json.encoder.c_make_encoder
+_default = json.JSONEncoder().default
 
 
-def _escapes_alike(row: dict) -> bool:
-    """Whether both encoders write ``row`` as the same bytes: every key is a
-    str and every value a str or scalar, each string ASCII without DEL.
-    isascii() is O(1) in CPython; only the DEL test scans the text."""
-    for key, value in row.items():
-        if type(key) is not str or not key.isascii() or "\x7f" in key:
-            return False
-        if type(value) is str:
-            if not value.isascii() or "\x7f" in value:
-                return False
-        elif type(value) not in _SCALARS:
-            return False
-    return True
+@functools.lru_cache(maxsize=32)
+def _escape(text: str) -> str:
+    if text.isascii() and "\x7f" not in text:
+        return json.encoder.encode_basestring_ascii(text)
+    return json.encoder.encode_basestring(text)
 
 
 def dump_row(row: dict) -> str:
-    if type(row) is dict and _escapes_alike(row):
-        return _ASCII_ENCODER.encode(row)
-    return _ENCODER.encode(row)
+    encode = _make_encoder({}, _default, _escape, None, ": ", ", ", True, False, True)
+    return "".join(encode(row, 0))
 
 
 def write_rows(path: str, rows: Iterable[dict]) -> int:

@@ -201,6 +201,32 @@ class TestCurate:
         assert sorted(path.name for path in tmp.iterdir()) == [
             "config.yaml", "input.jsonl", "script.jsonl"]
 
+    @pytest.mark.parametrize("config_text, flags, text", [
+        ("pipeline:\n  checkpoint_path: ''\n", [], "{config}: checkpoint_path: empty path"),
+        ("templates_dir: ''\n", [], "{config}: templates_dir: empty path"),
+        ("", ["--checkpoint", ""], "--checkpoint: empty path"),
+    ], ids=["checkpoint_path", "templates_dir", "--checkpoint"])
+    def test_empty_path_setting_is_one_error_line(self, curate_paths, monkeypatch, capsys,
+                                                  config_text, flags, text):
+        """An empty path would run without a checkpoint, or read the templates
+        from the working directory."""
+        tmp = curate_paths["tmp"]
+        monkeypatch.chdir(tmp)
+        config = tmp / "config.yaml"
+        config.write_text(config_text, encoding="utf-8")
+        code = entrypoint([
+            "--config", str(config), "curate",
+            "--input", curate_paths["input"],
+            "--output", curate_paths["output"],
+            "--mock-script", curate_paths["script"], *flags,
+        ])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {text.format(config=config)}\n"
+        assert sorted(path.name for path in tmp.iterdir()) == [
+            "config.yaml", "input.jsonl", "script.jsonl"]
+
     def test_malformed_input_row_is_fatal(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "in.jsonl", [{"id": "r1", "problem": "p"}])
         script_path = write_script(tmp_path / "script.jsonl", {})
@@ -823,6 +849,19 @@ class TestLossEval:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert f"field {field!r}" in captured.err
 
+    def test_non_finite_beta_is_one_error_line(self, tmp_path, capsys):
+        """An infinite beta would report a NaN loss and exit 0."""
+        config = tmp_path / "config.yaml"
+        config.write_text("schedule:\n  beta_large: .inf\n", encoding="utf-8")
+        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "large")])
+        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a", 1.0)])
+        code = entrypoint(["--config", str(config), "loss-eval", "--pairs", pairs_path,
+                           "--logprobs", logprobs_path])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: beta_large: inf is not a finite float\n"
+
     @pytest.mark.parametrize("gap", [["small"], "tiny"])
     def test_gap_that_is_no_gap_type_is_one_error_line(self, tmp_path, capsys, gap):
         pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", gap)])
@@ -840,7 +879,8 @@ class TestPreferenceOutputBytes:
     non-ASCII characters, so every kind of row the writer sees is covered."""
 
     # SHA-256 of pairs.jsonl and of the loss-eval report, recorded while
-    # dump_row had one encoder: choosing an encoder per row must not move them.
+    # dump_row had one encoder and one escaper: how it escapes each string,
+    # and what it remembers of earlier rows, must not move them.
     PAIRS_DIGEST = "0f2b5c51620d4472f5be2d31c2e6413951265afcb6939bb80020ca7ea94773ec"
     REPORT_DIGEST = "33ff0a3e9b192740af4176bc22857256f47c78ce430945be5412415500cad57a"
 

@@ -197,12 +197,29 @@ class TestSectionKeys:
         ({"pipeline": {"checkpoint_path": False}}, "checkpoint_path: False is not a valid str"),
         ({"templates_dir": 5}, "templates_dir: 5 is not a valid str"),
         ({"templates_dir": {"dir": "t"}}, "templates_dir: {'dir': 't'} is not a valid str"),
+        ({"pipeline": {"checkpoint_path": ""}}, "checkpoint_path: empty path"),
+        ({"templates_dir": ""}, "templates_dir: empty path"),
     ])
     def test_path_that_is_no_string_is_config_error(self, tmp_path, payload, text):
         path = write_yaml(tmp_path, payload)
         with pytest.raises(ConfigError) as caught:
             load_config(path)
         assert str(caught.value) == f"{path}: {text}"
+
+    @pytest.mark.parametrize("section, field, value, shown", [
+        ("schedule", "beta_large", ".inf", "inf"),
+        ("schedule", "beta_small", "-.inf", "-inf"),
+        ("schedule", "beta_medium", ".nan", "nan"),
+        ("sampling", "temperature", ".nan", "nan"),
+        ("sampling", "top_p", "'inf'", "'inf'"),
+        ("schedule", "beta_large", "'-Infinity'", "'-Infinity'"),
+    ])
+    def test_non_finite_float_is_config_error(self, tmp_path, section, field, value, shown):
+        path = tmp_path / "config.yaml"
+        path.write_text(f"{section}:\n  {field}: {value}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            load_config(str(path))
+        assert str(caught.value) == f"{path}: {field}: {shown} is not a finite float"
 
     def test_whole_numbers_and_booleans_load(self, tmp_path):
         payload = {"sampling": {"top_k": 7.0}, "pipeline": {"corruption_gate": False}}

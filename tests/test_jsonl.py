@@ -7,10 +7,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogforge.jsonl import dump_row, read_rows, write_rows
+from cogforge.records import GapType
 
 REFERENCE = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
@@ -78,7 +82,8 @@ def random_rows(seed: int, count: int) -> list[dict]:
 
 
 class TestDumpRow:
-    """dump_row picks an encoder per row; its bytes are always the reference's."""
+    """dump_row escapes each string with the ASCII or the UTF-8 escaper; its
+    bytes are always the reference's."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_rows_encode_as_the_reference(self, seed):
@@ -96,6 +101,101 @@ class TestDumpRow:
         for row in ({"k": text}, {text: "v"}, {"k": [text]}, {"k": {"n": text}},
                     {"a": 1, "k": text, "z": None}, {"k": text, "f": math.nan, "i": 10**40}):
             assert dump_row(row) == REFERENCE.encode(row), row
+
+
+def variants(text: str) -> list[str]:
+    """``text`` as it is, with DEL and with non-ASCII text, each form also as
+    an equal string that is another object."""
+    forms = [text, text + "\x7f", "\x7f" + text, text + "é", "中" + text]
+    return forms + ["".join(["<", form])[1:] for form in forms]
+
+
+TEXTS = st.lists(st.sampled_from(PLAIN + ESCAPED), max_size=8).map("".join)
+
+
+@st.composite
+def row_sequences(draw) -> list[dict]:
+    """Rows whose keys and strings come from one pool: at least 40 strings,
+    more than the escaper remembers, each row sharing their objects."""
+    pool = [form for text in draw(st.lists(TEXTS, min_size=4, max_size=10))
+            for form in variants(text)]
+    text = st.sampled_from(pool)
+    scalar = text | st.none() | st.booleans() | st.integers() | st.floats()
+    value = st.recursive(
+        scalar,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(text, inner, max_size=3),
+        max_leaves=6,
+    )
+    return draw(st.lists(st.dictionaries(text, value, max_size=6), min_size=1, max_size=30))
+
+
+# Run from a plain test, not collected as one: on a failure, hypothesis's
+# pytest plugin imports libcst to suggest a patch, and a DeprecationWarning
+# from that import (an error under pyproject's filterwarnings) would end the
+# whole session instead of reporting the falsifying rows.
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(row_sequences())
+def check_row_sequence(rows: list[dict]) -> None:
+    for row in rows:
+        assert dump_row(row) == REFERENCE.encode(row), row
+
+
+class TestRowSequences:
+    """Rows written one after another, as a file's rows are: what the escaper
+    remembers of earlier rows never changes a later row's bytes."""
+
+    def test_each_row_encodes_as_the_reference(self):
+        check_row_sequence()
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [1, {"k": 1j}]])
+    def test_value_it_cannot_encode_is_the_reference_type_error(self, value):
+        row = {"a": "x", "k": value}
+        with pytest.raises(TypeError) as expected:
+            REFERENCE.encode(row)
+        with pytest.raises(TypeError) as caught:
+            dump_row(row)
+        assert str(caught.value) == str(expected.value)
+        assert getattr(caught.value, "__notes__", None) == getattr(
+            expected.value, "__notes__", None)
+
+    def test_circular_row_then_the_same_row_once_mended(self):
+        inner = ["x"]
+        row = {"a": inner, "b": {"c": inner}}
+        inner.append(row)
+        with pytest.raises(ValueError) as expected:
+            REFERENCE.encode(row)
+        with pytest.raises(ValueError) as caught:
+            dump_row(row)
+        assert str(caught.value) == str(expected.value) == "Circular reference detected"
+        inner.pop()
+        assert dump_row(row) == REFERENCE.encode(row)
+
+    def test_row_after_a_failed_row(self):
+        with pytest.raises(TypeError):
+            dump_row({"a": "ab\x7fé", "b": object()})
+        row = {"a": "ab\x7fé", "b": ["ab\x7fé"]}
+        assert dump_row(row) == REFERENCE.encode(row)
+
+    def test_str_enum_keys_and_values(self):
+        rows = [{GapType.SMALL: GapType.MEDIUM, "gap": GapType.LARGE},
+                {"small": "small", "gap": [GapType.SMALL, "large"]},
+                {GapType.LARGE: {GapType.SMALL: "medium"}}]
+        for row in rows:
+            assert dump_row(row) == REFERENCE.encode(row), row
+
+    def test_escaper_keeps_at_most_32_strings(self):
+        """After 1,000 rows, each with its own 100 KB string, are written and
+        dropped, what is still held is less than 32 strings and their escapes."""
+        size = 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(1000):
+                dump_row({"text": f"{index:06d}" + "x" * size})
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 32 * 2 * (size + 1000)
 
 
 def two_rows_then(exc: BaseException):
