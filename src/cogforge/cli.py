@@ -24,19 +24,14 @@ from collections.abc import Iterator
 from .config import AppConfig, ConfigError, GatewayError, load_config
 from .jsonl import read_rows, write_rows
 from .pairs import EmptyFamily, assign_beta, build_pairs
-from .records import BetaSchedule, CoTRecord, GapType, LogProbQuad, RecordFamily
+from .records import (FAMILY_SCHEMA, LOGPROB_SCHEMA, PAIR_SCHEMA, RECORD_SCHEMA, BetaSchedule,
+                      CoTRecord, GapType, LogProbQuad, RecordFamily)
 
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
-
-# Fields a row must carry, not null, for curate's records, RecordFamily.from_dict
-# and join_quads. Each of a record's fields must be a non-empty string.
-RECORD_FIELDS = ("id", "problem", "answer", "reasoning")
-FAMILY_FIELDS = ("id", "problem", "answer", "original_rating", "r_original")
-LOGPROB_FIELDS = ("id", *LogProbQuad._fields)
 
 # The layers a command loads on first use, with the names this module takes
 # from each: ``pairs`` never loads the CRV walk, the HTTP client or the loss.
@@ -145,7 +140,7 @@ def _load_dataset(path: str) -> list[CoTRecord]:
     return [
         CoTRecord(id=row["id"], problem=row["problem"], answer=row["answer"],
                   reasoning=row["reasoning"])
-        for row in read_rows(path, required=RECORD_FIELDS, strings=RECORD_FIELDS)
+        for row in read_rows(path, RECORD_SCHEMA)
     ]
 
 
@@ -187,7 +182,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
     def pair_rows() -> Iterator[dict]:
         # One family in memory at a time: its pairs are written as it is built.
         nonlocal families, skipped
-        for row in read_rows(args.families, required=FAMILY_FIELDS):
+        for row in read_rows(args.families, FAMILY_SCHEMA):
             families += 1
             try:
                 built = build_pairs(RecordFamily.from_dict(row), config.schedule)
@@ -213,8 +208,8 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
     _load("loss")
     schedule = load_config(args.config).schedule
     # Generators, not lists: join_quads keeps only the id and gap of each pair row.
-    joined = join_quads(read_rows(args.pairs, required=("id", "gap")),
-                        read_rows(args.logprobs, required=LOGPROB_FIELDS))
+    joined = join_quads(read_rows(args.pairs, PAIR_SCHEMA),
+                        read_rows(args.logprobs, LOGPROB_SCHEMA))
     report = cogpo_loss([(quad, gap) for _, quad, gap in joined], schedule)
 
     # Each gap's name and beta, resolved once per gap rather than once per pair.

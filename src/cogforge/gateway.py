@@ -26,7 +26,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 # The configuration types live in config, so that reading a config loads no
 # HTTP client; they are re-exported here.
 from .config import ConfigError, Endpoint, GatewayError, ModelRole, SamplingParams
-from .jsonl import read_rows
+from .jsonl import STRING, STRINGS, read_rows
 
 if TYPE_CHECKING:
     import http.client
@@ -342,16 +342,15 @@ class ScriptedBackend:
         ))
 
 
+SCRIPT_SCHEMA = {"key": STRING, "responses": STRINGS}
+
+
 def load_script(path: str) -> dict[str, list[str]]:
     """Read a scripted-backend file: JSON Lines of {"key": str, "responses": [str, ...]}."""
     script: dict[str, list[str]] = {}
-    for number, row in enumerate(read_rows(path, required=("key", "responses")), start=1):
-        key, responses = row["key"], row["responses"]
-        if not isinstance(key, str):
-            raise ValueError(f"{path}: row {number}: 'key' is not a string")
-        if not (isinstance(responses, list) and all(isinstance(text, str) for text in responses)):
-            raise ValueError(f"{path}: row {number}: 'responses' is not a list of strings")
+    for row in read_rows(path, SCRIPT_SCHEMA):
+        key = row["key"]
         if key in script:
-            raise ValueError(f"{path}: row {number}: duplicate script key {key!r}")
-        script[key] = responses
+            raise ValueError(f"{path}: duplicate script key {key!r}")
+        script[key] = row["responses"]
     return script

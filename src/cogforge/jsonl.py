@@ -5,8 +5,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from typing import NamedTuple
 
 
 # A stripped line starts with no JSON whitespace, so json.loads(line) is
@@ -16,15 +18,44 @@ from collections.abc import Iterable, Iterator
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def read_rows(
-    path: str, required: tuple[str, ...] = (), strings: tuple[str, ...] = ()
-) -> Iterator[dict]:
+class Kind(NamedTuple):
+    """A field's test, and the words that say what a refused value "is not"."""
+
+    accepts: Callable[[object], bool]
+    words: str
+
+
+def _number(value) -> bool:
+    """A float, or an int that converts to one; a boolean is no number here."""
+    try:
+        return type(value) is float or type(value) is int and math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+NON_EMPTY_STRING = Kind(lambda value: type(value) is str and value != "", "a non-empty string")
+STRING = Kind(lambda value: type(value) is str, "a string")
+STRING_OR_NULL = Kind(lambda value: value is None or type(value) is str, "a string or null")
+NUMBER = Kind(_number, "a number in float range")
+STRINGS = Kind(lambda value: type(value) is list and all(type(text) is str for text in value),
+               "a list of strings")
+
+
+def one_of(values: Iterable[str], words: str) -> Kind:
+    """The kind of a string that is one of ``values``."""
+    allowed = frozenset(values)
+    return Kind(lambda value: type(value) is str and value in allowed, words)
+
+
+def read_rows(path: str, schema: Mapping[str, Kind] | None = None) -> Iterator[dict]:
     """Yield one dict per non-blank line; errors carry path and line number.
 
-    Each stripped line is decoded as ``json.loads`` decodes it. A row that
-    lacks one of the ``required`` fields, or holds null there, is an error
-    too, and so is one whose ``strings`` fields are not non-empty strings.
+    Each stripped line is decoded as ``json.loads`` decodes it. Each field of
+    the ``schema`` is then tested against its kind, in the schema's order:
+    the first that fails is an error naming the field and its value, or, if
+    the row lacks it, the missing field.
     """
+    checks = [(field, kind.accepts) for field, kind in (schema or {}).items()]
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -41,15 +72,13 @@ def read_rows(
                     raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            for field in required:
-                if row.get(field) is None:
-                    state = "null" if field in row else "missing"
-                    raise ValueError(f"{path}:{lineno}: {state} field {field!r}")
-            for field in strings:
+            for field, accepts in checks:
                 value = row.get(field)
-                if not isinstance(value, str) or not value:
-                    raise ValueError(f"{path}:{lineno}: field {field!r} is not a non-empty "
-                                     f"string: {value!r}")
+                if not accepts(value):
+                    if field not in row:
+                        raise ValueError(f"{path}:{lineno}: missing field {field!r}")
+                    raise ValueError(f"{path}:{lineno}: field {field!r} is not "
+                                     f"{schema[field].words}: {value!r}")
             yield row
 
 

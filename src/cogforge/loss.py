@@ -367,71 +367,32 @@ _quad_values = itemgetter(*LogProbQuad._fields)
 _GAPS = {gap.value: gap for gap in GapType}
 
 
-def _row_id(row: dict, kind: str) -> str:
-    if not isinstance(row["id"], str):
-        raise JoinError(f"{kind} row id {row['id']!r}: field 'id' is not a string")
-    return row["id"]
-
-
-def _checked_quad(row_id: str, row: dict) -> tuple[float, float, float, float]:
-    """The row's four log-probs as floats, each a JSON number in float range;
-    a boolean, a string or any other value is a ``JoinError``."""
-    quad = []
-    for name in LogProbQuad._fields:
-        value = row[name]
-        try:
-            if not isinstance(value, float) and (isinstance(value, bool)
-                                                 or not isinstance(value, int)):
-                raise TypeError
-            quad.append(float(value))
-        except (TypeError, OverflowError):
-            raise JoinError(f"log-prob row {row_id!r}: field {name!r} is not a number "
-                            f"in float range: {value!r}") from None
-    return tuple(quad)
-
-
 def join_quads(
     pair_rows: Iterable[dict], logprob_rows: Iterable[dict]
 ) -> list[tuple[str, LogProbQuad, GapType]]:
     """One-to-one join of pair rows with externally computed log-probs by id.
 
-    The log-prob rows are drained first, down to four floats each; the pair
-    rows are then consumed one at a time, and only their id and gap are kept.
-    An id must be a string, a gap the value of a ``GapType`` and a log-prob a
-    JSON number (not a boolean or a string); any other value is a
-    ``JoinError`` naming the row and the field. A row whose id is a str and
-    whose log-probs are all floats, as every valid JSON row's are unless it
-    writes a number as an integer, is taken as it is; any other row goes
-    through ``_row_id`` and ``_checked_quad``.
+    The rows come checked by ``read_rows`` against ``PAIR_SCHEMA`` and
+    ``LOGPROB_SCHEMA``. The log-prob rows are drained first, down to four
+    floats each; the pair rows are then consumed one at a time, and only their
+    id and gap are kept. An id that does not join one-to-one is a ``JoinError``.
     """
     by_id: dict[str, LogProbQuad] = {}
     for row in logprob_rows:
         row_id = row["id"]
-        if type(row_id) is not str:
-            row_id = _row_id(row, "log-prob")
         if row_id in by_id:
             raise JoinError(f"duplicate log-prob id {row_id!r}")
-        try:
-            w_theta, w_ref, l_theta, l_ref = quad = _quad_values(row)
-            floats = type(w_theta) is type(w_ref) is type(l_theta) is type(l_ref) is float
-        except KeyError:
-            floats = False
-        if not floats:
-            quad = _checked_quad(row_id, row)
+        w_theta, w_ref, l_theta, l_ref = quad = _quad_values(row)
+        if not type(w_theta) is type(w_ref) is type(l_theta) is type(l_ref) is float:
+            quad = map(float, quad)
         by_id[row_id] = LogProbQuad._make(quad)
     joined = []
     for pair_row in pair_rows:
         pair_id = pair_row["id"]
-        if type(pair_id) is not str:
-            pair_id = _row_id(pair_row, "pair")
         quad = by_id.pop(pair_id, None)
         if quad is None:
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
-        value = pair_row["gap"]
-        gap = _GAPS.get(value) if type(value) is str else None
-        if gap is None:
-            raise JoinError(f"pair row {pair_id!r}: field 'gap' is not a gap type: {value!r}")
-        joined.append((pair_id, quad, gap))
+        joined.append((pair_id, quad, _GAPS[pair_row["gap"]]))
     if by_id:
         leftover = sorted(by_id)
         raise JoinError(f"log-prob rows with no matching pair: {leftover[:5]}")

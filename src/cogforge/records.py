@@ -6,6 +6,8 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
+from .jsonl import NON_EMPTY_STRING, NUMBER, STRING, STRING_OR_NULL, one_of
+
 
 class ParseError(ValueError):
     """Raised when a model output cannot be parsed as a known label."""
@@ -77,6 +79,10 @@ class CoTRecord:
         }
 
 
+# What jsonl.read_rows checks of each input row, declared beside the type it fills.
+RECORD_SCHEMA = dict.fromkeys(("id", "problem", "answer", "reasoning"), NON_EMPTY_STRING)
+
+
 @dataclass
 class RecordFamily:
     """All reasoning variants of one problem, keyed by the intake rating.
@@ -114,36 +120,19 @@ class RecordFamily:
 
     @classmethod
     def from_dict(cls, row: dict) -> RecordFamily:
-        """The family a row holds. The id must be a non-empty string, the
-        problem, answer and original trace strings, the rating a complexity
-        level, and the rewrite and corruption strings or null; any other value
-        is a ValueError naming the row and the field."""
-        family_id = row["id"]
-        if not isinstance(family_id, str) or not family_id:
-            raise ValueError(f"family row id {family_id!r}: field 'id' is not a non-empty string")
-        for name in ("problem", "answer", "r_original"):
-            if not isinstance(row[name], str):
-                raise ValueError(
-                    f"family row {family_id!r}: field {name!r} is not a string: {row[name]!r}")
-        for name in ("r_rewritten", "r_corrupted"):
-            value = row.get(name)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(
-                    f"family row {family_id!r}: field {name!r} is not a string or null: {value!r}")
-        try:
-            rating = ComplexityLevel(row["original_rating"])
-        except ValueError:
-            raise ValueError(f"family row {family_id!r}: field 'original_rating' is not a "
-                             f"complexity level: {row['original_rating']!r}") from None
-        return cls(
-            id=family_id,
-            problem=row["problem"],
-            answer=row["answer"],
-            original_rating=rating,
-            r_original=row["r_original"],
-            r_rewritten=row.get("r_rewritten"),
-            r_corrupted=row.get("r_corrupted"),
-        )
+        """The family a row holds; ``read_rows`` has checked it against
+        FAMILY_SCHEMA."""
+        return cls(id=row["id"], problem=row["problem"], answer=row["answer"],
+                   original_rating=ComplexityLevel(row["original_rating"]),
+                   r_original=row["r_original"], r_rewritten=row.get("r_rewritten"),
+                   r_corrupted=row.get("r_corrupted"))
+
+
+FAMILY_SCHEMA = {
+    "id": NON_EMPTY_STRING, "problem": STRING, "answer": STRING,
+    "original_rating": one_of([level.value for level in ComplexityLevel], "a complexity level"),
+    "r_original": STRING, "r_rewritten": STRING_OR_NULL, "r_corrupted": STRING_OR_NULL,
+}
 
 
 @dataclass(frozen=True)
@@ -174,6 +163,9 @@ class PreferencePair:
         }
 
 
+PAIR_SCHEMA = {"id": STRING, "gap": one_of([gap.value for gap in GapType], "a gap type")}
+
+
 @dataclass(frozen=True)
 class BetaSchedule:
     """The beta of each gap type."""
@@ -202,6 +194,9 @@ class LogProbQuad(NamedTuple):
     lp_w_ref: float
     lp_l_theta: float
     lp_l_ref: float
+
+
+LOGPROB_SCHEMA = {"id": STRING, **dict.fromkeys(LogProbQuad._fields, NUMBER)}
 
 
 @dataclass

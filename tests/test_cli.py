@@ -26,13 +26,13 @@ from cogforge.cli import (
     EXIT_FATAL,
     EXIT_OK,
     EXIT_PARTIAL,
-    LOGPROB_FIELDS,
     _build_backend,
     entrypoint,
 )
 from cogforge.config import load_config
 from cogforge.gateway import ChatRequest, ModelRole
 from cogforge.jsonl import dump_row, read_rows
+from cogforge.records import LogProbQuad
 
 LN2 = 0.6931471805599453
 
@@ -237,7 +237,7 @@ class TestCurate:
             "--mock-script", script_path,
         ])
         assert code == EXIT_FATAL
-        assert "missing field" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {input_path}:1: missing field 'answer'\n"
 
     def test_malformed_script_row_is_fatal(self, tmp_path, six_record_dataset, capsys):
         input_path = write_jsonl(tmp_path / "in.jsonl", dataset_rows(six_record_dataset))
@@ -247,9 +247,8 @@ class TestCurate:
             "--mock-script", script_path,
         ])
         assert code == EXIT_FATAL
-        assert capsys.readouterr().err.startswith(
-            f"error: {script_path}: row 1: 'responses' is not a list of strings"
-        )
+        assert capsys.readouterr().err == (
+            f"error: {script_path}:1: field 'responses' is not a list of strings: 5\n")
 
     @pytest.mark.parametrize("failing, rows_before", [(0, 1), (1, 4), (2, 7)],
                              ids=["curated", "discards", "families"])
@@ -473,6 +472,22 @@ class TestCurateResume:
         assert "malformed entry for record 'r5'" in err
         assert "r6" not in err
         assert not (tmp_path / "out.jsonl").exists()
+
+
+# What a refusal says each field of a families, pairs or log-prob row "is not".
+FIELD_WORDS = {
+    "families": {"id": "a non-empty string", "problem": "a string", "answer": "a string",
+                 "r_original": "a string", "r_rewritten": "a string or null",
+                 "r_corrupted": "a string or null", "original_rating": "a complexity level"},
+    "pairs": {"id": "a string", "gap": "a gap type"},
+    "logprobs": {"id": "a string", **dict.fromkeys(
+        ["lp_w_theta", "lp_w_ref", "lp_l_theta", "lp_l_ref"], "a number in float range")},
+}
+
+
+def refusal(path: str, file: str, field: str, value) -> str:
+    """The one error line for a first row whose ``field`` holds ``value``."""
+    return f"error: {path}:1: field {field!r} is not {FIELD_WORDS[file][field]}: {value!r}\n"
 
 
 def family_rows() -> list[dict]:
@@ -709,9 +724,7 @@ class TestPairs:
         assert code == EXIT_FATAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert f"field {field!r}" in captured.err
-        assert repr(value if field == "id" else "fam-easy") in captured.err
+        assert captured.err == refusal(families_path, "families", field, value)
         assert not output.exists()
 
 
@@ -834,20 +847,23 @@ class TestLossEval:
         ("logprobs", "lp_w_theta", True),
         ("logprobs", "lp_w_ref", "1.5"),
         ("logprobs", "lp_l_ref", 10 ** 400),
+        ("logprobs", "lp_l_theta", None),
         ("logprobs", "id", 7),
         ("pairs", "id", True),
+        ("pairs", "id", 7),
+        ("pairs", "id", None),
     ])
     def test_badly_typed_row_is_one_error_line(self, tmp_path, capsys, file, field, value):
         rows = {"pairs": [pair_row("a", "small")], "logprobs": [logprob_row("a")]}
         rows[file][0][field] = value
-        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", rows["pairs"])
-        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", rows["logprobs"])
-        code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
+        paths = {"pairs": write_jsonl(tmp_path / "pairs.jsonl", rows["pairs"]),
+                 "logprobs": write_jsonl(tmp_path / "lp.jsonl", rows["logprobs"])}
+        code = entrypoint(["loss-eval", "--pairs", paths["pairs"],
+                           "--logprobs", paths["logprobs"]])
         assert code == EXIT_FATAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert f"field {field!r}" in captured.err
+        assert captured.err == refusal(paths[file], file, field, value)
 
     def test_non_finite_beta_is_one_error_line(self, tmp_path, capsys):
         """An infinite beta would report a NaN loss and exit 0."""
@@ -862,7 +878,7 @@ class TestLossEval:
         assert captured.out == ""
         assert captured.err == f"error: {config}: beta_large: inf is not a finite float\n"
 
-    @pytest.mark.parametrize("gap", [["small"], "tiny"])
+    @pytest.mark.parametrize("gap", [["small"], "tiny", None, 1, {"gap": "small"}])
     def test_gap_that_is_no_gap_type_is_one_error_line(self, tmp_path, capsys, gap):
         pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", gap)])
         logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a")])
@@ -870,7 +886,7 @@ class TestLossEval:
         assert code == EXIT_FATAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: pair row 'a': field 'gap' is not a gap type: {gap!r}\n"
+        assert captured.err == refusal(pairs_path, "pairs", "gap", gap)
 
 
 class TestPreferenceOutputBytes:
@@ -922,7 +938,7 @@ class TestPreferenceOutputBytes:
                            "--output", str(pairs_path)]) == EXIT_OK
         rng = random.Random(23)
         logprobs = [
-            {"id": row["id"], **{field: rng.uniform(-40.0, -1.0) for field in LOGPROB_FIELDS[1:]}}
+            {"id": row["id"], **{field: rng.uniform(-40.0, -1.0) for field in LogProbQuad._fields}}
             for row in read_rows(str(pairs_path))
         ]
         logprobs_path = write_jsonl(tmp_path / "lp.jsonl", logprobs)
@@ -938,21 +954,23 @@ def without(row: dict, field: str) -> dict:
 
 
 class TestMalformedRows:
-    """A row the command cannot use is an `error:` naming the file and field."""
+    """A row the command cannot use is an `error:` naming the file, the line
+    and the field: the value it holds, or that it lacks the field."""
 
-    @pytest.mark.parametrize("file, rows, field", [
-        pytest.param("families", [without(family_rows()[0], "r_original")], "r_original",
-                     id="family-without-r_original"),
-        pytest.param("logprobs", [without(logprob_row("a"), "id")], "id",
-                     id="logprob-without-id"),
-        pytest.param("logprobs", [without(logprob_row("a"), "lp_l_ref")], "lp_l_ref",
-                     id="logprob-without-lp_l_ref"),
-        pytest.param("logprobs", [dict(logprob_row("a"), lp_w_theta=None)], "lp_w_theta",
+    @pytest.mark.parametrize("file, rows, text", [
+        pytest.param("families", [without(family_rows()[0], "r_original")],
+                     "missing field 'r_original'", id="family-without-r_original"),
+        pytest.param("logprobs", [without(logprob_row("a"), "id")],
+                     "missing field 'id'", id="logprob-without-id"),
+        pytest.param("logprobs", [without(logprob_row("a"), "lp_l_ref")],
+                     "missing field 'lp_l_ref'", id="logprob-without-lp_l_ref"),
+        pytest.param("logprobs", [dict(logprob_row("a"), lp_w_theta=None)],
+                     "field 'lp_w_theta' is not a number in float range: None",
                      id="logprob-null-value"),
-        pytest.param("pairs", [without(pair_row("a", "small"), "gap")], "gap",
-                     id="pair-without-gap"),
+        pytest.param("pairs", [without(pair_row("a", "small"), "gap")],
+                     "missing field 'gap'", id="pair-without-gap"),
     ])
-    def test_malformed_row_is_fatal(self, tmp_path, capsys, file, rows, field):
+    def test_malformed_row_is_fatal(self, tmp_path, capsys, file, rows, text):
         paths = {
             "families": write_jsonl(tmp_path / "families.jsonl", family_rows()),
             "pairs": write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")]),
@@ -965,9 +983,7 @@ class TestMalformedRows:
         else:
             argv = ["loss-eval", "--pairs", paths["pairs"], "--logprobs", paths["logprobs"]]
         assert entrypoint(argv) == EXIT_FATAL
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {paths[file]}:1: ")
-        assert repr(field) in err
+        assert capsys.readouterr().err == f"error: {paths[file]}:1: {text}\n"
 
 
 class TestSelftest:

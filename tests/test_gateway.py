@@ -7,7 +7,6 @@ import dataclasses
 import gc
 import http.client
 import json
-import re
 import socket
 import ssl
 import sys
@@ -221,8 +220,9 @@ class TestLoadScript:
         path = tmp_path / "script.jsonl"
         row = json.dumps({"key": "critic:r1", "responses": ["easy"]})
         path.write_text(row + "\n" + row + "\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError) as caught:
             load_script(str(path))
+        assert str(caught.value) == f"{path}: duplicate script key 'critic:r1'"
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "script.jsonl"
@@ -233,21 +233,24 @@ class TestLoadScript:
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "script.jsonl"
         path.write_text(json.dumps({"key": "critic:r1"}) + "\n")
-        with pytest.raises(ValueError, match="responses"):
+        with pytest.raises(ValueError) as caught:
             load_script(str(path))
+        assert str(caught.value) == f"{path}:1: missing field 'responses'"
 
-    @pytest.mark.parametrize("row, field", [
-        ({"key": "critic:r1", "responses": "medium"}, "responses"),
-        ({"key": "critic:r1", "responses": 5}, "responses"),
-        ({"key": "critic:r1", "responses": ["easy", None]}, "responses"),
-        ({"key": 7, "responses": ["easy"]}, "key"),
-    ], ids=["string-responses", "number-responses", "null-response", "number-key"])
-    def test_malformed_row_names_file_row_and_field(self, tmp_path, row, field):
+    @pytest.mark.parametrize("row, field, kind", [
+        ({"key": "critic:r1", "responses": "medium"}, "responses", "a list of strings"),
+        ({"key": "critic:r1", "responses": 5}, "responses", "a list of strings"),
+        ({"key": "critic:r1", "responses": ["easy", None]}, "responses", "a list of strings"),
+        ({"key": 7, "responses": ["easy"]}, "key", "a string"),
+        ({"key": None, "responses": ["easy"]}, "key", "a string"),
+    ], ids=["string-responses", "number-responses", "null-response", "number-key", "null-key"])
+    def test_malformed_row_names_file_row_and_field(self, tmp_path, row, field, kind):
         path = tmp_path / "script.jsonl"
         good = json.dumps({"key": "verifier:r1", "responses": ["YES"]})
         path.write_text(good + "\n" + json.dumps(row) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 2: '{field}' is not a"):
+        with pytest.raises(ValueError) as caught:
             load_script(str(path))
+        assert str(caught.value) == f"{path}:2: field {field!r} is not {kind}: {row[field]!r}"
 
 
 class _ScriptedHTTPHandler(BaseHTTPRequestHandler):

@@ -10,10 +10,20 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cogforge.jsonl import dump_row, read_rows, write_rows
+from cogforge.jsonl import (
+    NON_EMPTY_STRING,
+    NUMBER,
+    STRING,
+    STRING_OR_NULL,
+    STRINGS,
+    dump_row,
+    one_of,
+    read_rows,
+    write_rows,
+)
 from cogforge.records import GapType
 
 REFERENCE = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
@@ -129,23 +139,15 @@ def row_sequences(draw) -> list[dict]:
     return draw(st.lists(st.dictionaries(text, value, max_size=6), min_size=1, max_size=30))
 
 
-# Run from a plain test, not collected as one: on a failure, hypothesis's
-# pytest plugin imports libcst to suggest a patch, and a DeprecationWarning
-# from that import (an error under pyproject's filterwarnings) would end the
-# whole session instead of reporting the falsifying rows.
-@settings(derandomize=True, max_examples=60, deadline=None, database=None)
-@given(row_sequences())
-def check_row_sequence(rows: list[dict]) -> None:
-    for row in rows:
-        assert dump_row(row) == REFERENCE.encode(row), row
-
-
 class TestRowSequences:
     """Rows written one after another, as a file's rows are: what the escaper
     remembers of earlier rows never changes a later row's bytes."""
 
-    def test_each_row_encodes_as_the_reference(self):
-        check_row_sequence()
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(row_sequences())
+    def test_each_row_encodes_as_the_reference(self, rows):
+        for row in rows:
+            assert dump_row(row) == REFERENCE.encode(row), row
 
     @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", [1, {"k": 1j}]])
     def test_value_it_cannot_encode_is_the_reference_type_error(self, value):
@@ -288,3 +290,133 @@ class TestReadRows:
         path.write_text("\ufeff{}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="rows.jsonl:1: not valid JSON: Unexpected UTF-8 BOM"):
             list(read_rows(str(path)))
+
+
+# One field of each kind, and the words a refusal of its value uses.
+SCHEMA = {"name": NON_EMPTY_STRING, "text": STRING, "note": STRING_OR_NULL, "score": NUMBER,
+          "gap": one_of(["small", "medium", "large"], "a gap type"), "lines": STRINGS}
+WORDS = {"name": "a non-empty string", "text": "a string", "note": "a string or null",
+         "score": "a number in float range", "gap": "a gap type", "lines": "a list of strings"}
+# The least int that float() cannot take: halfway between the largest float
+# and 2**1024, where rounding goes up.
+OVERFLOW = 2**1024 - 2**970
+
+
+def reference_accepts(field: str, value) -> bool:
+    if field == "name":
+        return isinstance(value, str) and len(value) > 0
+    if field == "text":
+        return isinstance(value, str)
+    if field == "note":
+        return value is None or isinstance(value, str)
+    if field == "score":
+        if isinstance(value, bool):
+            return False
+        return isinstance(value, float) or isinstance(value, int) and abs(value) < OVERFLOW
+    if field == "gap":
+        return isinstance(value, str) and value in ("small", "medium", "large")
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def reference_outcome(path: str, rows: list[dict], words: dict[str, str]) -> tuple[str, str | None]:
+    """The rows read before the first refusal under the schema whose kinds
+    ``words`` names, and its text."""
+    for index, row in enumerate(rows):
+        for field, kind in words.items():
+            if field not in row and not reference_accepts(field, None):
+                return repr(rows[:index]), f"{path}:{index + 1}: missing field {field!r}"
+            if field in row and not reference_accepts(field, row[field]):
+                return repr(rows[:index]), (f"{path}:{index + 1}: field {field!r} is not {kind}: "
+                                            f"{row[field]!r}")
+    return repr(rows), None
+
+
+def outcome(path: str, schema: dict) -> tuple[str, str | None]:
+    read = []
+    try:
+        for row in read_rows(path, schema):
+            read.append(row)
+    except ValueError as exc:
+        return repr(read), str(exc)
+    return repr(read), None
+
+
+ABSENT = object()
+VALID = {
+    "name": st.text(min_size=1, max_size=3),
+    "text": st.text(max_size=3),
+    "note": st.none() | st.text(max_size=3),
+    "score": st.floats() | st.integers(),
+    "gap": st.sampled_from(["small", "medium", "large"]),
+    "lines": st.lists(st.text(max_size=2), max_size=3),
+}
+# Values that break some kind: the other JSON types, ints at the edge of
+# float range, and per field the values nearest to its kind.
+ANY = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.sampled_from([10**400, -(10**400), OVERFLOW, OVERFLOW - 1, -OVERFLOW, 1 - OVERFLOW]),
+    st.lists(st.none() | st.integers() | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+NEAR = {
+    "name": ["", None, 7, ["a"]],
+    "text": [None, 1, ["a"]],
+    "note": [False, 0, ["a"]],
+    "score": [True, False, 10**400, "1.5", None],
+    "gap": ["tiny", "Small", "small ", ["small"]],
+    "lines": [[1], ["a", None], "a", [["a"]]],
+}
+
+
+ROW = {"name": "n", "text": "", "note": None, "score": 0, "gap": "small", "lines": []}
+
+
+def without(row: dict, field: str) -> dict:
+    return {key: value for key, value in row.items() if key != field}
+
+
+@st.composite
+def checked_rows(draw) -> dict:
+    """A row whose fields each hold a valid value, a value near its kind,
+    any value, or nothing."""
+    row = {}
+    for field, valid in VALID.items():
+        near = st.sampled_from([*NEAR[field], ABSENT])
+        value = draw((valid, valid, near, ANY)[draw(st.integers(0, 3))])
+        if value is not ABSENT:
+            row[field] = value
+    return row
+
+
+class TestFieldChecks:
+    """read_rows refuses a row exactly when the reference does, naming the
+    line, the field and the value, or the missing field."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(rows=st.lists(checked_rows(), min_size=1, max_size=4))
+    @example(rows=[ROW, dict(ROW, score=True)])
+    @example(rows=[dict(ROW, score=10**400)])
+    @example(rows=[without(ROW, "note"), dict(ROW, name=None)])
+    @example(rows=[dict(ROW, name="")])
+    @example(rows=[dict(ROW, gap="tiny")])
+    @example(rows=[ROW, dict(ROW, lines=["a", 1])])
+    def test_refuses_what_the_reference_refuses(self, tmp_path_factory, rows):
+        path = str(tmp_path_factory.getbasetemp() / "checked.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(row) + "\n" for row in rows)
+        # The whole schema: the first refusal in line and field order.
+        assert outcome(path, SCHEMA) == reference_outcome(path, rows, WORDS)
+        # Each field alone, so that every value drawn is judged.
+        for field, kind in SCHEMA.items():
+            assert outcome(path, {field: kind}) == reference_outcome(
+                path, rows, {field: WORDS[field]})
+
+    def test_a_null_is_no_missing_field(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"id": null}\n', encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            list(read_rows(str(path), {"id": STRING}))
+        assert str(caught.value) == f"{path}:1: field 'id' is not a string: None"
+        with pytest.raises(ValueError) as caught:
+            list(read_rows(str(path), {"key": STRING}))
+        assert str(caught.value) == f"{path}:1: missing field 'key'"

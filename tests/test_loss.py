@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from cogforge.loss import (
     quad_from_tokens,
     sequence_logprob,
 )
-from cogforge.records import BetaSchedule, GapType, LogProbQuad
+from cogforge.jsonl import read_rows
+from cogforge.records import LOGPROB_SCHEMA, PAIR_SCHEMA, BetaSchedule, GapType, LogProbQuad
 from test_loss_pin import make_case as benchmark_shape_case
 
 LN2 = 0.6931471805599453
@@ -491,20 +494,34 @@ class TestJoinQuads:
         with pytest.raises(JoinError, match="duplicate"):
             join_quads([self.pair_row("a")], [self.logprob_row("a"), self.logprob_row("a")])
 
-    @pytest.mark.parametrize("field, value", [
-        ("id", ["a"]), ("id", 7), ("lp_w_theta", {"x": 1}), ("lp_w_theta", True),
-        ("lp_w_ref", "1.5"), ("lp_l_theta", None), ("lp_l_ref", 10 ** 400),
-    ], ids=["list-id", "int-id", "object", "boolean", "string", "null", "over-float-range"])
-    def test_badly_typed_logprob_row_rejected(self, field, value):
-        row = dict(self.logprob_row("a"), **{field: value})
-        with pytest.raises(JoinError, match=f"{field!r} is not a") as caught:
-            join_quads([self.pair_row("a")], [row])
-        if field != "id":
-            assert "log-prob row 'a'" in str(caught.value)
+    def refusal(self, tmp_path, pair_rows: list[dict], logprob_rows: list[dict]) -> str:
+        """The refusal of the rows once written to files and joined as
+        ``loss-eval`` reads them, with the directory left out."""
+        files = {"pairs.jsonl": pair_rows, "lp.jsonl": logprob_rows}
+        for name, rows in files.items():
+            (tmp_path / name).write_text("".join(json.dumps(row) + "\n" for row in rows),
+                                         encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            join_quads(read_rows(str(tmp_path / "pairs.jsonl"), PAIR_SCHEMA),
+                       read_rows(str(tmp_path / "lp.jsonl"), LOGPROB_SCHEMA))
+        return str(caught.value).replace(f"{tmp_path}{os.sep}", "")
 
-    def test_badly_typed_pair_id_rejected(self):
-        with pytest.raises(JoinError, match=r"pair row id \['a'\]: field 'id' is not a string"):
-            join_quads([self.pair_row(["a"])], [self.logprob_row("a")])
+    @pytest.mark.parametrize("field, value, kind", [
+        ("id", ["a"], "a string"), ("id", 7, "a string"),
+        ("lp_w_theta", {"x": 1}, "a number in float range"),
+        ("lp_w_theta", True, "a number in float range"),
+        ("lp_w_ref", "1.5", "a number in float range"),
+        ("lp_l_theta", None, "a number in float range"),
+        ("lp_l_ref", 10 ** 400, "a number in float range"),
+    ], ids=["list-id", "int-id", "object", "boolean", "string", "null", "over-float-range"])
+    def test_badly_typed_logprob_row_rejected(self, tmp_path, field, value, kind):
+        row = dict(self.logprob_row("a"), **{field: value})
+        assert self.refusal(tmp_path, [self.pair_row("a")], [row]) == (
+            f"lp.jsonl:1: field {field!r} is not {kind}: {value!r}")
+
+    def test_badly_typed_pair_id_rejected(self, tmp_path):
+        assert self.refusal(tmp_path, [self.pair_row(["a"])], [self.logprob_row("a")]) == (
+            "pairs.jsonl:1: field 'id' is not a string: ['a']")
 
     def test_integer_logprobs_are_numbers(self):
         row = dict(self.logprob_row("a"), lp_w_theta=-1, lp_l_ref=0)
@@ -513,10 +530,9 @@ class TestJoinQuads:
 
     @pytest.mark.parametrize("gap", [["small"], "tiny", None, 1, {"gap": "small"}],
                              ids=["list", "unknown", "null", "int", "object"])
-    def test_gap_that_is_no_gap_type_is_its_value_error(self, gap):
-        with pytest.raises(JoinError) as caught:
-            join_quads([self.pair_row("a", gap)], [self.logprob_row("a")])
-        assert str(caught.value) == f"pair row 'a': field 'gap' is not a gap type: {gap!r}"
+    def test_gap_that_is_no_gap_type_is_its_value_error(self, tmp_path, gap):
+        assert self.refusal(tmp_path, [self.pair_row("a", gap)], [self.logprob_row("a")]) == (
+            f"pairs.jsonl:1: field 'gap' is not a gap type: {gap!r}")
 
     def test_every_gap_joins_as_its_member(self):
         rows = [self.pair_row(gap.value + "-id", gap.value) for gap in GapType]
@@ -533,33 +549,12 @@ class TestJoinQuads:
         assert quad == (-1.0, -1.5, float(value), -2.0)
         assert [type(v) for v in quad] == [float] * 4
 
-    @pytest.mark.parametrize("file, field, value, text", [
-        ("logprobs", "lp_w_theta", True,
-         "log-prob row 'a': field 'lp_w_theta' is not a number in float range: True"),
-        ("logprobs", "lp_w_ref", "1.5",
-         "log-prob row 'a': field 'lp_w_ref' is not a number in float range: '1.5'"),
-        ("logprobs", "lp_l_theta", None,
-         "log-prob row 'a': field 'lp_l_theta' is not a number in float range: None"),
-        ("logprobs", "lp_l_ref", 10 ** 400,
-         f"log-prob row 'a': field 'lp_l_ref' is not a number in float range: {10 ** 400!r}"),
-        ("logprobs", "id", 7, "log-prob row id 7: field 'id' is not a string"),
-        ("logprobs", "id", ["a"], "log-prob row id ['a']: field 'id' is not a string"),
-        ("pairs", "id", 7, "pair row id 7: field 'id' is not a string"),
-        ("pairs", "id", None, "pair row id None: field 'id' is not a string"),
-    ])
-    def test_refusal_texts(self, file, field, value, text):
-        rows = {"pairs": self.pair_row("a"), "logprobs": self.logprob_row("a")}
-        rows[file][field] = value
-        with pytest.raises(JoinError) as caught:
-            join_quads([rows["pairs"]], [rows["logprobs"]])
-        assert str(caught.value) == text
-
-    def test_bad_value_before_a_missing_field_is_refused(self):
+    def test_bad_value_before_a_missing_field_is_refused(self, tmp_path):
         row = self.logprob_row("a")
         row["lp_w_theta"] = False
         del row["lp_l_ref"]
-        with pytest.raises(JoinError, match="field 'lp_w_theta' is not a number"):
-            join_quads([self.pair_row("a")], [row])
+        assert self.refusal(tmp_path, [self.pair_row("a")], [row]) == (
+            "lp.jsonl:1: field 'lp_w_theta' is not a number in float range: False")
 
     def test_duplicate_is_refused_before_its_values(self):
         with pytest.raises(JoinError, match="duplicate log-prob id 'a'"):
