@@ -523,6 +523,32 @@ class TestJoinQuads:
         assert self.refusal(tmp_path, [self.pair_row(["a"])], [self.logprob_row("a")]) == (
             "pairs.jsonl:1: field 'id' is not a string: ['a']")
 
+    @pytest.mark.parametrize("file, field, value, text", [
+        ("logprobs", "lp_w_theta", True,
+         "log-prob row 'a': field 'lp_w_theta' is not a number in float range: True"),
+        ("logprobs", "lp_w_ref", "1.5",
+         "log-prob row 'a': field 'lp_w_ref' is not a number in float range: '1.5'"),
+        ("logprobs", "lp_l_theta", None,
+         "log-prob row 'a': field 'lp_l_theta' is not a number in float range: None"),
+        ("logprobs", "lp_l_ref", 10 ** 400,
+         f"log-prob row 'a': field 'lp_l_ref' is not a number in float range: {10 ** 400!r}"),
+        ("logprobs", "id", 7, "log-prob row id 7: field 'id' is not a string"),
+        ("logprobs", "id", ["a"], "log-prob row id ['a']: field 'id' is not a string"),
+        ("pairs", "id", 7, "pair row id 7: field 'id' is not a string"),
+        ("pairs", "id", None, "pair row id None: field 'id' is not a string"),
+    ])
+    def test_refusal_texts(self, tmp_path, file, field, value, text):
+        """``text`` is the refusal ``join_quads`` gave when it checked types
+        itself. The same row is still refused, at the file boundary: named by
+        file and line in place of its id, with the same field clause, and
+        always with the value."""
+        rows = {"pairs": self.pair_row("a"), "logprobs": self.logprob_row("a")}
+        rows[file][field] = value
+        clause = text[text.index("field "):].removesuffix(f": {value!r}")
+        name = {"pairs": "pairs.jsonl", "logprobs": "lp.jsonl"}[file]
+        assert self.refusal(tmp_path, [rows["pairs"]], [rows["logprobs"]]) == (
+            f"{name}:1: {clause}: {value!r}")
+
     def test_integer_logprobs_are_numbers(self):
         row = dict(self.logprob_row("a"), lp_w_theta=-1, lp_l_ref=0)
         (_id, quad, _gap), = join_quads([self.pair_row("a")], [row])
