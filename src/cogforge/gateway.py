@@ -166,10 +166,7 @@ class HTTPBackend:
                 {"role": "system", "content": request.system},
                 {"role": "user", "content": request.user},
             ],
-            "temperature": request.sampling.temperature,
-            "top_p": request.sampling.top_p,
-            "top_k": request.sampling.top_k,
-            "max_tokens": request.sampling.max_tokens,
+            **vars(request.sampling),
         }
         if request.n != 1:
             body["n"] = request.n

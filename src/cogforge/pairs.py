@@ -48,22 +48,22 @@ def build_pairs(family: RecordFamily, schedule: BetaSchedule) -> list[Preference
     if violations:
         raise ValueError(f"family {family.id}: {'; '.join(violations)}")
 
-    candidates: list[tuple[str, str | None, str | None, GapType]] = []
+    candidates: list[tuple[str | None, str | None, GapType]] = []
     if family.original_rating == ComplexityLevel.MEDIUM:
-        candidates.append(("large", family.r_original, family.r_corrupted, GapType.LARGE))
+        candidates.append((family.r_original, family.r_corrupted, GapType.LARGE))
     else:
-        candidates.append(("small", family.r_rewritten, family.r_original, GapType.SMALL))
-        candidates.append(("medium", family.r_original, family.r_corrupted, GapType.MEDIUM))
-        candidates.append(("large", family.r_rewritten, family.r_corrupted, GapType.LARGE))
+        candidates.append((family.r_rewritten, family.r_original, GapType.SMALL))
+        candidates.append((family.r_original, family.r_corrupted, GapType.MEDIUM))
+        candidates.append((family.r_rewritten, family.r_corrupted, GapType.LARGE))
 
     built: list[PreferencePair] = []
-    for label, chosen, rejected, gap in candidates:
+    for chosen, rejected, gap in candidates:
         if chosen is None or rejected is None:
             continue
         try:
             built.append(
                 PreferencePair(
-                    id=f"{family.id}:{label}",
+                    id=f"{family.id}:{gap.value}",
                     prompt=family.problem,
                     chosen=chosen,
                     rejected=rejected,
@@ -72,7 +72,7 @@ def build_pairs(family: RecordFamily, schedule: BetaSchedule) -> list[Preference
                 )
             )
         except ValueError as exc:
-            log.warning("family %s: skipping degenerate %s pair: %s", family.id, label, exc)
+            log.warning("family %s: skipping degenerate %s pair: %s", family.id, gap.value, exc)
     if not built:
         raise EmptyFamily(f"family {family.id}: no constructible pair")
     return built

@@ -66,17 +66,9 @@ class CoTRecord:
         return ComplexityLevel(self.rating_history[-1]["rating"]) if self.rating_history else None
 
     def to_output_dict(self) -> dict:
-        """The one row shape: curated output, and the input row a checkpoint digests."""
-        return {
-            "id": self.id,
-            "problem": self.problem,
-            "answer": self.answer,
-            "reasoning": self.reasoning,
-            "source": self.source.value,
-            "rating_history": self.rating_history,
-            "rewrite_count": self.rewrite_count,
-            "verified": self.verified,
-        }
+        """The one row shape: curated output, and the input row a checkpoint
+        digests. Its keys are the fields; ``dump_row`` sorts them."""
+        return {**vars(self), "source": self.source.value}
 
 
 # What jsonl.read_rows checks of each input row, declared beside the type it fills.
@@ -108,15 +100,8 @@ class RecordFamily:
         return violations
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "problem": self.problem,
-            "answer": self.answer,
-            "original_rating": self.original_rating.value,
-            "r_original": self.r_original,
-            "r_rewritten": self.r_rewritten,
-            "r_corrupted": self.r_corrupted,
-        }
+        """The families-file row. Its keys are the fields; ``dump_row`` sorts them."""
+        return {**vars(self), "original_rating": self.original_rating.value}
 
     @classmethod
     def from_dict(cls, row: dict) -> RecordFamily:
@@ -153,14 +138,8 @@ class PreferencePair:
             raise ValueError(f"pair {self.id}: beta must be positive, got {self.beta}")
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "prompt": self.prompt,
-            "chosen": self.chosen,
-            "rejected": self.rejected,
-            "gap": self.gap.value,
-            "beta": self.beta,
-        }
+        """The pairs-file row. Its keys are the fields; ``dump_row`` sorts them."""
+        return {**vars(self), "gap": self.gap.value}
 
 
 PAIR_SCHEMA = {"id": STRING, "gap": one_of([gap.value for gap in GapType], "a gap type")}
@@ -266,15 +245,7 @@ def validate_record(record: CoTRecord, retry_cap: int = 3) -> list[str]:
     the offending field and the rule it breaks. Id uniqueness is a
     dataset-level property and is checked where datasets are assembled.
     """
-    violations = []
-    if not record.id:
-        violations.append("id: empty")
-    if not record.problem:
-        violations.append("problem: empty")
-    if not record.answer:
-        violations.append("answer: empty")
-    if not record.reasoning:
-        violations.append("reasoning: empty")
+    violations = [f"{name}: empty" for name in RECORD_SCHEMA if not getattr(record, name)]
     if record.rewrite_count < 0:
         violations.append("rewrite_count: negative")
     elif record.rewrite_count > retry_cap:

@@ -99,6 +99,10 @@ class TestViolations:
         with pytest.raises(ConfigError, match="retry_cap"):
             load_config(write_yaml(tmp_path, {"pipeline": {"retry_cap": 0}}))
 
+    def test_zero_concurrency(self, tmp_path):
+        with pytest.raises(ConfigError, match="max_concurrency: must be >= 1"):
+            load_config(write_yaml(tmp_path, {"pipeline": {"max_concurrency": 0}}))
+
     def test_even_votes(self, tmp_path):
         with pytest.raises(ConfigError, match="votes"):
             load_config(write_yaml(tmp_path, {"pipeline": {"votes": 4}}))

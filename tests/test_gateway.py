@@ -310,6 +310,8 @@ class TestHTTPBackend:
         seen = http_server.seen[0]
         assert seen["auth"] == "Bearer sekrit"
         body = seen["body"]
+        # json.loads keeps the order the client wrote the keys in.
+        assert list(body) == ["model", "messages", "temperature", "top_p", "top_k", "max_tokens"]
         assert body["model"] == "agent-xl"
         assert [m["role"] for m in body["messages"]] == ["system", "user"]
         assert body["temperature"] == 0.7
@@ -422,6 +424,10 @@ class TestHTTPBackend:
         with pytest.raises(ConfigError, match="base"):
             backend.complete(request)
 
+    def test_zero_retries_refused(self):
+        with pytest.raises(ConfigError, match="max_retries must be >= 1"):
+            HTTPBackend({}, max_retries=0)
+
     def test_malformed_payload_is_provider_error(self, http_server):
         http_server.playbook.append((200, {"surprise": True}))
         with pytest.raises(ProviderError, match="malformed"):
@@ -434,6 +440,7 @@ class TestHTTPBackend:
         {"choices": [{"message": {"content": "medium"}}],
          "usage": {"prompt_tokens": None, "completion_tokens": 2}},
         ["not", "an", "object"],
+        {"choices": {"message": {"content": "medium"}}},
     ])
     def test_malformed_content_or_usage_is_provider_error(self, http_server, payload):
         http_server.playbook.append((200, payload))

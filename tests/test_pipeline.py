@@ -658,6 +658,12 @@ class TestJournal:
         with pytest.raises(CorruptCheckpoint, match="malformed entry"):
             load_checkpoint(str(path), input_digests(make_dataset(6)))
 
+    def test_header_whose_completed_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        write_header(path, ["r1"])
+        with pytest.raises(CorruptCheckpoint, match="'completed' is not an object"):
+            load_checkpoint(str(path), input_digests(make_dataset(6)))
+
     @pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4", "v5"])
     def test_earlier_format_refused(self, tmp_path, version):
         """A v1 snapshot spans several lines; v2 rows carry no usage; a v3
