@@ -191,7 +191,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                 skipped += 1
                 continue
             for pair in built:
-                counts[pair.gap.value] += 1
+                counts[pair.gap] += 1  # a GapType is a str equal to its value
                 yield pair.to_dict()
 
     written = write_rows(args.output, pair_rows())

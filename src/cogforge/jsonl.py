@@ -47,13 +47,21 @@ def one_of(values: Iterable[str], words: str) -> Kind:
     return Kind(lambda value: type(value) is str and value in allowed, words)
 
 
+def refusal(row: Mapping, schema: Mapping[str, Kind]) -> str | None:
+    """Words for the first field of ``schema`` that ``row`` lacks or holds of another kind."""
+    for field, kind in schema.items():
+        if not kind.accepts(row.get(field)):
+            return (f"field {field!r} is not {kind.words}: {row[field]!r}" if field in row
+                    else f"missing field {field!r}")
+    return None
+
+
 def read_rows(path: str, schema: Mapping[str, Kind] | None = None) -> Iterator[dict]:
     """Yield one dict per non-blank line; errors carry path and line number.
 
     Each stripped line is decoded as ``json.loads`` decodes it. Each field of
-    the ``schema`` is then tested against its kind, in the schema's order:
-    the first that fails is an error naming the field and its value, or, if
-    the row lacks it, the missing field.
+    the ``schema`` is then tested against its kind, in order; the first that
+    fails is an error in ``refusal``'s words.
     """
     checks = [(field, kind.accepts) for field, kind in (schema or {}).items()]
     with open(path, encoding="utf-8") as handle:
@@ -73,12 +81,8 @@ def read_rows(path: str, schema: Mapping[str, Kind] | None = None) -> Iterator[d
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
             for field, accepts in checks:
-                value = row.get(field)
-                if not accepts(value):
-                    if field not in row:
-                        raise ValueError(f"{path}:{lineno}: missing field {field!r}")
-                    raise ValueError(f"{path}:{lineno}: field {field!r} is not "
-                                     f"{schema[field].words}: {value!r}")
+                if not accepts(row.get(field)):
+                    raise ValueError(f"{path}:{lineno}: {refusal(row, schema)}")
             yield row
 
 

@@ -29,51 +29,45 @@ class EmptyFamily(ValueError):
     """A family with no constructible pair (no corruption and no rewrite)."""
 
 
+# The table above, by rating: chosen, rejected, gap and its value (``.value`` is slow).
+_CANDIDATES = {ComplexityLevel.MEDIUM: (("r_original", "r_corrupted", GapType.LARGE, "large"),)}
+_CANDIDATES[ComplexityLevel.EASY] = _CANDIDATES[ComplexityLevel.HARD] = (
+    ("r_rewritten", "r_original", GapType.SMALL, "small"),
+    ("r_original", "r_corrupted", GapType.MEDIUM, "medium"),
+    ("r_rewritten", "r_corrupted", GapType.LARGE, "large"),
+)
+_BETA_FIELDS = {gap: f"beta_{gap.value}" for gap in GapType}
+
+
 def assign_beta(gap: GapType, schedule: BetaSchedule) -> float:
     """Resolve the preference strength for a gap; wider gap, larger beta."""
-    if gap == GapType.SMALL:
-        return schedule.beta_small
-    if gap == GapType.MEDIUM:
-        return schedule.beta_medium
-    return schedule.beta_large
+    return getattr(schedule, _BETA_FIELDS[gap])
 
 
 def build_pairs(family: RecordFamily, schedule: BetaSchedule) -> list[PreferencePair]:
     """Emit every pair whose members exist in the family.
 
     A candidate whose chosen and rejected texts coincide (possible only under
-    degenerate rewrites) is skipped with a warning rather than emitted.
+    degenerate rewrites) is skipped with a warning rather than emitted. A
+    schedule whose beta for a candidate's gap is not positive is refused.
     """
-    violations = family.validate()
-    if violations:
+    if violations := family.validate():
         raise ValueError(f"family {family.id}: {'; '.join(violations)}")
 
-    candidates: list[tuple[str | None, str | None, GapType]] = []
-    if family.original_rating == ComplexityLevel.MEDIUM:
-        candidates.append((family.r_original, family.r_corrupted, GapType.LARGE))
-    else:
-        candidates.append((family.r_rewritten, family.r_original, GapType.SMALL))
-        candidates.append((family.r_original, family.r_corrupted, GapType.MEDIUM))
-        candidates.append((family.r_rewritten, family.r_corrupted, GapType.LARGE))
-
+    members = vars(family)
     built: list[PreferencePair] = []
-    for chosen, rejected, gap in candidates:
+    for chosen_field, rejected_field, gap, name in _CANDIDATES[family.original_rating]:
+        chosen, rejected = members[chosen_field], members[rejected_field]
         if chosen is None or rejected is None:
             continue
+        beta = assign_beta(gap, schedule)
+        if not beta > 0:
+            raise ValueError(f"schedule: the {name} gap's beta must be positive, got {beta}")
         try:
-            built.append(
-                PreferencePair(
-                    id=f"{family.id}:{gap.value}",
-                    prompt=family.problem,
-                    chosen=chosen,
-                    rejected=rejected,
-                    gap=gap,
-                    beta=assign_beta(gap, schedule),
-                )
-            )
-        except ValueError as exc:
-            log.warning("family %s: skipping degenerate %s pair: %s", family.id, gap.value, exc)
+            built.append(PreferencePair(f"{family.id}:{name}", family.problem, chosen, rejected,
+                                        gap, beta))
+        except ValueError as exc:  # with a positive beta, only chosen == rejected
+            log.warning("family %s: skipping degenerate %s pair: %s", family.id, name, exc)
     if not built:
         raise EmptyFamily(f"family {family.id}: no constructible pair")
     return built
-

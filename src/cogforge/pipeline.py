@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, replace
 
 from .agents import AgentError, Agents
 from .config import ConfigError, PipelineConfig
-from .jsonl import dump_row, write_rows
+from .jsonl import STRING_OR_NULL, Kind, dump_row, refusal, write_rows
 from .records import (
+    COMPLEXITY_LEVEL,
     ComplexityLevel,
     CoTRecord,
     PipelineStats,
@@ -71,8 +72,6 @@ class RecordOutcome:
 
 
 _ROW_KEYS = RecordOutcome().to_checkpoint("").keys()
-# A tuple, not a set: a row's rating may be unhashable, and `in` compares by ==.
-_LEVELS = tuple(level.value for level in ComplexityLevel)
 
 
 def _process_record(record: CoTRecord, agents: Agents, config: PipelineConfig) -> RecordOutcome:
@@ -183,39 +182,52 @@ def _json_object(line: bytes) -> dict | None:
     return row if isinstance(row, dict) else None
 
 
-def _outcome_of(row, input_digest: str | None, retry_cap: int) -> RecordOutcome | None:
-    """The outcome a checkpoint row holds, or None unless the row is sound.
+_COUNTS = Kind(lambda value: type(value) is dict and all(type(n) is int for n in value.values()),
+               "an object of integers")
 
-    A sound row has exactly the v6 fields, and its ``input`` is the digest
-    of the input record it is filed under (None: no such record). Each
-    rating is an object whose ``rating`` is a ComplexityLevel; ``attempts``
-    is an int from 0 to the run's ``retry_cap`` and ``ever_verified`` a
-    bool; the reason and ``r_corrupted`` are strings or null; the usage
-    maps hold integers. An accepted row made an attempt, was verified and
-    ends rated medium, and only an accepted row whose intake was not medium
-    holds a rewrite, a non-empty string. A discarded walk may have appended
-    no rating (the critic abstained).
+
+def _outcome_schema(retry_cap: int) -> dict[str, Kind]:
+    """The kind of each field of a checkpoint row after ``input``."""
+    return {
+        "ratings": Kind(lambda value: type(value) is list and all(
+            type(entry) is dict and COMPLEXITY_LEVEL.accepts(entry.get("rating"))
+            for entry in value), "a list of objects whose rating is a complexity level"),
+        "rewrite": STRING_OR_NULL, "discard_reason": STRING_OR_NULL, "r_corrupted": STRING_OR_NULL,
+        "attempts": Kind(lambda value: type(value) is int and 0 <= value <= retry_cap,
+                         f"an integer from 0 to {retry_cap}"),
+        "ever_verified": Kind(lambda value: type(value) is bool, "a boolean"),
+        "completions_by_stage": _COUNTS, "tokens_by_stage": _COUNTS,
+    }
+
+
+def _outcome_of(row, input_digest: str | None, schema: dict[str, Kind]) -> RecordOutcome:
+    """The outcome a checkpoint row holds; a ValueError says what is unsound.
+
+    A sound row has exactly the v6 fields, its ``input`` is the digest of the
+    input record it is filed under (None: no such record), each other field
+    is of its kind in ``schema``, and it obeys the two walk rules below. A
+    discarded walk may have appended no rating (the critic abstained).
     """
-    if not (isinstance(row, dict) and row.keys() == _ROW_KEYS
-            and input_digest is not None and row.pop("input") == input_digest):
-        return None
+    if type(row) is not dict or input_digest is None:
+        raise ValueError("not in the input" if input_digest is None else f"not an object: {row!r}")
+    missing, unknown = _ROW_KEYS - row.keys(), row.keys() - _ROW_KEYS
+    if missing or unknown:
+        raise ValueError(f"missing field {min(missing)!r}" if missing else
+                         f"unknown field {min(unknown)!r}")
+    digest = Kind(lambda value: value == input_digest, "the digest of its input row")
+    if problem := refusal(row, {"input": digest, **schema}):
+        raise ValueError(problem)
+    del row["input"]
     outcome = RecordOutcome(**row)
-    ratings, attempts, verified = outcome.ratings, outcome.attempts, outcome.ever_verified
-    if not (type(ratings) is list
-            and all(type(entry) is dict and entry.get("rating") in _LEVELS for entry in ratings)
-            and type(attempts) is int and 0 <= attempts <= retry_cap and type(verified) is bool
-            and all(text is None or type(text) is str
-                    for text in (outcome.discard_reason, outcome.r_corrupted))
-            and all(isinstance(usage, dict) and all(type(n) is int for n in usage.values())
-                    for usage in (outcome.completions_by_stage, outcome.tokens_by_stage))):
-        return None
-    accepted = outcome.discard_reason is None
-    if accepted and not (attempts >= 1 and verified and ratings
+    ratings, accepted = outcome.ratings, outcome.discard_reason is None
+    if accepted and not (outcome.attempts >= 1 and outcome.ever_verified and ratings
                          and ratings[-1]["rating"] == ComplexityLevel.MEDIUM):
-        return None
+        raise ValueError("accepted, but not after a verified attempt ending rated medium")
     rewritten = accepted and ratings[0]["rating"] != ComplexityLevel.MEDIUM
-    expected = str if rewritten else type(None)
-    return outcome if type(outcome.rewrite) is expected and outcome.rewrite != "" else None
+    if rewritten != (outcome.rewrite is not None) or outcome.rewrite == "":
+        raise ValueError(f"rewrite {outcome.rewrite!r}: an accepted walk from an easy or hard "
+                         "intake holds one, a non-empty string, and no other walk does")
+    return outcome
 
 
 def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str | None = None, *,
@@ -250,11 +262,12 @@ def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str | None =
         if not isinstance(record_id, str):
             raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")
         completed[record_id] = row
+    schema = _outcome_schema(retry_cap)
     for record_id, row in completed.items():  # each row is replaced by its outcome
-        outcome = _outcome_of(row, inputs.get(record_id), retry_cap)
-        if outcome is None:
-            raise CorruptCheckpoint(f"{path}: malformed entry for record {record_id!r}")
-        completed[record_id] = outcome
+        try:
+            completed[record_id] = _outcome_of(row, inputs.get(record_id), schema)
+        except ValueError as exc:
+            raise CorruptCheckpoint(f"{path}: record {record_id!r}: {exc}") from None
     return completed
 
 

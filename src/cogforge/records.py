@@ -106,23 +106,23 @@ class RecordFamily:
     @classmethod
     def from_dict(cls, row: dict) -> RecordFamily:
         """The family a row holds; ``read_rows`` has checked it against
-        FAMILY_SCHEMA."""
-        return cls(id=row["id"], problem=row["problem"], answer=row["answer"],
-                   original_rating=ComplexityLevel(row["original_rating"]),
-                   r_original=row["r_original"], r_rewritten=row.get("r_rewritten"),
-                   r_corrupted=row.get("r_corrupted"))
+        FAMILY_SCHEMA, so its rating is a level's value."""
+        return cls(row["id"], row["problem"], row["answer"],
+                   _COMPLEXITY_WORDS[row["original_rating"]], row["r_original"],
+                   row.get("r_rewritten"), row.get("r_corrupted"))
 
 
+COMPLEXITY_LEVEL = one_of([level.value for level in ComplexityLevel], "a complexity level")
 FAMILY_SCHEMA = {
     "id": NON_EMPTY_STRING, "problem": STRING, "answer": STRING,
-    "original_rating": one_of([level.value for level in ComplexityLevel], "a complexity level"),
-    "r_original": STRING, "r_rewritten": STRING_OR_NULL, "r_corrupted": STRING_OR_NULL,
+    "original_rating": COMPLEXITY_LEVEL, "r_original": STRING,
+    "r_rewritten": STRING_OR_NULL, "r_corrupted": STRING_OR_NULL,
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class PreferencePair:
-    """A (prompt, chosen, rejected) triple labeled with its gap and resolved beta."""
+    """A (prompt, chosen, rejected) triple, its gap and its beta; not frozen, so quick to build."""
 
     id: str
     prompt: str
@@ -138,8 +138,8 @@ class PreferencePair:
             raise ValueError(f"pair {self.id}: beta must be positive, got {self.beta}")
 
     def to_dict(self) -> dict:
-        """The pairs-file row. Its keys are the fields; ``dump_row`` sorts them."""
-        return {**vars(self), "gap": self.gap.value}
+        """The pairs-file row: the fields, ``gap`` a str that ``dump_row`` writes as its value."""
+        return vars(self).copy()
 
 
 PAIR_SCHEMA = {"id": STRING, "gap": one_of([gap.value for gap in GapType], "a gap type")}

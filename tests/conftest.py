@@ -1,5 +1,6 @@
 """Shared fixtures: the hand-traced six-record script, a randomized script
-generator for property tests, and a keep-alive loopback HTTP server."""
+generator for property tests, a keep-alive loopback HTTP server, and the one
+hypothesis profile."""
 
 from __future__ import annotations
 
@@ -10,10 +11,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cogforge.agents import Agents
 from cogforge.gateway import ChatRequest, ChatResponse, ScriptedBackend
 from cogforge.records import CoTRecord
+
+# Every @given test draws the same examples on each run, keeps no example
+# database on disk and has no per-example deadline; each sets its own
+# max_examples.
+settings.register_profile("cogforge", derandomize=True, database=None, deadline=None)
+settings.load_profile("cogforge")
 
 # Hand-traced walk of the curation state machine (retry_cap=3, votes=3):
 #   r1 medium, verifies first try            -> accepted as-is

@@ -402,7 +402,7 @@ class TestCurateResume:
         checkpoint_path.write_text(dump_row(header) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert entrypoint(argv) == EXIT_FATAL
-        assert "malformed entry for record 'r1'" in capsys.readouterr().err
+        assert "record 'r1': missing field 'r_corrupted'" in capsys.readouterr().err
 
     def test_accepted_row_without_a_rating_is_fatal(self, curate_paths, tmp_path, capsys):
         checkpoint_path = tmp_path / "run.checkpoint.json"
@@ -422,7 +422,8 @@ class TestCurateResume:
         capsys.readouterr()
         assert entrypoint(argv) == EXIT_FATAL
         err = capsys.readouterr().err
-        assert "malformed entry for record 'r1'" in err
+        assert ("record 'r1': accepted, but not after a verified attempt ending rated medium"
+                in err)
         assert "ComplexityLevel" not in err
 
     def test_discarded_row_with_a_bogus_rating_is_fatal(self, curate_paths, tmp_path, capsys):
@@ -443,7 +444,8 @@ class TestCurateResume:
         capsys.readouterr()
         assert entrypoint(argv) == EXIT_FATAL
         captured = capsys.readouterr()
-        assert "malformed entry for record 'r2'" in captured.err
+        assert ("record 'r2': field 'ratings' is not a list of objects whose rating is a "
+                "complexity level: " in captured.err)
         assert "bogus" not in captured.out
 
     def test_rewritten_row_over_the_retry_cap_is_fatal(self, curate_paths, tmp_path, capsys):
@@ -469,7 +471,7 @@ class TestCurateResume:
         empty_script = write_script(tmp_path / "empty.jsonl", {})
         assert entrypoint([*argv, "--mock-script", empty_script]) == EXIT_FATAL
         err = capsys.readouterr().err
-        assert "malformed entry for record 'r5'" in err
+        assert "record 'r5': field 'attempts' is not an integer from 0 to 3: 99" in err
         assert "r6" not in err
         assert not (tmp_path / "out.jsonl").exists()
 

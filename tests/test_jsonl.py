@@ -143,7 +143,7 @@ class TestRowSequences:
     """Rows written one after another, as a file's rows are: what the escaper
     remembers of earlier rows never changes a later row's bytes."""
 
-    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(row_sequences())
     def test_each_row_encodes_as_the_reference(self, rows):
         for row in rows:
@@ -392,7 +392,7 @@ class TestFieldChecks:
     """read_rows refuses a row exactly when the reference does, naming the
     line, the field and the value, or the missing field."""
 
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(rows=st.lists(checked_rows(), min_size=1, max_size=4))
     @example(rows=[ROW, dict(ROW, score=True)])
     @example(rows=[dict(ROW, score=10**400)])

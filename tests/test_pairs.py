@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cogforge.pairs import EmptyFamily, assign_beta, build_pairs
 from cogforge.records import BetaSchedule, ComplexityLevel, GapType, RecordFamily
@@ -120,3 +124,84 @@ class TestBuildPairs:
 
     def test_pair_count_never_exceeds_three(self):
         assert len(build_pairs(easy_family(), SCHEDULE)) <= 3
+
+    def test_nonpositive_beta_refuses_the_schedule(self, caplog):
+        """A schedule with a non-positive beta is refused, naming the gap and
+        its beta; no pair is dropped as degenerate for it."""
+        with caplog.at_level("WARNING"), pytest.raises(ValueError) as refused:
+            build_pairs(easy_family(), BetaSchedule(beta_small=0.0))
+        assert str(refused.value) == "schedule: the small gap's beta must be positive, got 0.0"
+        assert caplog.messages == []
+
+        nonpositive = BetaSchedule(beta_small=-0.3, beta_medium=-0.2, beta_large=0.0)
+        with pytest.raises(ValueError, match="the medium gap's beta must be positive, got -0.2") \
+                as refused:
+            build_pairs(easy_family(r_rewritten=None), nonpositive)
+        assert not isinstance(refused.value, EmptyFamily)
+
+
+# The module docstring's table: per original rating, (chosen, rejected, gap).
+TABLE = {
+    "easy": [("r_rewritten", "r_original", "small"), ("r_original", "r_corrupted", "medium"),
+             ("r_rewritten", "r_corrupted", "large")],
+    "medium": [("r_original", "r_corrupted", "large")],
+}
+TABLE["hard"] = TABLE["easy"]
+MEMBERS = ("r_original", "r_rewritten", "r_corrupted")
+# Few texts, so that chosen and rejected often coincide.
+TEXTS = st.sampled_from(["a", "b", "c"])
+
+
+class _Messages(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+class TestAgainstTheTable:
+    @settings(max_examples=200)
+    @given(rating=st.sampled_from(list(TABLE)), original=TEXTS,
+           rewritten=st.none() | TEXTS, corrupted=st.none() | TEXTS,
+           betas=st.lists(st.floats(0.01, 10.0), min_size=3, max_size=3))
+    @example(rating="medium", original="a", rewritten="b", corrupted="c", betas=[0.1, 0.2, 0.5])
+    @example(rating="hard", original="a", rewritten="a", corrupted="a", betas=[0.1, 0.2, 0.5])
+    def test_build_pairs_matches_the_table(self, rating, original, rewritten, corrupted, betas):
+        family = RecordFamily(id="f", problem="q", answer="a",
+                              original_rating=ComplexityLevel(rating), r_original=original,
+                              r_rewritten=rewritten, r_corrupted=corrupted)
+        schedule = BetaSchedule(*betas)
+        texts = dict(zip(MEMBERS, (original, rewritten, corrupted)))
+        beta = dict(zip(("small", "medium", "large"), betas))
+
+        expected, degenerate = [], []
+        for chosen, rejected, gap in TABLE[rating]:
+            if texts[chosen] is None or texts[rejected] is None:
+                continue
+            if texts[chosen] == texts[rejected]:
+                degenerate.append(f"family f: skipping degenerate {gap} pair: pair f:{gap}: "
+                                  "chosen and rejected are byte-identical")
+            else:
+                expected.append((f"f:{gap}", "q", texts[chosen], texts[rejected], gap, beta[gap]))
+
+        handler = _Messages()
+        logger = logging.getLogger("cogforge.pairs")
+        logger.addHandler(handler)
+        try:
+            if rating == "medium" and rewritten is not None:
+                with pytest.raises(ValueError, match="r_rewritten: present on a medium-rated"):
+                    build_pairs(family, schedule)
+                degenerate = []  # refused before any pair is built
+            elif not expected:
+                with pytest.raises(EmptyFamily, match="family f: no constructible pair"):
+                    build_pairs(family, schedule)
+            else:
+                built = build_pairs(family, schedule)
+                assert [(p.id, p.prompt, p.chosen, p.rejected, p.gap.value, p.beta)
+                        for p in built] == expected
+                assert all(type(p.gap) is GapType for p in built)
+        finally:
+            logger.removeHandler(handler)
+        assert handler.messages == degenerate

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import re
 import signal
 import sys
 import threading
@@ -387,6 +388,8 @@ class TestCheckpointing:
 
 
 MISSING = object()
+REWRITE_RULE = ("an accepted walk from an easy or hard intake holds one, a non-empty string, "
+                "and no other walk does")
 R1_DIGEST = input_digests(make_dataset(1))["r1"]
 # r1's input row with its problem emptied.
 OTHER_R1_DIGEST = input_digests(
@@ -655,7 +658,7 @@ class TestJournal:
     def test_malformed_header_entry_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         write_header(path, {"r1": {"status": "weird"}})
-        with pytest.raises(CorruptCheckpoint, match="malformed entry"):
+        with pytest.raises(CorruptCheckpoint, match="record 'r1': missing field 'attempts'$"):
             load_checkpoint(str(path), input_digests(make_dataset(6)))
 
     def test_header_whose_completed_is_not_an_object_rejected(self, tmp_path):
@@ -679,16 +682,21 @@ class TestJournal:
         with pytest.raises(CorruptCheckpoint, match=f"not a {pipeline.CHECKPOINT_FORMAT} header"):
             load_checkpoint(str(path), {})
 
-    @pytest.mark.parametrize("usage", [
-        {"tokens_by_stage": {}},
-        {"completions_by_stage": {}},
-        {"completions_by_stage": [3], "tokens_by_stage": {}},
-        {"completions_by_stage": {"critic": "3"}, "tokens_by_stage": {}},
-        {"completions_by_stage": {"critic": 3.0}, "tokens_by_stage": {}},
-        {"completions_by_stage": {}, "tokens_by_stage": {"critic": True}},
-        {"completions_by_stage": {}, "tokens_by_stage": {"critic": None}},
+    @pytest.mark.parametrize(("usage", "words"), [
+        ({"tokens_by_stage": {}}, "missing field 'completions_by_stage'"),
+        ({"completions_by_stage": {}}, "missing field 'tokens_by_stage'"),
+        ({"completions_by_stage": [3], "tokens_by_stage": {}},
+         "field 'completions_by_stage' is not an object of integers: [3]"),
+        ({"completions_by_stage": {"critic": "3"}, "tokens_by_stage": {}},
+         "field 'completions_by_stage' is not an object of integers: {'critic': '3'}"),
+        ({"completions_by_stage": {"critic": 3.0}, "tokens_by_stage": {}},
+         "field 'completions_by_stage' is not an object of integers: {'critic': 3.0}"),
+        ({"completions_by_stage": {}, "tokens_by_stage": {"critic": True}},
+         "field 'tokens_by_stage' is not an object of integers: {'critic': True}"),
+        ({"completions_by_stage": {}, "tokens_by_stage": {"critic": None}},
+         "field 'tokens_by_stage' is not an object of integers: {'critic': None}"),
     ], ids=["no-completions", "no-tokens", "list", "string", "float", "bool", "null"])
-    def test_row_without_integer_usage_rejected(self, tmp_path, usage):
+    def test_row_without_integer_usage_rejected(self, tmp_path, usage, words):
         inputs = input_digests(make_dataset(1))
         row = RecordOutcome(discard_reason="abstained").to_checkpoint(inputs["r1"])
         write_header(tmp_path / "sound.json", {"r1": row})
@@ -698,36 +706,60 @@ class TestJournal:
         save_checkpoint(str(path), {}, inputs)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(dump_row({"id": "r1", **row, **usage}) + "\n")
-        with pytest.raises(CorruptCheckpoint, match="malformed entry"):
+        refusal = re.escape(f"record 'r1': {words}") + "$"
+        with pytest.raises(CorruptCheckpoint, match=refusal):
             load_checkpoint(str(path), inputs)
         write_header(path, {"r1": {**row, **usage}})
-        with pytest.raises(CorruptCheckpoint, match="malformed entry"):
+        with pytest.raises(CorruptCheckpoint, match=refusal):
             load_checkpoint(str(path), inputs)
 
-    @pytest.mark.parametrize("change", [
-        {"input": MISSING},
-        {"input": OTHER_R1_DIGEST},
-        {"input": [R1_DIGEST]},
-        {"input": "r1"},
-        {"r_corrupted": ["bad"]},
-        {"discard_reason": 3},
-        {"r_corrupted": MISSING},
-        {"discard_reason": "abstained", "attempts": "lots"},
-        {"discard_reason": "abstained", "attempts": -1},
-        {"attempts": True},
-        {"attempts": 0},
-        {"attempts": PipelineConfig().retry_cap + 1},
-        {"discard_reason": "abstained", "ever_verified": "maybe"},
-        {"ever_verified": 1},
-        {"ratings": ["medium"]},
-        {"ratings": {"stage": "intake", "rating": "medium", "votes": []}},
-        {"ratings": [{"stage": "intake", "rating": ["medium"], "votes": []}]},
-        {"rewrite": "rewrite r1"},
-        {"discard_reason": "abstained", "rewrite": "rewrite r1"},
-        {"ratings": [EASY_INTAKE, MEDIUM_RERATE]},
-        {"ratings": [EASY_INTAKE, MEDIUM_RERATE], "rewrite": ["rewrite r1"]},
-        {"ratings": [EASY_INTAKE, MEDIUM_RERATE], "rewrite": ""},
-        {"status": "accepted_medium"},
+    @pytest.mark.parametrize(("change", "words"), [
+        ({"input": MISSING},
+         "missing field 'input'"),
+        ({"input": OTHER_R1_DIGEST},
+         "field 'input' is not the digest of its input row: "),
+        ({"input": [R1_DIGEST]},
+         "field 'input' is not the digest of its input row: "),
+        ({"input": "r1"},
+         "field 'input' is not the digest of its input row: 'r1'"),
+        ({"r_corrupted": ["bad"]},
+         "field 'r_corrupted' is not a string or null: ['bad']"),
+        ({"discard_reason": 3},
+         "field 'discard_reason' is not a string or null: 3"),
+        ({"r_corrupted": MISSING},
+         "missing field 'r_corrupted'"),
+        ({"discard_reason": "abstained", "attempts": "lots"},
+         "field 'attempts' is not an integer from 0 to 3: 'lots'"),
+        ({"discard_reason": "abstained", "attempts": -1},
+         "field 'attempts' is not an integer from 0 to 3: -1"),
+        ({"attempts": True},
+         "field 'attempts' is not an integer from 0 to 3: True"),
+        ({"attempts": 0},
+         "accepted, but not after a verified attempt ending rated medium"),
+        ({"attempts": PipelineConfig().retry_cap + 1},
+         "field 'attempts' is not an integer from 0 to 3: 4"),
+        ({"discard_reason": "abstained", "ever_verified": "maybe"},
+         "field 'ever_verified' is not a boolean: 'maybe'"),
+        ({"ever_verified": 1},
+         "field 'ever_verified' is not a boolean: 1"),
+        ({"ratings": ["medium"]},
+         "field 'ratings' is not a list of objects whose rating is a complexity level: ['medium']"),
+        ({"ratings": {"stage": "intake", "rating": "medium", "votes": []}},
+         "field 'ratings' is not a list of objects whose rating is a complexity level: "),
+        ({"ratings": [{"stage": "intake", "rating": ["medium"], "votes": []}]},
+         "field 'ratings' is not a list of objects whose rating is a complexity level: "),
+        ({"rewrite": "rewrite r1"},
+         "rewrite 'rewrite r1': " + REWRITE_RULE),
+        ({"discard_reason": "abstained", "rewrite": "rewrite r1"},
+         "rewrite 'rewrite r1': " + REWRITE_RULE),
+        ({"ratings": [EASY_INTAKE, MEDIUM_RERATE]},
+         "rewrite None: " + REWRITE_RULE),
+        ({"ratings": [EASY_INTAKE, MEDIUM_RERATE], "rewrite": ["rewrite r1"]},
+         "field 'rewrite' is not a string or null: ['rewrite r1']"),
+        ({"ratings": [EASY_INTAKE, MEDIUM_RERATE], "rewrite": ""},
+         "rewrite '': " + REWRITE_RULE),
+        ({"status": "accepted_medium"},
+         "unknown field 'status'"),
     ], ids=["no-record", "record-without-problem", "record-list", "record-string",
             "corrupted-not-a-string", "reason-not-a-string", "no-corrupted",
             "attempts-a-string", "attempts-negative", "attempts-a-bool", "accepted-without-attempt",
@@ -735,8 +767,9 @@ class TestJournal:
             "ratings-not-a-list", "rating-unhashable", "rewrite-of-a-medium-intake",
             "rewrite-of-a-discard", "rewritten-without-rewrite", "rewrite-not-a-string",
             "rewrite-empty", "unknown-field"])
-    def test_row_that_does_not_decode_rejected(self, tmp_path, six_record_script, change):
-        """Damage to r1's accepted row, or to that row turned into a discard.
+    def test_row_that_does_not_decode_rejected(self, tmp_path, six_record_script, change, words):
+        """Damage to r1's accepted row, or to that row turned into a discard,
+        refused in ``words`` that name the field or the walk rule broken.
         The ``record-*`` cases damage the ``input`` digest that ties the row
         to its record: missing, another r1's, a list, an id."""
         full = tmp_path / "full.json"
@@ -751,10 +784,11 @@ class TestJournal:
         save_checkpoint(str(path), {}, inputs)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(dump_row({"id": "r1", **row}) + "\n")
-        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+        refusal = re.escape(f"record 'r1': {words}")
+        with pytest.raises(CorruptCheckpoint, match=refusal):
             load_checkpoint(str(path), inputs)
         write_header(path, {"r1": row})
-        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+        with pytest.raises(CorruptCheckpoint, match=refusal):
             load_checkpoint(str(path), inputs)
 
     @pytest.mark.parametrize("where", ["header", "journal"])
@@ -778,7 +812,8 @@ class TestJournal:
             row = rows[moved]
         path = tmp_path / "checkpoint.json"
         write_checkpoint(path, where, {"r1": row}, default_fingerprint(dataset))
-        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+        with pytest.raises(CorruptCheckpoint,
+                           match="record 'r1': field 'input' is not the digest of its input row"):
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)),
                     Agents(ScriptedBackend(six_record_script)))
 
@@ -796,7 +831,7 @@ class TestJournal:
         path = tmp_path / "checkpoint.json"
         write_checkpoint(path, where, rows, default_fingerprint(dataset))
         backend = ScriptedBackend(six_record_script)
-        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'zz'"):
+        with pytest.raises(CorruptCheckpoint, match="record 'zz': not in the input$"):
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
         assert backend.history == []
 
@@ -815,12 +850,19 @@ class TestJournal:
         row.update(status="accepted_medium", family=families[1].to_dict())
         path = tmp_path / "checkpoint.json"
         write_checkpoint(path, where, {"r1": row}, default_fingerprint(dataset))
-        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+        with pytest.raises(CorruptCheckpoint, match="record 'r1': missing field 'r_corrupted'$"):
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)),
                     Agents(ScriptedBackend({})))
 
-    @pytest.mark.parametrize("damage", ["no-history", "unknown-intake", "unverified", "not-medium"])
-    def test_accepted_row_without_a_sound_walk_rejected(self, tmp_path, six_record_script, damage):
+    @pytest.mark.parametrize(("damage", "words"), [
+        ("no-history", "accepted, but not after a verified attempt ending rated medium"),
+        ("unknown-intake", "field 'ratings' is not a list of objects whose rating is a complexity "
+                           "level"),
+        ("unverified", "accepted, but not after a verified attempt ending rated medium"),
+        ("not-medium", "accepted, but not after a verified attempt ending rated medium"),
+    ], ids=["no-history", "unknown-intake", "unverified", "not-medium"])
+    def test_accepted_row_without_a_sound_walk_rejected(self, tmp_path, six_record_script, damage,
+                                                        words):
         """An accepted row must carry its walk's intake rating, have been
         verified, and end on a medium rating; otherwise the resume refuses it
         up front instead of failing while it assembles the outputs."""
@@ -841,7 +883,7 @@ class TestJournal:
         path = tmp_path / "checkpoint.json"
         write_header(path, {"r1": row}, default_fingerprint(dataset))
         backend = ScriptedBackend(six_record_script)
-        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r1'"):
+        with pytest.raises(CorruptCheckpoint, match=re.escape(f"record 'r1': {words}")):
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
         assert backend.history == []
 
@@ -871,7 +913,8 @@ class TestJournal:
         path = tmp_path / "checkpoint.json"
         write_header(path, {"r4": row}, default_fingerprint(dataset))
         backend = ScriptedBackend(six_record_script)
-        with pytest.raises(CorruptCheckpoint, match="malformed entry for record 'r4'"):
+        with pytest.raises(CorruptCheckpoint, match="record 'r4': field 'ratings' is not a "
+                                                    "list of objects whose rating is a complexity"):
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
         assert backend.history == []
 
