@@ -8,7 +8,6 @@ Agent names double as scripted-backend key prefixes: ``critic``, ``rethinker``,
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import os
@@ -22,6 +21,13 @@ from .records import ComplexityLevel, CoTRecord, ParseError, parse_complexity, p
 log = logging.getLogger(__name__)
 
 TEMPLATE_NAMES = ("critic", "rethinker_easy", "rethinker_hard", "rethinker_incorrect", "verifier")
+
+# The levels in the order the critic's votes are counted, and the rethinker
+# template for each rating that is rewritten.
+_LEVELS = tuple(ComplexityLevel)
+_RETHINKER_TEMPLATES = {
+    ComplexityLevel.EASY: "rethinker_easy", ComplexityLevel.HARD: "rethinker_hard",
+}
 
 # Slot order and separators are fixed; the template files carry only the
 # system text.
@@ -115,11 +121,10 @@ class Agents:
         self.tokens: dict[str, int] = {}
 
     def for_record(self, record: CoTRecord, config: PipelineConfig | None = None) -> Agents:
-        bound = copy.copy(self)
-        bound._record = record
-        bound._config = config if config is not None else PipelineConfig()
-        bound.completions = {}
-        bound.tokens = {}
+        bound = object.__new__(type(self))
+        bound.__dict__ = {**self.__dict__, "_record": record,
+                          "_config": config if config is not None else PipelineConfig(),
+                          "completions": {}, "tokens": {}}
         return bound
 
     def settings(self) -> dict:
@@ -136,10 +141,8 @@ class Agents:
             raise RuntimeError("agent operations need a record: use for_record(record)")
         role = self._config.verifier_role if agent == "verifier" else ModelRole.LARGE
         system, user = self._templates[template].render(record.problem, record.answer, reasoning)
-        request = ChatRequest(
-            model_role=role, system=system, user=user, sampling=self._sampling,
-            key=f"{agent}:{record.id}", n=n,
-        )
+        # Positional: a dataclass's __init__ binds positions faster than keywords.
+        request = ChatRequest(role, system, user, self._sampling, f"{agent}:{record.id}", n)
         response = self._backend.complete(request)
         self.completions[agent] = self.completions.get(agent, 0) + len(response.choices)
         self.tokens[agent] = self.tokens.get(agent, 0) + response.usage.total
@@ -179,13 +182,13 @@ class Agents:
                     vote = None
                 resampling = False
                 cast.append(vote)
-        abstentions = sum(1 for vote in cast if vote is None)
+        abstentions = cast.count(None)
         if abstentions * 2 > votes:
             raise AgentError(
                 f"record {self._record.id}: {abstentions} of {votes} critic votes abstained"
             )
-        for level in ComplexityLevel:
-            if sum(1 for vote in cast if vote == level) * 2 > votes:
+        for level in _LEVELS:
+            if cast.count(level) * 2 > votes:
                 return level, cast
         return ComplexityLevel.MEDIUM, cast
 
@@ -195,7 +198,7 @@ class Agents:
         Never returns it unchanged; a medium trace is never rewritten."""
         if level == ComplexityLevel.MEDIUM:
             raise ValueError("medium-rated traces are never rewritten")
-        return self._rewrite("rethinker", f"rethinker_{level.value}", reasoning)
+        return self._rewrite("rethinker", _RETHINKER_TEMPLATES[level], reasoning)
 
     def corrupt(self, reasoning: str) -> str:
         """Produce a deliberately incorrect variant of a correct trace."""

@@ -120,7 +120,8 @@ def _cast(name: str, value, base):
     """``value`` cast to the type of the default ``base``. A None default is a
     path, which takes a non-empty string or null as it is. A bool field takes
     only a YAML boolean, no other field takes one, an int field takes only a
-    whole number and a float field only a finite one."""
+    whole number, a float field only a finite one and a str field only a
+    string."""
     if base is None:
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{name}: {value!r} is not a valid str")
@@ -128,7 +129,8 @@ def _cast(name: str, value, base):
             raise ValueError(f"{name}: empty path")
         return value
     fractional = isinstance(value, float) and not value.is_integer()
-    if isinstance(base, bool) != isinstance(value, bool) or (type(base) is int and fractional):
+    if (isinstance(base, bool) != isinstance(value, bool) or (type(base) is int and fractional)
+            or (type(base) is str and not isinstance(value, str))):
         raise ValueError(f"{name}: {value!r} is not a valid {type(base).__name__}")
     cast = type(base)(value)
     if type(base) is float and not math.isfinite(cast):
@@ -178,7 +180,12 @@ def load_config(path: str | None) -> AppConfig:
 def _from_raw(raw: dict) -> AppConfig:
     endpoints = {}
     for role_name, entry in _section(raw, "endpoints").items():
-        endpoints[ModelRole(role_name)] = Endpoint(url=str(entry["url"]), model=str(entry["model"]))
+        if not isinstance(entry, dict):
+            raise ValueError(f"endpoints.{role_name}: {entry!r} is not a mapping")
+        # A missing url or model reads as null, which no str field takes.
+        endpoints[ModelRole(role_name)] = Endpoint(*(
+            _cast(f"endpoints.{role_name}.{name}", entry.get(name), "") for name in ("url", "model")
+        ))
     return AppConfig(
         endpoints=endpoints,
         sampling=_build(SamplingParams, _section(raw, "sampling")),

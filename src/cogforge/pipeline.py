@@ -16,12 +16,13 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .agents import AgentError, Agents
 from .config import ConfigError, PipelineConfig
 from .jsonl import STRING_OR_NULL, Kind, dump_row, refusal, write_rows
 from .records import (
+    _COMPLEXITY_WORDS,
     COMPLEXITY_LEVEL,
     ComplexityLevel,
     CoTRecord,
@@ -132,15 +133,16 @@ def _curate(record: CoTRecord, outcome: RecordOutcome) -> tuple[CoTRecord, Recor
     """The curated record and the family of an accepted walk over ``record``:
     the rewrite, if any, replaces the trace, and the walk's ratings follow
     the input's history."""
-    rewritten = {} if outcome.rewrite is None else {
-        "reasoning": outcome.rewrite, "source": Source.REWRITTEN, "rewrite_count": outcome.attempts,
-    }
-    curated = replace(record, **rewritten, verified=True,
-                      rating_history=record.rating_history + outcome.ratings)
+    rewrite, history = outcome.rewrite, record.rating_history + outcome.ratings
+    if rewrite is None:
+        curated = CoTRecord(record.id, record.problem, record.answer, record.reasoning,
+                            record.source, history, record.rewrite_count, True)
+    else:
+        curated = CoTRecord(record.id, record.problem, record.answer, rewrite,
+                            Source.REWRITTEN, history, outcome.attempts, True)
     return curated, RecordFamily(
-        id=record.id, problem=record.problem, answer=record.answer,
-        original_rating=ComplexityLevel(outcome.ratings[0]["rating"]), r_original=record.reasoning,
-        r_rewritten=outcome.rewrite, r_corrupted=outcome.r_corrupted,
+        record.id, record.problem, record.answer, _COMPLEXITY_WORDS[outcome.ratings[0]["rating"]],
+        record.reasoning, rewrite, outcome.r_corrupted,
     )
 
 

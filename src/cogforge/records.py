@@ -36,10 +36,15 @@ class GapType(str, Enum):
     LARGE = "large"
 
 
+# Each level's value, and None for an abstention: a dict lookup is cheaper than ``.value``.
+_LEVEL_VALUES = {None: None, **{level: level.value for level in ComplexityLevel}}
+
+
 def rating_entry(stage: str, rating: ComplexityLevel, votes: list[ComplexityLevel | None]) -> dict:
-    """One rating round as ``rating_history`` keeps it; None marks an abstention."""
-    votes = [v.value if v is not None else None for v in votes]
-    return {"stage": stage, "rating": rating.value, "votes": votes}
+    """One rating round as ``rating_history`` keeps it, each level a plain str;
+    None marks an abstention."""
+    return {"stage": stage, "rating": _LEVEL_VALUES[rating],
+            "votes": [_LEVEL_VALUES[vote] for vote in votes]}
 
 
 @dataclass
@@ -67,8 +72,9 @@ class CoTRecord:
 
     def to_output_dict(self) -> dict:
         """The one row shape: curated output, and the input row a checkpoint
-        digests. Its keys are the fields; ``dump_row`` sorts them."""
-        return {**vars(self), "source": self.source.value}
+        digests. Its keys are the fields, ``source`` a str that ``dump_row``
+        writes as its value; ``dump_row`` sorts the keys."""
+        return vars(self).copy()
 
 
 # What jsonl.read_rows checks of each input row, declared beside the type it fills.
@@ -100,8 +106,9 @@ class RecordFamily:
         return violations
 
     def to_dict(self) -> dict:
-        """The families-file row. Its keys are the fields; ``dump_row`` sorts them."""
-        return {**vars(self), "original_rating": self.original_rating.value}
+        """The families-file row. Its keys are the fields, ``original_rating``
+        a str that ``dump_row`` writes as its value; ``dump_row`` sorts the keys."""
+        return vars(self).copy()
 
     @classmethod
     def from_dict(cls, row: dict) -> RecordFamily:

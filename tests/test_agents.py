@@ -17,7 +17,7 @@ from cogforge.agents import (
 )
 from conftest import CapturingBackend
 from cogforge.config import PipelineConfig
-from cogforge.gateway import ModelRole, ScriptedBackend, ScriptExhausted
+from cogforge.gateway import ModelRole, SamplingParams, ScriptedBackend, ScriptExhausted
 from cogforge.records import ComplexityLevel, CoTRecord, ParseError, parse_complexity
 
 
@@ -353,5 +353,30 @@ class TestUsageTracking:
 
     def test_unbound_agents_refuse_to_call(self):
         agents = Agents(ScriptedBackend({"critic:x1": ["easy"]}))
+        with pytest.raises(RuntimeError, match="for_record"):
+            agents.critique("r")
+
+
+class TestBoundCopy:
+    def test_for_record_keeps_the_subclass_and_shares_what_every_record_shares(self):
+        class Tallying(Agents):
+            pass
+
+        script = {"critic:x1": ["easy"] * 3}
+        agents = Tallying(ScriptedBackend(script), sampling=SamplingParams(temperature=0.1))
+        agents.extra = "kept"
+        config = PipelineConfig(votes=1)
+        bound = agents.for_record(make_record(), config)
+        assert type(bound) is Tallying and bound is not agents
+        assert bound._backend is agents._backend and bound._templates is agents._templates
+        assert bound._sampling is agents._sampling and bound.extra == "kept"
+        assert bound._record == make_record() and bound._config is config
+        assert bound.completions is not agents.completions and bound.tokens is not agents.tokens
+        assert agents.for_record(make_record())._config == PipelineConfig()
+
+        bound.critique("r")
+        assert bound.completions == {"critic": 1} and bound.tokens["critic"] > 0
+        assert agents.completions == {} and agents.tokens == {}
+        assert agents._record is None
         with pytest.raises(RuntimeError, match="for_record"):
             agents.critique("r")

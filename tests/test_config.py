@@ -95,6 +95,20 @@ class TestViolations:
         with pytest.raises(ConfigError, match="endpoints.large.model"):
             load_config(write_yaml(tmp_path, payload))
 
+    @pytest.mark.parametrize("entry, words", [
+        ({"url": "http://h:1/v1", "model": None}, "endpoints.large.model: None is not a valid str"),
+        ({"url": "http://h:1/v1"}, "endpoints.large.model: None is not a valid str"),
+        ({"model": "m"}, "endpoints.large.url: None is not a valid str"),
+        ({"url": "http://h:1/v1", "model": 7}, "endpoints.large.model: 7 is not a valid str"),
+        ({"url": True, "model": "m"}, "endpoints.large.url: True is not a valid str"),
+        ("http://h:1/v1", "endpoints.large: 'http://h:1/v1' is not a mapping"),
+    ], ids=["null-model", "missing-model", "missing-url", "int-model", "bool-url", "not-a-mapping"])
+    def test_endpoint_entry_refused(self, tmp_path, entry, words):
+        path = write_yaml(tmp_path, {"endpoints": {"large": entry}})
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == f"{path}: {words}"
+
     def test_zero_retry_cap(self, tmp_path):
         with pytest.raises(ConfigError, match="retry_cap"):
             load_config(write_yaml(tmp_path, {"pipeline": {"retry_cap": 0}}))

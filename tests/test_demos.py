@@ -20,8 +20,11 @@ def test_demos_found():
 
 
 def run_demo(demo: Path, cwd: Path, *args: str) -> None:
+    """Run ``demo`` in ``cwd``, a test's tmp_path, which is also its temp dir:
+    what a demo makes with ``tempfile`` goes when pytest removes the tmp_path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["TMPDIR"] = str(cwd)
     result = subprocess.run(
         [sys.executable, str(demo), *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=120,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cogforge.jsonl import dump_row
 from cogforge.records import (
     BetaSchedule,
     ComplexityLevel,
@@ -13,6 +14,7 @@ from cogforge.records import (
     PipelineStats,
     PreferencePair,
     RecordFamily,
+    Source,
     parse_complexity,
     parse_verdict,
     rating_entry,
@@ -160,6 +162,42 @@ class TestPreferencePair:
         with pytest.raises(ValueError):
             PreferencePair(id="p", prompt="q", chosen="a", rejected="b",
                            gap=GapType.SMALL, beta=0.0)
+
+
+class TestRowShapes:
+    """The rows a caller writes with dump_row, whatever each holds for an enum."""
+
+    def test_rows_equal_the_rows_with_every_enum_spelled_as_its_value(self):
+        intake = rating_entry("intake", ComplexityLevel.HARD,
+                              [ComplexityLevel.HARD, None, ComplexityLevel.HARD])
+        rerate = rating_entry("re-rate-2", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM] * 3)
+        spelled_intake = {"stage": "intake", "rating": "hard", "votes": ["hard", None, "hard"]}
+        spelled_rerate = {"stage": "re-rate-2", "rating": "medium", "votes": ["medium"] * 3}
+        assert dump_row(intake) == dump_row(spelled_intake)
+        assert dump_row(rerate) == dump_row(spelled_rerate)
+        # A rating entry holds plain strings, not the members.
+        for entry in (intake, rerate):
+            assert all(type(word) is str for word in (entry["rating"], *filter(None, entry["votes"])))
+
+        original = make_record(rating_history=[intake])
+        rewritten = make_record(reasoning="shorter", source=Source.REWRITTEN,
+                                rating_history=[intake, rerate], rewrite_count=2, verified=True)
+        family = RecordFamily("x1", "what is 2+2", "4", ComplexityLevel.HARD,
+                              "add the numbers", "shorter", None)
+        common = {"id": "x1", "problem": "what is 2+2", "answer": "4"}
+        assert dump_row(original.to_output_dict()) == dump_row({
+            **common, "reasoning": "add the numbers", "source": "original",
+            "rating_history": [spelled_intake], "rewrite_count": 0, "verified": None,
+        })
+        assert dump_row(rewritten.to_output_dict()) == dump_row({
+            **common, "reasoning": "shorter", "source": "rewritten",
+            "rating_history": [spelled_intake, spelled_rerate], "rewrite_count": 2,
+            "verified": True,
+        })
+        assert dump_row(family.to_dict()) == dump_row({
+            **common, "original_rating": "hard", "r_original": "add the numbers",
+            "r_rewritten": "shorter", "r_corrupted": None,
+        })
 
 
 class TestBetaSchedule:
