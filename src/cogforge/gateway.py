@@ -268,12 +268,21 @@ class HTTPBackend:
                 texts.append(text or "")
             usage = {} if payload.get("usage") is None else payload["usage"]
             tokens = TokenUsage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
+                prompt_tokens=_count(usage, "prompt_tokens"),
+                completion_tokens=_count(usage, "completion_tokens"),
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
         return ChatResponse(choices=tuple(texts), usage=tokens)
+
+
+def _count(usage: dict, key: str) -> int:
+    """A usage count: a non-negative JSON integer, or 0 when absent. A bool,
+    a float or a numeric string is refused, not rounded into the totals."""
+    count = usage.get(key, 0)
+    if type(count) is not int or count < 0:
+        raise ValueError(f"usage {key} is {count!r}, not a non-negative integer")
+    return count
 
 
 def _closed_by_peer(sock) -> bool:

@@ -26,9 +26,11 @@ the check.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -66,10 +68,24 @@ class LossReport:
 
 
 def _rows(quads: Iterable[LogProbQuad]) -> np.ndarray:
-    """The quads as the core's (n, 4) rows, taken from the tuples as they
-    are: a quad that holds a string is refused by the core, not converted."""
-    rows = np.array(list(quads))
-    return rows if len(rows) else np.empty((0, 4))
+    """The quads as the core's rows, one per quad. numpy reads a list of
+    named tuples several times slower than plain floats, since a tuple
+    subclass misses its fast path, so ``struct`` packs the quads' values into
+    one buffer of doubles and numpy shapes that. A value that is not a number,
+    such as a string, is refused with a ``TypeError``, never converted; quads
+    of unequal lengths are refused here, since a flat buffer would hide
+    them."""
+    quads = list(quads)
+    if not quads:
+        return np.empty((0, 4))
+    widths = set(map(len, quads))
+    if len(widths) > 1:
+        raise ValueError(f"quads of {sorted(widths)} values in one batch; need 4 values per row")
+    try:
+        packed = struct.pack(f"{len(quads) * widths.pop()}d", *chain.from_iterable(quads))
+    except struct.error as exc:
+        raise TypeError(f"a quad holds a value that is not a number: {exc}") from exc
+    return np.frombuffer(packed).reshape(len(quads), -1)
 
 
 def _mean_loss(
@@ -83,6 +99,8 @@ def _mean_loss(
         raise ValueError(f"{betas.size} betas for {len(quads)} rows; need one beta per row")
     if len(quads) == 0:
         raise EmptyBatch(empty)
+    if quads.ndim != 2 or quads.shape[1] != 4:
+        raise ValueError(f"log-prob rows of shape {quads.shape}; need 4 values per row")
     if not np.all(betas > 0):
         raise ValueError(f"beta must be positive, got {betas[~(betas > 0)][0]}")
     if not np.isfinite(quads).all():

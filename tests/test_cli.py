@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import gc
 import hashlib
 import json
 import math
@@ -986,6 +987,164 @@ class TestMalformedRows:
             argv = ["loss-eval", "--pairs", paths["pairs"], "--logprobs", paths["logprobs"]]
         assert entrypoint(argv) == EXIT_FATAL
         assert capsys.readouterr().err == f"error: {paths[file]}:1: {text}\n"
+
+
+def snapshot(directory: Path) -> dict[str, bytes]:
+    return {str(path): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+@pytest.fixture
+def command_files(tmp_path, six_record_dataset, six_record_script) -> dict[str, str]:
+    """Every file a command may read, an existing checkpoint, and a symlink
+    and a dotted path that resolve to the dataset and the pairs."""
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"schedule": {"beta_small": 0.05}}), encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "input.jsonl")
+    (tmp_path / "checkpoint.json").write_text("a checkpoint\n", encoding="utf-8")
+    return {
+        "config": str(config),
+        "input": write_jsonl(tmp_path / "input.jsonl", dataset_rows(six_record_dataset)),
+        "script": write_script(tmp_path / "script.jsonl", six_record_script),
+        "families": write_jsonl(tmp_path / "families.jsonl", family_rows()),
+        "pairs": write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")]),
+        "logprobs": write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a")]),
+        "checkpoint": str(tmp_path / "checkpoint.json"),
+        "link": str(tmp_path / "link.jsonl"),
+        "dotted_pairs": str(tmp_path / "sub" / ".." / "pairs.jsonl"),
+        "out": str(tmp_path / "out.jsonl"),
+        "out_families": str(tmp_path / "out.families.jsonl"),
+    }
+
+
+class TestOutputPaths:
+    """A command refuses, before it reads anything, an output path that names
+    another output or a file it reads, and leaves every file as it was."""
+
+    CURATE = "--config {config} curate --input {input} --mock-script {script}"
+    CASES = {
+        "curate": {
+            "output-is-input": (CURATE + " --output {input}", "--output", "--input"),
+            "output-links-to-input": (CURATE + " --output {link}", "--output", "--input"),
+            "output-is-config": (CURATE + " --output {config}", "--output", "--config"),
+            "output-is-new-checkpoint": (CURATE + " --output {out} --checkpoint {out}",
+                                         "--output", "--checkpoint"),
+            "output-is-checkpoint": (CURATE + " --output {checkpoint} --checkpoint {checkpoint}",
+                                     "--output", "--checkpoint"),
+            "discards-is-output": (CURATE + " --output {out} --discards {out}",
+                                   "--discards", "--output"),
+            "derived-families-is-discards": (
+                CURATE + " --output {out} --discards {out_families}", "--families", "--discards"),
+            "families-is-script": (CURATE + " --output {out} --families {script}",
+                                   "--families", "--mock-script"),
+        },
+        "pairs": {
+            "output-is-families": ("--config {config} pairs --families {families} "
+                                   "--output {families}", "--output", "--families"),
+            "families-links-to-output": ("--config {config} pairs --families {link} "
+                                         "--output {input}", "--output", "--families"),
+            "output-is-config": ("--config {config} pairs --families {families} "
+                                 "--output {config}", "--output", "--config"),
+        },
+        "loss-eval": {
+            "output-is-pairs": ("--config {config} loss-eval --pairs {pairs} "
+                                "--logprobs {logprobs} --output {pairs}", "--output", "--pairs"),
+            "output-resolves-to-pairs": ("--config {config} loss-eval --pairs {pairs} "
+                                         "--logprobs {logprobs} --output {dotted_pairs}",
+                                         "--output", "--pairs"),
+            "output-is-logprobs": ("--config {config} loss-eval --pairs {pairs} "
+                                   "--logprobs {logprobs} --output {logprobs}",
+                                   "--output", "--logprobs"),
+            "output-is-config": ("--config {config} loss-eval --pairs {pairs} "
+                                 "--logprobs {logprobs} --output {config}",
+                                 "--output", "--config"),
+        },
+    }
+
+    def refuse(self, tmp_path, capsys, files, argv, output, owner):
+        before = snapshot(tmp_path)
+        assert entrypoint(argv.format(**files).split()) == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {output} ") and captured.err.count("\n") == 1
+        assert f" is the same file as {owner}; refusing to write over it" in captured.err
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("argv, output, owner", CASES["curate"].values(),
+                             ids=CASES["curate"])
+    def test_curate(self, tmp_path, capsys, command_files, argv, output, owner):
+        self.refuse(tmp_path, capsys, command_files, argv, output, owner)
+
+    @pytest.mark.parametrize("argv, output, owner", CASES["pairs"].values(),
+                             ids=CASES["pairs"])
+    def test_pairs(self, tmp_path, capsys, command_files, argv, output, owner):
+        self.refuse(tmp_path, capsys, command_files, argv, output, owner)
+
+    @pytest.mark.parametrize("argv, output, owner", CASES["loss-eval"].values(),
+                             ids=CASES["loss-eval"])
+    def test_loss_eval(self, tmp_path, capsys, command_files, argv, output, owner):
+        self.refuse(tmp_path, capsys, command_files, argv, output, owner)
+
+    def test_distinct_paths_still_run(self, command_files, capsys):
+        files = command_files
+        assert entrypoint(["--config", files["config"], "pairs", "--families", files["families"],
+                           "--output", files["out"]]) == EXIT_OK
+        assert entrypoint(["--config", files["config"], "loss-eval", "--pairs", files["pairs"],
+                           "--logprobs", files["pairs"]]) == EXIT_FATAL  # read twice: no refusal
+        assert "same file" not in capsys.readouterr().err
+
+
+class TestCollectorThreshold:
+    """Commands run with a raised youngest-generation threshold, and the
+    caller's thresholds come back however ``entrypoint`` ends."""
+
+    CALLER = (650, 9, 11)
+
+    @pytest.fixture(autouse=True)
+    def caller_thresholds(self):
+        original = gc.get_threshold()
+        gc.set_threshold(*self.CALLER)
+        yield
+        gc.set_threshold(*original)
+
+    def test_the_callers_thresholds_are_restored(self, curate_paths, monkeypatch, capsys):
+        argv = ["curate", "--input", curate_paths["input"], "--output", curate_paths["output"],
+                "--mock-script", curate_paths["script"]]
+        families = str(curate_paths["tmp"] / "curated.families.jsonl")
+        assert entrypoint(argv) == EXIT_PARTIAL
+        assert gc.get_threshold() == self.CALLER
+        assert entrypoint(["pairs", "--families", families, "--output",
+                           str(curate_paths["tmp"] / "pairs.jsonl")]) == EXIT_OK
+        assert gc.get_threshold() == self.CALLER
+        assert entrypoint(["pairs", "--families", str(curate_paths["tmp"] / "missing.jsonl"),
+                           "--output", str(curate_paths["tmp"] / "p.jsonl")]) == EXIT_FATAL
+        assert gc.get_threshold() == self.CALLER
+        with pytest.raises(SystemExit):
+            entrypoint(["pairs", "--no-such-flag"])
+        assert gc.get_threshold() == self.CALLER
+
+        def failing(*_args, **_kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_crv", failing)
+        with pytest.raises(RuntimeError):
+            entrypoint(argv)
+        assert gc.get_threshold() == self.CALLER
+
+    def test_the_command_runs_with_the_raised_threshold(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        load_config_ = cli.load_config
+
+        def load_config(path):
+            seen.append(gc.get_threshold())
+            return load_config_(path)
+
+        monkeypatch.setattr(cli, "load_config", load_config)
+        families = write_jsonl(tmp_path / "families.jsonl", family_rows())
+        assert entrypoint(["pairs", "--families", families,
+                           "--output", str(tmp_path / "pairs.jsonl")]) == EXIT_OK
+        assert seen == [(cli._YOUNG_GC_THRESHOLD, *self.CALLER[1:])]
+        assert cli._YOUNG_GC_THRESHOLD > self.CALLER[0]
 
 
 class TestSelftest:

@@ -428,6 +428,16 @@ class TestHTTPBackend:
         with pytest.raises(ConfigError, match="max_retries must be >= 1"):
             HTTPBackend({}, max_retries=0)
 
+    @pytest.mark.parametrize("usage, counted", [
+        (None, (0, 0)), ({}, (0, 0)), ({"completion_tokens": 2}, (0, 2)),
+        ({"prompt_tokens": 7, "completion_tokens": 0}, (7, 0)),
+    ])
+    def test_missing_usage_counts_read_zero(self, http_server, usage, counted):
+        http_server.playbook.append((200, {"choices": [{"message": {"content": "medium"}}],
+                                           "usage": usage}))
+        response = backend_for(http_server).complete(make_request())
+        assert (response.usage.prompt_tokens, response.usage.completion_tokens) == counted
+
     def test_malformed_payload_is_provider_error(self, http_server):
         http_server.playbook.append((200, {"surprise": True}))
         with pytest.raises(ProviderError, match="malformed"):
@@ -441,6 +451,14 @@ class TestHTTPBackend:
          "usage": {"prompt_tokens": None, "completion_tokens": 2}},
         ["not", "an", "object"],
         {"choices": {"message": {"content": "medium"}}},
+        {"choices": [{"message": {"content": "medium"}}],
+         "usage": {"prompt_tokens": "7", "completion_tokens": 2}},
+        {"choices": [{"message": {"content": "medium"}}],
+         "usage": {"prompt_tokens": 7, "completion_tokens": 7.9}},
+        {"choices": [{"message": {"content": "medium"}}],
+         "usage": {"prompt_tokens": True, "completion_tokens": 2}},
+        {"choices": [{"message": {"content": "medium"}}],
+         "usage": {"prompt_tokens": 7, "completion_tokens": -5}},
     ])
     def test_malformed_content_or_usage_is_provider_error(self, http_server, payload):
         http_server.playbook.append((200, payload))

@@ -636,8 +636,18 @@ class TestLogProbQuad:
         rows = loss._rows(iter(quads))
         assert rows.dtype == float and rows.shape == (5, 4)
         assert rows.tolist() == [list(quad) for quad in quads]
+        assert np.array_equal(loss._rows([tuple(quad) for quad in quads]), rows)
         assert loss._rows([]).shape == (0, 4)
 
     def test_a_quad_holding_a_string_is_refused(self):
         with pytest.raises(TypeError):
             dpo_loss([LogProbQuad("1.5", 0.0, 0.0, 0.0)], beta=0.1)
+
+    @pytest.mark.parametrize("quads, shape", [
+        ([(1.0, 2.0, 3.0, 4.0, 5.0)], r"\(1, 5\)"),
+        ([(1.0, 2.0, 3.0)], r"\(1, 3\)"),
+        ([(1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0)], r"\[3, 4\] values"),
+    ], ids=["five-values", "three-values", "ragged"])
+    def test_rows_that_are_not_quads_are_refused(self, quads, shape):
+        with pytest.raises(ValueError, match=shape):
+            dpo_loss(quads, beta=0.1)
