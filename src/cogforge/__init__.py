@@ -21,11 +21,9 @@ _EXPORTS = {
                 "ScriptExhausted", "TransportError", "UnknownKey", "load_script"),
     "loss": ("EmptyBatch", "GradCheckReport", "JoinError", "LossReport", "NonFinite",
              "NonPositiveBeta", "TokenOutOfRange", "TokenPair", "ToyPolicy", "beta_dpo_adjust",
-             "cogpo_loss", "cogpo_token_loss", "dpo_loss", "grad_check", "margin",
-             "sequence_logprob"),
+             "cogpo_loss", "cogpo_token_loss", "dpo_loss", "grad_check", "sequence_logprob"),
     "pairs": ("EmptyFamily", "assign_beta", "build_pairs"),
-    "pipeline": ("CorruptCheckpoint", "DuplicateId", "complexity_report",
-                 "format_complexity_report", "run_crv"),
+    "pipeline": ("CorruptCheckpoint", "DuplicateId", "complexity_report", "run_crv"),
     "records": ("BetaSchedule", "ComplexityLevel", "CoTRecord", "GapType", "LogProbQuad",
                 "ParseError", "PipelineStats", "PreferencePair", "RecordFamily", "Source",
                 "parse_complexity", "parse_verdict", "validate_record"),

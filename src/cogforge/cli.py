@@ -22,7 +22,7 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .config import AppConfig, ConfigError, GatewayError, load_config
+from .config import AppConfig, ConfigError, GatewayError, _cast, load_config
 from .jsonl import read_rows, write_rows
 from .pairs import EmptyFamily, assign_beta, build_pairs
 from .records import (FAMILY_SCHEMA, LOGPROB_SCHEMA, PAIR_SCHEMA, RECORD_SCHEMA, BetaSchedule,
@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     curate.add_argument("--output", required=True, help="curated-records JSONL")
     curate.add_argument("--discards", help="discard-log JSONL (default: derived from --output)")
     curate.add_argument("--families", help="record-families JSONL (default: derived from --output)")
-    curate.add_argument("--checkpoint", help="checkpoint JSON for interrupt/resume")
+    curate.add_argument("--checkpoint", help="interrupt/resume file: a header line, then one "
+                        "JSON line appended per record; compacted when the run ends")
     curate.add_argument("--mock-script", help="scripted-backend JSONL for offline runs")
     curate.set_defaults(func=cmd_curate)
 
@@ -173,19 +174,19 @@ def _load_dataset(path: str) -> list[CoTRecord]:
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
+    checkpoint_flag = "pipeline.checkpoint_path"
+    if args.checkpoint is not None:
+        checkpoint_flag = "--checkpoint"
+        config.pipeline.checkpoint_path = _cast(checkpoint_flag, args.checkpoint, None)
     discards_path = args.discards or _derived_path(args.output, "discards")
     families_path = args.families or _derived_path(args.output, "families")
     _refuse_overwrites(
         {"--output": args.output, "--discards": discards_path, "--families": families_path},
         {"--config": args.config, "--input": args.input, "--mock-script": args.mock_script,
-         "--checkpoint": args.checkpoint},
+         checkpoint_flag: config.pipeline.checkpoint_path},
     )
     _load("agents", "pipeline")
-    config = load_config(args.config)
-    if args.checkpoint == "":
-        raise ConfigError("--checkpoint: empty path")
-    if args.checkpoint:
-        config.pipeline.checkpoint_path = args.checkpoint
     with _build_backend(config, args.mock_script) as backend:
         agents = Agents(
             backend,

@@ -40,6 +40,9 @@ API_KEY_ENV = "COGFORGE_API_KEY"
 # Statuses another attempt may cure: timeout, too early, rate limit, transient 5xx.
 RETRYABLE_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
 
+# Seconds slept before retry k (k = 1, 2, ...): BACKOFF_BASE * 2 ** (k - 1), so 0.5 then 1.
+BACKOFF_BASE = 0.5
+
 
 class TransportError(GatewayError):
     """Network-level failure that survived the retry budget."""
@@ -126,7 +129,6 @@ class HTTPBackend:
         endpoints: dict[ModelRole, Endpoint],
         timeout: float = 120.0,
         max_retries: int = 3,
-        backoff_base: float = 0.5,
         sleep=time.sleep,
     ) -> None:
         if max_retries < 1:
@@ -135,7 +137,6 @@ class HTTPBackend:
                            for role, endpoint in endpoints.items()}
         self._timeout = timeout
         self._max_retries = max_retries
-        self._backoff_base = backoff_base
         self._sleep = sleep
         self._local = threading.local()  # .routes: origin -> this thread's route
         self._lock = threading.Lock()  # guards _opened
@@ -182,7 +183,7 @@ class HTTPBackend:
         kind, last_failure = TransportError, ""
         for attempt in range(self._max_retries):
             if attempt:
-                self._sleep(self._backoff_base * 2 ** (attempt - 1))
+                self._sleep(BACKOFF_BASE * 2 ** (attempt - 1))
             if connection.sock is not None and _closed_by_peer(connection.sock):
                 connection.close()  # the next request opens a new socket
             try:

@@ -114,11 +114,6 @@ def _report(margins: np.ndarray, terms: np.ndarray) -> LossReport:
     return LossReport(loss=float(terms.mean()), margins=margins.tolist(), terms=terms.tolist())
 
 
-def margin(q: LogProbQuad, beta: float) -> float:
-    """Beta-scaled policy-vs-reference log-ratio difference, chosen minus rejected."""
-    return dpo_loss([q], beta).margins[0]
-
-
 def dpo_loss(quads: list[LogProbQuad], beta: float) -> LossReport:
     """Mean softplus(-margin) at a single preference strength."""
     return _report(*_mean_loss(_rows(quads), [beta] * len(quads), "no quads"))

@@ -433,15 +433,3 @@ def complexity_report(ratings: list[tuple[str, ComplexityLevel]]) -> dict[str, d
         report[tag][level.value] += 1
     return report
 
-
-def format_complexity_report(report: dict[str, dict[str, int]]) -> str:
-    """Rows easy/medium/hard, one column per tag."""
-    if not report:
-        return ""
-    tags = list(report)
-    width = max(len(tag) for tag in tags + ["medium"]) + 2
-    lines = ["".ljust(width) + "".join(tag.rjust(width) for tag in tags)]
-    for level in ComplexityLevel:
-        cells = "".join(str(report[tag][level.value]).rjust(width) for tag in tags)
-        lines.append(level.value.ljust(width) + cells)
-    return "\n".join(lines)

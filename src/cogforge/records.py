@@ -52,8 +52,7 @@ class CoTRecord:
     """One training tuple: problem, verified answer, reasoning trace, provenance.
 
     ``rating_history`` keeps every rating round (all votes, not just the
-    winner) so curation decisions stay auditable; ``rating`` reads the latest
-    round's winner from it and is stored nowhere else.
+    winner) so curation decisions stay auditable.
     """
 
     id: str
@@ -64,11 +63,6 @@ class CoTRecord:
     rating_history: list[dict] = field(default_factory=list)
     rewrite_count: int = 0
     verified: bool | None = None
-
-    @property
-    def rating(self) -> ComplexityLevel | None:
-        """The latest round's rating; None before the first round."""
-        return ComplexityLevel(self.rating_history[-1]["rating"]) if self.rating_history else None
 
     def to_output_dict(self) -> dict:
         """The one row shape: curated output, and the input row a checkpoint
@@ -173,8 +167,8 @@ class BetaSchedule:
 
 class LogProbQuad(NamedTuple):
     """The four sequence log-probabilities behind one preference margin:
-    policy/reference crossed with chosen/rejected. A named tuple, so a batch
-    of quads is already the (n, 4) rows the loss core reads."""
+    policy/reference crossed with chosen/rejected. A named tuple, so it equals
+    its plain 4-tuple; ``loss._rows`` packs either form into the loss core's rows."""
 
     lp_w_theta: float
     lp_w_ref: float

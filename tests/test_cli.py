@@ -995,15 +995,21 @@ def snapshot(directory: Path) -> dict[str, bytes]:
 
 @pytest.fixture
 def command_files(tmp_path, six_record_dataset, six_record_script) -> dict[str, str]:
-    """Every file a command may read, an existing checkpoint, and a symlink
-    and a dotted path that resolve to the dataset and the pairs."""
+    """Every file a command may read, an existing checkpoint, two configs
+    whose checkpoint path is curate's output or its derived families file,
+    and a symlink and a dotted path that resolve to the dataset and the pairs."""
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump({"schedule": {"beta_small": 0.05}}), encoding="utf-8")
     (tmp_path / "sub").mkdir()
     (tmp_path / "link.jsonl").symlink_to(tmp_path / "input.jsonl")
     (tmp_path / "checkpoint.json").write_text("a checkpoint\n", encoding="utf-8")
+    for name, checkpoint in (("out", "out.jsonl"), ("families", "out.families.jsonl")):
+        (tmp_path / f"checkpoint_{name}.yaml").write_text(yaml.safe_dump(
+            {"pipeline": {"checkpoint_path": str(tmp_path / checkpoint)}}), encoding="utf-8")
     return {
         "config": str(config),
+        "checkpoint_out_config": str(tmp_path / "checkpoint_out.yaml"),
+        "checkpoint_families_config": str(tmp_path / "checkpoint_families.yaml"),
         "input": write_jsonl(tmp_path / "input.jsonl", dataset_rows(six_record_dataset)),
         "script": write_script(tmp_path / "script.jsonl", six_record_script),
         "families": write_jsonl(tmp_path / "families.jsonl", family_rows()),
@@ -1018,8 +1024,10 @@ def command_files(tmp_path, six_record_dataset, six_record_script) -> dict[str, 
 
 
 class TestOutputPaths:
-    """A command refuses, before it reads anything, an output path that names
-    another output or a file it reads, and leaves every file as it was."""
+    """A command refuses, before it reads any input row, an output path that
+    names another output or a file it reads, and leaves every file as it was.
+    ``curate`` checks after loading the config, so the checkpoint it reads is
+    the config's ``pipeline.checkpoint_path`` unless ``--checkpoint`` is given."""
 
     CURATE = "--config {config} curate --input {input} --mock-script {script}"
     CASES = {
@@ -1037,6 +1045,12 @@ class TestOutputPaths:
                 CURATE + " --output {out} --discards {out_families}", "--families", "--discards"),
             "families-is-script": (CURATE + " --output {out} --families {script}",
                                    "--families", "--mock-script"),
+            "output-is-config-checkpoint": (
+                "--config {checkpoint_out_config} curate --input {input} --mock-script {script}"
+                " --output {out}", "--output", "pipeline.checkpoint_path"),
+            "derived-families-is-config-checkpoint": (
+                "--config {checkpoint_families_config} curate --input {input}"
+                " --mock-script {script} --output {out}", "--families", "pipeline.checkpoint_path"),
         },
         "pairs": {
             "output-is-families": ("--config {config} pairs --families {families} "
@@ -1283,7 +1297,8 @@ class TestLoadedModules:
     def test_public_names_are_their_home_modules_objects(self):
         import cogforge
 
-        assert len(cogforge.__all__) == len(set(cogforge.__all__)) == 56
+        assert len(cogforge.__all__) == len(set(cogforge.__all__)) == 54
+        assert not {"margin", "format_complexity_report"} & set(cogforge.__all__)
         for name in cogforge.__all__:
             value = getattr(cogforge, name)
             home = sys.modules[value.__module__]

@@ -407,6 +407,14 @@ class TestHTTPBackend:
         with pytest.raises(ProviderError, match="retries exhausted"):
             backend_for(http_server).complete(make_request())
 
+    def test_backoff_doubles_from_half_a_second(self, http_server):
+        http_server.playbook.extend([(503, {"error": "busy"})] * 3)
+        sleeps = []
+        with pytest.raises(ProviderError, match="^retries exhausted: HTTP 503"):
+            backend_for(http_server, sleep=sleeps.append).complete(make_request())
+        assert sleeps == [0.5, 1.0]
+        assert len(http_server.seen) == 3
+
     def test_connection_failure_is_transport_error(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -414,9 +422,11 @@ class TestHTTPBackend:
         endpoints = {
             ModelRole.LARGE: Endpoint(url=f"http://127.0.0.1:{dead_port}/v1", model="m")
         }
-        backend = HTTPBackend(endpoints, max_retries=2, sleep=lambda _s: None, timeout=2.0)
+        sleeps = []
+        backend = HTTPBackend(endpoints, max_retries=2, sleep=sleeps.append, timeout=2.0)
         with pytest.raises(TransportError, match="retries exhausted"):
             backend.complete(make_request())
+        assert sleeps == [0.5]
 
     def test_unmapped_role_is_config_error(self, http_server):
         backend = backend_for(http_server)

@@ -24,7 +24,6 @@ from cogforge.loss import (
     dpo_loss,
     grad_check,
     join_quads,
-    margin,
     quad_from_tokens,
     sequence_logprob,
 )
@@ -41,19 +40,21 @@ def random_quads(rng: np.random.Generator, n: int) -> list[LogProbQuad]:
 
 
 class TestMargin:
+    """A quad's beta-scaled margin, as the loss core reports it."""
+
     def test_symmetric_cancellation(self):
         quad = LogProbQuad(-1.0, -1.0, -2.0, -2.0)
-        assert margin(quad, 0.1) == 0.0
-        assert margin(quad, 0.5) == 0.0
+        assert dpo_loss([quad], 0.1).margins[0] == 0.0
+        assert dpo_loss([quad], 0.5).margins[0] == 0.0
 
     def test_direct_substitution(self):
         quad = LogProbQuad(-1.0, -1.5, -2.5, -2.0)
-        assert abs(margin(quad, 0.1) - 0.1) < 1e-12
+        assert abs(dpo_loss([quad], 0.1).margins[0] - 0.1) < 1e-12
 
     def test_beta_linearity_exact(self):
         rng = np.random.default_rng(11)
         for quad in random_quads(rng, 50):
-            assert margin(quad, 0.4) == 2.0 * margin(quad, 0.2)
+            assert dpo_loss([quad], 0.4).margins[0] == 2.0 * dpo_loss([quad], 0.2).margins[0]
 
     def test_antisymmetry_under_swap(self):
         rng = np.random.default_rng(12)
@@ -62,17 +63,17 @@ class TestMargin:
                 lp_w_theta=quad.lp_l_theta, lp_w_ref=quad.lp_l_ref,
                 lp_l_theta=quad.lp_w_theta, lp_l_ref=quad.lp_w_ref,
             )
-            assert margin(swapped, 0.3) == -margin(quad, 0.3)
+            assert dpo_loss([swapped], 0.3).margins[0] == -dpo_loss([quad], 0.3).margins[0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFinite):
-            margin(LogProbQuad(math.nan, 0.0, 0.0, 0.0), 0.1)
+            dpo_loss([LogProbQuad(math.nan, 0.0, 0.0, 0.0)], 0.1).margins[0]
         with pytest.raises(NonFinite):
-            margin(LogProbQuad(0.0, -math.inf, 0.0, 0.0), 0.1)
+            dpo_loss([LogProbQuad(0.0, -math.inf, 0.0, 0.0)], 0.1).margins[0]
 
     def test_nonpositive_beta_rejected(self):
         with pytest.raises(ValueError):
-            margin(LogProbQuad(0.0, 0.0, 0.0, 0.0), 0.0)
+            dpo_loss([LogProbQuad(0.0, 0.0, 0.0, 0.0)], 0.0).margins[0]
 
 
 class TestDpoLoss:

@@ -33,7 +33,6 @@ from cogforge.pipeline import (
     RecordOutcome,
     checkpoint_fingerprint,
     complexity_report,
-    format_complexity_report,
     input_digests,
     load_checkpoint,
     run_crv,
@@ -62,7 +61,7 @@ class TestSixRecordFixture:
         assert by_id["r3"].reasoning == "rewrite r3"
         assert by_id["r5"].source == Source.REWRITTEN
         assert all(r.verified is True for r in curated)
-        assert all(r.rating == ComplexityLevel.MEDIUM for r in curated)
+        assert all(r.rating_history[-1]["rating"] == ComplexityLevel.MEDIUM for r in curated)
 
     def test_families(self, six_record_dataset, six_record_agents):
         _curated, families, _stats, _discards = run_crv(
@@ -1218,7 +1217,7 @@ class TestRandomizedRuns:
             assert len(families) == len(curated)
             # accepted records are verified mediums; ordering follows input
             assert all(r.verified is True for r in curated)
-            assert all(r.rating == ComplexityLevel.MEDIUM for r in curated)
+            assert all(r.rating_history[-1]["rating"] == ComplexityLevel.MEDIUM for r in curated)
             curated_ids = [r.id for r in curated]
             assert curated_ids == [i for i in ids if i in set(curated_ids)]
             for record_id in ids:
@@ -1263,16 +1262,3 @@ class TestComplexityReport:
 
     def test_empty(self):
         assert complexity_report([]) == {}
-        assert format_complexity_report({}) == ""
-
-    def test_formatted_shape(self):
-        report = complexity_report(
-            [("7B", ComplexityLevel.EASY), ("32B", ComplexityLevel.HARD)]
-        )
-        rendered = format_complexity_report(report)
-        lines = rendered.splitlines()
-        assert len(lines) == 4
-        assert lines[1].startswith("easy")
-        assert lines[2].startswith("medium")
-        assert lines[3].startswith("hard")
-        assert "7B" in lines[0] and "32B" in lines[0]

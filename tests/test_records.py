@@ -107,18 +107,18 @@ class TestCoTRecord:
         record = make_record()
         record.rating_history.append(
             rating_entry("intake", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM] * 3))
-        assert record.rating == ComplexityLevel.MEDIUM
+        assert record.rating_history[-1]["rating"] == ComplexityLevel.MEDIUM
         assert record.rating_history[0]["votes"] == ["medium", "medium", "medium"]
 
     def test_rating_reads_the_latest_round(self):
         record = make_record()
-        assert record.rating is None
+        assert record.rating_history == []
         record.rating_history.append(
             rating_entry("intake", ComplexityLevel.EASY, [ComplexityLevel.EASY] * 3))
-        assert record.rating == ComplexityLevel.EASY
+        assert record.rating_history[-1]["rating"] == ComplexityLevel.EASY
         record.rating_history.append(
             rating_entry("re-rate-1", ComplexityLevel.MEDIUM, [ComplexityLevel.MEDIUM, None]))
-        assert record.rating == ComplexityLevel.MEDIUM
+        assert record.rating_history[-1]["rating"] == ComplexityLevel.MEDIUM
         assert "rating" not in record.to_output_dict()
 
     def test_output_dict_shape(self):
