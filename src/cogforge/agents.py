@@ -96,11 +96,10 @@ class Agents:
     operations render prompts from the record's problem and answer, key script
     positions by its id, ask the critic for ``config.votes`` votes, send
     verification to ``config.verifier_role``, gate corruption on
-    ``config.corruption_gate`` (``PipelineConfig()`` when no config is given),
-    and count their completions (returned choices) and tokens (the backend's
-    usage per request) per agent in the copy's own ``completions`` and
-    ``tokens``. The backend and templates are shared, so bound copies may run
-    concurrently; each copy belongs to one record's walk.
+    ``config.corruption_gate``, and count their completions (returned choices)
+    and tokens (the backend's usage per request) per agent in the copy's own
+    ``completions`` and ``tokens``. The backend and templates are shared, so
+    bound copies may run concurrently; each copy belongs to one record's walk.
     """
 
     def __init__(
@@ -120,10 +119,9 @@ class Agents:
         self.completions: dict[str, int] = {}
         self.tokens: dict[str, int] = {}
 
-    def for_record(self, record: CoTRecord, config: PipelineConfig | None = None) -> Agents:
+    def for_record(self, record: CoTRecord, config: PipelineConfig) -> Agents:
         bound = object.__new__(type(self))
-        bound.__dict__ = {**self.__dict__, "_record": record,
-                          "_config": config if config is not None else PipelineConfig(),
+        bound.__dict__ = {**self.__dict__, "_record": record, "_config": config,
                           "completions": {}, "tokens": {}}
         return bound
 
@@ -138,7 +136,7 @@ class Agents:
     def _call(self, agent: str, template: str, reasoning: str, n: int = 1) -> ChatResponse:
         record = self._record
         if record is None:
-            raise RuntimeError("agent operations need a record: use for_record(record)")
+            raise RuntimeError("agent operations need a record: use for_record(record, config)")
         role = self._config.verifier_role if agent == "verifier" else ModelRole.LARGE
         system, user = self._templates[template].render(record.problem, record.answer, reasoning)
         # Positional: a dataclass's __init__ binds positions faster than keywords.

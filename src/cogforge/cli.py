@@ -213,13 +213,16 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                        {"--config": args.config, "--families": args.families})
     config = load_config(args.config)
     counts = {gap.value: 0 for gap in GapType}
-    families = skipped = 0
+    family_ids: set[str] = set()
+    skipped = 0
 
     def pair_rows() -> Iterator[dict]:
         # One family in memory at a time: its pairs are written as it is built.
-        nonlocal families, skipped
+        nonlocal skipped
         for row in read_rows(args.families, FAMILY_SCHEMA):
-            families += 1
+            if row["id"] in family_ids:
+                raise ValueError(f"{args.families}: duplicate family id {row['id']!r}")
+            family_ids.add(row["id"])
             try:
                 built = build_pairs(RecordFamily.from_dict(row), config.schedule)
             except EmptyFamily as exc:
@@ -231,6 +234,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                 yield pair.to_dict()
 
     written = write_rows(args.output, pair_rows())
+    families = len(family_ids)
     print(f"families: {families} ({skipped} without constructible pairs)")
     print(f"pairs: {written} " + ", ".join(f"{gap} {n}" for gap, n in counts.items()))
     print(json.dumps(

@@ -121,7 +121,7 @@ def _cast(name: str, value, base):
     path, which takes a non-empty string or null as it is. A bool field takes
     only a YAML boolean, no other field takes one, an int field takes only a
     whole number, a float field only a finite one and a str field only a
-    string."""
+    string. A value the type does not convert is refused in the same words."""
     if base is None:
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{name}: {value!r} is not a valid str")
@@ -129,10 +129,13 @@ def _cast(name: str, value, base):
             raise ValueError(f"{name}: empty path")
         return value
     fractional = isinstance(value, float) and not value.is_integer()
-    if (isinstance(base, bool) != isinstance(value, bool) or (type(base) is int and fractional)
-            or (type(base) is str and not isinstance(value, str))):
-        raise ValueError(f"{name}: {value!r} is not a valid {type(base).__name__}")
-    cast = type(base)(value)
+    try:
+        if (isinstance(base, bool) != isinstance(value, bool) or (type(base) is int and fractional)
+                or (type(base) is str and not isinstance(value, str))):
+            raise ValueError
+        cast = type(base)(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: {value!r} is not a valid {type(base).__name__}") from None
     if type(base) is float and not math.isfinite(cast):
         raise ValueError(f"{name}: {value!r} is not a finite float")
     return cast

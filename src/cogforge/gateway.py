@@ -40,6 +40,10 @@ API_KEY_ENV = "COGFORGE_API_KEY"
 # Statuses another attempt may cure: timeout, too early, rate limit, transient 5xx.
 RETRYABLE_STATUSES = frozenset({408, 425, 429, 500, 502, 503, 504})
 
+# Attempts per request, and the seconds each connect or read may wait.
+ATTEMPTS = 3
+TIMEOUT_S = 120.0
+
 # Seconds slept before retry k (k = 1, 2, ...): BACKOFF_BASE * 2 ** (k - 1), so 0.5 then 1.
 BACKOFF_BASE = 0.5
 
@@ -118,25 +122,17 @@ class HTTPBackend:
     reached through a CONNECT tunnel, an http one by sending the proxy the
     absolute URL. TLS is verified against the system trust store.
 
-    Transport failures and the RETRYABLE_STATUSES are retried with exponential
-    backoff up to ``max_retries`` total attempts; any other status, 501 and
-    505 included, is a ProviderError on the first response. ``close()`` (or
-    leaving a ``with`` block) closes every connection the backend opened.
+    A request makes up to ATTEMPTS attempts, each waiting up to TIMEOUT_S
+    seconds to connect and for each read. Transport failures and the
+    RETRYABLE_STATUSES lead to another attempt after an exponential backoff,
+    slept through ``sleep``; any other status, 501 and 505 included, is a
+    ProviderError on the first response. ``close()`` (or leaving a ``with``
+    block) closes every connection the backend opened.
     """
 
-    def __init__(
-        self,
-        endpoints: dict[ModelRole, Endpoint],
-        timeout: float = 120.0,
-        max_retries: int = 3,
-        sleep=time.sleep,
-    ) -> None:
-        if max_retries < 1:
-            raise ConfigError("max_retries must be >= 1")
+    def __init__(self, endpoints: dict[ModelRole, Endpoint], sleep=time.sleep) -> None:
         self._endpoints = {role: (endpoint, urlsplit(endpoint.url))
                            for role, endpoint in endpoints.items()}
-        self._timeout = timeout
-        self._max_retries = max_retries
         self._sleep = sleep
         self._local = threading.local()  # .routes: origin -> this thread's route
         self._lock = threading.Lock()  # guards _opened
@@ -181,7 +177,7 @@ class HTTPBackend:
             (url.path or "/") + ("?" + url.query if url.query else ""))
 
         kind, last_failure = TransportError, ""
-        for attempt in range(self._max_retries):
+        for attempt in range(ATTEMPTS):
             if attempt:
                 self._sleep(BACKOFF_BASE * 2 ** (attempt - 1))
             if connection.sock is not None and _closed_by_peer(connection.sock):
@@ -243,10 +239,10 @@ class HTTPBackend:
                 headers["Proxy-Authorization"] = (
                     "Basic " + base64.b64encode(credentials.encode()).decode("ascii"))
         if not https:
-            connection = http.client.HTTPConnection(*address, timeout=self._timeout)
+            connection = http.client.HTTPConnection(*address, timeout=TIMEOUT_S)
             return connection, bool(proxy), headers
         connection = http.client.HTTPSConnection(
-            *address, timeout=self._timeout, context=ssl.create_default_context())
+            *address, timeout=TIMEOUT_S, context=ssl.create_default_context())
         if proxy:
             connection.set_tunnel(url.hostname, port, headers=headers)
         return connection, False, {}

@@ -56,14 +56,14 @@ def refusal(row: Mapping, schema: Mapping[str, Kind]) -> str | None:
     return None
 
 
-def read_rows(path: str, schema: Mapping[str, Kind] | None = None) -> Iterator[dict]:
+def read_rows(path: str, schema: Mapping[str, Kind]) -> Iterator[dict]:
     """Yield one dict per non-blank line; errors carry path and line number.
 
     Each stripped line is decoded as ``json.loads`` decodes it. Each field of
     the ``schema`` is then tested against its kind, in order; the first that
     fails is an error in ``refusal``'s words.
     """
-    checks = [(field, kind.accepts) for field, kind in (schema or {}).items()]
+    checks = [(field, kind.accepts) for field, kind in schema.items()]
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()

@@ -292,6 +292,10 @@ def cogpo_token_loss(
     return report
 
 
+# grad_check passes when every coordinate's relative error is below this.
+GRAD_CHECK_TOLERANCE = 1e-4
+
+
 @dataclass
 class GradCheckReport:
     max_rel_error: float
@@ -307,7 +311,6 @@ def grad_check(
     policy: ToyPolicy,
     reference: ToyPolicy | None = None,
     epsilon: float = 1e-5,
-    tolerance: float = 1e-4,
     corruption: tuple[int, int] | None = None,
 ) -> GradCheckReport:
     """Compare the analytic gradient against central finite differences.
@@ -371,8 +374,8 @@ def grad_check(
         max_rel_error=max_rel,
         worst_coordinate=(int(b), int(v)),
         epsilon=epsilon,
-        tolerance=tolerance,
-        passed=max_rel < tolerance,
+        tolerance=GRAD_CHECK_TOLERANCE,
+        passed=max_rel < GRAD_CHECK_TOLERANCE,
     )
 
 
@@ -388,7 +391,8 @@ def join_quads(
     The rows come checked by ``read_rows`` against ``PAIR_SCHEMA`` and
     ``LOGPROB_SCHEMA``. The log-prob rows are drained first, down to four
     floats each; the pair rows are then consumed one at a time, and only their
-    id and gap are kept. An id that does not join one-to-one is a ``JoinError``.
+    id and gap are kept. An id that does not join one-to-one is a
+    ``JoinError``, which names a repeated pair id as such.
     """
     by_id: dict[str, LogProbQuad] = {}
     for row in logprob_rows:
@@ -404,6 +408,8 @@ def join_quads(
         pair_id = pair_row["id"]
         quad = by_id.pop(pair_id, None)
         if quad is None:
+            if any(joined_id == pair_id for joined_id, _, _ in joined):
+                raise JoinError(f"duplicate pair id {pair_id!r}")
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
         joined.append((pair_id, quad, _GAPS[pair_row["gap"]]))
     if by_id:

@@ -232,18 +232,17 @@ def _outcome_of(row, input_digest: str | None, schema: dict[str, Kind]) -> Recor
     return outcome
 
 
-def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str | None = None, *,
-                    retry_cap: int = PipelineConfig.retry_cap) -> dict[str, RecordOutcome]:
+def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str,
+                    retry_cap: int) -> dict[str, RecordOutcome]:
     """Read the completed records' outcomes by id; absent file means a fresh run.
 
     Line 1 is the header (format tag, fingerprint, compacted map); each later
     line is one record appended as it completed. A last segment without its
-    newline is a torn append and is dropped. Given a fingerprint, a header
-    written for another config or dataset is refused. Header and journal rows
-    alike must pass _outcome_of against ``inputs`` (input_digests) and the
-    run's ``retry_cap`` (PipelineConfig's default unless given), so a row
-    filed under an id the dataset lacks, of another record, or with more
-    attempts than the cap allows, is refused.
+    newline is a torn append and is dropped. A header written for another
+    config or dataset (another ``fingerprint``) is refused. Header and journal
+    rows alike must pass _outcome_of against ``inputs`` (input_digests) and
+    the run's ``retry_cap``, so a row filed under an id the dataset lacks, of
+    another record, or with more attempts than the cap allows, is refused.
     """
     if not os.path.exists(path):
         return {}
@@ -253,7 +252,7 @@ def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str | None =
     header = _json_object(lines[0]) if lines else None
     if header is None or header.get("format") != CHECKPOINT_FORMAT:
         raise CorruptCheckpoint(f"{path}: line 1 is not a {CHECKPOINT_FORMAT} header")
-    if fingerprint is not None and header.get("fingerprint") != fingerprint:
+    if header.get("fingerprint") != fingerprint:
         raise CorruptCheckpoint(f"{path}: written for a different config or dataset")
     completed = header.get("completed")
     if not isinstance(completed, dict):
@@ -274,7 +273,7 @@ def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str | None =
 
 
 def save_checkpoint(path: str, completed: dict[str, RecordOutcome], inputs: dict[str, str],
-                    fingerprint: str | None = None) -> None:
+                    fingerprint: str) -> None:
     """Compact the outcomes into a one-line header file; write_rows replaces
     the file whole, so a reader never sees it torn."""
     rows = {record_id: outcome.to_checkpoint(inputs[record_id])
@@ -318,7 +317,7 @@ def run_crv(
     if path:
         inputs = input_digests(dataset)
         fingerprint = checkpoint_fingerprint(inputs, config, agents)
-        completed = load_checkpoint(path, inputs, fingerprint, retry_cap=config.retry_cap)
+        completed = load_checkpoint(path, inputs, fingerprint, config.retry_cap)
         # Rewriting the header first drops a torn tail before any append.
         save_checkpoint(path, completed, inputs, fingerprint)
         journal = open(path, "a", encoding="utf-8")

@@ -239,7 +239,7 @@ def parse_verdict(text: str) -> bool:
     return _parse_label(text, _VERDICT_WORDS, "YES/NO verdict")
 
 
-def validate_record(record: CoTRecord, retry_cap: int = 3) -> list[str]:
+def validate_record(record: CoTRecord, retry_cap: int) -> list[str]:
     """Check one record against the schema; violations are data, not faults.
 
     Returns an empty list iff the record is well-formed. Each violation names

@@ -104,7 +104,7 @@ def sequential_critique(sequence: list[str], votes: int):
 class TestCritique:
     def test_majority_two_of_three(self):
         backend = CapturingBackend({"critic:x1": ["easy", "medium", "easy"]})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         level, votes = agents.critique("r")
         assert level == ComplexityLevel.EASY
         assert votes == [ComplexityLevel.EASY, ComplexityLevel.MEDIUM, ComplexityLevel.EASY]
@@ -112,7 +112,7 @@ class TestCritique:
 
     def test_three_way_tie_falls_back_to_medium(self):
         backend = CapturingBackend({"critic:x1": ["easy", "medium", "hard"]})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         level, _votes = agents.critique("r")
         assert level == ComplexityLevel.MEDIUM
         assert backend.sizes() == [3]
@@ -126,7 +126,7 @@ class TestCritique:
         results = []
         for order in orders:
             backend = CapturingBackend({"critic:x1": order})
-            agents = Agents(backend).for_record(make_record())
+            agents = Agents(backend).for_record(make_record(), PipelineConfig())
             level, _ = agents.critique("r")
             results.append(level)
             assert backend.sizes() == [3]
@@ -134,7 +134,7 @@ class TestCritique:
 
     def test_unparseable_vote_gets_one_resample(self):
         backend = CapturingBackend({"critic:x1": ["blah", "easy", "easy", "easy"]})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         level, votes = agents.critique("r")
         assert level == ComplexityLevel.EASY
         assert votes == [ComplexityLevel.EASY] * 3
@@ -143,7 +143,7 @@ class TestCritique:
     def test_failed_resample_counts_as_abstention(self):
         script = {"critic:x1": ["blah", "blah", "medium", "medium"]}
         backend = CapturingBackend(script)
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         level, votes = agents.critique("r")
         assert level == ComplexityLevel.MEDIUM
         assert votes == [None, ComplexityLevel.MEDIUM, ComplexityLevel.MEDIUM]
@@ -151,7 +151,7 @@ class TestCritique:
 
     def test_abstention_majority_is_agent_error(self):
         backend = CapturingBackend({"critic:x1": ["blah"] * 6})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         with pytest.raises(AgentError, match="abstained"):
             agents.critique("r")
         assert backend.sizes() == [3, 2, 1]
@@ -177,7 +177,7 @@ class TestCritique:
         # one easy, one hard, one abstention: nothing exceeds half of 3
         script = {"critic:x1": ["easy", "blah", "blah", "hard"]}
         backend = CapturingBackend(script)
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         level, votes = agents.critique("r")
         assert level == ComplexityLevel.MEDIUM
         assert votes == [ComplexityLevel.EASY, None, ComplexityLevel.HARD]
@@ -224,7 +224,7 @@ class TestCritique:
 class TestRethink:
     def test_expand_uses_extension_template(self):
         backend = CapturingBackend({"rethinker:x1": ["longer trace"]})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         text = agents.rethink("r", ComplexityLevel.EASY)
         assert text == "longer trace"
         assert backend.requests[0].system.startswith(
@@ -234,7 +234,7 @@ class TestRethink:
 
     def test_simplify_uses_simplification_template(self):
         backend = CapturingBackend({"rethinker:x1": ["shorter trace"]})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         agents.rethink("r", ComplexityLevel.HARD)
         assert backend.requests[0].system.startswith(
             "You are a helpful assistant who is highly skilled at simplifying"
@@ -242,17 +242,18 @@ class TestRethink:
 
     def test_unchanged_output_resampled_once(self):
         agents = Agents(ScriptedBackend({"rethinker:x1": ["same", "different"]}))
-        agents = agents.for_record(make_record())
+        agents = agents.for_record(make_record(), PipelineConfig())
         assert agents.rethink("same", ComplexityLevel.EASY) == "different"
 
     def test_empty_twice_is_agent_error(self):
-        agents = Agents(ScriptedBackend({"rethinker:x1": ["", ""]})).for_record(make_record())
+        agents = Agents(ScriptedBackend({"rethinker:x1": ["", ""]})).for_record(
+            make_record(), PipelineConfig())
         with pytest.raises(AgentError, match="empty or unchanged"):
             agents.rethink("r", ComplexityLevel.EASY)
 
     def test_medium_is_never_rewritten(self):
         backend = CapturingBackend({"rethinker:x1": ["rewrite"]})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         with pytest.raises(ValueError, match="never rewritten"):
             agents.rethink("r", ComplexityLevel.MEDIUM)
         assert backend.requests == []
@@ -264,7 +265,7 @@ GATED = PipelineConfig(corruption_gate=True)
 class TestCorrupt:
     def test_returns_corrupted_text_without_gate(self):
         backend = CapturingBackend({"corruptor:x1": ["wrong trace"]})
-        agents = Agents(backend).for_record(make_record())
+        agents = Agents(backend).for_record(make_record(), PipelineConfig())
         assert agents.corrupt("r") == "wrong trace"
         assert all(req.key == "corruptor:x1" for req in backend.requests)
         assert backend.requests[0].system.startswith(
@@ -288,34 +289,37 @@ class TestCorrupt:
             agents.corrupt("r")
 
     def test_identical_output_twice_is_agent_error(self):
-        agents = Agents(ScriptedBackend({"corruptor:x1": ["r", "r"]})).for_record(make_record())
+        agents = Agents(ScriptedBackend({"corruptor:x1": ["r", "r"]})).for_record(
+            make_record(), PipelineConfig())
         with pytest.raises(AgentError):
             agents.corrupt("r")
 
 
 class TestVerify:
     def test_yes_and_no(self):
-        agents = Agents(ScriptedBackend({"verifier:x1": ["YES", "NO"]})).for_record(make_record())
+        agents = Agents(ScriptedBackend({"verifier:x1": ["YES", "NO"]})).for_record(
+            make_record(), PipelineConfig())
         assert agents.verify("r") is True
         assert agents.verify("r") is False
 
     def test_resample_path(self):
         agents = Agents(ScriptedBackend({"verifier:x1": ["maybe", "NO"]}))
-        agents = agents.for_record(make_record())
+        agents = agents.for_record(make_record(), PipelineConfig())
         assert agents.verify("r") is False
 
     def test_unparseable_twice_is_agent_error(self):
         agents = Agents(ScriptedBackend({"verifier:x1": ["maybe", "dunno"]}))
-        agents = agents.for_record(make_record())
+        agents = agents.for_record(make_record(), PipelineConfig())
         with pytest.raises(AgentError, match="unparseable"):
             agents.verify("r")
 
     def test_empty_inputs_rejected(self):
         agents = Agents(ScriptedBackend({}))
+        no_problem = CoTRecord(id="x1", problem="", answer="a", reasoning="r")
         with pytest.raises(ValueError):
-            agents.for_record(CoTRecord(id="x1", problem="", answer="a", reasoning="r")).verify("r")
+            agents.for_record(no_problem, PipelineConfig()).verify("r")
         with pytest.raises(ValueError):
-            agents.for_record(make_record()).verify("")
+            agents.for_record(make_record(), PipelineConfig()).verify("")
 
     def test_verifier_role_is_configurable(self):
         backend = CapturingBackend({"verifier:x1": ["YES"], "critic:x1": ["easy"]})
@@ -332,7 +336,7 @@ class TestUsageTracking:
     def test_snapshot_counts_completions_and_tokens(self):
         script = {"critic:x1": ["easy", "easy", "easy"], "verifier:x1": ["YES"]}
         agents = Agents(ScriptedBackend(script))
-        bound = agents.for_record(make_record())
+        bound = agents.for_record(make_record(), PipelineConfig())
         bound.critique("r")
         bound.verify("r")
         assert bound.completions == {"critic": 3, "verifier": 1}
@@ -342,7 +346,7 @@ class TestUsageTracking:
     def test_critic_prompt_counts_once_per_request(self):
         script = {"critic:x1": ["easy", "easy", "easy"], "critic:x2": ["easy"]}
         agents = Agents(ScriptedBackend(script))
-        three_votes = agents.for_record(make_record("x1"))
+        three_votes = agents.for_record(make_record("x1"), PipelineConfig())
         three_votes.critique("r")
         one_vote = agents.for_record(make_record("x2"), PipelineConfig(votes=1))
         one_vote.critique("r")
@@ -372,7 +376,6 @@ class TestBoundCopy:
         assert bound._sampling is agents._sampling and bound.extra == "kept"
         assert bound._record == make_record() and bound._config is config
         assert bound.completions is not agents.completions and bound.tokens is not agents.tokens
-        assert agents.for_record(make_record())._config == PipelineConfig()
 
         bound.critique("r")
         assert bound.completions == {"critic": 1} and bound.tokens["critic"] > 0

@@ -97,15 +97,15 @@ class TestCurate:
         ])
         assert code == EXIT_PARTIAL
 
-        curated = list(read_rows(curate_paths["output"]))
+        curated = list(read_rows(curate_paths["output"], {}))
         assert [row["id"] for row in curated] == ["r1", "r3", "r5"]
         assert [row["source"] for row in curated] == ["original", "rewritten", "rewritten"]
         assert all(row["verified"] for row in curated)
         assert all("rating" not in row for row in curated)
 
-        discards = list(read_rows(str(curate_paths["tmp"] / "curated.discards.jsonl")))
+        discards = list(read_rows(str(curate_paths["tmp"] / "curated.discards.jsonl"), {}))
         assert [row["id"] for row in discards] == ["r2", "r4", "r6"]
-        families = list(read_rows(str(curate_paths["tmp"] / "curated.families.jsonl")))
+        families = list(read_rows(str(curate_paths["tmp"] / "curated.families.jsonl"), {}))
         assert [row["id"] for row in families] == ["r1", "r3", "r5"]
         assert all(row["r_corrupted"] for row in families)
 
@@ -148,8 +148,8 @@ class TestCurate:
             "--mock-script", curate_paths["script"],
         ])
         assert code == EXIT_PARTIAL
-        assert len(list(read_rows(discards_path))) == 3
-        assert len(list(read_rows(families_path))) == 3
+        assert len(list(read_rows(discards_path, {}))) == 3
+        assert len(list(read_rows(families_path, {}))) == 3
 
     def test_empty_input_is_clean(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "empty.jsonl", [])
@@ -625,7 +625,7 @@ class TestPairs:
         code = entrypoint(["pairs", "--families", families_path, "--output", output_path])
         assert code == EXIT_OK
 
-        rows = list(read_rows(output_path))
+        rows = list(read_rows(output_path, {}))
         assert len(rows) == 4
         by_gap: dict[str, int] = {}
         for row in rows:
@@ -653,7 +653,7 @@ class TestPairs:
         output_path = str(tmp_path / "pairs.jsonl")
         code = entrypoint(["pairs", "--families", families_path, "--output", output_path])
         assert code == EXIT_OK
-        assert list(read_rows(output_path)) == []
+        assert list(read_rows(output_path, {})) == []
         summary = last_json_line(capsys)
         assert summary["skipped"] == 1
         assert summary["pairs"] == 0
@@ -672,7 +672,7 @@ class TestPairs:
             "--families", families_path, "--output", output_path,
         ])
         assert code == EXIT_OK
-        betas = {row["gap"]: row["beta"] for row in read_rows(output_path)}
+        betas = {row["gap"]: row["beta"] for row in read_rows(output_path, {})}
         assert betas == {"small": 0.2, "medium": 0.4, "large": 0.8}
 
     def test_each_family_is_built_before_the_next_is_read(self, tmp_path, monkeypatch):
@@ -711,6 +711,19 @@ class TestPairs:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "families.jsonl", "pairs.jsonl",
         ]
+
+    def test_repeated_family_id_is_refused(self, tmp_path, capsys):
+        # Its pairs would repeat the first family's pair ids, which loss-eval cannot join.
+        repeat = dict(family_rows()[1], id="fam-easy")
+        families_path = write_jsonl(tmp_path / "fam.jsonl", [family_rows()[0], repeat])
+        output = tmp_path / "pairs.jsonl"
+        output.write_bytes(b"old bytes\n")
+        code = entrypoint(["pairs", "--families", families_path, "--output", str(output)])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err == (
+            f"error: {families_path}: duplicate family id 'fam-easy'\n")
+        assert output.read_bytes() == b"old bytes\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fam.jsonl", "pairs.jsonl"]
 
     @pytest.mark.parametrize("field, value", [
         ("id", ["a"]), ("id", 7), ("id", ""),
@@ -781,7 +794,7 @@ class TestLossEval:
         assert summary["mean_margin_by_gap"]["small"] == pytest.approx(0.5, abs=1e-12)
         assert summary["mean_margin_by_gap"]["large"] == pytest.approx(2.5, abs=1e-12)
 
-        rows = list(read_rows(report_path))
+        rows = list(read_rows(report_path, {}))
         assert [row["id"] for row in rows] == ["a", "b", "c"]
         assert rows[0]["beta"] == 0.1
         assert abs(rows[1]["loss_term"] - math.log1p(math.exp(-1.0))) < 1e-12
@@ -942,7 +955,7 @@ class TestPreferenceOutputBytes:
         rng = random.Random(23)
         logprobs = [
             {"id": row["id"], **{field: rng.uniform(-40.0, -1.0) for field in LogProbQuad._fields}}
-            for row in read_rows(str(pairs_path))
+            for row in read_rows(str(pairs_path), {})
         ]
         logprobs_path = write_jsonl(tmp_path / "lp.jsonl", logprobs)
         report_path = tmp_path / "report.jsonl"
@@ -1353,7 +1366,8 @@ class TestReplacedNames:
             assert entrypoint(argv) in (EXIT_OK, EXIT_PARTIAL)
             assert set(calls) == self.WRAPPED[command], command
             if command == "pairs":
-                write_jsonl(logprobs_path, [logprob_row(row["id"]) for row in read_rows(pairs_path)])
+                write_jsonl(logprobs_path,
+                            [logprob_row(row["id"]) for row in read_rows(pairs_path, {})])
         assert calls.count("cogpo_loss") == 1
 
     @pytest.mark.parametrize("error", [

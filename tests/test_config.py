@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 import yaml
 
@@ -249,8 +251,12 @@ class TestSectionKeys:
         with pytest.raises(ConfigError, match="config.yaml"):
             load_config(write_yaml(tmp_path, {"sampling": {"top_k": "many"}}))
         path = write_schedule(tmp_path, yaml.safe_dump({"schedule": {"beta_large": "big"}}))
-        with pytest.raises(ConfigError, match="sched.yaml: could not convert"):
+        with pytest.raises(ConfigError, match="sched.yaml: beta_large: 'big' is not a valid float"):
             load_config(path)
+        for value in ("7.5", [1]):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"config.yaml: retry_cap: {value!r} is not a valid int")):
+                load_config(write_yaml(tmp_path, {"pipeline": {"retry_cap": value}}))
 
     def test_malformed_yaml_is_config_error(self, tmp_path):
         path = tmp_path / "config.yaml"

@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import http.client
 import json
+import select
 import socket
 import ssl
 import sys
@@ -18,6 +19,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from cogforge.agents import Agents
+from cogforge.config import PipelineConfig
 from cogforge.gateway import (
     ChatRequest,
     ConfigError,
@@ -346,7 +348,7 @@ class TestHTTPBackend:
             (200, ok_payload(text)) for text in ("easy", "blah", "hard", "easy")
         )
         record = CoTRecord(id="r1", problem="p", answer="a", reasoning="r")
-        agents = Agents(backend_for(http_server)).for_record(record)
+        agents = Agents(backend_for(http_server)).for_record(record, PipelineConfig())
         assert agents.critique(record.reasoning) == (
             ComplexityLevel.EASY,
             [ComplexityLevel.EASY, ComplexityLevel.HARD, ComplexityLevel.EASY],
@@ -423,20 +425,16 @@ class TestHTTPBackend:
             ModelRole.LARGE: Endpoint(url=f"http://127.0.0.1:{dead_port}/v1", model="m")
         }
         sleeps = []
-        backend = HTTPBackend(endpoints, max_retries=2, sleep=sleeps.append, timeout=2.0)
+        backend = HTTPBackend(endpoints, sleep=sleeps.append)
         with pytest.raises(TransportError, match="retries exhausted"):
             backend.complete(make_request())
-        assert sleeps == [0.5]
+        assert sleeps == [0.5, 1.0]
 
     def test_unmapped_role_is_config_error(self, http_server):
         backend = backend_for(http_server)
         request = ChatRequest(model_role=ModelRole.BASE, system="s", user="u")
         with pytest.raises(ConfigError, match="base"):
             backend.complete(request)
-
-    def test_zero_retries_refused(self):
-        with pytest.raises(ConfigError, match="max_retries must be >= 1"):
-            HTTPBackend({}, max_retries=0)
 
     @pytest.mark.parametrize("usage, counted", [
         (None, (0, 0)), ({}, (0, 0)), ({"completion_tokens": 2}, (0, 2)),
@@ -488,9 +486,14 @@ def basic(credentials: str) -> str:
 
 
 class TestConnections:
-    def test_idle_connection_closed_by_the_server_is_not_reused(self, keepalive_server):
+    @pytest.mark.parametrize("has_poll", [True, False], ids=["poll", "select"])
+    def test_idle_connection_closed_by_the_server_is_not_reused(
+            self, keepalive_server, monkeypatch, has_poll):
         # The server closes after its first response, with no Connection:
-        # close header; the client must see that before it sends again.
+        # close header; the client must see that before it sends again, with
+        # select.poll or, on a platform without it, select.select.
+        if not has_poll:
+            monkeypatch.delattr(select, "poll")
         keepalive_server.close_after_first = True
         sleeps = []
         with backend_for(keepalive_server, sleep=sleeps.append) as backend:
@@ -522,13 +525,13 @@ class TestConnections:
         proxy_env.setenv("https_proxy", f"127.0.0.1:{port}")
         proxy_env.setenv("http_proxy", f"http://127.0.0.1:{dead_port()}")
         url = "https://gateway.invalid:8443/v1/chat/completions"
-        with HTTPBackend({ModelRole.LARGE: Endpoint(url=url, model="m")}, max_retries=2,
+        with HTTPBackend({ModelRole.LARGE: Endpoint(url=url, model="m")},
                          sleep=lambda _s: None) as backend:
             with pytest.raises(TransportError, match="Tunnel connection failed: 502"):
                 backend.complete(make_request())
         assert [(seen["command"], seen["target"]) for seen in keepalive_server.seen] == [
             ("CONNECT", "gateway.invalid:8443"),
-        ] * 2
+        ] * 3
         assert "Proxy-Authorization" not in keepalive_server.seen[0]["headers"]
 
     def test_https_proxy_credentials_go_to_the_tunnel(self, keepalive_server, proxy_env):
@@ -536,7 +539,7 @@ class TestConnections:
         proxy_env.setenv("https_proxy", f"http://user:pw@127.0.0.1:{port}")
         url = "https://gateway.invalid/v1/chat/completions"
         with HTTPBackend({ModelRole.LARGE: Endpoint(url=url, model="m")},
-                         max_retries=1) as backend:
+                         sleep=lambda _s: None) as backend:
             with pytest.raises(TransportError, match="502"):
                 backend.complete(make_request())
         seen = keepalive_server.seen[0]
@@ -546,7 +549,7 @@ class TestConnections:
     def test_no_proxy_bypasses_the_proxy(self, keepalive_server, proxy_env):
         proxy_env.setenv("http_proxy", f"http://127.0.0.1:{dead_port()}")
         proxy_env.setenv("no_proxy", "localhost,127.0.0.1")
-        with backend_for(keepalive_server, max_retries=1) as backend:
+        with backend_for(keepalive_server) as backend:
             assert backend.complete(make_request()).text == "medium"
         assert keepalive_server.seen[0]["target"] == "/v1/chat/completions"
 
@@ -567,8 +570,8 @@ class TestConnections:
 
         monkeypatch.setattr(http.client.HTTPSConnection, "__init__", spy)
         url = f"https://127.0.0.1:{dead_port()}/v1/chat/completions"
-        with HTTPBackend({ModelRole.LARGE: Endpoint(url=url, model="m")}, max_retries=1,
-                         timeout=2.0) as backend:
+        with HTTPBackend({ModelRole.LARGE: Endpoint(url=url, model="m")},
+                         sleep=lambda _s: None) as backend:
             with pytest.raises(TransportError):
                 backend.complete(make_request())
         [context] = contexts

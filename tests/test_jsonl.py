@@ -271,7 +271,7 @@ class TestReadRows:
         path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\n")
         rows = []
         try:
-            for row in read_rows(str(path)):
+            for row in read_rows(str(path), {}):
                 rows.append(row)
             error = None
         except ValueError as exc:
@@ -283,13 +283,13 @@ class TestReadRows:
         path.write_text('{"id": "a:small", "gap": "small"} x\n', encoding="utf-8")
         with pytest.raises(ValueError, match=r"rows.jsonl:1: not valid JSON: Extra data: "
                                              r"line 1 column 35 \(char 34\)$"):
-            list(read_rows(str(path)))
+            list(read_rows(str(path), {}))
 
     def test_byte_order_mark_is_named(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text("\ufeff{}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="rows.jsonl:1: not valid JSON: Unexpected UTF-8 BOM"):
-            list(read_rows(str(path)))
+            list(read_rows(str(path), {}))
 
 
 # One field of each kind, and the words a refusal of its value uses.

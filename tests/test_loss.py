@@ -495,6 +495,10 @@ class TestJoinQuads:
         with pytest.raises(JoinError, match="duplicate"):
             join_quads([self.pair_row("a")], [self.logprob_row("a"), self.logprob_row("a")])
 
+    def test_duplicate_pair_id_rejected(self):
+        with pytest.raises(JoinError, match="^duplicate pair id 'a'$"):
+            join_quads([self.pair_row("a"), self.pair_row("a", "large")], [self.logprob_row("a")])
+
     def refusal(self, tmp_path, pair_rows: list[dict], logprob_rows: list[dict]) -> str:
         """The refusal of the rows once written to files and joined as
         ``loss-eval`` reads them, with the directory left out."""

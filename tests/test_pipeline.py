@@ -316,7 +316,7 @@ class TestCheckpointing:
         config = PipelineConfig(max_concurrency=1, checkpoint_path=str(checkpoint))
         with pytest.raises(UnknownKey):
             run_crv(dataset, config, Agents(ScriptedBackend(partial_script)))
-        assert set(load_checkpoint(str(checkpoint), input_digests(dataset))) == {"r1", "r2", "r3"}
+        assert set(load_outcomes(checkpoint, dataset)) == {"r1", "r2", "r3"}
 
         resumed = self.run_files(
             tmp_path, "resumed", dataset, six_record_script, checkpoint=checkpoint
@@ -352,13 +352,13 @@ class TestCheckpointing:
         path = tmp_path / "checkpoint.json"
         path.write_text('{"format": "cogforge-checkpoint-v1", "completed": {"r1"')
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(str(path), {})
+            load_outcomes(path, [])
 
     def test_unknown_format_tag_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps({"format": "something-else", "completed": {}}))
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(str(path), {})
+            load_outcomes(path, [])
 
     def test_malformed_entry_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
@@ -366,11 +366,12 @@ class TestCheckpointing:
             {"format": "cogforge-checkpoint-v1", "completed": {"r1": {"status": "weird"}}}
         ))
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(str(path), {})
+            load_outcomes(path, [])
 
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        inputs = input_digests(make_dataset(3))
+        dataset = make_dataset(3)
+        inputs = input_digests(dataset)
         intake = {"stage": "intake", "rating": "easy", "votes": ["easy", None]}
         rerate = {"stage": "re-rate-2", "rating": "medium", "votes": ["medium", "medium"]}
         completed = {
@@ -382,8 +383,8 @@ class TestCheckpointing:
             "r3": RecordOutcome(ratings=[intake, rerate], rewrite="longer t", attempts=2,
                                 ever_verified=True, tokens_by_stage={"rethinker": 9}),
         }
-        save_checkpoint(str(path), completed, inputs)
-        assert load_checkpoint(str(path), inputs) == completed
+        save_checkpoint(str(path), completed, inputs, default_fingerprint(dataset))
+        assert load_outcomes(path, dataset) == completed
 
 
 MISSING = object()
@@ -397,7 +398,7 @@ EASY_INTAKE = {"stage": "intake", "rating": "easy", "votes": ["easy"] * 3}
 MEDIUM_RERATE = {"stage": "re-rate-1", "rating": "medium", "votes": ["medium"] * 3}
 
 
-def write_header(path, completed: dict[str, dict], fingerprint: str | None = None) -> None:
+def write_header(path, completed: dict[str, dict], fingerprint: str) -> None:
     """A checkpoint whose header holds ``completed`` as given, row dicts and all."""
     path.write_text(dump_row(
         {"format": pipeline.CHECKPOINT_FORMAT, "fingerprint": fingerprint, "completed": completed}
@@ -411,8 +412,14 @@ def default_fingerprint(dataset) -> str:
     )
 
 
-def write_checkpoint(path, where: str, rows: dict[str, dict],
-                     fingerprint: str | None = None) -> None:
+def load_outcomes(path, dataset) -> dict[str, RecordOutcome]:
+    """The outcomes in ``path`` as a run over ``dataset`` with every default
+    setting loads them."""
+    return load_checkpoint(str(path), input_digests(dataset), default_fingerprint(dataset),
+                           PipelineConfig.retry_cap)
+
+
+def write_checkpoint(path, where: str, rows: dict[str, dict], fingerprint: str) -> None:
     """A checkpoint holding ``rows`` as given, in its header or as journal lines."""
     if where == "header":
         write_header(path, rows, fingerprint)
@@ -465,7 +472,7 @@ class TestJournal:
                 self.outputs(dataset, partial, checkpoint)
         else:
             self.outputs(dataset, partial, checkpoint)
-        assert set(load_checkpoint(str(checkpoint), input_digests(dataset))) == set(self.IDS[:k])
+        assert set(load_outcomes(checkpoint, dataset)) == set(self.IDS[:k])
         with open(checkpoint, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 1  # compacted on the way out
         resumed, backend = self.outputs(dataset, six_record_script, checkpoint)
@@ -517,7 +524,7 @@ class TestJournal:
         checkpoint = str(tmp_path / "checkpoint.json")
         with pytest.raises(UnknownKey):
             intake(script_for(six_record_script, self.IDS[:3]), checkpoint)
-        assert set(load_checkpoint(checkpoint, input_digests(dataset))) == set(self.IDS[:3])
+        assert set(load_outcomes(checkpoint, dataset)) == set(self.IDS[:3])
         assert intake(six_record_script, checkpoint) == want
 
     def test_torn_tail_is_dropped_and_its_record_rerun(self, tmp_path, six_record_script):
@@ -526,7 +533,7 @@ class TestJournal:
         full = tmp_path / "full.json"
         self.outputs(dataset, six_record_script, full)
         inputs = input_digests(dataset)
-        rows = load_checkpoint(str(full), inputs)
+        rows = load_outcomes(full, dataset)
 
         # A journal as a killed run leaves it: header, one appended row and
         # half of the next one.
@@ -537,7 +544,7 @@ class TestJournal:
         r4 = dump_row({"id": "r4", **rows["r4"].to_checkpoint(inputs["r4"])})
         with open(checkpoint, "a", encoding="utf-8") as handle:
             handle.write(r3 + r4[: len(r4) // 2])
-        assert set(load_checkpoint(str(checkpoint), inputs, fingerprint)) == {"r1", "r2", "r3"}
+        assert set(load_outcomes(checkpoint, dataset)) == {"r1", "r2", "r3"}
 
         resumed, backend = self.outputs(dataset, six_record_script, checkpoint)
         assert resumed == baseline
@@ -553,7 +560,8 @@ class TestJournal:
         dataset = make_dataset(6)
         baseline, _ = self.outputs(dataset, six_record_script)
         checkpoint = tmp_path / "checkpoint.json"
-        save_checkpoint(str(checkpoint), {}, {}, default_fingerprint(dataset))
+        fingerprint = default_fingerprint(dataset)
+        save_checkpoint(str(checkpoint), {}, {}, fingerprint)
         with open(checkpoint, "a", encoding="utf-8") as handle:
             handle.write('{"id": "r1", "status": "disc')
 
@@ -566,7 +574,8 @@ class TestJournal:
                 previous = f"r{int(record_id[1:]) - 1}"
                 if agent == "critic" and previous != "r0":
                     deadline = time.monotonic() + 10
-                    while previous not in load_checkpoint(str(checkpoint), inputs):
+                    while previous not in load_checkpoint(str(checkpoint), inputs, fingerprint,
+                                                          PipelineConfig.retry_cap):
                         assert time.monotonic() < deadline, f"{previous} not journaled"
                         time.sleep(0.001)
                 return self.inner.complete(request)
@@ -593,11 +602,11 @@ class TestJournal:
 
     def test_torn_multibyte_character_is_a_torn_tail(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {}, {})
+        save_checkpoint(str(path), {}, {}, default_fingerprint([]))
         torn = dump_row({"id": "r1", "discard_reason": "\u00e9t\u00e9"}).encode("utf-8")
         with open(path, "ab") as handle:
             handle.write(torn[: torn.index(b"\xc3") + 1])
-        assert load_checkpoint(str(path), {}) == {}
+        assert load_outcomes(path, []) == {}
 
     def test_changed_config_or_dataset_is_refused(self, tmp_path, six_record_script):
         dataset = make_dataset(6)
@@ -648,23 +657,23 @@ class TestJournal:
     ], ids=["bad-status", "no-id", "not-an-object", "unparseable", "blank"])
     def test_malformed_journal_row_rejected(self, tmp_path, tail):
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {}, {})
+        save_checkpoint(str(path), {}, {}, default_fingerprint(make_dataset(6)))
         with open(path, "ab") as handle:
             handle.write(tail)
         with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(str(path), input_digests(make_dataset(6)))
+            load_outcomes(path, make_dataset(6))
 
     def test_malformed_header_entry_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        write_header(path, {"r1": {"status": "weird"}})
+        write_header(path, {"r1": {"status": "weird"}}, default_fingerprint(make_dataset(6)))
         with pytest.raises(CorruptCheckpoint, match="record 'r1': missing field 'attempts'$"):
-            load_checkpoint(str(path), input_digests(make_dataset(6)))
+            load_outcomes(path, make_dataset(6))
 
     def test_header_whose_completed_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        write_header(path, ["r1"])
+        write_header(path, ["r1"], default_fingerprint(make_dataset(6)))
         with pytest.raises(CorruptCheckpoint, match="'completed' is not an object"):
-            load_checkpoint(str(path), input_digests(make_dataset(6)))
+            load_outcomes(path, make_dataset(6))
 
     @pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4", "v5"])
     def test_earlier_format_refused(self, tmp_path, version):
@@ -679,7 +688,7 @@ class TestJournal:
         else:
             path.write_text(dump_row(header) + "\n")
         with pytest.raises(CorruptCheckpoint, match=f"not a {pipeline.CHECKPOINT_FORMAT} header"):
-            load_checkpoint(str(path), {})
+            load_outcomes(path, [])
 
     @pytest.mark.parametrize(("usage", "words"), [
         ({"tokens_by_stage": {}}, "missing field 'completions_by_stage'"),
@@ -696,21 +705,22 @@ class TestJournal:
          "field 'tokens_by_stage' is not an object of integers: {'critic': None}"),
     ], ids=["no-completions", "no-tokens", "list", "string", "float", "bool", "null"])
     def test_row_without_integer_usage_rejected(self, tmp_path, usage, words):
-        inputs = input_digests(make_dataset(1))
+        dataset = make_dataset(1)
+        inputs, fingerprint = input_digests(dataset), default_fingerprint(dataset)
         row = RecordOutcome(discard_reason="abstained").to_checkpoint(inputs["r1"])
-        write_header(tmp_path / "sound.json", {"r1": row})
-        assert load_checkpoint(str(tmp_path / "sound.json"), inputs)["r1"].discard_reason
+        write_header(tmp_path / "sound.json", {"r1": row}, fingerprint)
+        assert load_outcomes(tmp_path / "sound.json", dataset)["r1"].discard_reason
         del row["completions_by_stage"], row["tokens_by_stage"]
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {}, inputs)
+        save_checkpoint(str(path), {}, inputs, fingerprint)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(dump_row({"id": "r1", **row, **usage}) + "\n")
         refusal = re.escape(f"record 'r1': {words}") + "$"
         with pytest.raises(CorruptCheckpoint, match=refusal):
-            load_checkpoint(str(path), inputs)
-        write_header(path, {"r1": {**row, **usage}})
+            load_outcomes(path, dataset)
+        write_header(path, {"r1": {**row, **usage}}, fingerprint)
         with pytest.raises(CorruptCheckpoint, match=refusal):
-            load_checkpoint(str(path), inputs)
+            load_outcomes(path, dataset)
 
     @pytest.mark.parametrize(("change", "words"), [
         ({"input": MISSING},
@@ -772,23 +782,24 @@ class TestJournal:
         The ``record-*`` cases damage the ``input`` digest that ties the row
         to its record: missing, another r1's, a list, an id."""
         full = tmp_path / "full.json"
-        inputs = input_digests(make_dataset(1))
-        run_crv(make_dataset(1), PipelineConfig(checkpoint_path=str(full)),
+        dataset = make_dataset(1)
+        inputs, fingerprint = input_digests(dataset), default_fingerprint(dataset)
+        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
                 Agents(ScriptedBackend(six_record_script)))
         assert saved_rows(full)["r1"]["input"] == R1_DIGEST
-        assert load_checkpoint(str(full), inputs)["r1"].discard_reason is None
+        assert load_outcomes(full, dataset)["r1"].discard_reason is None
         row = {**saved_rows(full)["r1"], **change}
         row = {key: value for key, value in row.items() if value is not MISSING}
         path = tmp_path / "checkpoint.json"
-        save_checkpoint(str(path), {}, inputs)
+        save_checkpoint(str(path), {}, inputs, fingerprint)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(dump_row({"id": "r1", **row}) + "\n")
         refusal = re.escape(f"record 'r1': {words}")
         with pytest.raises(CorruptCheckpoint, match=refusal):
-            load_checkpoint(str(path), inputs)
-        write_header(path, {"r1": row})
+            load_outcomes(path, dataset)
+        write_header(path, {"r1": row}, fingerprint)
         with pytest.raises(CorruptCheckpoint, match=refusal):
-            load_checkpoint(str(path), inputs)
+            load_outcomes(path, dataset)
 
     @pytest.mark.parametrize("where", ["header", "journal"])
     @pytest.mark.parametrize("moved", ["r2", "r3", "r2-renamed"],
@@ -926,7 +937,7 @@ class TestJournal:
         baseline, _ = self.outputs(dataset, script)
         with pytest.raises(UnknownKey):
             self.outputs(dataset, script_for(script, ["r1", "r2"]), checkpoint)
-        assert load_checkpoint(str(checkpoint), input_digests(dataset))["r2"].ratings == []
+        assert load_outcomes(checkpoint, dataset)["r2"].ratings == []
         resumed, _ = self.outputs(dataset, script, checkpoint)
         assert resumed == baseline
         assert json.loads(resumed[3])["intake_by_level"]["unrated"] == 1
@@ -981,7 +992,7 @@ class TestJournal:
                 run_crv(dataset, config, Agents(backend))
         finally:
             logger.removeHandler(handler)
-        kept = load_checkpoint(str(checkpoint), input_digests(dataset))
+        kept = load_outcomes(checkpoint, dataset)
         assert "r1" in kept and "r2" not in kept
 
         resumed, _ = self.outputs(dataset, six_record_script, checkpoint,
@@ -1021,7 +1032,7 @@ class TestJournal:
                 run_crv(dataset, config, Agents(backend))
         finally:
             logger.removeHandler(handler)
-        assert set(load_checkpoint(str(checkpoint), input_digests(dataset))) == set(self.IDS[:k])
+        assert set(load_outcomes(checkpoint, dataset)) == set(self.IDS[:k])
         assert not {key.split(":", 1)[1] for key in backend.history} & later
 
         resumed, _ = self.outputs(dataset, six_record_script, checkpoint)
@@ -1052,8 +1063,7 @@ class TestJournal:
             run_crv(dataset, config, Agents(backend))
         assert raised.value is error
         assert {key.split(":", 1)[1] for key in backend.history} == set(self.IDS[:k])
-        loaded = load_checkpoint(str(checkpoint), input_digests(dataset),
-                                 default_fingerprint(dataset))
+        loaded = load_outcomes(checkpoint, dataset)
         assert set(loaded) == set(self.IDS[:k])
         with open(checkpoint, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 1
@@ -1101,8 +1111,7 @@ class TestJournal:
         finally:
             logger.removeHandler(handler)
         assert {key.split(":", 1)[1] for key in backend.history} == {"r1", "r2", "r3"}
-        loaded = load_checkpoint(str(checkpoint), input_digests(dataset),
-                                 default_fingerprint(dataset))
+        loaded = load_outcomes(checkpoint, dataset)
         assert set(loaded) == {"r1", "r2", "r3"}
         with open(checkpoint, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 1
@@ -1197,7 +1206,7 @@ class TestWorkers:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
-        loaded = load_checkpoint(checkpoint, input_digests(dataset), default_fingerprint(dataset))
+        loaded = load_outcomes(checkpoint, dataset)
         assert set(loaded) == set(ids)
 
 

@@ -83,17 +83,17 @@ def make_record(**overrides) -> CoTRecord:
 
 class TestValidateRecord:
     def test_valid_record_has_no_violations(self):
-        assert validate_record(make_record()) == []
+        assert validate_record(make_record(), retry_cap=3) == []
 
     def test_empty_fields_flagged(self):
         record = make_record(id="", problem="", answer="", reasoning="")
-        violations = validate_record(record)
+        violations = validate_record(record, retry_cap=3)
         assert len(violations) == 4
 
     def test_negative_rewrite_count(self):
         record = make_record()
         record.rewrite_count = -1
-        assert any("rewrite_count" in v for v in validate_record(record))
+        assert any("rewrite_count" in v for v in validate_record(record, retry_cap=3))
 
     def test_rewrite_count_over_cap(self):
         record = make_record()

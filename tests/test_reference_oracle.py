@@ -18,7 +18,8 @@ import pytest
 from cogforge import gateway
 from cogforge.agents import Agents
 from cogforge.gateway import ScriptedBackend
-from cogforge.pipeline import PipelineConfig, input_digests, load_checkpoint, run_crv
+from cogforge.pipeline import (PipelineConfig, checkpoint_fingerprint, input_digests,
+                               load_checkpoint, run_crv)
 from cogforge.records import CoTRecord
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -76,10 +77,13 @@ def test_memoized_word_counts_equal_plain_split(tmp_path, monkeypatch, concurren
     def usage(name):
         path = str(tmp_path / f"{name}.checkpoint.json")
         config = PipelineConfig(max_concurrency=concurrency, checkpoint_path=path)
-        stats = run_crv(dataset, config, Agents(ScriptedBackend(script)))[2]
+        agents = Agents(ScriptedBackend(script))
+        stats = run_crv(dataset, config, agents)[2]
+        inputs = input_digests(dataset)
+        outcomes = load_checkpoint(path, inputs, checkpoint_fingerprint(inputs, config, agents),
+                                   config.retry_cap)
         return stats.to_dict(), {
-            record_id: outcome.tokens_by_stage
-            for record_id, outcome in load_checkpoint(path, input_digests(dataset)).items()
+            record_id: outcome.tokens_by_stage for record_id, outcome in outcomes.items()
         }
 
     interval = sys.getswitchinterval()
