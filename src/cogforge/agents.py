@@ -52,7 +52,6 @@ class CorruptionNotIncorrect(AgentError):
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    name: str
     system_text: str
 
     def render(self, problem: str, answer: str, reasoning: str) -> tuple[str, str]:
@@ -75,17 +74,19 @@ def load_golden_fixture(name: str) -> dict:
 
 def load_templates(directory: str | None = None) -> dict[str, PromptTemplate]:
     """Load the five prompt templates from the packaged data files, or from
-    ``directory`` when overridden."""
+    ``directory`` when overridden. A file with no system text is refused."""
     templates = {}
     for name in TEMPLATE_NAMES:
         if directory is None:
-            raw = resources.files("cogforge").joinpath("templates", f"{name}.txt").read_text(
-                encoding="utf-8"
-            )
+            path = resources.files("cogforge").joinpath("templates", f"{name}.txt")
+            raw = path.read_text(encoding="utf-8")
         else:
-            with open(os.path.join(directory, f"{name}.txt"), encoding="utf-8") as handle:
+            path = os.path.join(directory, f"{name}.txt")
+            with open(path, encoding="utf-8") as handle:
                 raw = handle.read()
-        templates[name] = PromptTemplate(name=name, system_text=_read_system_text(raw))
+        if not (system_text := _read_system_text(raw)):
+            raise ValueError(f"{path}: empty template")
+        templates[name] = PromptTemplate(system_text)
     return templates
 
 
@@ -115,9 +116,6 @@ class Agents:
             raise ValueError(f"missing templates: {missing}")
         self._sampling = sampling
         self._record: CoTRecord | None = None
-        self._config = PipelineConfig()
-        self.completions: dict[str, int] = {}
-        self.tokens: dict[str, int] = {}
 
     def for_record(self, record: CoTRecord, config: PipelineConfig) -> Agents:
         bound = object.__new__(type(self))
@@ -133,10 +131,13 @@ class Agents:
             "sampling": asdict(self._sampling),
         }
 
-    def _call(self, agent: str, template: str, reasoning: str, n: int = 1) -> ChatResponse:
-        record = self._record
-        if record is None:
+    def _bound_record(self) -> CoTRecord:
+        if self._record is None:
             raise RuntimeError("agent operations need a record: use for_record(record, config)")
+        return self._record
+
+    def _call(self, agent: str, template: str, reasoning: str, n: int = 1) -> ChatResponse:
+        record = self._bound_record()
         role = self._config.verifier_role if agent == "verifier" else ModelRole.LARGE
         system, user = self._templates[template].render(record.problem, record.answer, reasoning)
         # Positional: a dataclass's __init__ binds positions faster than keywords.
@@ -160,6 +161,7 @@ class Agents:
         its re-sample, so a scripted key is consumed exactly as by one
         request per completion.
         """
+        record = self._bound_record()
         votes = self._config.votes
         if votes < 1 or votes % 2 == 0:
             raise ValueError("votes must be a positive odd integer")
@@ -173,7 +175,7 @@ class Agents:
                 try:
                     vote = parse_complexity(text)
                 except ParseError:
-                    log.debug("record %s: unparseable critic vote %r", self._record.id, text)
+                    log.debug("record %s: unparseable critic vote %r", record.id, text)
                     if not resampling:
                         resampling = True
                         continue
@@ -183,7 +185,7 @@ class Agents:
         abstentions = cast.count(None)
         if abstentions * 2 > votes:
             raise AgentError(
-                f"record {self._record.id}: {abstentions} of {votes} critic votes abstained"
+                f"record {record.id}: {abstentions} of {votes} critic votes abstained"
             )
         for level in _LEVELS:
             if cast.count(level) * 2 > votes:

@@ -47,7 +47,8 @@ _LAYERS = {
     "agents": ("GOLDEN_INPUTS", "TEMPLATE_NAMES", "Agents", "load_golden_fixture",
                "load_templates"),
     "gateway": ("HTTPBackend", "ScriptedBackend", "load_script"),
-    "loss": ("TokenPair", "ToyPolicy", "cogpo_loss", "dpo_loss", "grad_check", "join_quads"),
+    "loss": ("DuplicatePairId", "JoinError", "TokenPair", "ToyPolicy", "cogpo_loss", "dpo_loss",
+             "grad_check", "join_quads"),
     "pipeline": ("run_crv",),
 }
 
@@ -166,11 +167,13 @@ def _build_backend(config: AppConfig, mock_script: str | None):
 
 
 def _load_dataset(path: str) -> list[CoTRecord]:
-    return [
-        CoTRecord(id=row["id"], problem=row["problem"], answer=row["answer"],
-                  reasoning=row["reasoning"])
-        for row in read_rows(path, RECORD_SCHEMA)
-    ]
+    dataset: dict[str, CoTRecord] = {}
+    for row in read_rows(path, RECORD_SCHEMA):
+        if row["id"] in dataset:
+            raise ValueError(f"{path}: duplicate input id {row['id']!r}")
+        dataset[row["id"]] = CoTRecord(id=row["id"], problem=row["problem"],
+                                       answer=row["answer"], reasoning=row["reasoning"])
+    return list(dataset.values())
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -229,6 +232,8 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                 log.warning("%s", exc)
                 skipped += 1
                 continue
+            except ValueError as exc:  # the row breaks a RecordFamily rule
+                raise ValueError(f"{args.families}: {exc}") from None
             for pair in built:
                 counts[pair.gap] += 1  # a GapType is a str equal to its value
                 yield pair.to_dict()
@@ -250,8 +255,12 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
     _load("loss")
     schedule = load_config(args.config).schedule
     # Generators, not lists: join_quads keeps only the id and gap of each pair row.
-    joined = join_quads(read_rows(args.pairs, PAIR_SCHEMA),
-                        read_rows(args.logprobs, LOGPROB_SCHEMA))
+    try:
+        joined = join_quads(read_rows(args.pairs, PAIR_SCHEMA),
+                            read_rows(args.logprobs, LOGPROB_SCHEMA))
+    except JoinError as exc:
+        path = args.pairs if isinstance(exc, DuplicatePairId) else args.logprobs
+        raise JoinError(f"{path}: {exc}") from None
     report = cogpo_loss([(quad, gap) for _, quad, gap in joined], schedule)
 
     # Each gap's name and beta, resolved once per gap rather than once per pair.

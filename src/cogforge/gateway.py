@@ -85,8 +85,8 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class TokenUsage:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
+    prompt_tokens: int
+    completion_tokens: int
 
     @property
     def total(self) -> int:
@@ -99,7 +99,7 @@ class ChatResponse:
     ``n``), and the usage of the whole request."""
 
     choices: tuple[str, ...]
-    usage: TokenUsage = TokenUsage()
+    usage: TokenUsage
 
     @property
     def text(self) -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import itemgetter
@@ -59,12 +59,16 @@ class JoinError(ValueError):
     """Pair rows and log-prob rows do not join one-to-one on id."""
 
 
+class DuplicatePairId(JoinError):
+    """A pair id repeats; every other JoinError is about the log-prob rows."""
+
+
 @dataclass
 class LossReport:
     loss: float
     margins: list[float]
+    terms: list[float]
     gradient: np.ndarray | None = None
-    terms: list[float] = field(default_factory=list)
 
 
 def _rows(quads: Iterable[LogProbQuad]) -> np.ndarray:
@@ -300,8 +304,6 @@ GRAD_CHECK_TOLERANCE = 1e-4
 class GradCheckReport:
     max_rel_error: float
     worst_coordinate: tuple[int, int]
-    epsilon: float
-    tolerance: float
     passed: bool
 
 
@@ -373,8 +375,6 @@ def grad_check(
     return GradCheckReport(
         max_rel_error=max_rel,
         worst_coordinate=(int(b), int(v)),
-        epsilon=epsilon,
-        tolerance=GRAD_CHECK_TOLERANCE,
         passed=max_rel < GRAD_CHECK_TOLERANCE,
     )
 
@@ -392,7 +392,7 @@ def join_quads(
     ``LOGPROB_SCHEMA``. The log-prob rows are drained first, down to four
     floats each; the pair rows are then consumed one at a time, and only their
     id and gap are kept. An id that does not join one-to-one is a
-    ``JoinError``, which names a repeated pair id as such.
+    ``JoinError``; a repeated pair id is a ``DuplicatePairId``.
     """
     by_id: dict[str, LogProbQuad] = {}
     for row in logprob_rows:
@@ -409,7 +409,7 @@ def join_quads(
         quad = by_id.pop(pair_id, None)
         if quad is None:
             if any(joined_id == pair_id for joined_id, _, _ in joined):
-                raise JoinError(f"duplicate pair id {pair_id!r}")
+                raise DuplicatePairId(f"duplicate pair id {pair_id!r}")
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
         joined.append((pair_id, quad, _GAPS[pair_row["gap"]]))
     if by_id:

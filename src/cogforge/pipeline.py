@@ -416,10 +416,6 @@ def run_crv(
         curated.append(final)
         families.append(family)
     stats.final_size = len(curated)
-
-    conservation = stats.validate()
-    if conservation:
-        raise RuntimeError("; ".join(conservation))
     return curated, families, stats, discards
 
 

@@ -199,15 +199,6 @@ class PipelineStats:
     completions_by_stage: dict[str, int] = field(default_factory=dict)
     tokens_by_stage: dict[str, int] = field(default_factory=dict)
 
-    def validate(self) -> list[str]:
-        violations = []
-        if self.intake_total != self.final_size + self.discarded:
-            violations.append(
-                f"conservation: intake {self.intake_total} != "
-                f"final {self.final_size} + discarded {self.discarded}"
-            )
-        return violations
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -1,13 +1,15 @@
 """Shared fixtures: the hand-traced six-record script, a randomized script
-generator for property tests, a keep-alive loopback HTTP server, and the one
-hypothesis profile."""
+generator for property tests, a keep-alive loopback HTTP server, a loader for
+the benchmark's modules, and the one hypothesis profile."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,15 @@ class CapturingBackend:
     def sizes(self) -> list[int]:
         """The ``n`` of each request, in order."""
         return [request.n for request in self.requests]
+
+
+def bench_module(name: str):
+    """``bench/<name>.py`` loaded from its file: ``bench/`` is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"cogforge_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_dataset(n: int = 6) -> list[CoTRecord]:

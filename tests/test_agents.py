@@ -21,6 +21,10 @@ from cogforge.gateway import ModelRole, SamplingParams, ScriptedBackend, ScriptE
 from cogforge.records import ComplexityLevel, CoTRecord, ParseError, parse_complexity
 
 
+# What an unbound Agents holds: what every record shares, and no record.
+UNBOUND_STATE = {"_backend", "_templates", "_sampling", "_record"}
+
+
 def make_record(record_id: str = "x1") -> CoTRecord:
     return CoTRecord(id=record_id, problem="p", answer="a", reasoning="r")
 
@@ -341,7 +345,7 @@ class TestUsageTracking:
         bound.verify("r")
         assert bound.completions == {"critic": 3, "verifier": 1}
         assert bound.tokens["critic"] > 0 and bound.tokens["verifier"] > 0
-        assert agents.completions == {} and agents.tokens == {}
+        assert vars(agents).keys() == UNBOUND_STATE
 
     def test_critic_prompt_counts_once_per_request(self):
         script = {"critic:x1": ["easy", "easy", "easy"], "critic:x2": ["easy"]}
@@ -354,11 +358,6 @@ class TestUsageTracking:
         # The same prompt once plus one word per vote: three votes cost two
         # words more than one vote.
         assert three_votes.tokens["critic"] - one_vote.tokens["critic"] == 2
-
-    def test_unbound_agents_refuse_to_call(self):
-        agents = Agents(ScriptedBackend({"critic:x1": ["easy"]}))
-        with pytest.raises(RuntimeError, match="for_record"):
-            agents.critique("r")
 
 
 class TestBoundCopy:
@@ -375,11 +374,19 @@ class TestBoundCopy:
         assert bound._backend is agents._backend and bound._templates is agents._templates
         assert bound._sampling is agents._sampling and bound.extra == "kept"
         assert bound._record == make_record() and bound._config is config
-        assert bound.completions is not agents.completions and bound.tokens is not agents.tokens
+        assert bound.completions == {} and bound.tokens == {}
 
         bound.critique("r")
         assert bound.completions == {"critic": 1} and bound.tokens["critic"] > 0
-        assert agents.completions == {} and agents.tokens == {}
+        assert vars(agents).keys() == UNBOUND_STATE | {"extra"}
         assert agents._record is None
+
+    @pytest.mark.parametrize("operation, args", [
+        ("critique", ("r",)), ("rethink", ("r", ComplexityLevel.EASY)),
+        ("verify", ("r",)), ("corrupt", ("r",)),
+    ], ids=["critique", "rethink", "verify", "corrupt"])
+    def test_unbound_agents_refuse_to_call(self, operation, args):
+        agents = Agents(ScriptedBackend({}))
         with pytest.raises(RuntimeError, match="for_record"):
-            agents.critique("r")
+            getattr(agents, operation)(*args)
+        assert vars(agents).keys() == UNBOUND_STATE

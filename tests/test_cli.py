@@ -31,7 +31,7 @@ from cogforge.cli import (
     entrypoint,
 )
 from cogforge.config import load_config
-from cogforge.gateway import ChatRequest, ModelRole
+from cogforge.gateway import ChatRequest, ModelRole, ScriptedBackend
 from cogforge.jsonl import dump_row, read_rows
 from cogforge.records import LogProbQuad
 
@@ -135,6 +135,47 @@ class TestCurate:
         assert captured.err == (f"error: {input_path}:2: field {field!r} is not a non-empty "
                                 f"string: {value!r}\n")
         assert not output.exists()
+
+    def test_repeated_input_id_is_refused_naming_its_file(self, tmp_path, capsys,
+                                                          six_record_dataset):
+        rows = dataset_rows(six_record_dataset)
+        rows[3]["id"] = "r1"
+        input_path = write_jsonl(tmp_path / "input.jsonl", rows)
+        output = tmp_path / "curated.jsonl"
+        code = entrypoint(["curate", "--input", input_path, "--output", str(output),
+                           "--mock-script", write_script(tmp_path / "empty.jsonl", {})])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {input_path}: duplicate input id 'r1'\n"
+        assert not output.exists()
+
+    @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "newline"])
+    def test_empty_template_is_refused_before_any_request(self, curate_paths, monkeypatch,
+                                                          capsys, text):
+        tmp = curate_paths["tmp"]
+        templates_dir = tmp / "templates"
+        templates_dir.mkdir()
+        for name, template in load_templates().items():
+            (templates_dir / f"{name}.txt").write_text(template.system_text + "\n")
+        (templates_dir / "verifier.txt").write_text(text)
+        config = tmp / "config.yaml"
+        config.write_text(yaml.safe_dump({"templates_dir": str(templates_dir)}))
+        requests = []
+        monkeypatch.setattr(ScriptedBackend, "complete", requests.append)
+        code = entrypoint([
+            "--config", str(config), "curate",
+            "--input", curate_paths["input"],
+            "--output", curate_paths["output"],
+            "--mock-script", curate_paths["script"],
+            "--checkpoint", str(tmp / "run.ckpt"),
+        ])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err == (
+            f"error: {templates_dir / 'verifier.txt'}: empty template\n")
+        assert requests == []
+        assert sorted(path.name for path in tmp.iterdir()) == [
+            "config.yaml", "input.jsonl", "script.jsonl", "templates"]
 
     def test_explicit_sidecar_paths(self, curate_paths, capsys):
         discards_path = str(curate_paths["tmp"] / "d.jsonl")
@@ -706,7 +747,8 @@ class TestPairs:
         output.write_bytes(b"old bytes\n")
         code = entrypoint(["pairs", "--families", families_path, "--output", str(output)])
         assert code == EXIT_FATAL
-        assert "fam-medium" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {families_path}: family fam-medium: "
+                                           "r_rewritten: present on a medium-rated family\n")
         assert output.read_bytes() == b"old bytes\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "families.jsonl", "pairs.jsonl",
@@ -855,6 +897,22 @@ class TestLossEval:
         code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
         assert code == EXIT_FATAL
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair_ids, logprob_ids, file, text", [
+        (["a:large", "a:large"], ["a:large"], "pairs", "duplicate pair id 'a:large'"),
+        (["a:large"], ["a:large", "a:large"], "lp", "duplicate log-prob id 'a:large'"),
+        (["a:large"], [], "lp", "no log-prob row for pair id 'a:large'"),
+        (["a:large"], ["a:large", "b:large"], "lp",
+         "log-prob rows with no matching pair: ['b:large']"),
+    ], ids=["duplicate-pair", "duplicate-logprob", "no-logprob", "no-pair"])
+    def test_join_refusal_names_its_file(self, tmp_path, capsys, pair_ids, logprob_ids, file,
+                                         text):
+        paths = {"pairs": write_jsonl(tmp_path / "pairs.jsonl",
+                                      [pair_row(pair_id, "large") for pair_id in pair_ids]),
+                 "lp": write_jsonl(tmp_path / "lp.jsonl", map(logprob_row, logprob_ids))}
+        code = entrypoint(["loss-eval", "--pairs", paths["pairs"], "--logprobs", paths["lp"]])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err == f"error: {paths[file]}: {text}\n"
 
     @pytest.mark.parametrize("file, field, value", [
         ("logprobs", "id", ["a"]),

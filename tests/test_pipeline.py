@@ -87,7 +87,7 @@ class TestSixRecordFixture:
         assert stats.verified == 4
         assert stats.discarded == 3
         assert stats.final_size == 3
-        assert stats.validate() == []
+        assert stats.intake_total == stats.final_size + stats.discarded
 
     def test_script_consumed_exactly(self, six_record_dataset, six_record_agents):
         _curated, _families, stats, _discards = run_crv(
@@ -116,7 +116,7 @@ class TestSixRecordFixture:
         assert [r.id for r in curated] == ["r1", "r3", "r5"]
         assert [f.id for f in families] == ["r1", "r3", "r5"]
         assert [d["id"] for d in discards] == ["r2", "r4", "r6"]
-        assert stats.validate() == []
+        assert stats.intake_total == stats.final_size + stats.discarded
 
     def test_reused_agents_report_each_run_alone(self, six_record_dataset, six_record_script):
         class Replay:

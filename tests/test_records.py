@@ -11,7 +11,6 @@ from cogforge.records import (
     CoTRecord,
     GapType,
     ParseError,
-    PipelineStats,
     PreferencePair,
     RecordFamily,
     Source,
@@ -211,12 +210,3 @@ class TestBetaSchedule:
     def test_nonpositive_small_flagged(self):
         assert any("beta_small" in v for v in BetaSchedule(beta_small=0.0).validate())
 
-
-class TestPipelineStats:
-    def test_conservation_holds(self):
-        stats = PipelineStats(intake_total=6, final_size=3, discarded=3)
-        assert stats.validate() == []
-
-    def test_conservation_violation_flagged(self):
-        stats = PipelineStats(intake_total=6, final_size=3, discarded=2)
-        assert any("conservation" in v for v in stats.validate())

@@ -8,12 +8,11 @@ degenerate rewrites. Both are loaded from their files and left untouched.
 
 from __future__ import annotations
 
-import importlib.util
 import random
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import bench_module
 
 from cogforge import gateway
 from cogforge.agents import Agents
@@ -22,18 +21,8 @@ from cogforge.pipeline import (PipelineConfig, checkpoint_fingerprint, input_dig
                                load_checkpoint, run_crv)
 from cogforge.records import CoTRecord
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"cogforge_bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-reference = _bench_module("reference")
-gen = _bench_module("gen")
+reference = bench_module("reference")
+gen = bench_module("gen")
 
 
 @pytest.mark.parametrize("votes", [1, 3])

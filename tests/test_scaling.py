@@ -28,19 +28,17 @@ membership scan inside C code, moves none of these counts.
 
 from __future__ import annotations
 
-import importlib.util
 import logging
 import random
 import tracemalloc
-from pathlib import Path
 
 import pytest
+from conftest import bench_module
 
 from cogforge import cli, jsonl, pipeline
 from cogforge.gateway import ScriptedBackend
 from cogforge.jsonl import dump_row
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 N = 50
 FAMILIES = 200
 GROWTH = 4
@@ -48,15 +46,7 @@ BOUND = 4.6
 PEAK_BOUND = 1.5
 TRACE_WORDS = (100, 200)
 
-
-def _bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"cogforge_bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen = _bench_module("gen")
+gen = bench_module("gen")
 
 
 def curate_work(tmp_path, n: int, concurrency: int) -> dict[str, dict[str, int]]:
