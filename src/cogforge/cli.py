@@ -47,8 +47,8 @@ _LAYERS = {
     "agents": ("GOLDEN_INPUTS", "TEMPLATE_NAMES", "Agents", "load_golden_fixture",
                "load_templates"),
     "gateway": ("HTTPBackend", "ScriptedBackend", "load_script"),
-    "loss": ("DuplicatePairId", "JoinError", "TokenPair", "ToyPolicy", "cogpo_loss", "dpo_loss",
-             "grad_check", "join_quads"),
+    "loss": ("JoinError", "TokenPair", "ToyPolicy", "cogpo_loss", "dpo_loss", "grad_check",
+             "join_quads"),
     "pipeline": ("run_crv",),
 }
 
@@ -134,19 +134,25 @@ def entrypoint(argv: list[str] | None = None) -> int:
 
 
 def _refuse_overwrites(outputs: dict[str, str | None], reads: dict[str, str | None]) -> None:
-    """Refuse an output path that names another output or a file the command
-    reads, compared after ``os.path.realpath``: writing it would replace that
-    file. Absent paths are skipped."""
+    """Refuse an output path, or its temp file ``<path>.tmp`` (see
+    ``write_rows``), that names another output or a file the command reads,
+    compared after ``os.path.realpath``: writing it would replace that file.
+    The checkpoint, read and replaced, is in both dicts under one flag.
+    Absent paths are skipped."""
     owners: dict[str, str] = {}
     for flag, path in reads.items():
         if path:
             owners.setdefault(os.path.realpath(path), flag)
+    outputs = {flag: path for flag, path in outputs.items() if path}
     for flag, path in outputs.items():
-        if not path:
-            continue
         owner = owners.setdefault(os.path.realpath(path), flag)
         if owner != flag:
             raise ConfigError(f"{flag} {path} is the same file as {owner}; refusing to write over it")
+    for flag, path in outputs.items():
+        owner = owners.get(os.path.realpath(f"{path}.tmp"))
+        if owner:
+            raise ConfigError(f"{flag} {path} writes through {path}.tmp, which is {owner}; "
+                              "refusing to write over it")
 
 
 def _derived_path(output: str, tag: str) -> str:
@@ -167,13 +173,9 @@ def _build_backend(config: AppConfig, mock_script: str | None):
 
 
 def _load_dataset(path: str) -> list[CoTRecord]:
-    dataset: dict[str, CoTRecord] = {}
-    for row in read_rows(path, RECORD_SCHEMA):
-        if row["id"] in dataset:
-            raise ValueError(f"{path}: duplicate input id {row['id']!r}")
-        dataset[row["id"]] = CoTRecord(id=row["id"], problem=row["problem"],
-                                       answer=row["answer"], reasoning=row["reasoning"])
-    return list(dataset.values())
+    return [CoTRecord(id=row["id"], problem=row["problem"], answer=row["answer"],
+                      reasoning=row["reasoning"])
+            for row in read_rows(path, RECORD_SCHEMA, key="id")]
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -184,10 +186,12 @@ def cmd_curate(args: argparse.Namespace) -> int:
         config.pipeline.checkpoint_path = _cast(checkpoint_flag, args.checkpoint, None)
     discards_path = args.discards or _derived_path(args.output, "discards")
     families_path = args.families or _derived_path(args.output, "families")
+    checkpoint = {checkpoint_flag: config.pipeline.checkpoint_path}
     _refuse_overwrites(
-        {"--output": args.output, "--discards": discards_path, "--families": families_path},
+        {"--output": args.output, "--discards": discards_path, "--families": families_path,
+         **checkpoint},
         {"--config": args.config, "--input": args.input, "--mock-script": args.mock_script,
-         checkpoint_flag: config.pipeline.checkpoint_path},
+         **checkpoint},
     )
     _load("agents", "pipeline")
     with _build_backend(config, args.mock_script) as backend:
@@ -216,16 +220,13 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                        {"--config": args.config, "--families": args.families})
     config = load_config(args.config)
     counts = {gap.value: 0 for gap in GapType}
-    family_ids: set[str] = set()
-    skipped = 0
+    families = skipped = 0
 
     def pair_rows() -> Iterator[dict]:
         # One family in memory at a time: its pairs are written as it is built.
-        nonlocal skipped
-        for row in read_rows(args.families, FAMILY_SCHEMA):
-            if row["id"] in family_ids:
-                raise ValueError(f"{args.families}: duplicate family id {row['id']!r}")
-            family_ids.add(row["id"])
+        nonlocal families, skipped
+        for row in read_rows(args.families, FAMILY_SCHEMA, key="id"):
+            families += 1
             try:
                 built = build_pairs(RecordFamily.from_dict(row), config.schedule)
             except EmptyFamily as exc:
@@ -239,7 +240,6 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                 yield pair.to_dict()
 
     written = write_rows(args.output, pair_rows())
-    families = len(family_ids)
     print(f"families: {families} ({skipped} without constructible pairs)")
     print(f"pairs: {written} " + ", ".join(f"{gap} {n}" for gap, n in counts.items()))
     print(json.dumps(
@@ -256,11 +256,10 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
     schedule = load_config(args.config).schedule
     # Generators, not lists: join_quads keeps only the id and gap of each pair row.
     try:
-        joined = join_quads(read_rows(args.pairs, PAIR_SCHEMA),
-                            read_rows(args.logprobs, LOGPROB_SCHEMA))
-    except JoinError as exc:
-        path = args.pairs if isinstance(exc, DuplicatePairId) else args.logprobs
-        raise JoinError(f"{path}: {exc}") from None
+        joined = join_quads(read_rows(args.pairs, PAIR_SCHEMA, key="id"),
+                            read_rows(args.logprobs, LOGPROB_SCHEMA, key="id"))
+    except JoinError as exc:  # a log-prob row that does not join one-to-one
+        raise JoinError(f"{args.logprobs}: {exc}") from None
     report = cogpo_loss([(quad, gap) for _, quad, gap in joined], schedule)
 
     # Each gap's name and beta, resolved once per gap rather than once per pair.

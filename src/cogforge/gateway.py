@@ -350,10 +350,4 @@ SCRIPT_SCHEMA = {"key": STRING, "responses": STRINGS}
 
 def load_script(path: str) -> dict[str, list[str]]:
     """Read a scripted-backend file: JSON Lines of {"key": str, "responses": [str, ...]}."""
-    script: dict[str, list[str]] = {}
-    for row in read_rows(path, SCRIPT_SCHEMA):
-        key = row["key"]
-        if key in script:
-            raise ValueError(f"{path}: duplicate script key {key!r}")
-        script[key] = row["responses"]
-    return script
+    return {row["key"]: row["responses"] for row in read_rows(path, SCRIPT_SCHEMA, key="key")}

@@ -56,14 +56,18 @@ def refusal(row: Mapping, schema: Mapping[str, Kind]) -> str | None:
     return None
 
 
-def read_rows(path: str, schema: Mapping[str, Kind]) -> Iterator[dict]:
+def read_rows(path: str, schema: Mapping[str, Kind], key: str | None) -> Iterator[dict]:
     """Yield one dict per non-blank line; errors carry path and line number.
 
     Each stripped line is decoded as ``json.loads`` decodes it. Each field of
     the ``schema`` is then tested against its kind, in order; the first that
-    fails is an error in ``refusal``'s words.
+    fails is an error in ``refusal``'s words. After those checks, the value of
+    the ``key`` field, one of the ``schema``'s, must differ from every earlier
+    row's: a repeat is an error ``duplicate <key> <value!r>``. A ``key`` of
+    None makes no field unique.
     """
     checks = [(field, kind.accepts) for field, kind in schema.items()]
+    seen: set = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -83,6 +87,11 @@ def read_rows(path: str, schema: Mapping[str, Kind]) -> Iterator[dict]:
             for field, accepts in checks:
                 if not accepts(row.get(field)):
                     raise ValueError(f"{path}:{lineno}: {refusal(row, schema)}")
+            if key is not None:
+                value = row[key]
+                if value in seen:
+                    raise ValueError(f"{path}:{lineno}: duplicate {key} {value!r}")
+                seen.add(value)
             yield row
 
 

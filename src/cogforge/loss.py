@@ -59,10 +59,6 @@ class JoinError(ValueError):
     """Pair rows and log-prob rows do not join one-to-one on id."""
 
 
-class DuplicatePairId(JoinError):
-    """A pair id repeats; every other JoinError is about the log-prob rows."""
-
-
 @dataclass
 class LossReport:
     loss: float
@@ -389,27 +385,22 @@ def join_quads(
     """One-to-one join of pair rows with externally computed log-probs by id.
 
     The rows come checked by ``read_rows`` against ``PAIR_SCHEMA`` and
-    ``LOGPROB_SCHEMA``. The log-prob rows are drained first, down to four
-    floats each; the pair rows are then consumed one at a time, and only their
-    id and gap are kept. An id that does not join one-to-one is a
-    ``JoinError``; a repeated pair id is a ``DuplicatePairId``.
+    ``LOGPROB_SCHEMA``, each with unique ids. The log-prob rows are drained
+    first, down to four floats each; the pair rows are then consumed one at a
+    time, and only their id and gap are kept. A pair id with no log-prob row,
+    or a log-prob row left over, is a ``JoinError``.
     """
     by_id: dict[str, LogProbQuad] = {}
     for row in logprob_rows:
-        row_id = row["id"]
-        if row_id in by_id:
-            raise JoinError(f"duplicate log-prob id {row_id!r}")
         w_theta, w_ref, l_theta, l_ref = quad = _quad_values(row)
         if not type(w_theta) is type(w_ref) is type(l_theta) is type(l_ref) is float:
             quad = map(float, quad)
-        by_id[row_id] = LogProbQuad._make(quad)
+        by_id[row["id"]] = LogProbQuad._make(quad)
     joined = []
     for pair_row in pair_rows:
         pair_id = pair_row["id"]
         quad = by_id.pop(pair_id, None)
         if quad is None:
-            if any(joined_id == pair_id for joined_id, _, _ in joined):
-                raise DuplicatePairId(f"duplicate pair id {pair_id!r}")
             raise JoinError(f"no log-prob row for pair id {pair_id!r}")
         joined.append((pair_id, quad, _GAPS[pair_row["gap"]]))
     if by_id:

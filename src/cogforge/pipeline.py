@@ -238,11 +238,13 @@ def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str,
 
     Line 1 is the header (format tag, fingerprint, compacted map); each later
     line is one record appended as it completed. A last segment without its
-    newline is a torn append and is dropped. A header written for another
-    config or dataset (another ``fingerprint``) is refused. Header and journal
-    rows alike must pass _outcome_of against ``inputs`` (input_digests) and
-    the run's ``retry_cap``, so a row filed under an id the dataset lacks, of
-    another record, or with more attempts than the cap allows, is refused.
+    newline is a torn append and is dropped; a row whose id the header or an
+    earlier row holds is refused, as no run appends one. A header written for
+    another config or dataset (another ``fingerprint``) is refused. Header
+    and journal rows alike must pass _outcome_of against ``inputs``
+    (input_digests) and the run's ``retry_cap``, so a row filed under an id
+    the dataset lacks, of another record, or with more attempts than the cap
+    allows, is refused.
     """
     if not os.path.exists(path):
         return {}
@@ -262,6 +264,8 @@ def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str,
         record_id = row.pop("id", None) if row is not None else None
         if not isinstance(record_id, str):
             raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")
+        if record_id in completed:
+            raise CorruptCheckpoint(f"{path}:{lineno}: duplicate id {record_id!r}")
         completed[record_id] = row
     schema = _outcome_schema(retry_cap)
     for record_id, row in completed.items():  # each row is replaced by its outcome

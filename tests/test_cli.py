@@ -97,15 +97,17 @@ class TestCurate:
         ])
         assert code == EXIT_PARTIAL
 
-        curated = list(read_rows(curate_paths["output"], {}))
+        curated = list(read_rows(curate_paths["output"], {}, key=None))
         assert [row["id"] for row in curated] == ["r1", "r3", "r5"]
         assert [row["source"] for row in curated] == ["original", "rewritten", "rewritten"]
         assert all(row["verified"] for row in curated)
         assert all("rating" not in row for row in curated)
 
-        discards = list(read_rows(str(curate_paths["tmp"] / "curated.discards.jsonl"), {}))
+        discards = list(read_rows(str(curate_paths["tmp"] / "curated.discards.jsonl"), {},
+                                  key=None))
         assert [row["id"] for row in discards] == ["r2", "r4", "r6"]
-        families = list(read_rows(str(curate_paths["tmp"] / "curated.families.jsonl"), {}))
+        families = list(read_rows(str(curate_paths["tmp"] / "curated.families.jsonl"), {},
+                                  key=None))
         assert [row["id"] for row in families] == ["r1", "r3", "r5"]
         assert all(row["r_corrupted"] for row in families)
 
@@ -147,7 +149,7 @@ class TestCurate:
         assert code == EXIT_FATAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {input_path}: duplicate input id 'r1'\n"
+        assert captured.err == f"error: {input_path}:4: duplicate id 'r1'\n"
         assert not output.exists()
 
     @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "newline"])
@@ -189,8 +191,8 @@ class TestCurate:
             "--mock-script", curate_paths["script"],
         ])
         assert code == EXIT_PARTIAL
-        assert len(list(read_rows(discards_path, {}))) == 3
-        assert len(list(read_rows(families_path, {}))) == 3
+        assert len(list(read_rows(discards_path, {}, key=None))) == 3
+        assert len(list(read_rows(families_path, {}, key=None))) == 3
 
     def test_empty_input_is_clean(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "empty.jsonl", [])
@@ -666,7 +668,7 @@ class TestPairs:
         code = entrypoint(["pairs", "--families", families_path, "--output", output_path])
         assert code == EXIT_OK
 
-        rows = list(read_rows(output_path, {}))
+        rows = list(read_rows(output_path, {}, key=None))
         assert len(rows) == 4
         by_gap: dict[str, int] = {}
         for row in rows:
@@ -694,7 +696,7 @@ class TestPairs:
         output_path = str(tmp_path / "pairs.jsonl")
         code = entrypoint(["pairs", "--families", families_path, "--output", output_path])
         assert code == EXIT_OK
-        assert list(read_rows(output_path, {})) == []
+        assert list(read_rows(output_path, {}, key=None)) == []
         summary = last_json_line(capsys)
         assert summary["skipped"] == 1
         assert summary["pairs"] == 0
@@ -713,7 +715,7 @@ class TestPairs:
             "--families", families_path, "--output", output_path,
         ])
         assert code == EXIT_OK
-        betas = {row["gap"]: row["beta"] for row in read_rows(output_path, {})}
+        betas = {row["gap"]: row["beta"] for row in read_rows(output_path, {}, key=None)}
         assert betas == {"small": 0.2, "medium": 0.4, "large": 0.8}
 
     def test_each_family_is_built_before_the_next_is_read(self, tmp_path, monkeypatch):
@@ -763,7 +765,7 @@ class TestPairs:
         code = entrypoint(["pairs", "--families", families_path, "--output", str(output)])
         assert code == EXIT_FATAL
         assert capsys.readouterr().err == (
-            f"error: {families_path}: duplicate family id 'fam-easy'\n")
+            f"error: {families_path}:2: duplicate id 'fam-easy'\n")
         assert output.read_bytes() == b"old bytes\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["fam.jsonl", "pairs.jsonl"]
 
@@ -836,7 +838,7 @@ class TestLossEval:
         assert summary["mean_margin_by_gap"]["small"] == pytest.approx(0.5, abs=1e-12)
         assert summary["mean_margin_by_gap"]["large"] == pytest.approx(2.5, abs=1e-12)
 
-        rows = list(read_rows(report_path, {}))
+        rows = list(read_rows(report_path, {}, key=None))
         assert [row["id"] for row in rows] == ["a", "b", "c"]
         assert rows[0]["beta"] == 0.1
         assert abs(rows[1]["loss_term"] - math.log1p(math.exp(-1.0))) < 1e-12
@@ -899,11 +901,11 @@ class TestLossEval:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pair_ids, logprob_ids, file, text", [
-        (["a:large", "a:large"], ["a:large"], "pairs", "duplicate pair id 'a:large'"),
-        (["a:large"], ["a:large", "a:large"], "lp", "duplicate log-prob id 'a:large'"),
-        (["a:large"], [], "lp", "no log-prob row for pair id 'a:large'"),
+        (["a:large", "a:large"], ["a:large"], "pairs", ":2: duplicate id 'a:large'"),
+        (["a:large"], ["a:large", "a:large"], "lp", ":2: duplicate id 'a:large'"),
+        (["a:large"], [], "lp", ": no log-prob row for pair id 'a:large'"),
         (["a:large"], ["a:large", "b:large"], "lp",
-         "log-prob rows with no matching pair: ['b:large']"),
+         ": log-prob rows with no matching pair: ['b:large']"),
     ], ids=["duplicate-pair", "duplicate-logprob", "no-logprob", "no-pair"])
     def test_join_refusal_names_its_file(self, tmp_path, capsys, pair_ids, logprob_ids, file,
                                          text):
@@ -912,7 +914,7 @@ class TestLossEval:
                  "lp": write_jsonl(tmp_path / "lp.jsonl", map(logprob_row, logprob_ids))}
         code = entrypoint(["loss-eval", "--pairs", paths["pairs"], "--logprobs", paths["lp"]])
         assert code == EXIT_FATAL
-        assert capsys.readouterr().err == f"error: {paths[file]}: {text}\n"
+        assert capsys.readouterr().err == f"error: {paths[file]}{text}\n"
 
     @pytest.mark.parametrize("file, field, value", [
         ("logprobs", "id", ["a"]),
@@ -1013,7 +1015,7 @@ class TestPreferenceOutputBytes:
         rng = random.Random(23)
         logprobs = [
             {"id": row["id"], **{field: rng.uniform(-40.0, -1.0) for field in LogProbQuad._fields}}
-            for row in read_rows(str(pairs_path), {})
+            for row in read_rows(str(pairs_path), {}, key=None)
         ]
         logprobs_path = write_jsonl(tmp_path / "lp.jsonl", logprobs)
         report_path = tmp_path / "report.jsonl"
@@ -1096,8 +1098,8 @@ def command_files(tmp_path, six_record_dataset, six_record_script) -> dict[str, 
 
 class TestOutputPaths:
     """A command refuses, before it reads any input row, an output path that
-    names another output or a file it reads, and leaves every file as it was.
-    ``curate`` checks after loading the config, so the checkpoint it reads is
+    names another output or a file it reads, or whose temp file is a file it
+    reads, and leaves every file as it was. ``curate`` checks after loading the config, so the checkpoint it reads is
     the config's ``pipeline.checkpoint_path`` unless ``--checkpoint`` is given."""
 
     CURATE = "--config {config} curate --input {input} --mock-script {script}"
@@ -1169,6 +1171,43 @@ class TestOutputPaths:
                              ids=CASES["loss-eval"])
     def test_loss_eval(self, tmp_path, capsys, command_files, argv, output, owner):
         self.refuse(tmp_path, capsys, command_files, argv, output, owner)
+
+    # write_rows writes <path>.tmp and renames it over the <path> it replaces.
+    # Each command here names that temp file, there beforehand as a copy of
+    # another file: argv, then the key of the replaced path, the key of the
+    # copied file, and the flags the refusal names.
+    TEMP_CASES = {
+        "curate": ("--config {config} curate --input {out}.tmp --mock-script {script}"
+                   " --output {out}", "out", "input", "--output", "--input"),
+        "pairs": ("--config {config} pairs --families {out}.tmp --output {out}",
+                  "out", "families", "--output", "--families"),
+        "loss-eval": ("--config {config} loss-eval --pairs {pairs} --logprobs {out}.tmp"
+                      " --output {out}", "out", "logprobs", "--output", "--logprobs"),
+        "checkpoint": ("--config {config} curate --input {new_checkpoint}.tmp"
+                       " --mock-script {script} --output {out} --checkpoint {new_checkpoint}",
+                       "new_checkpoint", "input", "--checkpoint", "--input"),
+        # --discards is written after --output, through the file --output names.
+        "curate-outputs": (CURATE + " --output {out}.tmp --discards {out}",
+                           "out", "input", "--discards", "--output"),
+    }
+
+    @pytest.mark.parametrize("argv, replaced, copied, flag, owner", TEMP_CASES.values(),
+                             ids=TEMP_CASES)
+    def test_temp_file_is_no_file_the_command_names(self, tmp_path, capsys, command_files,
+                                                    argv, replaced, copied, flag, owner):
+        files = dict(command_files, new_checkpoint=str(tmp_path / "ck.json"))
+        temp = Path(f"{files[replaced]}.tmp")
+        temp.write_bytes(Path(files[copied]).read_bytes())
+        before = snapshot(tmp_path)
+        try:
+            assert entrypoint(argv.format(**files).split()) == EXIT_FATAL
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: {flag} {files[replaced]} writes through {temp}, "
+                                    f"which is {owner}; refusing to write over it\n")
+            assert snapshot(tmp_path) == before
+        finally:
+            temp.unlink(missing_ok=True)
 
     def test_distinct_paths_still_run(self, command_files, capsys):
         files = command_files
@@ -1425,7 +1464,7 @@ class TestReplacedNames:
             assert set(calls) == self.WRAPPED[command], command
             if command == "pairs":
                 write_jsonl(logprobs_path,
-                            [logprob_row(row["id"]) for row in read_rows(pairs_path, {})])
+                            [logprob_row(row["id"]) for row in read_rows(pairs_path, {}, key=None)])
         assert calls.count("cogpo_loss") == 1
 
     @pytest.mark.parametrize("error", [

@@ -224,7 +224,7 @@ class TestLoadScript:
         path.write_text(row + "\n" + row + "\n")
         with pytest.raises(ValueError) as caught:
             load_script(str(path))
-        assert str(caught.value) == f"{path}: duplicate script key 'critic:r1'"
+        assert str(caught.value) == f"{path}:2: duplicate key 'critic:r1'"
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "script.jsonl"

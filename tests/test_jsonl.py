@@ -271,7 +271,7 @@ class TestReadRows:
         path.write_bytes("\r\n".join(lines).encode("utf-8") + b"\n")
         rows = []
         try:
-            for row in read_rows(str(path), {}):
+            for row in read_rows(str(path), {}, key=None):
                 rows.append(row)
             error = None
         except ValueError as exc:
@@ -283,13 +283,13 @@ class TestReadRows:
         path.write_text('{"id": "a:small", "gap": "small"} x\n', encoding="utf-8")
         with pytest.raises(ValueError, match=r"rows.jsonl:1: not valid JSON: Extra data: "
                                              r"line 1 column 35 \(char 34\)$"):
-            list(read_rows(str(path), {}))
+            list(read_rows(str(path), {}, key=None))
 
     def test_byte_order_mark_is_named(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text("\ufeff{}\n", encoding="utf-8")
         with pytest.raises(ValueError, match="rows.jsonl:1: not valid JSON: Unexpected UTF-8 BOM"):
-            list(read_rows(str(path), {}))
+            list(read_rows(str(path), {}, key=None))
 
 
 # One field of each kind, and the words a refusal of its value uses.
@@ -318,9 +318,12 @@ def reference_accepts(field: str, value) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
-def reference_outcome(path: str, rows: list[dict], words: dict[str, str]) -> tuple[str, str | None]:
+def reference_outcome(path: str, rows: list[dict], words: dict[str, str],
+                      key: str | None = None) -> tuple[str, str | None]:
     """The rows read before the first refusal under the schema whose kinds
-    ``words`` names, and its text."""
+    ``words`` names, and its text. With a ``key``, a row whose fields pass
+    is refused if its key repeats an earlier row's."""
+    keys = []
     for index, row in enumerate(rows):
         for field, kind in words.items():
             if field not in row and not reference_accepts(field, None):
@@ -328,13 +331,17 @@ def reference_outcome(path: str, rows: list[dict], words: dict[str, str]) -> tup
             if field in row and not reference_accepts(field, row[field]):
                 return repr(rows[:index]), (f"{path}:{index + 1}: field {field!r} is not {kind}: "
                                             f"{row[field]!r}")
+        if key is not None:
+            if row[key] in keys:
+                return repr(rows[:index]), f"{path}:{index + 1}: duplicate {key} {row[key]!r}"
+            keys.append(row[key])
     return repr(rows), None
 
 
-def outcome(path: str, schema: dict) -> tuple[str, str | None]:
+def outcome(path: str, schema: dict, key: str | None = None) -> tuple[str, str | None]:
     read = []
     try:
-        for row in read_rows(path, schema):
+        for row in read_rows(path, schema, key):
             read.append(row)
     except ValueError as exc:
         return repr(read), str(exc)
@@ -390,7 +397,8 @@ def checked_rows(draw) -> dict:
 
 class TestFieldChecks:
     """read_rows refuses a row exactly when the reference does, naming the
-    line, the field and the value, or the missing field."""
+    line, the field and the value, or the missing field, or the key that
+    repeats."""
 
     @settings(max_examples=150)
     @given(rows=st.lists(checked_rows(), min_size=1, max_size=4))
@@ -400,6 +408,8 @@ class TestFieldChecks:
     @example(rows=[dict(ROW, name="")])
     @example(rows=[dict(ROW, gap="tiny")])
     @example(rows=[ROW, dict(ROW, lines=["a", 1])])
+    @example(rows=[ROW, dict(ROW, text="t")])
+    @example(rows=[ROW, dict(ROW, note=0)])
     def test_refuses_what_the_reference_refuses(self, tmp_path_factory, rows):
         path = str(tmp_path_factory.getbasetemp() / "checked.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
@@ -410,13 +420,17 @@ class TestFieldChecks:
         for field, kind in SCHEMA.items():
             assert outcome(path, {field: kind}) == reference_outcome(
                 path, rows, {field: WORDS[field]})
+        # Names unique, as ids are: a repeat is refused once its fields pass.
+        assert outcome(path, SCHEMA, "name") == reference_outcome(path, rows, WORDS, "name")
+        assert outcome(path, {"name": NON_EMPTY_STRING}, "name") == reference_outcome(
+            path, rows, {"name": WORDS["name"]}, "name")
 
     def test_a_null_is_no_missing_field(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"id": null}\n', encoding="utf-8")
         with pytest.raises(ValueError) as caught:
-            list(read_rows(str(path), {"id": STRING}))
+            list(read_rows(str(path), {"id": STRING}, key=None))
         assert str(caught.value) == f"{path}:1: field 'id' is not a string: None"
         with pytest.raises(ValueError) as caught:
-            list(read_rows(str(path), {"key": STRING}))
+            list(read_rows(str(path), {"key": STRING}, key=None))
         assert str(caught.value) == f"{path}:1: missing field 'key'"

@@ -491,14 +491,6 @@ class TestJoinQuads:
         with pytest.raises(JoinError, match="no matching pair"):
             join_quads([self.pair_row("a")], [self.logprob_row("a"), self.logprob_row("zz")])
 
-    def test_duplicate_logprob_rejected(self):
-        with pytest.raises(JoinError, match="duplicate"):
-            join_quads([self.pair_row("a")], [self.logprob_row("a"), self.logprob_row("a")])
-
-    def test_duplicate_pair_id_rejected(self):
-        with pytest.raises(JoinError, match="^duplicate pair id 'a'$"):
-            join_quads([self.pair_row("a"), self.pair_row("a", "large")], [self.logprob_row("a")])
-
     def refusal(self, tmp_path, pair_rows: list[dict], logprob_rows: list[dict]) -> str:
         """The refusal of the rows once written to files and joined as
         ``loss-eval`` reads them, with the directory left out."""
@@ -507,8 +499,8 @@ class TestJoinQuads:
             (tmp_path / name).write_text("".join(json.dumps(row) + "\n" for row in rows),
                                          encoding="utf-8")
         with pytest.raises(ValueError) as caught:
-            join_quads(read_rows(str(tmp_path / "pairs.jsonl"), PAIR_SCHEMA),
-                       read_rows(str(tmp_path / "lp.jsonl"), LOGPROB_SCHEMA))
+            join_quads(read_rows(str(tmp_path / "pairs.jsonl"), PAIR_SCHEMA, key="id"),
+                       read_rows(str(tmp_path / "lp.jsonl"), LOGPROB_SCHEMA, key="id"))
         return str(caught.value).replace(f"{tmp_path}{os.sep}", "")
 
     @pytest.mark.parametrize("field, value, kind", [
@@ -586,11 +578,6 @@ class TestJoinQuads:
         del row["lp_l_ref"]
         assert self.refusal(tmp_path, [self.pair_row("a")], [row]) == (
             "lp.jsonl:1: field 'lp_w_theta' is not a number in float range: False")
-
-    def test_duplicate_is_refused_before_its_values(self):
-        with pytest.raises(JoinError, match="duplicate log-prob id 'a'"):
-            join_quads([self.pair_row("a")],
-                       [self.logprob_row("a"), dict(self.logprob_row("a"), lp_w_theta=True)])
 
     def test_logprobs_drained_before_pairs_are_pulled(self):
         events = []

@@ -97,7 +97,7 @@ def test_loss_eval_terms_average_to_loss(tmp_path, capsys):
     ])
     assert code == 0
     loss = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["loss"]
-    terms = [row["loss_term"] for row in read_rows(output, {})]
+    terms = [row["loss_term"] for row in read_rows(output, {}, key=None)]
     assert len(terms) == len(ids)
     assert abs(loss - LOSS_EVAL_PIN) < TOLERANCE
     assert abs(sum(terms) / len(terms) - loss) < TOLERANCE

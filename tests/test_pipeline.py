@@ -845,6 +845,27 @@ class TestJournal:
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
         assert backend.history == []
 
+    @pytest.mark.parametrize("repeated", ["header", "journal"])
+    def test_journal_row_repeating_an_id_rejected(self, tmp_path, six_record_script, repeated):
+        """No run appends a row for a record already completed, so a repeat
+        means two runs shared the file or it was edited. The later row, here
+        with other token counts, must not stand in for the earlier one."""
+        dataset = make_dataset(6)
+        full = tmp_path / "full.json"
+        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
+                Agents(ScriptedBackend(six_record_script)))
+        rows = saved_rows(full)
+        journal = [dict(rows["r1"], tokens_by_stage={"critic": 1})]
+        if repeated == "journal":
+            journal.insert(0, rows.pop("r1"))
+        path = tmp_path / "checkpoint.json"
+        write_header(path, rows, default_fingerprint(dataset))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.writelines(dump_row({"id": "r1", **row}) + "\n" for row in journal)
+        with pytest.raises(CorruptCheckpoint) as caught:
+            load_outcomes(path, dataset)
+        assert str(caught.value) == f"{path}:{len(journal) + 1}: duplicate id 'r1'"
+
     @pytest.mark.parametrize("where", ["header", "journal"])
     def test_family_of_another_record_rejected(self, tmp_path, six_record_script, where):
         """A v4-shaped row, r1's with a status and r3's family but no

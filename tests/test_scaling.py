@@ -158,7 +158,7 @@ def preference_work(tmp_path, n: int, trace_words: tuple[int, int]) -> dict[str,
         patch.setattr(cli, "read_rows", counting_read_rows)
         patch.setattr(jsonl, "dump_row", counting_dump_row)
         traced("pairs", ["pairs", "--families", families_path, "--output", pairs_path])
-        pair_ids = [row["id"] for row in read_rows(pairs_path, {})]
+        pair_ids = [row["id"] for row in read_rows(pairs_path, {}, key=None)]
         logprobs_path = str(work / "logprobs.jsonl")
         gen.write_jsonl(logprobs_path, gen.logprobs(random.Random(12), pair_ids))
         traced("loss_eval", ["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path,
