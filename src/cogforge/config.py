@@ -12,6 +12,7 @@ no HTTP client.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -152,13 +153,42 @@ def _build(cls, raw: dict):
     return replace(default, **overrides)
 
 
+@functools.cache
+def _unique_key_loader():
+    """A yaml.SafeLoader that refuses a key repeated in one mapping, at any
+    depth, where pyyaml would keep the later value; keys a ``<<`` merge
+    brings in may still be overridden. Defined on first use, after the
+    import, so runs without a config file never import yaml."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            if isinstance(node, yaml.MappingNode):
+                seen = set()
+                for key_node, _ in node.value:
+                    if key_node.tag == "tag:yaml.org,2002:merge":
+                        continue
+                    key = self.construct_object(key_node, deep=deep)
+                    try:
+                        repeated = key in seen
+                    except TypeError:  # unhashable: construct_mapping refuses it
+                        continue
+                    if repeated:  # self.name is the path the file was opened by
+                        raise ConfigError(f"{self.name}:{key_node.start_mark.line + 1}: "
+                                          f"duplicate key {key!r}")
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
+
+    return Loader
+
+
 def _read_mapping(path: str) -> dict:
     # Imported here: runs without a config file never parse YAML.
     import yaml
 
     with open(path, encoding="utf-8") as handle:
         try:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_unique_key_loader())
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     if raw is None:

@@ -176,9 +176,28 @@ def checkpoint_fingerprint(inputs: dict[str, str], config: PipelineConfig, agent
     return digest.hexdigest()
 
 
-def _json_object(line: bytes) -> dict | None:
+class _RepeatedKey(Exception):
+    """A JSON object names one key twice; args[0] is the key."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    row = dict(pairs)
+    if len(row) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return row
+
+
+def _json_object(path: str, lineno: int, line: bytes) -> dict | None:
+    """Line ``lineno`` as a JSON object, None if it is none. An object at any
+    depth that repeats a key is refused: json.loads would keep the last."""
     try:
-        row = json.loads(line)
+        row = json.loads(line, object_pairs_hook=_unique_keys)
+    except _RepeatedKey as exc:
+        raise CorruptCheckpoint(f"{path}:{lineno}: duplicate key {exc.args[0]!r}") from None
     except ValueError:
         return None
     return row if isinstance(row, dict) else None
@@ -239,19 +258,20 @@ def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str,
     Line 1 is the header (format tag, fingerprint, compacted map); each later
     line is one record appended as it completed. A last segment without its
     newline is a torn append and is dropped; a row whose id the header or an
-    earlier row holds is refused, as no run appends one. A header written for
-    another config or dataset (another ``fingerprint``) is refused. Header
-    and journal rows alike must pass _outcome_of against ``inputs``
-    (input_digests) and the run's ``retry_cap``, so a row filed under an id
-    the dataset lacks, of another record, or with more attempts than the cap
-    allows, is refused.
+    earlier row holds is refused, as no run appends one, and so is a key
+    repeated within one object, such as an id within the header. A header
+    written for another config or dataset (another ``fingerprint``) is
+    refused. Header and journal rows alike must pass _outcome_of against
+    ``inputs`` (input_digests) and the run's ``retry_cap``, so a row filed
+    under an id the dataset lacks, of another record, or with more attempts
+    than the cap allows, is refused.
     """
     if not os.path.exists(path):
         return {}
     with open(path, "rb") as handle:
         lines = handle.read().split(b"\n")
     lines.pop()  # what follows the last newline: nothing, or a torn append
-    header = _json_object(lines[0]) if lines else None
+    header = _json_object(path, 1, lines[0]) if lines else None
     if header is None or header.get("format") != CHECKPOINT_FORMAT:
         raise CorruptCheckpoint(f"{path}: line 1 is not a {CHECKPOINT_FORMAT} header")
     if header.get("fingerprint") != fingerprint:
@@ -260,7 +280,7 @@ def load_checkpoint(path: str, inputs: dict[str, str], fingerprint: str,
     if not isinstance(completed, dict):
         raise CorruptCheckpoint(f"{path}: 'completed' is not an object")
     for lineno, line in enumerate(lines[1:], start=2):
-        row = _json_object(line)
+        row = _json_object(path, lineno, line)
         record_id = row.pop("id", None) if row is not None else None
         if not isinstance(record_id, str):
             raise CorruptCheckpoint(f"{path}:{lineno}: not a checkpoint row")

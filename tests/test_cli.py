@@ -1271,6 +1271,51 @@ class TestCollectorThreshold:
         assert cli._YOUNG_GC_THRESHOLD > self.CALLER[0]
 
 
+class TestExitFreeze:
+    """A process that ran a command freezes its heap once, at exit, so the
+    interpreter's final collections skip it; a caller keeps a normal
+    collector for as long as it runs."""
+
+    def test_a_process_freezes_its_heap_once_at_exit(self, tmp_path, capsys):
+        families = write_jsonl(tmp_path / "families.jsonl", family_rows())
+        assert entrypoint(["pairs", "--families", families,
+                           "--output", str(tmp_path / "expected.jsonl")]) == EXIT_OK
+        program = "\n".join([
+            "import atexit, gc",
+            "freezes = []",
+            "freeze = gc.freeze",
+            "def counted():",
+            "    freezes.append(None)",
+            "    freeze()",
+            "gc.freeze = counted",
+            # Registered first, so it runs last, after any hook a command queued.
+            "atexit.register(lambda: print(len(freezes), gc.get_freeze_count() > 0))",
+            "from cogforge.cli import entrypoint",
+            "for n in range(3):",
+            f"    assert entrypoint(['pairs', '--families', {families!r},"
+            " '--output', f'pairs{n}.jsonl']) == 0",
+        ])
+        result = run_python(tmp_path, program)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "1 True"
+        expected = (tmp_path / "expected.jsonl").read_bytes()
+        assert expected.count(b"\n") == 4
+        for n in range(3):
+            assert (tmp_path / f"pairs{n}.jsonl").read_bytes() == expected
+
+    def test_a_caller_is_left_unfrozen(self, tmp_path, capsys):
+        families = write_jsonl(tmp_path / "families.jsonl", family_rows())
+        assert entrypoint(["pairs", "--families", families,
+                           "--output", str(tmp_path / "pairs.jsonl")]) == EXIT_OK
+        assert gc.get_freeze_count() == 0
+        assert entrypoint(["pairs", "--families", str(tmp_path / "missing.jsonl"),
+                           "--output", str(tmp_path / "p.jsonl")]) == EXIT_FATAL
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(SystemExit):
+            entrypoint(["pairs", "--no-such-flag"])
+        assert gc.get_freeze_count() == 0
+
+
 class TestSelftest:
     def test_clean_run_passes(self, capsys):
         code = entrypoint(["selftest"])

@@ -266,3 +266,26 @@ class TestSectionKeys:
         path = write_schedule(tmp_path, "schedule: {beta_small: [unclosed\n")
         with pytest.raises(ConfigError, match="sched.yaml: while parsing"):
             load_config(path)
+
+
+class TestRepeatedKeys:
+    """pyyaml keeps the later of two equal keys without a word, so a walk
+    would run under a setting the file states twice; the file is refused."""
+
+    @pytest.mark.parametrize(("text", "words"), [
+        ("pipeline: {votes: 5}\nschedule:\n  beta_small: 0.1\n  beta_large: 0.9\n"
+         "pipeline: {max_concurrency: 2}\n", "5: duplicate key 'pipeline'"),
+        ("pipeline:\n  votes: 5\n  retry_cap: 2\n  votes: 3\n",
+         "4: duplicate key 'votes'"),
+    ], ids=["section", "field"])
+    def test_repeated_key_is_config_error(self, tmp_path, text, words):
+        path = write_schedule(tmp_path, text)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == f"{path}:{words}"
+
+    def test_merged_keys_may_be_overridden(self, tmp_path):
+        path = write_schedule(tmp_path, "base: &b {votes: 5, retry_cap: 2}\n"
+                                        "pipeline:\n  <<: *b\n  votes: 7\n")
+        pipeline = load_config(path).pipeline
+        assert (pipeline.votes, pipeline.retry_cap) == (7, 2)

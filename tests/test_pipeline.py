@@ -845,11 +845,12 @@ class TestJournal:
             run_crv(dataset, PipelineConfig(checkpoint_path=str(path)), Agents(backend))
         assert backend.history == []
 
-    @pytest.mark.parametrize("repeated", ["header", "journal"])
+    @pytest.mark.parametrize("repeated", ["header", "journal", "within-header"])
     def test_journal_row_repeating_an_id_rejected(self, tmp_path, six_record_script, repeated):
-        """No run appends a row for a record already completed, so a repeat
-        means two runs shared the file or it was edited. The later row, here
-        with other token counts, must not stand in for the earlier one."""
+        """No run appends a row for a record already completed, nor writes an
+        id twice into the header, so a repeat means two runs shared the file
+        or it was edited. The later row, here with other token counts, must
+        not stand in for the earlier one."""
         dataset = make_dataset(6)
         full = tmp_path / "full.json"
         run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
@@ -860,11 +861,30 @@ class TestJournal:
             journal.insert(0, rows.pop("r1"))
         path = tmp_path / "checkpoint.json"
         write_header(path, rows, default_fingerprint(dataset))
+        if repeated == "within-header":  # the later r1, which json.loads would keep
+            path.write_text(path.read_text().replace(
+                '"r2": ', f'"r1": {dump_row(journal.pop())}, "r2": ', 1))
         with open(path, "a", encoding="utf-8") as handle:
             handle.writelines(dump_row({"id": "r1", **row}) + "\n" for row in journal)
         with pytest.raises(CorruptCheckpoint) as caught:
             load_outcomes(path, dataset)
-        assert str(caught.value) == f"{path}:{len(journal) + 1}: duplicate id 'r1'"
+        word = "key" if repeated == "within-header" else "id"
+        assert str(caught.value) == f"{path}:{len(journal) + 1}: duplicate {word} 'r1'"
+
+    def test_row_repeating_a_field_rejected(self, tmp_path, six_record_script):
+        """A field named twice in one row is refused with its line, not read
+        as its later value."""
+        dataset = make_dataset(6)
+        full = tmp_path / "full.json"
+        run_crv(dataset, PipelineConfig(checkpoint_path=str(full)),
+                Agents(ScriptedBackend(six_record_script)))
+        path = tmp_path / "checkpoint.json"
+        write_checkpoint(path, "journal", {"r1": saved_rows(full)["r1"]},
+                         default_fingerprint(dataset))
+        path.write_text(path.read_text().replace('"attempts": ', '"attempts": 0, "attempts": ', 1))
+        with pytest.raises(CorruptCheckpoint) as caught:
+            load_outcomes(path, dataset)
+        assert str(caught.value) == f"{path}:2: duplicate key 'attempts'"
 
     @pytest.mark.parametrize("where", ["header", "journal"])
     def test_family_of_another_record_rejected(self, tmp_path, six_record_script, where):
