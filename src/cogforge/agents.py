@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass
 from importlib import resources
+from pathlib import Path
 
 from .config import PipelineConfig
 from .gateway import ChatRequest, ChatResponse, CompletionBackend, ModelRole, SamplingParams
+from .jsonl import undecodable
 from .records import ComplexityLevel, CoTRecord, ParseError, parse_complexity, parse_verdict
 
 log = logging.getLogger(__name__)
@@ -77,13 +78,12 @@ def load_templates(directory: str | None = None) -> dict[str, PromptTemplate]:
     ``directory`` when overridden. A file with no system text is refused."""
     templates = {}
     for name in TEMPLATE_NAMES:
-        if directory is None:
-            path = resources.files("cogforge").joinpath("templates", f"{name}.txt")
+        path = (resources.files("cogforge").joinpath("templates", f"{name}.txt")
+                if directory is None else Path(directory, f"{name}.txt"))
+        try:
             raw = path.read_text(encoding="utf-8")
-        else:
-            path = os.path.join(directory, f"{name}.txt")
-            with open(path, encoding="utf-8") as handle:
-                raw = handle.read()
+        except UnicodeDecodeError:
+            raise ValueError(undecodable(path)) from None
         if not (system_text := _read_system_text(raw)):
             raise ValueError(f"{path}: empty template")
         templates[name] = PromptTemplate(system_text)

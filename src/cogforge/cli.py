@@ -24,7 +24,7 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .config import AppConfig, ConfigError, GatewayError, _cast, load_config
+from .config import SECTION_SCHEMAS, AppConfig, ConfigError, GatewayError, load_config, refusals
 from .jsonl import read_rows, write_rows
 from .pairs import EmptyFamily, assign_beta, build_pairs
 from .records import (FAMILY_SCHEMA, LOGPROB_SCHEMA, PAIR_SCHEMA, RECORD_SCHEMA, BetaSchedule,
@@ -199,7 +199,10 @@ def cmd_curate(args: argparse.Namespace) -> int:
     checkpoint_flag = "pipeline.checkpoint_path"
     if args.checkpoint is not None:
         checkpoint_flag = "--checkpoint"
-        config.pipeline.checkpoint_path = _cast(checkpoint_flag, args.checkpoint, None)
+        config.pipeline.checkpoint_path = args.checkpoint
+        if problems := refusals(vars(config.pipeline), SECTION_SCHEMAS["pipeline"],
+                                "--checkpoint: "):
+            raise ConfigError(problems[0])
     discards_path = args.discards or _derived_path(args.output, "discards")
     families_path = args.families or _derived_path(args.output, "families")
     checkpoint = {checkpoint_flag: config.pipeline.checkpoint_path}

@@ -1,4 +1,4 @@
-"""Application configuration: one YAML file, validated on load.
+"""Application configuration: one YAML file, checked against schemas on load.
 
 Secrets never live in the file; the API key comes from the environment
 (see :data:`cogforge.gateway.API_KEY_ENV`). Command-line flags override file
@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from urllib.parse import urlparse
 
+from .jsonl import NON_EMPTY_STRING, Kind, refusal, undecodable
 from .records import BetaSchedule
 
 
@@ -44,18 +46,6 @@ class SamplingParams:
     top_k: int = 50
     max_tokens: int = 1024
 
-    def validate(self) -> list[str]:
-        violations = []
-        if self.temperature < 0:
-            violations.append("temperature: must be >= 0")
-        if not 0 < self.top_p <= 1:
-            violations.append("top_p: must be in (0, 1]")
-        if self.top_k < 1:
-            violations.append("top_k: must be a positive integer")
-        if self.max_tokens < 1:
-            violations.append("max_tokens: must be a positive integer")
-        return violations
-
 
 @dataclass(frozen=True)
 class Endpoint:
@@ -75,16 +65,6 @@ class PipelineConfig:
     corruption_gate: bool = False
     checkpoint_path: str | None = None
 
-    def validate(self) -> list[str]:
-        violations = []
-        if self.retry_cap < 1:
-            violations.append("retry_cap: must be >= 1")
-        if self.votes < 1 or self.votes % 2 == 0:
-            violations.append("votes: must be a positive odd integer")
-        if self.max_concurrency < 1:
-            violations.append("max_concurrency: must be >= 1")
-        return violations
-
 
 @dataclass
 class AppConfig:
@@ -94,63 +74,78 @@ class AppConfig:
     schedule: BetaSchedule = BetaSchedule()
     templates_dir: str | None = None
 
-    def validate(self) -> list[str]:
-        violations = []
-        violations.extend(self.sampling.validate())
-        violations.extend(self.pipeline.validate())
-        violations.extend(self.schedule.validate())
-        for role, endpoint in self.endpoints.items():
-            parsed = urlparse(endpoint.url)
-            if parsed.scheme not in ("http", "https") or not parsed.netloc:
-                violations.append(f"endpoints.{role.value}.url: not a valid http(s) URL")
-            if not endpoint.model:
-                violations.append(f"endpoints.{role.value}.model: empty")
-        return violations
+
+def _number(to: type, test: Callable[[float], bool], words: str) -> Kind:
+    """The kind of a value that ``to``, int or float, casts to a number that
+    passes ``test``: never a boolean, a fractional float for an int, or a
+    non-finite float. A string is read as ``to`` reads it: ``"7"`` is 7."""
+    def accepts(value) -> bool:
+        if type(value) is bool or to is int and type(value) is float and not value.is_integer():
+            return False  # int() would truncate 2.7
+        try:
+            cast = to(value)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return (to is int or math.isfinite(cast)) and test(cast)
+
+    return Kind(accepts, words)
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return value
+_ROLES = tuple(role.value for role in ModelRole)
+# isinstance: a library-built config holds a ModelRole, which is a str.
+ROLE = Kind(lambda value: isinstance(value, str) and value in _ROLES, "'base' or 'large'")
+WHOLE = _number(int, lambda n: n >= 1, "a whole number >= 1")
+PATH = Kind(lambda value: value is None or type(value) is str and value != "",
+            "a non-empty string or null")
+
+# One kind per field, which accepts exactly the values that cast to the type
+# of the field's default and meet its rule. A null section keeps its defaults.
+SECTION_SCHEMAS = {
+    "sampling": {"temperature": _number(float, lambda x: x >= 0, "a finite number >= 0"),
+                 "top_p": _number(float, lambda x: 0 < x <= 1, "a finite number in (0, 1]"),
+                 "top_k": WHOLE, "max_tokens": WHOLE},
+    "pipeline": {"retry_cap": WHOLE, "max_concurrency": WHOLE, "verifier_role": ROLE,
+                 "votes": _number(int, lambda n: n > 0 and n % 2 == 1, "an odd whole number >= 1"),
+                 "corruption_gate": Kind(lambda value: type(value) is bool, "a boolean"),
+                 "checkpoint_path": PATH},
+    "schedule": {"beta_small": _number(float, lambda x: x > 0, "a finite number > 0"),
+                 **dict.fromkeys(("beta_medium", "beta_large"),
+                                 _number(float, lambda x: True, "a finite number"))},
+}
+ENDPOINTS_SCHEMA = dict.fromkeys(_ROLES, Kind(lambda value: type(value) is dict, "a mapping"))
+ENDPOINT_SCHEMA = {"url": Kind(lambda value: type(value) is str and (url := urlparse(value)).scheme
+                               in ("http", "https") and url.netloc != "", "an http(s) URL"),
+                   "model": NON_EMPTY_STRING}
+SECTION = Kind(lambda value: value is None or type(value) is dict, "a mapping or null")
+CONFIG_SCHEMA = {"templates_dir": PATH, **dict.fromkeys(("endpoints", *SECTION_SCHEMAS), SECTION)}
 
 
-def _cast(name: str, value, base):
-    """``value`` cast to the type of the default ``base``. A None default is a
-    path, which takes a non-empty string or null as it is. A bool field takes
-    only a YAML boolean, no other field takes one, an int field takes only a
-    whole number, a float field only a finite one and a str field only a
-    string. A value the type does not convert is refused in the same words."""
-    if base is None:
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"{name}: {value!r} is not a valid str")
-        if value == "":
-            raise ValueError(f"{name}: empty path")
-        return value
-    fractional = isinstance(value, float) and not value.is_integer()
-    try:
-        if (isinstance(base, bool) != isinstance(value, bool) or (type(base) is int and fractional)
-                or (type(base) is str and not isinstance(value, str))):
-            raise ValueError
-        cast = type(base)(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name}: {value!r} is not a valid {type(base).__name__}") from None
-    if type(base) is float and not math.isfinite(cast):
-        raise ValueError(f"{name}: {value!r} is not a finite float")
-    return cast
+def refusals(values: Mapping, schema: Mapping[str, Kind], where: str) -> list[str]:
+    """A line after ``where`` per key of ``values`` that ``schema`` does not
+    name, with the closest field's name if there is one, and per value its
+    field's kind refuses, in ``jsonl.refusal``'s words."""
+    found = []
+    for key, value in values.items():
+        kind = schema.get(key)
+        if kind is None:
+            import difflib  # only a refused key pays for this import
+
+            close = difflib.get_close_matches(str(key), schema, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            found.append(f"{where}unknown key {key!r}{hint}")
+        elif not kind.accepts(value):
+            found.append(where + refusal(values, {key: kind}))
+    return found
 
 
-def _build(cls, raw: dict):
-    """``cls()`` with each of its fields that ``raw`` names overridden by the
-    cast value; keys that name no field are ignored."""
-    default = cls()
-    overrides = {
-        spec.name: _cast(spec.name, raw[spec.name], getattr(default, spec.name))
-        for spec in fields(cls) if spec.name in raw
-    }
-    return replace(default, **overrides)
+def _build(default, raw: dict, schema: Mapping[str, Kind], where: str, problems: list[str]):
+    """``default`` with each field ``raw`` names set to its value, cast to the
+    type of the default's (a None default's path is kept); None on a refusal."""
+    found = refusals(raw, schema, where)
+    problems += found
+    return None if found else replace(default, **{
+        name: value if (base := getattr(default, name)) is None else type(base)(value)
+        for name, value in raw.items()})
 
 
 @functools.cache
@@ -163,66 +158,60 @@ def _unique_key_loader():
 
     class Loader(yaml.SafeLoader):
         def construct_mapping(self, node, deep=False):
-            if isinstance(node, yaml.MappingNode):
-                seen = set()
-                for key_node, _ in node.value:
-                    if key_node.tag == "tag:yaml.org,2002:merge":
-                        continue
-                    key = self.construct_object(key_node, deep=deep)
-                    try:
-                        repeated = key in seen
-                    except TypeError:  # unhashable: construct_mapping refuses it
-                        continue
-                    if repeated:  # self.name is the path the file was opened by
-                        raise ConfigError(f"{self.name}:{key_node.start_mark.line + 1}: "
-                                          f"duplicate key {key!r}")
-                    seen.add(key)
+            seen = []  # compared by ==: pyyaml refuses an unhashable key itself
+            for key_node, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:  # self.name is the path the file was opened by
+                    raise ConfigError(f"{self.name}:{key_node.start_mark.line + 1}: "
+                                      f"duplicate key {key!r}")
+                seen.append(key)
             return super().construct_mapping(node, deep)
 
     return Loader
 
 
-def _read_mapping(path: str) -> dict:
-    # Imported here: runs without a config file never parse YAML.
-    import yaml
+def load_config(path: str | None) -> AppConfig:
+    """Build an AppConfig from a YAML file (or pure defaults when path is None).
+    Every unknown key and refused value of the file is named in one
+    ConfigError, joined with ``; ``."""
+    if path is None:
+        return AppConfig()
+    import yaml  # here: runs without a config file never parse YAML
 
     with open(path, encoding="utf-8") as handle:
         try:
             raw = yaml.load(handle, Loader=_unique_key_loader())
-        except yaml.YAMLError as exc:
+        except yaml.YAMLError as exc:  # one line; pyyaml's text puts each mark on its own
+            mark = getattr(exc, "problem_mark", None)
+            if mark is None:
+                raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
+            words = ", ".join(filter(None, (exc.context, exc.problem)))
+            raise ConfigError(f"{path}:{mark.line + 1}:{mark.column + 1}: {words}") from exc
+        except UnicodeDecodeError:
+            raise ConfigError(undecodable(path)) from None
+        except (TypeError, ValueError) as exc:  # a constructor's, e.g. a 13th month's date
             raise ConfigError(f"{path}: {exc}") from exc
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
+    if not isinstance(raw, dict | None):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return raw
-
-
-def load_config(path: str | None) -> AppConfig:
-    """Build an AppConfig from a YAML file (or pure defaults when path is None)."""
-    try:
-        config = AppConfig() if path is None else _from_raw(_read_mapping(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    violations = config.validate()
-    if violations:
-        raise ConfigError(f"{path}: {'; '.join(violations)}")
-    return config
-
-
-def _from_raw(raw: dict) -> AppConfig:
-    endpoints = {}
-    for role_name, entry in _section(raw, "endpoints").items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"endpoints.{role_name}: {entry!r} is not a mapping")
-        # A missing url or model reads as null, which no str field takes.
-        endpoints[ModelRole(role_name)] = Endpoint(*(
-            _cast(f"endpoints.{role_name}.{name}", entry.get(name), "") for name in ("url", "model")
-        ))
-    return AppConfig(
-        endpoints=endpoints,
-        sampling=_build(SamplingParams, _section(raw, "sampling")),
-        pipeline=_build(PipelineConfig, _section(raw, "pipeline")),
-        schedule=_build(BetaSchedule, _section(raw, "schedule")),
-        templates_dir=_cast("templates_dir", raw.get("templates_dir"), None),
-    )
+    raw = raw or {}
+    problems = refusals(raw, CONFIG_SCHEMA, "")
+    # A null or refused section reads as empty; a refusal is in problems.
+    sections = {name: value for name, value in raw.items() if type(value) is dict}
+    entries = sections.get("endpoints", {})
+    problems += refusals(entries, ENDPOINTS_SCHEMA, "endpoints: ")
+    endpoints = {
+        # A missing url or model reads as null, which neither kind accepts.
+        ModelRole(role): _build(Endpoint(None, None), {**dict.fromkeys(ENDPOINT_SCHEMA), **entry},
+                                ENDPOINT_SCHEMA, f"endpoints.{role}: ", problems)
+        for role, entry in entries.items() if role in _ROLES and type(entry) is dict}
+    defaults = AppConfig()
+    built = {name: _build(getattr(defaults, name), sections.get(name, {}), schema, f"{name}: ",
+                          problems) for name, schema in SECTION_SCHEMAS.items()}
+    # The one rule no field states alone; tests may build degenerate schedules.
+    if (beta := built["schedule"]) and not beta.beta_small < beta.beta_medium < beta.beta_large:
+        problems.append("schedule: beta ordering: requires beta_small < beta_medium < beta_large")
+    if problems:
+        raise ConfigError(f"{path}: {'; '.join(problems)}")
+    return AppConfig(endpoints, **built, templates_dir=raw.get("templates_dir"))

@@ -69,30 +69,48 @@ def read_rows(path: str, schema: Mapping[str, Kind], key: str | None) -> Iterato
     checks = [(field, kind.accepts) for field, kind in schema.items()]
     seen: set = set()
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            for field, accepts in checks:
-                if not accepts(row.get(field)):
-                    raise ValueError(f"{path}:{lineno}: {refusal(row, schema)}")
-            if key is not None:
-                value = row[key]
-                if value in seen:
-                    raise ValueError(f"{path}:{lineno}: duplicate {key} {value!r}")
-                seen.add(value)
-            yield row
+                    row, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    try:
+                        row = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise ValueError(f"{path}:{lineno}: expected a JSON object")
+                for field, accepts in checks:
+                    if not accepts(row.get(field)):
+                        raise ValueError(f"{path}:{lineno}: {refusal(row, schema)}")
+                if key is not None:
+                    value = row[key]
+                    if value in seen:
+                        raise ValueError(f"{path}:{lineno}: duplicate {key} {value!r}")
+                    seen.add(value)
+                yield row
+        except UnicodeDecodeError:
+            raise ValueError(undecodable(path)) from None
+
+
+def undecodable(path: str) -> str:
+    """``<path>:<line>: not valid UTF-8 ...`` for a file a text reader failed
+    to decode: it decodes ahead of the line it yields, so the line is found
+    again here, on the error path alone. Latin-1 reads each byte as one
+    character, and splits the lines where the UTF-8 reader splits them."""
+    with open(path, encoding="latin-1") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = exc.object[exc.start]
+                return f"{path}:{lineno}: not valid UTF-8: byte {byte:#04x} ({exc.reason})"
+    return f"{path}: not valid UTF-8"
 
 
 # One C encoder writes every row as json.JSONEncoder(ensure_ascii=False,

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .agents import AgentError, Agents
-from .config import ConfigError, PipelineConfig
+from .config import SECTION_SCHEMAS, ConfigError, PipelineConfig, refusals
 from .jsonl import STRING_OR_NULL, Kind, dump_row, refusal, write_rows
 from .records import (
     _COMPLEXITY_WORDS,
@@ -323,9 +323,8 @@ def run_crv(
     _curate. A checkpoint row that load_checkpoint finds unsound is refused
     as CorruptCheckpoint before any record starts.
     """
-    violations = config.validate()
-    if violations:
-        raise ConfigError("; ".join(violations))
+    if problems := refusals(vars(config), SECTION_SCHEMAS["pipeline"], "pipeline: "):
+        raise ConfigError("; ".join(problems))
     seen: set[str] = set()
     for record in dataset:
         if record.id in seen:

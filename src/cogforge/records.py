@@ -154,16 +154,6 @@ class BetaSchedule:
     beta_medium: float = 0.2
     beta_large: float = 0.5
 
-    def validate(self) -> list[str]:
-        """Strict ordering check, applied at config load (not at construction,
-        so tests may build degenerate schedules on purpose)."""
-        violations = []
-        if not 0 < self.beta_small:
-            violations.append("beta_small: must be positive")
-        if not self.beta_small < self.beta_medium < self.beta_large:
-            violations.append("beta ordering: requires beta_small < beta_medium < beta_large")
-        return violations
-
 
 class LogProbQuad(NamedTuple):
     """The four sequence log-probabilities behind one preference margin:

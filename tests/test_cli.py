@@ -22,7 +22,7 @@ import yaml
 from conftest import SIX_RECORD_SCRIPT, make_dataset
 
 from cogforge import cli, jsonl
-from cogforge.agents import TEMPLATE_NAMES, load_templates
+from cogforge.agents import TEMPLATE_NAMES, PromptTemplate, load_templates
 from cogforge.cli import (
     EXIT_FATAL,
     EXIT_OK,
@@ -179,6 +179,27 @@ class TestCurate:
         assert sorted(path.name for path in tmp.iterdir()) == [
             "config.yaml", "input.jsonl", "script.jsonl", "templates"]
 
+    def test_template_that_is_not_utf8_is_refused_naming_its_file(self, curate_paths, capsys):
+        tmp = curate_paths["tmp"]
+        templates_dir = tmp / "templates"
+        templates_dir.mkdir()
+        for name, template in load_templates().items():
+            (templates_dir / f"{name}.txt").write_text(template.system_text + "\n")
+        (templates_dir / "critic.txt").write_bytes(b"Rate the trace.\n\xff\n")
+        config = tmp / "config.yaml"
+        config.write_text(yaml.safe_dump({"templates_dir": str(templates_dir)}))
+        code = entrypoint([
+            "--config", str(config), "curate",
+            "--input", curate_paths["input"],
+            "--output", curate_paths["output"],
+            "--mock-script", curate_paths["script"],
+        ])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err == (
+            f"error: {templates_dir / 'critic.txt'}:2: not valid UTF-8: byte 0xff "
+            "(invalid start byte)\n")
+        assert not os.path.exists(curate_paths["output"])
+
     def test_explicit_sidecar_paths(self, curate_paths, capsys):
         discards_path = str(curate_paths["tmp"] / "d.jsonl")
         families_path = str(curate_paths["tmp"] / "f.jsonl")
@@ -241,14 +262,15 @@ class TestCurate:
         assert code == EXIT_FATAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {config}: checkpoint_path: 7 is not a valid str\n"
+        assert captured.err == (f"error: {config}: pipeline: field 'checkpoint_path' is not a "
+                                "non-empty string or null: 7\n")
         assert sorted(path.name for path in tmp.iterdir()) == [
             "config.yaml", "input.jsonl", "script.jsonl"]
 
     @pytest.mark.parametrize("config_text, flags, text", [
-        ("pipeline:\n  checkpoint_path: ''\n", [], "{config}: checkpoint_path: empty path"),
-        ("templates_dir: ''\n", [], "{config}: templates_dir: empty path"),
-        ("", ["--checkpoint", ""], "--checkpoint: empty path"),
+        ("pipeline:\n  checkpoint_path: ''\n", [], "{config}: pipeline: field 'checkpoint_path'"),
+        ("templates_dir: ''\n", [], "{config}: field 'templates_dir'"),
+        ("", ["--checkpoint", ""], "--checkpoint: field 'checkpoint_path'"),
     ], ids=["checkpoint_path", "templates_dir", "--checkpoint"])
     def test_empty_path_setting_is_one_error_line(self, curate_paths, monkeypatch, capsys,
                                                   config_text, flags, text):
@@ -267,7 +289,8 @@ class TestCurate:
         assert code == EXIT_FATAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {text.format(config=config)}\n"
+        assert captured.err == (f"error: {text.format(config=config)} is not a non-empty string "
+                                "or null: ''\n")
         assert sorted(path.name for path in tmp.iterdir()) == [
             "config.yaml", "input.jsonl", "script.jsonl"]
 
@@ -769,6 +792,24 @@ class TestPairs:
         assert output.read_bytes() == b"old bytes\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["fam.jsonl", "pairs.jsonl"]
 
+    @pytest.mark.parametrize("rows_before", [2, 400])
+    def test_families_file_that_is_not_utf8_is_refused_naming_its_line(self, tmp_path, capsys,
+                                                                        rows_before):
+        """The reader decodes 8 KiB ahead of the line it parses; the refusal
+        names the line that holds the byte, whichever chunk it falls in."""
+        good = write_jsonl(tmp_path / "good.jsonl",
+                           [dict(family_rows()[0], id=f"f{n}") for n in range(rows_before)])
+        families = tmp_path / "families.jsonl"
+        families.write_bytes(Path(good).read_bytes() + b'{"id": "\xff"}\n')
+        output = tmp_path / "pairs.jsonl"
+        code = entrypoint(["pairs", "--families", str(families), "--output", str(output)])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {families}:{rows_before + 1}: not valid UTF-8: "
+                                "byte 0xff (invalid start byte)\n")
+        assert not output.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("id", ["a"]), ("id", 7), ("id", ""),
         ("problem", 5), ("answer", ["a1"]), ("r_original", {"text": "t"}),
@@ -867,7 +908,8 @@ class TestLossEval:
             "loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path,
         ])
         assert code == EXIT_FATAL
-        assert capsys.readouterr().err.startswith(f"error: {bad_path}: while parsing")
+        assert capsys.readouterr().err == (f"error: {bad_path}:2:1: while parsing a flow sequence, "
+                                           "expected ',' or ']', but got '<stream end>'\n")
 
     def test_failed_write_leaves_report_untouched(self, tmp_path, monkeypatch, capsys):
         pairs_path = write_jsonl(
@@ -952,7 +994,8 @@ class TestLossEval:
         assert code == EXIT_FATAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {config}: beta_large: inf is not a finite float\n"
+        assert captured.err == (f"error: {config}: schedule: field 'beta_large' is not a finite "
+                                "number: inf\n")
 
     @pytest.mark.parametrize("gap", [["small"], "tiny", None, 1, {"gap": "small"}])
     def test_gap_that_is_no_gap_type_is_one_error_line(self, tmp_path, capsys, gap):
@@ -963,6 +1006,52 @@ class TestLossEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == refusal(pairs_path, "pairs", "gap", gap)
+
+
+class TestConfigFile:
+    """Whatever is wrong with a config file, the command prints one
+    ``error:`` line that names the file, and writes nothing."""
+
+    def refused(self, tmp_path, capsys, content: bytes) -> str:
+        config = tmp_path / "c.yaml"
+        config.write_bytes(content)
+        families = write_jsonl(tmp_path / "families.jsonl", family_rows())
+        output = tmp_path / "pairs.jsonl"
+        code = entrypoint(["--config", str(config), "pairs", "--families", families,
+                           "--output", str(output)])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not output.exists()
+        prefix = f"error: {config}"
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        return captured.err[len(prefix):-1]
+
+    @pytest.mark.parametrize("content, words", [
+        (b"pipeline: [unclosed\n",
+         ":2:1: while parsing a flow sequence, expected ',' or ']', but got '<stream end>'"),
+        (b"x: !!python/object:os.system {}\n", ":1:4: could not determine a constructor for "
+                                               "the tag 'tag:yaml.org,2002:python/object:os.system'"),
+        (b"a: \x01\n", ": unacceptable character #x0001: special characters are not allowed "
+                      'in "{config}", position 3'),
+        (b"a: 1\n---\nb: 2\n",
+         ":2:1: expected a single document in the stream, but found another document"),
+        (b"pipeline: {max_concurrency: \xff}\n",
+         ":1: not valid UTF-8: byte 0xff (invalid start byte)"),
+    ], ids=["unclosed", "python-tag", "control-byte", "two-documents", "not-utf8"])
+    def test_unreadable_file_is_one_line(self, tmp_path, capsys, content, words):
+        assert self.refused(tmp_path, capsys, content) == words.format(config=tmp_path / "c.yaml")
+
+    def test_unknown_key_is_one_line(self, tmp_path, capsys):
+        assert self.refused(tmp_path, capsys, b"pipeline: {retry_cpa: 7}\n") == (
+            ": pipeline: unknown key 'retry_cpa' (did you mean 'retry_cap'?)")
+
+    def test_every_refusal_of_the_file_is_on_the_line(self, tmp_path, capsys):
+        content = b"pipline: {}\nsampling: {top_k: 0}\nschedule: {beta_large: 0.15}\n"
+        assert self.refused(tmp_path, capsys, content) == (
+            ": unknown key 'pipline' (did you mean 'pipeline'?); "
+            "sampling: field 'top_k' is not a whole number >= 1: 0; "
+            "schedule: beta ordering: requires beta_small < beta_medium < beta_large")
 
 
 class TestPreferenceOutputBytes:
@@ -1332,6 +1421,29 @@ class TestSelftest:
         assert any(line.startswith("gradient-check") and "FAIL" in line for line in out.splitlines())
 
 
+    def test_prompt_that_differs_from_its_fixture_fails(self, monkeypatch, capsys):
+        def templates():
+            return {**load_templates(), "critic": PromptTemplate("Rate nothing.")}
+
+        monkeypatch.setattr(cli, "load_templates", templates)
+        code = entrypoint(["selftest"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_FATAL
+        assert [line.split()[:2] for line in lines] == [
+            ["gradient-check", "PASS"], ["negative-control", "PASS"], ["reduction", "PASS"],
+            ["stability", "PASS"], ["prompt-golden", "FAIL"]]
+
+    def test_fixture_that_cannot_be_read_fails(self, monkeypatch, capsys):
+        def unreadable(name):
+            raise OSError(f"no fixture {name}")
+
+        monkeypatch.setattr(cli, "load_golden_fixture", unreadable)
+        code = entrypoint(["selftest"])
+        out = capsys.readouterr().out
+        assert code == EXIT_FATAL
+        assert out.splitlines()[-1].split() == [
+            "prompt-golden", "FAIL", "fixture", "load", "failed:", "no", "fixture", "critic"]
+
     def test_python_m_cogforge_runs_selftest(self):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
@@ -1448,6 +1560,27 @@ class TestLoadedModules:
         ])
         assert "cogforge.pipeline" in loaded
         assert "cogforge.loss" not in loaded
+
+    @pytest.mark.parametrize("config", [
+        {"pipeline": {"max_concurrency": 2}},
+        {"endpoints": {role: {"url": "http://127.0.0.1:1/v1/chat/completions", "model": "stub"}
+                       for role in ("base", "large")}, "pipeline": {"max_concurrency": 2}},
+    ], ids=["pipeline", "endpoints"])
+    def test_a_config_that_loads_imports_no_difflib(self, tmp_path, config):
+        """Only an unknown key's refusal looks for the closest field."""
+        path = tmp_path / "config.yaml"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        families = write_jsonl(tmp_path / "families.jsonl", [])
+        result = run_python(tmp_path, "\n".join([
+            "import contextlib, io, sys",
+            "from cogforge.cli import entrypoint",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert entrypoint(['--config', {str(path)!r}, 'pairs', '--families',"
+            f" {families!r}, '--output', 'pairs.jsonl']) == 0",
+            "print('difflib' in sys.modules)",
+        ]))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_public_names_are_their_home_modules_objects(self):
         import cogforge

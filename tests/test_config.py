@@ -7,8 +7,8 @@ import re
 import pytest
 import yaml
 
-from cogforge.config import AppConfig, load_config
-from cogforge.gateway import ConfigError, ModelRole
+from cogforge.config import CONFIG_SCHEMA, SECTION_SCHEMAS, AppConfig, load_config, refusals
+from cogforge.gateway import ConfigError, Endpoint, ModelRole
 from cogforge.records import BetaSchedule
 
 FULL_CONFIG = {
@@ -60,7 +60,10 @@ class TestDefaults:
         assert load_config(str(path)) == load_config(None)
 
     def test_defaults_have_no_violations(self):
-        assert AppConfig().validate() == []
+        defaults = AppConfig()
+        for name, schema in SECTION_SCHEMAS.items():
+            assert refusals(vars(getattr(defaults, name)), schema, "") == []
+        assert refusals({"templates_dir": defaults.templates_dir}, CONFIG_SCHEMA, "") == []
 
 
 class TestFullRoundTrip:
@@ -89,21 +92,23 @@ class TestFullRoundTrip:
 class TestViolations:
     def test_bad_endpoint_url(self, tmp_path):
         payload = {"endpoints": {"base": {"url": "not-a-url", "model": "m"}}}
-        with pytest.raises(ConfigError, match="endpoints.base.url"):
+        with pytest.raises(ConfigError, match="endpoints.base: field 'url' is not an http"):
             load_config(write_yaml(tmp_path, payload))
 
     def test_empty_model_name(self, tmp_path):
         payload = {"endpoints": {"large": {"url": "http://host:1/v1", "model": ""}}}
-        with pytest.raises(ConfigError, match="endpoints.large.model"):
+        with pytest.raises(ConfigError, match="endpoints.large: field 'model' is not a non-empty"):
             load_config(write_yaml(tmp_path, payload))
 
     @pytest.mark.parametrize("entry, words", [
-        ({"url": "http://h:1/v1", "model": None}, "endpoints.large.model: None is not a valid str"),
-        ({"url": "http://h:1/v1"}, "endpoints.large.model: None is not a valid str"),
-        ({"model": "m"}, "endpoints.large.url: None is not a valid str"),
-        ({"url": "http://h:1/v1", "model": 7}, "endpoints.large.model: 7 is not a valid str"),
-        ({"url": True, "model": "m"}, "endpoints.large.url: True is not a valid str"),
-        ("http://h:1/v1", "endpoints.large: 'http://h:1/v1' is not a mapping"),
+        ({"url": "http://h:1/v1", "model": None},
+         "endpoints.large: field 'model' is not a non-empty string: None"),
+        ({"url": "http://h:1/v1"}, "endpoints.large: field 'model' is not a non-empty string: None"),
+        ({"model": "m"}, "endpoints.large: field 'url' is not an http(s) URL: None"),
+        ({"url": "http://h:1/v1", "model": 7},
+         "endpoints.large: field 'model' is not a non-empty string: 7"),
+        ({"url": True, "model": "m"}, "endpoints.large: field 'url' is not an http(s) URL: True"),
+        ("http://h:1/v1", "endpoints: field 'large' is not a mapping: 'http://h:1/v1'"),
     ], ids=["null-model", "missing-model", "missing-url", "int-model", "bool-url", "not-a-mapping"])
     def test_endpoint_entry_refused(self, tmp_path, entry, words):
         path = write_yaml(tmp_path, {"endpoints": {"large": entry}})
@@ -116,7 +121,8 @@ class TestViolations:
             load_config(write_yaml(tmp_path, {"pipeline": {"retry_cap": 0}}))
 
     def test_zero_concurrency(self, tmp_path):
-        with pytest.raises(ConfigError, match="max_concurrency: must be >= 1"):
+        with pytest.raises(ConfigError, match="pipeline: field 'max_concurrency' is not a whole "
+                                              "number >= 1: 0"):
             load_config(write_yaml(tmp_path, {"pipeline": {"max_concurrency": 0}}))
 
     def test_even_votes(self, tmp_path):
@@ -125,7 +131,7 @@ class TestViolations:
 
     def test_schedule_out_of_order(self, tmp_path):
         payload = {"schedule": {"beta_small": 0.5, "beta_medium": 0.2, "beta_large": 0.1}}
-        with pytest.raises(ConfigError, match="config.yaml: beta ordering"):
+        with pytest.raises(ConfigError, match="config.yaml: schedule: beta ordering"):
             load_config(write_yaml(tmp_path, payload))
 
     def test_bad_sampling(self, tmp_path):
@@ -181,19 +187,33 @@ class TestLoadSchedule:
 
     def test_invalid_schedule_rejected(self, tmp_path):
         path = write_schedule(tmp_path, yaml.safe_dump({"schedule": {"beta_small": -0.1}}))
-        with pytest.raises(ConfigError, match="sched.yaml: beta_small: must be positive"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "sched.yaml: schedule: field 'beta_small' is not a finite number > 0: -0.1")):
             load_config(path)
 
 
 class TestSectionKeys:
-    def test_unknown_keys_ignored(self, tmp_path):
-        payload = {"sampling": {"temperature": 0.2, "seed": 9}, "pipeline": {"workers": 8}}
-        config = load_config(write_yaml(tmp_path, payload))
-        assert config.sampling.temperature == 0.2
-        assert config.pipeline == load_config(None).pipeline
-        # Schedule keys an earlier version read still load, and change nothing.
-        old = load_config(write_yaml(tmp_path, {"schedule": {"alpha": 0.3, "m0": 0.5}}))
-        assert old.schedule == BetaSchedule()
+    @pytest.mark.parametrize("text, words", [
+        ("pipline:\n  retry_cap: 7\n", "unknown key 'pipline' (did you mean 'pipeline'?)"),
+        ("sampling: {temprature: 0.1}\n",
+         "sampling: unknown key 'temprature' (did you mean 'temperature'?)"),
+        ("retry_cap: 9\n", "unknown key 'retry_cap'"),
+        ("pipeline: {retry_cpa: 7}\n",
+         "pipeline: unknown key 'retry_cpa' (did you mean 'retry_cap'?)"),
+        # The schedule keys an earlier version read are refused like any other.
+        ("schedule: {alpha: 0.3}\n", "schedule: unknown key 'alpha'"),
+        ("endpoints:\n  base: {url: 'http://h:1/v1', model: m, key: s}\n",
+         "endpoints.base: unknown key 'key'"),
+        ("endpoints: {giant: {url: 'http://h:1/v1', model: m}}\n",
+         "endpoints: unknown key 'giant'"),
+        ("1: x\n", "unknown key 1"),
+    ], ids=["section", "sampling", "top-level", "pipeline", "retired", "endpoint-entry", "role",
+            "not-a-string"])
+    def test_unknown_key_refused(self, tmp_path, text, words):
+        path = write_schedule(tmp_path, text)
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == f"{path}: {words}"
 
     def test_values_cast_to_field_types(self, tmp_path):
         payload = {"sampling": {"top_k": "7"}, "schedule": {"beta_large": 1}}
@@ -211,20 +231,23 @@ class TestSectionKeys:
         with pytest.raises(ConfigError, match="config.yaml"):
             load_config(write_yaml(tmp_path, {section: values}))
 
-    @pytest.mark.parametrize("payload, text", [
-        ({"pipeline": {"checkpoint_path": 7}}, "checkpoint_path: 7 is not a valid str"),
-        ({"pipeline": {"checkpoint_path": [1]}}, "checkpoint_path: [1] is not a valid str"),
-        ({"pipeline": {"checkpoint_path": False}}, "checkpoint_path: False is not a valid str"),
-        ({"templates_dir": 5}, "templates_dir: 5 is not a valid str"),
-        ({"templates_dir": {"dir": "t"}}, "templates_dir: {'dir': 't'} is not a valid str"),
-        ({"pipeline": {"checkpoint_path": ""}}, "checkpoint_path: empty path"),
-        ({"templates_dir": ""}, "templates_dir: empty path"),
+    @pytest.mark.parametrize("payload, name", [
+        ({"pipeline": {"checkpoint_path": 7}}, "checkpoint_path"),
+        ({"pipeline": {"checkpoint_path": [1]}}, "checkpoint_path"),
+        ({"pipeline": {"checkpoint_path": False}}, "checkpoint_path"),
+        ({"templates_dir": 5}, "templates_dir"),
+        ({"templates_dir": {"dir": "t"}}, "templates_dir"),
+        ({"pipeline": {"checkpoint_path": ""}}, "checkpoint_path"),
+        ({"templates_dir": ""}, "templates_dir"),
     ])
-    def test_path_that_is_no_string_is_config_error(self, tmp_path, payload, text):
+    def test_path_that_is_no_string_is_config_error(self, tmp_path, payload, name):
         path = write_yaml(tmp_path, payload)
         with pytest.raises(ConfigError) as caught:
             load_config(path)
-        assert str(caught.value) == f"{path}: {text}"
+        section = "pipeline: " if "pipeline" in payload else ""
+        value = payload.get("pipeline", payload)[name]
+        assert str(caught.value) == (
+            f"{path}: {section}field {name!r} is not a non-empty string or null: {value!r}")
 
     @pytest.mark.parametrize("section, field, value, shown", [
         ("schedule", "beta_large", ".inf", "inf"),
@@ -239,7 +262,8 @@ class TestSectionKeys:
         path.write_text(f"{section}:\n  {field}: {value}\n", encoding="utf-8")
         with pytest.raises(ConfigError) as caught:
             load_config(str(path))
-        assert str(caught.value) == f"{path}: {field}: {shown} is not a finite float"
+        words = SECTION_SCHEMAS[section][field].words
+        assert str(caught.value) == f"{path}: {section}: field {field!r} is not {words}: {shown}"
 
     def test_whole_numbers_and_booleans_load(self, tmp_path):
         payload = {"sampling": {"top_k": 7.0}, "pipeline": {"corruption_gate": False}}
@@ -251,20 +275,27 @@ class TestSectionKeys:
         with pytest.raises(ConfigError, match="config.yaml"):
             load_config(write_yaml(tmp_path, {"sampling": {"top_k": "many"}}))
         path = write_schedule(tmp_path, yaml.safe_dump({"schedule": {"beta_large": "big"}}))
-        with pytest.raises(ConfigError, match="sched.yaml: beta_large: 'big' is not a valid float"):
+        with pytest.raises(ConfigError, match="sched.yaml: schedule: field 'beta_large' is not a "
+                                              "finite number: 'big'"):
             load_config(path)
         for value in ("7.5", [1]):
             with pytest.raises(ConfigError, match=re.escape(
-                    f"config.yaml: retry_cap: {value!r} is not a valid int")):
+                    f"config.yaml: pipeline: field 'retry_cap' is not a whole number >= 1: {value!r}")):
                 load_config(write_yaml(tmp_path, {"pipeline": {"retry_cap": value}}))
+
+    def test_int_too_large_for_a_float_is_config_error(self, tmp_path):
+        """float() raises OverflowError here, which no CLI handler catches."""
+        path = write_schedule(tmp_path, f"schedule:\n  beta_large: {'9' * 400}\n")
+        with pytest.raises(ConfigError, match="schedule: field 'beta_large' is not a finite number"):
+            load_config(path)
 
     def test_malformed_yaml_is_config_error(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text("pipeline: [unclosed\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="config.yaml: while parsing"):
+        with pytest.raises(ConfigError, match="config.yaml:2:1: while parsing a flow sequence, "):
             load_config(str(path))
         path = write_schedule(tmp_path, "schedule: {beta_small: [unclosed\n")
-        with pytest.raises(ConfigError, match="sched.yaml: while parsing"):
+        with pytest.raises(ConfigError, match="sched.yaml:2:1: while parsing a flow sequence, "):
             load_config(path)
 
 
@@ -285,7 +316,8 @@ class TestRepeatedKeys:
         assert str(caught.value) == f"{path}:{words}"
 
     def test_merged_keys_may_be_overridden(self, tmp_path):
-        path = write_schedule(tmp_path, "base: &b {votes: 5, retry_cap: 2}\n"
-                                        "pipeline:\n  <<: *b\n  votes: 7\n")
-        pipeline = load_config(path).pipeline
-        assert (pipeline.votes, pipeline.retry_cap) == (7, 2)
+        path = write_schedule(tmp_path, "endpoints:\n  base: &e {url: 'http://h:1/v1', model: a}\n"
+                                        "  large: {<<: *e, model: b}\n")
+        endpoints = load_config(path).endpoints
+        assert endpoints[ModelRole.LARGE] == Endpoint("http://h:1/v1", "b")
+        assert endpoints[ModelRole.BASE] == Endpoint("http://h:1/v1", "a")

@@ -19,7 +19,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from cogforge.agents import Agents
-from cogforge.config import PipelineConfig
+from cogforge.config import SECTION_SCHEMAS, ConfigError, PipelineConfig, load_config, refusals
 from cogforge.gateway import (
     ChatRequest,
     ConfigError,
@@ -48,11 +48,19 @@ class TestSamplingParams:
         assert params.temperature == 0.7
         assert params.top_p == 0.9
         assert params.top_k == 50
-        assert params.validate() == []
+        assert refusals(vars(params), SECTION_SCHEMAS["sampling"], "") == []
 
-    def test_invalid_flagged(self):
-        bad = SamplingParams(temperature=-1.0, top_p=0.0, top_k=0, max_tokens=0)
-        assert len(bad.validate()) == 4
+    def test_invalid_flagged(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("sampling: {temperature: -1.0, top_p: 0.0, top_k: 0, max_tokens: 0}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError) as caught:
+            load_config(str(path))
+        assert str(caught.value) == f"{path}: " + "; ".join([
+            "sampling: field 'temperature' is not a finite number >= 0: -1.0",
+            "sampling: field 'top_p' is not a finite number in (0, 1]: 0.0",
+            "sampling: field 'top_k' is not a whole number >= 1: 0",
+            "sampling: field 'max_tokens' is not a whole number >= 1: 0"])
 
 
 class TestChatRequest:

@@ -285,6 +285,19 @@ class TestReadRows:
                                              r"line 1 column 35 \(char 34\)$"):
             list(read_rows(str(path), {}, key=None))
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("line, reason", [
+        (b'{"b": "\xff"}', "invalid start byte"), (b'{"b": "\xc3("}', "invalid continuation byte"),
+        (b'{"b": "\xe2\x82', "unexpected end of data")], ids=["start", "continuation", "end"])
+    def test_line_that_is_not_utf8_is_named(self, tmp_path, newline, line, reason):
+        """The reader decodes ahead of the line it parses, by a chunk."""
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(newline.join([b'{"a": "\xc3\xa9"}', b"{}", line]))
+        with pytest.raises(ValueError) as caught:
+            list(read_rows(str(path), {}, key=None))
+        byte = line[len(b'{"b": "')]
+        assert str(caught.value) == f"{path}:3: not valid UTF-8: byte {byte:#04x} ({reason})"
+
     def test_byte_order_mark_is_named(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text("\ufeff{}\n", encoding="utf-8")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cogforge.config import SECTION_SCHEMAS, refusals
 from cogforge.pairs import EmptyFamily, assign_beta, build_pairs
 from cogforge.records import BetaSchedule, ComplexityLevel, GapType, RecordFamily
 
@@ -42,7 +43,7 @@ class TestAssignBeta:
             medium = small + float(rng.uniform(0.01, 1.0))
             large = medium + float(rng.uniform(0.01, 1.0))
             schedule = BetaSchedule(beta_small=small, beta_medium=medium, beta_large=large)
-            assert schedule.validate() == []
+            assert refusals(vars(schedule), SECTION_SCHEMAS["schedule"], "") == []
             resolved = [assign_beta(g, schedule) for g in (GapType.SMALL, GapType.MEDIUM, GapType.LARGE)]
             assert resolved[0] < resolved[1] < resolved[2]
 

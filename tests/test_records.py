@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cogforge.config import ConfigError, load_config
 from cogforge.jsonl import dump_row
 from cogforge.records import (
     BetaSchedule,
@@ -200,13 +201,24 @@ class TestRowShapes:
 
 
 class TestBetaSchedule:
-    def test_defaults_are_valid(self):
-        assert BetaSchedule().validate() == []
+    """A schedule's rules are checked where a config file is loaded."""
 
-    def test_ordering_enforced(self):
-        assert BetaSchedule(beta_small=0.5, beta_medium=0.2, beta_large=0.1).validate()
-        assert BetaSchedule(beta_small=0.2, beta_medium=0.2, beta_large=0.5).validate()
+    @staticmethod
+    def load(tmp_path, small: float, medium: float, large: float) -> BetaSchedule:
+        path = tmp_path / "sched.yaml"
+        path.write_text(f"schedule: {{beta_small: {small}, beta_medium: {medium}, "
+                        f"beta_large: {large}}}\n", encoding="utf-8")
+        return load_config(str(path)).schedule
 
-    def test_nonpositive_small_flagged(self):
-        assert any("beta_small" in v for v in BetaSchedule(beta_small=0.0).validate())
+    def test_defaults_are_valid(self, tmp_path):
+        assert self.load(tmp_path, 0.1, 0.2, 0.5) == BetaSchedule()
+
+    def test_ordering_enforced(self, tmp_path):
+        for betas in ((0.5, 0.2, 0.1), (0.2, 0.2, 0.5)):
+            with pytest.raises(ConfigError, match="schedule: beta ordering"):
+                self.load(tmp_path, *betas)
+
+    def test_nonpositive_small_flagged(self, tmp_path):
+        with pytest.raises(ConfigError, match="field 'beta_small' is not a finite number > 0"):
+            self.load(tmp_path, 0.0, 0.2, 0.5)
 
