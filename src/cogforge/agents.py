@@ -101,6 +101,8 @@ class Agents:
     and tokens (the backend's usage per request) per agent in the copy's own
     ``completions`` and ``tokens``. The backend and templates are shared, so
     bound copies may run concurrently; each copy belongs to one record's walk.
+    The record and config come checked: ``run_crv`` refuses an empty field and
+    an even or non-positive ``votes`` before any record is bound.
     """
 
     def __init__(
@@ -163,8 +165,6 @@ class Agents:
         """
         record = self._bound_record()
         votes = self._config.votes
-        if votes < 1 or votes % 2 == 0:
-            raise ValueError("votes must be a positive odd integer")
         cast: list[ComplexityLevel | None] = []
         resampling = False
         while len(cast) < votes:
@@ -224,15 +224,11 @@ class Agents:
 
     def verify(self, reasoning: str) -> bool:
         """YES/NO check that the trace guides to the record's answer."""
-        record = self._record
-        if record is not None and not (record.problem and record.answer and reasoning):
-            raise ValueError("verify requires non-empty problem, answer, and reasoning")
-        last = ""
         for _attempt in range(2):
             response = self._call("verifier", "verifier", reasoning)
-            last = response.text
             try:
                 return parse_verdict(response.text)
             except ParseError:
-                log.debug("record %s: unparseable verdict %r", record.id, response.text)
-        raise AgentError(f"record {record.id}: verifier output unparseable after re-sample: {last!r}")
+                log.debug("record %s: unparseable verdict %r", self._record.id, response.text)
+        raise AgentError(f"record {self._record.id}: verifier output unparseable after re-sample: "
+                         f"{response.text!r}")

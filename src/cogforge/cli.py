@@ -150,17 +150,22 @@ def entrypoint(argv: list[str] | None = None) -> int:
 
 
 def _refuse_overwrites(outputs: dict[str, str | None], reads: dict[str, str | None]) -> None:
-    """Refuse an output path, or its temp file ``<path>.tmp`` (see
-    ``write_rows``), that names another output or a file the command reads,
-    compared after ``os.path.realpath``: writing it would replace that file.
-    The checkpoint, read and replaced, is in both dicts under one flag.
-    Absent paths are skipped."""
+    """Refuse, before the command's work, an output path that is a directory
+    or whose parent is not one, and an output path or its temp file
+    ``<path>.tmp`` (see ``write_rows``) that names another output or a file
+    the command reads, compared after ``os.path.realpath``: writing it would
+    replace that file. The checkpoint, read and replaced, is in both dicts
+    under one flag. Absent paths are skipped."""
     owners: dict[str, str] = {}
     for flag, path in reads.items():
         if path:
             owners.setdefault(os.path.realpath(path), flag)
     outputs = {flag: path for flag, path in outputs.items() if path}
     for flag, path in outputs.items():
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} is a directory; refusing to write over it")
+        if not os.path.isdir(parent := os.path.dirname(path) or "."):
+            raise ConfigError(f"{flag} {path}: {parent} is not a directory")
         owner = owners.setdefault(os.path.realpath(path), flag)
         if owner != flag:
             raise ConfigError(f"{flag} {path} is the same file as {owner}; refusing to write over it")
@@ -252,7 +257,7 @@ def cmd_pairs(args: argparse.Namespace) -> int:
                 log.warning("%s", exc)
                 skipped += 1
                 continue
-            except ValueError as exc:  # the row breaks a RecordFamily rule
+            except ValueError as exc:  # the row breaks a family rule build_pairs checks
                 raise ValueError(f"{args.families}: {exc}") from None
             for pair in built:
                 counts[pair.gap] += 1  # a GapType is a str equal to its value
@@ -279,6 +284,8 @@ def cmd_loss_eval(args: argparse.Namespace) -> int:
                             read_rows(args.logprobs, LOGPROB_SCHEMA, key="id"))
     except JoinError as exc:  # a log-prob row that does not join one-to-one
         raise JoinError(f"{args.logprobs}: {exc}") from None
+    if not joined:
+        raise ValueError(f"{args.pairs}: no pairs")
     report = cogpo_loss([(quad, gap) for _, quad, gap in joined], schedule)
 
     # Each gap's name and beta, resolved once per gap rather than once per pair.

@@ -49,10 +49,13 @@ def build_pairs(family: RecordFamily, schedule: BetaSchedule) -> list[Preference
 
     A candidate whose chosen and rejected texts coincide (possible only under
     degenerate rewrites) is skipped with a warning rather than emitted. A
-    schedule whose beta for a candidate's gap is not positive is refused.
+    family with an empty id or a rewrite on a medium rating, and a schedule
+    whose beta for a candidate's gap is not positive, are refused.
     """
-    if violations := family.validate():
-        raise ValueError(f"family {family.id}: {'; '.join(violations)}")
+    if not family.id:
+        raise ValueError("family : id: empty")
+    if family.original_rating == ComplexityLevel.MEDIUM and family.r_rewritten is not None:
+        raise ValueError(f"family {family.id}: r_rewritten: present on a medium-rated family")
 
     members = vars(family)
     built: list[PreferencePair] = []
@@ -63,11 +66,12 @@ def build_pairs(family: RecordFamily, schedule: BetaSchedule) -> list[Preference
         beta = assign_beta(gap, schedule)
         if not beta > 0:
             raise ValueError(f"schedule: the {name} gap's beta must be positive, got {beta}")
-        try:
-            built.append(PreferencePair(f"{family.id}:{name}", family.problem, chosen, rejected,
-                                        gap, beta))
-        except ValueError as exc:  # with a positive beta, only chosen == rejected
-            log.warning("family %s: skipping degenerate %s pair: %s", family.id, name, exc)
+        pair_id = f"{family.id}:{name}"
+        if chosen == rejected:
+            log.warning("family %s: skipping degenerate %s pair: pair %s: chosen and rejected "
+                        "are byte-identical", family.id, name, pair_id)
+            continue
+        built.append(PreferencePair(pair_id, family.problem, chosen, rejected, gap, beta))
     if not built:
         raise EmptyFamily(f"family {family.id}: no constructible pair")
     return built

@@ -80,7 +80,8 @@ class RecordFamily:
     """All reasoning variants of one problem, keyed by the intake rating.
 
     ``r_rewritten`` is only ever present when the rewrite passed verification
-    and was re-rated medium; a medium-rated family never carries one.
+    and was re-rated medium; a medium-rated family never carries one, which
+    ``build_pairs`` checks.
     """
 
     id: str
@@ -90,14 +91,6 @@ class RecordFamily:
     r_original: str
     r_rewritten: str | None = None
     r_corrupted: str | None = None
-
-    def validate(self) -> list[str]:
-        violations = []
-        if not self.id:
-            violations.append("id: empty")
-        if self.original_rating == ComplexityLevel.MEDIUM and self.r_rewritten is not None:
-            violations.append("r_rewritten: present on a medium-rated family")
-        return violations
 
     def to_dict(self) -> dict:
         """The families-file row. Its keys are the fields, ``original_rating``
@@ -123,7 +116,9 @@ FAMILY_SCHEMA = {
 
 @dataclass
 class PreferencePair:
-    """A (prompt, chosen, rejected) triple, its gap and its beta; not frozen, so quick to build."""
+    """A (prompt, chosen, rejected) triple, its gap and its beta; a plain row,
+    not frozen, so quick to build. ``build_pairs`` keeps chosen and rejected
+    distinct and beta positive."""
 
     id: str
     prompt: str
@@ -131,12 +126,6 @@ class PreferencePair:
     rejected: str
     gap: GapType
     beta: float
-
-    def __post_init__(self) -> None:
-        if self.chosen == self.rejected:
-            raise ValueError(f"pair {self.id}: chosen and rejected are byte-identical")
-        if not self.beta > 0:
-            raise ValueError(f"pair {self.id}: beta must be positive, got {self.beta}")
 
     def to_dict(self) -> dict:
         """The pairs-file row: the fields, ``gap`` a str that ``dump_row`` writes as its value."""

@@ -168,15 +168,6 @@ class TestCritique:
         assert votes == [ComplexityLevel.HARD]
         assert backend.sizes() == [1]
 
-    def test_even_or_nonpositive_votes_rejected(self):
-        backend = CapturingBackend({})
-        agents = Agents(backend)
-        with pytest.raises(ValueError):
-            agents.for_record(make_record(), PipelineConfig(votes=2)).critique("r")
-        with pytest.raises(ValueError):
-            agents.for_record(make_record(), PipelineConfig(votes=0)).critique("r")
-        assert backend.sizes() == []
-
     def test_no_strict_majority_with_abstention(self):
         # one easy, one hard, one abstention: nothing exceeds half of 3
         script = {"critic:x1": ["easy", "blah", "blah", "hard"]}
@@ -316,14 +307,6 @@ class TestVerify:
         agents = agents.for_record(make_record(), PipelineConfig())
         with pytest.raises(AgentError, match="unparseable"):
             agents.verify("r")
-
-    def test_empty_inputs_rejected(self):
-        agents = Agents(ScriptedBackend({}))
-        no_problem = CoTRecord(id="x1", problem="", answer="a", reasoning="r")
-        with pytest.raises(ValueError):
-            agents.for_record(no_problem, PipelineConfig()).verify("r")
-        with pytest.raises(ValueError):
-            agents.for_record(make_record(), PipelineConfig()).verify("")
 
     def test_verifier_role_is_configurable(self):
         backend = CapturingBackend({"verifier:x1": ["YES"], "critic:x1": ["easy"]})

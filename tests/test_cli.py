@@ -844,6 +844,15 @@ def logprob_row(pair_id: str, diff: float = 0.0) -> dict:
 
 
 class TestLossEval:
+    def test_empty_pairs_file_is_refused_naming_it(self, tmp_path, capsys):
+        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [])
+        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [])
+        code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {pairs_path}: no pairs\n"
+
     def test_zero_margins_give_ln2(self, tmp_path, capsys):
         pairs_path = write_jsonl(
             tmp_path / "pairs.jsonl",
@@ -1187,8 +1196,8 @@ def command_files(tmp_path, six_record_dataset, six_record_script) -> dict[str, 
 
 class TestOutputPaths:
     """A command refuses, before it reads any input row, an output path that
-    names another output or a file it reads, or whose temp file is a file it
-    reads, and leaves every file as it was. ``curate`` checks after loading the config, so the checkpoint it reads is
+    is a directory or in none, that names another output or a file it reads,
+    or whose temp file is a file it reads, and leaves every file as it was. ``curate`` checks after loading the config, so the checkpoint it reads is
     the config's ``pipeline.checkpoint_path`` unless ``--checkpoint`` is given."""
 
     CURATE = "--config {config} curate --input {input} --mock-script {script}"
@@ -1297,6 +1306,44 @@ class TestOutputPaths:
             assert snapshot(tmp_path) == before
         finally:
             temp.unlink(missing_ok=True)
+
+    # An output that cannot be written is refused before any work: curate's
+    # script holds no key, so a request, if one were sent, would fail with
+    # another text. argv, then the one stderr line.
+    UNWRITABLE_CASES = {
+        "curate-families-in-no-directory": (
+            "curate --input {input} --mock-script {empty_script} --output {out}"
+            " --families {nodir}/f.jsonl",
+            "--families {nodir}/f.jsonl: {nodir} is not a directory"),
+        "curate-discards-is-a-directory": (
+            "curate --input {input} --mock-script {empty_script} --output {out} --discards {dir}",
+            "--discards {dir} is a directory; refusing to write over it"),
+        "curate-checkpoint-in-a-file": (
+            "curate --input {input} --mock-script {empty_script} --output {out}"
+            " --checkpoint {input}/ck.json",
+            "--checkpoint {input}/ck.json: {input} is not a directory"),
+        "pairs-output-is-a-directory": (
+            "pairs --families {families} --output {dir}",
+            "--output {dir} is a directory; refusing to write over it"),
+        "loss-eval-output-is-a-directory": (
+            "loss-eval --pairs {pairs} --logprobs {logprobs} --output {dir}",
+            "--output {dir} is a directory; refusing to write over it"),
+        "loss-eval-output-in-no-directory": (
+            "loss-eval --pairs {pairs} --logprobs {logprobs} --output {nodir}/r.jsonl",
+            "--output {nodir}/r.jsonl: {nodir} is not a directory"),
+    }
+
+    @pytest.mark.parametrize("argv, refusal", UNWRITABLE_CASES.values(), ids=UNWRITABLE_CASES)
+    def test_unwritable_output_is_refused_before_any_work(self, tmp_path, capsys, command_files,
+                                                          argv, refusal):
+        files = dict(command_files, dir=str(tmp_path / "sub"), nodir=str(tmp_path / "nodir"),
+                     empty_script=write_script(tmp_path / "empty.jsonl", {}))
+        before = snapshot(tmp_path)
+        assert entrypoint(argv.format(**files).split()) == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal.format(**files)}\n"
+        assert snapshot(tmp_path) == before
 
     def test_distinct_paths_still_run(self, command_files, capsys):
         files = command_files

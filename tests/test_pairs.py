@@ -111,6 +111,9 @@ class TestBuildPairs:
         family = easy_family(original_rating=ComplexityLevel.MEDIUM)
         with pytest.raises(ValueError, match="r_rewritten"):
             build_pairs(family, SCHEDULE)
+        # A library caller's only guard: the CLI's FAMILY_SCHEMA refuses an empty id first.
+        with pytest.raises(ValueError, match=r"^family : id: empty$"):
+            build_pairs(easy_family(id=""), SCHEDULE)
 
     def test_degenerate_members_skipped(self, caplog):
         family = easy_family(r_corrupted="expanded trace")  # equals the rewrite

@@ -246,15 +246,23 @@ class TestEdgeCases:
             run_crv(dataset, PipelineConfig(), Agents(ScriptedBackend({})))
 
     def test_invalid_record_rejected(self):
-        record = CoTRecord(id="r1", problem="p", answer="a", reasoning="")
-        with pytest.raises(ValueError, match="reasoning"):
-            run_crv([record], PipelineConfig(), Agents(ScriptedBackend({})))
+        # The agents take each record as checked: verify sends an empty problem as it is.
+        backend = CapturingBackend({})
+        for field in ("reasoning", "problem"):
+            record = CoTRecord(**{"id": "r1", "problem": "p", "answer": "a", "reasoning": "r",
+                                  field: ""})
+            with pytest.raises(ValueError, match=rf"^record r1: {field}: empty$"):
+                run_crv([record], PipelineConfig(), Agents(backend))
+        assert backend.requests == []
 
     def test_bad_config_is_config_error(self):
-        with pytest.raises(ConfigError):
-            run_crv([], PipelineConfig(retry_cap=0), Agents(ScriptedBackend({})))
-        with pytest.raises(ConfigError):
-            run_crv([], PipelineConfig(votes=2), Agents(ScriptedBackend({})))
+        # The agents take the config as checked: critique asks for votes=2 as it is.
+        backend = CapturingBackend({})
+        for config in (PipelineConfig(retry_cap=0), PipelineConfig(votes=2),
+                       PipelineConfig(votes=0)):
+            with pytest.raises(ConfigError):
+                run_crv(make_dataset(1), config, Agents(backend))
+        assert backend.requests == []
 
 
 class TestConfigApplied:

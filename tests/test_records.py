@@ -10,9 +10,7 @@ from cogforge.records import (
     BetaSchedule,
     ComplexityLevel,
     CoTRecord,
-    GapType,
     ParseError,
-    PreferencePair,
     RecordFamily,
     Source,
     parse_complexity,
@@ -136,32 +134,6 @@ class TestRecordFamily:
             r_original="orig", r_rewritten="new", r_corrupted="bad",
         )
         assert RecordFamily.from_dict(family.to_dict()) == family
-
-    def test_medium_family_must_not_carry_rewrite(self):
-        family = RecordFamily(
-            id="f1", problem="p", answer="a", original_rating=ComplexityLevel.MEDIUM,
-            r_original="orig", r_rewritten="new",
-        )
-        assert any("r_rewritten" in v for v in family.validate())
-
-    def test_valid_medium_family(self):
-        family = RecordFamily(
-            id="f1", problem="p", answer="a", original_rating=ComplexityLevel.MEDIUM,
-            r_original="orig",
-        )
-        assert family.validate() == []
-
-
-class TestPreferencePair:
-    def test_identical_members_rejected(self):
-        with pytest.raises(ValueError):
-            PreferencePair(id="p", prompt="q", chosen="same", rejected="same",
-                           gap=GapType.SMALL, beta=0.1)
-
-    def test_nonpositive_beta_rejected(self):
-        with pytest.raises(ValueError):
-            PreferencePair(id="p", prompt="q", chosen="a", rejected="b",
-                           gap=GapType.SMALL, beta=0.0)
 
 
 class TestRowShapes:
