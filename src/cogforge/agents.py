@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import string
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,10 +30,20 @@ _LEVELS = tuple(ComplexityLevel)
 _RETHINKER_TEMPLATES = {
     ComplexityLevel.EASY: "rethinker_easy", ComplexityLevel.HARD: "rethinker_hard",
 }
+# Every agent but the verifier asks the large model; a global load is cheaper
+# than the enum class's attribute lookup on each request.
+_LARGE = ModelRole.LARGE
 
 # Slot order and separators are fixed; the template files carry only the
 # system text.
 USER_LAYOUT = "Problem:\n{problem}\n\nAnswer:\n{answer}\n\nReasoning Process:\n{reasoning}"
+
+# USER_LAYOUT's literal pieces, taken once: render joins them with its
+# arguments into the bytes USER_LAYOUT.format writes, without parsing the
+# layout again. The unpacking holds the layout to three fields and no text
+# after the last; its slot order is render's (tests compare the two).
+_BEFORE_PROBLEM, _BEFORE_ANSWER, _BEFORE_REASONING = (
+    literal for literal, _field, _spec, _conversion in string.Formatter().parse(USER_LAYOUT))
 
 # Canonical inputs behind the golden prompt fixtures; changing them breaks
 # byte-equality with the files under golden/.
@@ -57,8 +68,8 @@ class PromptTemplate:
 
     def render(self, problem: str, answer: str, reasoning: str) -> tuple[str, str]:
         """Returns (system, user); byte-deterministic for fixed inputs."""
-        user = USER_LAYOUT.format(problem=problem, answer=answer, reasoning=reasoning)
-        return self.system_text, user
+        return self.system_text, (f"{_BEFORE_PROBLEM}{problem}{_BEFORE_ANSWER}{answer}"
+                                  f"{_BEFORE_REASONING}{reasoning}")
 
 
 def _read_system_text(raw: str) -> str:
@@ -140,7 +151,7 @@ class Agents:
 
     def _call(self, agent: str, template: str, reasoning: str, n: int = 1) -> ChatResponse:
         record = self._bound_record()
-        role = self._config.verifier_role if agent == "verifier" else ModelRole.LARGE
+        role = self._config.verifier_role if agent == "verifier" else _LARGE
         system, user = self._templates[template].render(record.problem, record.answer, reasoning)
         # Positional: a dataclass's __init__ binds positions faster than keywords.
         request = ChatRequest(role, system, user, self._sampling, f"{agent}:{record.id}", n)

@@ -150,12 +150,13 @@ def entrypoint(argv: list[str] | None = None) -> int:
 
 
 def _refuse_overwrites(outputs: dict[str, str | None], reads: dict[str, str | None]) -> None:
-    """Refuse, before the command's work, an output path that is a directory
-    or whose parent is not one, and an output path or its temp file
-    ``<path>.tmp`` (see ``write_rows``) that names another output or a file
-    the command reads, compared after ``os.path.realpath``: writing it would
-    replace that file. The checkpoint, read and replaced, is in both dicts
-    under one flag. Absent paths are skipped."""
+    """Refuse, before the command's work, an output path or its temp file
+    ``<path>.tmp`` (see ``write_rows``) that is a directory, an output path
+    whose parent is not one, and an output path or its temp file that names
+    another output or a file the command reads, compared after
+    ``os.path.realpath``: writing it would replace that file. The checkpoint,
+    read and replaced, is in both dicts under one flag. Absent paths are
+    skipped."""
     owners: dict[str, str] = {}
     for flag, path in reads.items():
         if path:
@@ -170,9 +171,10 @@ def _refuse_overwrites(outputs: dict[str, str | None], reads: dict[str, str | No
         if owner != flag:
             raise ConfigError(f"{flag} {path} is the same file as {owner}; refusing to write over it")
     for flag, path in outputs.items():
-        owner = owners.get(os.path.realpath(f"{path}.tmp"))
+        temp = f"{path}.tmp"
+        owner = "a directory" if os.path.isdir(temp) else owners.get(os.path.realpath(temp))
         if owner:
-            raise ConfigError(f"{flag} {path} writes through {path}.tmp, which is {owner}; "
+            raise ConfigError(f"{flag} {path} writes through {temp}, which is {owner}; "
                               "refusing to write over it")
 
 

@@ -26,9 +26,11 @@ class Kind(NamedTuple):
 
 
 def _number(value) -> bool:
-    """A float, or an int that converts to one; a boolean is no number here."""
+    """A finite float, or an int that converts to one; a boolean is no number
+    here. json reads ``NaN``, ``Infinity`` and an out-of-range literal such as
+    ``1e400`` as non-finite floats."""
     try:
-        return type(value) is float or type(value) is int and math.isfinite(float(value))
+        return (type(value) is float or type(value) is int) and math.isfinite(value)
     except OverflowError:
         return False
 

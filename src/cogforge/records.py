@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -186,14 +187,20 @@ _COMPLEXITY_WORDS = {level.value: level for level in ComplexityLevel}
 _VERDICT_WORDS = {"yes": True, "no": False}
 
 
+@functools.lru_cache(maxsize=256)
+def _label_word(text: str) -> str:
+    """``text`` trimmed of surrounding whitespace and a single trailing period,
+    and case-folded. Models repeat a few spellings, so the last 256 are kept."""
+    return text.strip().removesuffix(".").casefold()
+
+
 def _parse_label(text: str, words: dict, kind: str):
-    """The label ``words`` maps the output to once it is trimmed of surrounding
-    whitespace and a single trailing period and case-folded; anything looser
-    risks misclassifying free-form output as a label. Any other output is a
-    ParseError naming the ``kind`` of label."""
+    """The label ``words`` maps the output's ``_label_word`` to; anything
+    looser risks misclassifying free-form output as a label. Any other output
+    is a ParseError naming the ``kind`` of label."""
     if not text:
         raise ParseError("empty model output")
-    word = text.strip().removesuffix(".").casefold()
+    word = _label_word(text)
     if word not in words:
         raise ParseError(f"not a {kind}: {text!r}")
     return words[word]

@@ -42,10 +42,22 @@ class TestTemplates:
         template = load_templates()["critic"]
         assert template.render("p", "a", "r") == template.render("p", "a", "r")
 
+    # Text that a format string, a %-layout or an escaper would treat as
+    # markup, and text that is none.
+    SLOT_VALUES = ("P?", "{", "}", "{problem}", "{{answer}}", "%s", "%%", "%(problem)s",
+                   "back\\slash \\n", "line\nbreak\r\n", "\t\x00", "é ∫ 問題 🙂", "")
+
     def test_user_layout_slots(self):
-        _system, user = load_templates()["verifier"].render("P?", "A!", "R...")
+        template = load_templates()["verifier"]
+        _system, user = template.render("P?", "A!", "R...")
         assert user == "Problem:\nP?\n\nAnswer:\nA!\n\nReasoning Process:\nR..."
         assert user == USER_LAYOUT.format(problem="P?", answer="A!", reasoning="R...")
+        for value in self.SLOT_VALUES:
+            for problem, answer, reasoning in [(value, "a", "r"), ("p", value, "r"),
+                                               ("p", "a", value), (value, value, value)]:
+                _system, user = template.render(problem, answer, reasoning)
+                assert user == USER_LAYOUT.format(problem=problem, answer=answer,
+                                                  reasoning=reasoning), (problem, answer, reasoning)
 
     def test_exactly_one_word_constraints_present(self):
         templates = load_templates()

@@ -709,6 +709,21 @@ class TestPairs:
             "families": 2, "pairs": 4, "skipped": 0,
         }
 
+    def test_repeated_key_in_a_row_is_read_with_its_last_value(self, tmp_path, capsys):
+        """json keeps a repeated key's last value; the family is medium, so it
+        yields its one large pair, where an easy family would yield a medium one."""
+        families = tmp_path / "families.jsonl"
+        families.write_text('{"id": "f", "problem": "p", "answer": "a", "original_rating": '
+                            '"easy", "original_rating": "medium", "r_original": "t", '
+                            '"r_corrupted": "w"}\n', encoding="utf-8")
+        output = str(tmp_path / "pairs.jsonl")
+        assert entrypoint(["pairs", "--families", str(families), "--output", output]) == EXIT_OK
+        assert list(read_rows(output, {}, key=None)) == [
+            {"beta": 0.5, "chosen": "t", "gap": "large", "id": "f:large", "prompt": "p",
+             "rejected": "w"}]
+        assert last_json_line(capsys) == {"by_gap": {"large": 1, "medium": 0, "small": 0},
+                                          "families": 1, "pairs": 1, "skipped": 0}
+
     def test_family_without_members_is_skipped(self, tmp_path, capsys):
         rows = [{
             "id": "lonely", "problem": "p", "answer": "a",
@@ -1047,7 +1062,9 @@ class TestConfigFile:
          ":2:1: expected a single document in the stream, but found another document"),
         (b"pipeline: {max_concurrency: \xff}\n",
          ":1: not valid UTF-8: byte 0xff (invalid start byte)"),
-    ], ids=["unclosed", "python-tag", "control-byte", "two-documents", "not-utf8"])
+        (b"? [a, b]\n: 1\n", ":1:3: while constructing a mapping, found unhashable key"),
+    ], ids=["unclosed", "python-tag", "control-byte", "two-documents", "not-utf8",
+            "unhashable-key"])
     def test_unreadable_file_is_one_line(self, tmp_path, capsys, content, words):
         assert self.refused(tmp_path, capsys, content) == words.format(config=tmp_path / "c.yaml")
 
@@ -1158,6 +1175,22 @@ class TestMalformedRows:
             argv = ["loss-eval", "--pairs", paths["pairs"], "--logprobs", paths["logprobs"]]
         assert entrypoint(argv) == EXIT_FATAL
         assert capsys.readouterr().err == f"error: {paths[file]}:1: {text}\n"
+
+    @pytest.mark.parametrize("literal, value", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")])
+    def test_non_finite_logprob_is_refused_with_its_line(self, tmp_path, capsys, literal, value):
+        """json reads these four literals as floats that are not finite; the
+        row is refused as it is read, not by the loss core after the join."""
+        pairs = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
+        logprobs = tmp_path / "lp.jsonl"
+        row = json.dumps(logprob_row("a")).replace('"lp_w_theta": 0.0', f'"lp_w_theta": {literal}')
+        logprobs.write_text(row + "\n", encoding="utf-8")
+        argv = ["loss-eval", "--pairs", pairs, "--logprobs", str(logprobs)]
+        assert entrypoint(argv) == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {logprobs}:1: field 'lp_w_theta' is not a number in "
+                                f"float range: {value}\n")
 
 
 def snapshot(directory: Path) -> dict[str, bytes]:
@@ -1331,19 +1364,44 @@ class TestOutputPaths:
         "loss-eval-output-in-no-directory": (
             "loss-eval --pairs {pairs} --logprobs {logprobs} --output {nodir}/r.jsonl",
             "--output {nodir}/r.jsonl: {nodir} is not a directory"),
+        # {held}.tmp is a directory, so write_rows could not write {held}.
+        "curate-output-temp-is-a-directory": (
+            "curate --input {input} --mock-script {empty_script} --output {held}",
+            "--output {held} writes through {held}.tmp, which is a directory;"
+            " refusing to write over it"),
+        "curate-checkpoint-temp-is-a-directory": (
+            "curate --input {input} --mock-script {empty_script} --output {out}"
+            " --checkpoint {held}",
+            "--checkpoint {held} writes through {held}.tmp, which is a directory;"
+            " refusing to write over it"),
+        "pairs-output-temp-is-a-directory": (
+            "pairs --families {families} --output {held}",
+            "--output {held} writes through {held}.tmp, which is a directory;"
+            " refusing to write over it"),
+        "loss-eval-output-temp-is-a-directory": (
+            "loss-eval --pairs {pairs} --logprobs {logprobs} --output {held}",
+            "--output {held} writes through {held}.tmp, which is a directory;"
+            " refusing to write over it"),
     }
 
     @pytest.mark.parametrize("argv, refusal", UNWRITABLE_CASES.values(), ids=UNWRITABLE_CASES)
     def test_unwritable_output_is_refused_before_any_work(self, tmp_path, capsys, command_files,
                                                           argv, refusal):
         files = dict(command_files, dir=str(tmp_path / "sub"), nodir=str(tmp_path / "nodir"),
+                     held=str(tmp_path / "held.jsonl"),
                      empty_script=write_script(tmp_path / "empty.jsonl", {}))
+        held_temp = tmp_path / "held.jsonl.tmp"
+        held_temp.mkdir()
         before = snapshot(tmp_path)
-        assert entrypoint(argv.format(**files).split()) == EXIT_FATAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {refusal.format(**files)}\n"
-        assert snapshot(tmp_path) == before
+        try:
+            assert entrypoint(argv.format(**files).split()) == EXIT_FATAL
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {refusal.format(**files)}\n"
+            assert snapshot(tmp_path) == before
+            assert [path.name for path in held_temp.iterdir()] == []
+        finally:
+            held_temp.rmdir()
 
     def test_distinct_paths_still_run(self, command_files, capsys):
         files = command_files

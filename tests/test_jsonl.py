@@ -325,7 +325,9 @@ def reference_accepts(field: str, value) -> bool:
     if field == "score":
         if isinstance(value, bool):
             return False
-        return isinstance(value, float) or isinstance(value, int) and abs(value) < OVERFLOW
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return isinstance(value, int) and abs(value) < OVERFLOW
     if field == "gap":
         return isinstance(value, str) and value in ("small", "medium", "large")
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
@@ -382,7 +384,7 @@ NEAR = {
     "name": ["", None, 7, ["a"]],
     "text": [None, 1, ["a"]],
     "note": [False, 0, ["a"]],
-    "score": [True, False, 10**400, "1.5", None],
+    "score": [True, False, 10**400, math.nan, math.inf, -math.inf, "1.5", None],
     "gap": ["tiny", "Small", "small ", ["small"]],
     "lines": [[1], ["a", None], "a", [["a"]]],
 }
@@ -417,6 +419,7 @@ class TestFieldChecks:
     @given(rows=st.lists(checked_rows(), min_size=1, max_size=4))
     @example(rows=[ROW, dict(ROW, score=True)])
     @example(rows=[dict(ROW, score=10**400)])
+    @example(rows=[ROW, dict(ROW, score=math.nan)])
     @example(rows=[without(ROW, "note"), dict(ROW, name=None)])
     @example(rows=[dict(ROW, name="")])
     @example(rows=[dict(ROW, gap="tiny")])

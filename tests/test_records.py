@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import bench_module
 
 from cogforge.config import ConfigError, load_config
 from cogforge.jsonl import dump_row
@@ -66,6 +67,45 @@ class TestParseVerdict:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             parse_verdict("")
+
+
+class TestRepeatedSpellings:
+    """The benchmark's label spellings parse the same on every call: a
+    remembered spelling gives the first call's label, and an unparseable one
+    is refused each time."""
+
+    gen = bench_module("gen")
+
+    def parse_twice(self, parse, text):
+        outcomes = []
+        for _ in range(2):
+            try:
+                outcomes.append(parse(text))
+            except ParseError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    def test_level_spellings(self):
+        for level, spellings in self.gen.LEVEL_SPELLINGS.items():
+            for text in spellings:
+                assert self.parse_twice(parse_complexity, text) == [ComplexityLevel(level)] * 2
+
+    def test_verdict_spellings(self):
+        for verdict, spellings in self.gen.VERDICT_SPELLINGS.items():
+            for text in spellings:
+                assert self.parse_twice(parse_verdict, text) == [verdict] * 2
+
+    def test_bad_labels_raise_every_time(self):
+        for text in self.gen.BAD_LABELS:
+            for parse in (parse_complexity, parse_verdict):
+                first, second = self.parse_twice(parse, text)
+                assert type(first) is str and first == second, (parse, text)
+        # A level spelling is no verdict, and a verdict spelling no level.
+        for text in self.gen.LEVEL_SPELLINGS["easy"]:
+            assert self.parse_twice(parse_verdict, text) == [f"not a YES/NO verdict: {text!r}"] * 2
+        for text in self.gen.VERDICT_SPELLINGS[True]:
+            assert self.parse_twice(parse_complexity, text) == (
+                [f"not a complexity label: {text!r}"] * 2)
 
 
 def make_record(**overrides) -> CoTRecord:
