@@ -191,6 +191,8 @@ def load_config(path: str | None) -> AppConfig:
             raise ConfigError(f"{path}:{mark.line + 1}:{mark.column + 1}: {words}") from exc
         except UnicodeDecodeError:
             raise ConfigError(undecodable(path)) from None
+        except RecursionError:  # pyyaml composes each nested node by recursion
+            raise ConfigError(f"{path}: mappings or sequences nested too deeply") from None
         except (TypeError, ValueError) as exc:  # a constructor's, e.g. a 13th month's date
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict | None):

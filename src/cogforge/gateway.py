@@ -262,13 +262,15 @@ class HTTPBackend:
                 text = choice["message"]["content"]
                 if text is not None and not isinstance(text, str):
                     raise TypeError(f"content is a {type(text).__name__}, not a string")
+                if text and not STRING.accepts(text):  # a lone surrogate no output could write
+                    raise ValueError(f"content holds a lone surrogate: {text!r}")
                 texts.append(text or "")
             usage = {} if payload.get("usage") is None else payload["usage"]
             tokens = TokenUsage(
                 prompt_tokens=_count(usage, "prompt_tokens"),
                 completion_tokens=_count(usage, "completion_tokens"),
             )
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
         return ChatResponse(choices=tuple(texts), usage=tokens)
 

@@ -7,6 +7,7 @@ import functools
 import json
 import math
 import os
+import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import NamedTuple
 
@@ -35,12 +36,46 @@ def _number(value) -> bool:
         return False
 
 
-NON_EMPTY_STRING = Kind(lambda value: type(value) is str and value != "", "a non-empty string")
-STRING = Kind(lambda value: type(value) is str, "a string")
-STRING_OR_NULL = Kind(lambda value: value is None or type(value) is str, "a string or null")
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: json decodes an unpaired
+    \\ud800-\\udfff escape, which RFC 8259 allows, to a lone surrogate that
+    no output could write. Each kind tests isascii() first, inline: it is
+    O(1), so ASCII text costs no call and no copy."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _lone_surrogate(value) -> bool:
+    """Whether a str, or a str of a list, holds a lone surrogate."""
+    texts = value if type(value) is list else [value]
+    return any(type(text) is str and not _encodable(text) for text in texts)
+
+
+def _strings(value) -> bool:
+    """A list of strs that UTF-8 can encode. A script holds tens of thousands
+    of short responses, so the common case, every one ASCII, is one C loop:
+    ``str.isascii`` raises TypeError on an item that is no str."""
+    if type(value) is not list:
+        return False
+    try:
+        if all(map(str.isascii, value)):
+            return True
+    except TypeError:
+        return False
+    return all(type(text) is str and _encodable(text) for text in value)
+
+
+NON_EMPTY_STRING = Kind(lambda value: type(value) is str and value != "" and (
+    value.isascii() or _encodable(value)), "a non-empty string")
+STRING = Kind(lambda value: type(value) is str and (value.isascii() or _encodable(value)),
+              "a string")
+STRING_OR_NULL = Kind(lambda value: value is None or type(value) is str and (
+    value.isascii() or _encodable(value)), "a string or null")
+STRINGS = Kind(_strings, "a list of strings")
 NUMBER = Kind(_number, "a number in float range")
-STRINGS = Kind(lambda value: type(value) is list and all(type(text) is str for text in value),
-               "a list of strings")
 
 
 def one_of(values: Iterable[str], words: str) -> Kind:
@@ -53,8 +88,12 @@ def refusal(row: Mapping, schema: Mapping[str, Kind]) -> str | None:
     """Words for the first field of ``schema`` that ``row`` lacks or holds of another kind."""
     for field, kind in schema.items():
         if not kind.accepts(row.get(field)):
-            return (f"field {field!r} is not {kind.words}: {row[field]!r}" if field in row
-                    else f"missing field {field!r}")
+            if field not in row:
+                return f"missing field {field!r}"
+            value = row[field]
+            if _lone_surrogate(value):
+                return f"field {field!r} holds a lone surrogate, which UTF-8 cannot encode: {value!r}"
+            return f"field {field!r} is not {kind.words}: {value!r}"
     return None
 
 
@@ -78,13 +117,13 @@ def read_rows(path: str, schema: Mapping[str, Kind], key: str | None) -> Iterato
                     continue
                 try:
                     row, end = _raw_decode(line)
-                except json.JSONDecodeError:
+                except (ValueError, RecursionError):
                     end = -1
                 if end != len(line):
                     try:
                         row = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                    except (ValueError, RecursionError) as exc:
+                        raise ValueError(f"{path}:{lineno}: not valid JSON: {_fault(exc)}") from exc
                 if not isinstance(row, dict):
                     raise ValueError(f"{path}:{lineno}: expected a JSON object")
                 for field, accepts in checks:
@@ -98,6 +137,18 @@ def read_rows(path: str, schema: Mapping[str, Kind], key: str | None) -> Iterato
                 yield row
         except UnicodeDecodeError:
             raise ValueError(undecodable(path)) from None
+
+
+def _fault(exc: ValueError | RecursionError) -> str:
+    """What json refused in a line. Besides its syntax errors, the decoder
+    raises a RecursionError for arrays or objects nested past the
+    interpreter's recursion limit, and a bare ValueError, with advice meant
+    for a Python caller, for an integer literal past the digit limit."""
+    if isinstance(exc, json.JSONDecodeError):
+        return str(exc)
+    if isinstance(exc, RecursionError):
+        return "arrays or objects nested too deeply"
+    return f"an integer literal of more than {sys.get_int_max_str_digits()} digits"
 
 
 def undecodable(path: str) -> str:

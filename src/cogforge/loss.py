@@ -8,7 +8,7 @@ mathematically and the softplus form neither overflows nor loses the tail for
 margins out to +/-1e4. The core returns arrays; ``LossReport`` holds the
 loss, margins and terms as a float and lists.
 
-At token level each response is walked once under each policy into a row of
+At token level each response is walked once per policy shape into a row of
 step counts: how often it takes each (bucket, token) cell of the B x V logit
 table. A response's log-prob is its count row dotted with the log-softmax
 table, and the analytic gradient of the token-level loss is one product of
@@ -19,9 +19,10 @@ Each probe is the whole loss at logits shifted by +/-epsilon in one
 coordinate, taken through the same core and never through gradient code. A
 probe of row b changes only that row's log-softmax, so every probe's
 log-probs come from one batched product of the B x 2V probed-minus-base rows
-with each response's counts in its row b, and all the probes' quads go
-through the core in one call. A NaN or infinite gradient coordinate fails
-the check.
+with each response's counts in its row b. It moves only the pairs with a step
+in row b: their quads go through the core in one call, and every other pair
+keeps its term from the base pass. A NaN or infinite gradient coordinate
+fails the check.
 """
 
 from __future__ import annotations
@@ -253,12 +254,18 @@ def _token_walks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each response's step counts under the policy (a 2 * batch x B * V
     matrix, chosen then rejected for every pair) and log-prob under the
-    reference, in the same order; and each pair's beta. Every response is
-    walked once under each policy."""
+    reference, in the same order; and each pair's beta. Step counts depend
+    only on the vocabulary size and the bucket count, so every response is
+    walked once per shape: once when the reference has the policy's shape, as
+    a snapshot does, and once under each policy otherwise."""
     sequences = [(p.prompt, response) for p in batch for response in (p.chosen, p.rejected)]
-    ref = _logprobs(_step_counts(reference, sequences), reference.log_softmax())
+    ref_counts = _step_counts(reference, sequences)
+    same_shape = (reference.vocab_size, reference.n_buckets) == (
+        policy.vocab_size, policy.n_buckets)
+    counts = ref_counts if same_shape else _step_counts(policy, sequences)
+    ref = _logprobs(ref_counts, reference.log_softmax())
     betas = np.array([assign_beta(p.gap, schedule) for p in batch], dtype=float)
-    return _step_counts(policy, sequences), ref, betas
+    return counts, ref, betas
 
 
 def cogpo_token_loss(
@@ -313,18 +320,23 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare the analytic gradient against central finite differences.
 
-    Every response is walked once under each policy, into the count matrix
-    of ``_token_walks``; the analytic gradient is one ``cogpo_token_loss``
-    call over those walks. Each probe's loss is the whole objective at
-    logits shifted by +/-epsilon in one coordinate, computed through the loss
-    core and independently of the gradient code. Probe p of row b changes
-    only row b of the log-softmax table, so a response's log-prob under it is
-    its base log-prob plus (probed row - base row) dotted with the response's
-    counts in row b. One batched product of the B x 2V x V row differences
-    with the B x V x (2 * batch) count slices gives every probe's log-probs,
-    and all B * 2V * batch quads go through the loss core in one call. The
-    extra memory is O(B * 2V * (V + 4 * batch)) floats: the row differences,
-    the probed log-probs and the quads with their margins and terms.
+    Every response is walked once per shape, into the count matrix of
+    ``_token_walks``; the analytic gradient is one ``cogpo_token_loss`` call
+    over those walks. Each probe's loss is the whole objective at logits
+    shifted by +/-epsilon in one coordinate, computed through the loss core
+    and independently of the gradient code. Probe p of row b changes only row
+    b of the log-softmax table, so a response's log-prob under it is its base
+    log-prob plus (probed row - base row) dotted with the response's counts in
+    row b. One batched product of the B x 2V x V row differences with the
+    B x V x (2 * batch) count slices gives every probe's log-probs. A pair
+    neither of whose responses steps in row b keeps its base log-probs under
+    the row's probes, so its quad and term are the base pass's, taken from
+    that pass's report; only the 2V quads of each (row, pair) that steps in
+    the row go through the loss core, in one call. Each probe's loss is still
+    the mean of all batch terms, in pair order. The extra memory is
+    O(B * 2V * (V + batch)) floats: the row differences, the probed
+    log-probs, the probe terms, and the quads with their margins and terms
+    of the (row, pair) combinations that move.
 
     A coordinate whose analytic or numeric value is NaN or infinite has an
     infinite relative error, so the check fails with it as the worst
@@ -338,8 +350,8 @@ def grad_check(
         raise ValueError("epsilon must be positive")
     reference = reference if reference is not None else policy.snapshot()
     walks = _token_walks(batch, schedule, policy, reference)
-    analytic = cogpo_token_loss(
-        batch, schedule, policy, reference, with_gradient=True, walks=walks).gradient
+    report = cogpo_token_loss(batch, schedule, policy, reference, with_gradient=True, walks=walks)
+    analytic = report.gradient
     if corruption is not None:
         analytic[corruption] += 1.0
 
@@ -351,12 +363,19 @@ def grad_check(
     delta = _log_softmax(policy.logits[:, np.newaxis] + shifts) - base[:, np.newaxis]
     by_row = np.ascontiguousarray(counts.reshape(len(counts), n_buckets, vocab).transpose(1, 2, 0))
     lp = _logprobs(counts, base) + np.matmul(delta, by_row)
-    quads = np.empty((n_buckets, 2 * vocab, len(batch), 4))
-    quads[..., 0], quads[..., 2] = lp[..., 0::2], lp[..., 1::2]
-    quads[..., 1], quads[..., 3] = ref[0::2], ref[1::2]
-    probe_betas = np.tile(betas, n_buckets * 2 * vocab)
-    _, terms = _mean_loss(quads.reshape(-1, 4), probe_betas, "no token pairs")
-    losses = terms.reshape(n_buckets, 2 * vocab, len(batch)).mean(axis=2)
+    # Pair i moves under the probes of row b when either response steps in row b.
+    steps = by_row.any(axis=1)
+    rows, moved = np.nonzero(steps[:, 0::2] | steps[:, 1::2])
+    terms = np.empty((n_buckets, 2 * vocab, len(batch)))
+    terms[...] = report.terms
+    if len(moved):
+        quads = np.empty((len(moved), 2 * vocab, 4))
+        quads[..., 0], quads[..., 2] = lp[rows, :, 2 * moved], lp[rows, :, 2 * moved + 1]
+        quads[..., 1], quads[..., 3] = ref[2 * moved, np.newaxis], ref[2 * moved + 1, np.newaxis]
+        probe_betas = np.repeat(betas[moved], 2 * vocab)
+        _, moved_terms = _mean_loss(quads.reshape(-1, 4), probe_betas, "no token pairs")
+        terms[rows, :, moved] = moved_terms.reshape(len(moved), 2 * vocab)
+    losses = terms.mean(axis=2)
     numeric = (losses[:, :vocab] - losses[:, vocab:]) / (2 * epsilon)
 
     with np.errstate(invalid="ignore"):

@@ -198,7 +198,7 @@ def _json_object(path: str, lineno: int, line: bytes) -> dict | None:
         row = json.loads(line, object_pairs_hook=_unique_keys)
     except _RepeatedKey as exc:
         raise CorruptCheckpoint(f"{path}:{lineno}: duplicate key {exc.args[0]!r}") from None
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: nested past the recursion limit
         return None
     return row if isinstance(row, dict) else None
 

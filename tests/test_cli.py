@@ -1197,6 +1197,101 @@ def snapshot(directory: Path) -> dict[str, bytes]:
     return {str(path): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
 
 
+def write_lines(path: Path, lines: list[str]) -> str:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+DEEP = "[" * 100_000
+LONG_INTEGER = "9" * 5000
+
+
+class TestUnreadableValues:
+    """Arrays nested past the interpreter's recursion limit, an integer
+    literal past its digit limit and an unpaired \\ud800-\\udfff escape are
+    refused where they are read: one `error:` line that names the file, no
+    traceback, and no file written or changed."""
+
+    def refusal(self, tmp_path, capsys, argv: list[str]) -> str:
+        before = snapshot(tmp_path)
+        assert entrypoint(argv) == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert snapshot(tmp_path) == before
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err[len("error: "):-1]
+
+    def test_deep_family_row(self, tmp_path, capsys):
+        families = write_lines(tmp_path / "fam.jsonl", [json.dumps(family_rows()[0]), DEEP])
+        argv = ["pairs", "--families", families, "--output", str(tmp_path / "pairs.jsonl")]
+        assert self.refusal(tmp_path, capsys, argv) == (
+            f"{families}:2: not valid JSON: arrays or objects nested too deeply")
+
+    @pytest.mark.parametrize("value, words", [
+        (DEEP, "arrays or objects nested too deeply"),
+        (LONG_INTEGER, f"an integer literal of more than {sys.get_int_max_str_digits()} digits"),
+    ], ids=["deep", "long-integer"])
+    def test_logprob_row(self, tmp_path, capsys, value, words):
+        pairs = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
+        row = json.dumps(logprob_row("a")).replace('"lp_w_ref": 0.0', f'"lp_w_ref": {value}')
+        logprobs = write_lines(tmp_path / "lp.jsonl", [row])
+        argv = ["loss-eval", "--pairs", pairs, "--logprobs", logprobs,
+                "--output", str(tmp_path / "report.jsonl")]
+        assert self.refusal(tmp_path, capsys, argv) == f"{logprobs}:1: not valid JSON: {words}"
+
+    def test_deep_config(self, tmp_path, capsys, six_record_dataset):
+        config = tmp_path / "deep.yaml"
+        config.write_text("pipeline: " + "[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
+        dataset = write_jsonl(tmp_path / "input.jsonl", dataset_rows(six_record_dataset))
+        argv = ["--config", str(config), "curate", "--input", dataset,
+                "--output", str(tmp_path / "out.jsonl")]
+        assert self.refusal(tmp_path, capsys, argv) == (
+            f"{config}: mappings or sequences nested too deeply")
+
+    @pytest.mark.parametrize("text", ["x\ud800y", "\udfff", "re\ud83dwrite \U0001f600"],
+                             ids=["lone-high", "lone-low", "half-emoji"])
+    def test_lone_surrogate_in_a_family(self, tmp_path, capsys, text):
+        row = dict(family_rows()[0], r_original=text)
+        families = write_lines(tmp_path / "fam.jsonl", [json.dumps(row)])
+        argv = ["pairs", "--families", families, "--output", str(tmp_path / "pairs.jsonl")]
+        assert self.refusal(tmp_path, capsys, argv) == (
+            f"{families}:1: field 'r_original' holds a lone surrogate, which UTF-8 cannot "
+            f"encode: {text!r}")
+
+    def test_lone_surrogate_in_a_dataset_row(self, tmp_path, capsys, curate_paths):
+        rows = [{"id": "r1", "problem": "p\udc80", "answer": "a", "reasoning": "r"}]
+        dataset = write_lines(tmp_path / "data.jsonl", [json.dumps(row) for row in rows])
+        argv = ["curate", "--input", dataset, "--output", str(tmp_path / "out.jsonl"),
+                "--mock-script", curate_paths["script"]]
+        assert self.refusal(tmp_path, capsys, argv) == (
+            f"{dataset}:1: field 'problem' holds a lone surrogate, which UTF-8 cannot "
+            "encode: 'p\\udc80'")
+
+    def test_lone_surrogate_in_a_script_response(self, tmp_path, capsys, curate_paths):
+        script = write_lines(tmp_path / "script.jsonl", [
+            json.dumps({"key": "critic:r1", "responses": ["hard"]}),
+            json.dumps({"key": "rethinker:r1", "responses": ["re\ud83dwrite"]})])
+        argv = ["curate", "--input", curate_paths["input"],
+                "--output", str(tmp_path / "out.jsonl"), "--mock-script", script]
+        assert self.refusal(tmp_path, capsys, argv) == (
+            f"{script}:2: field 'responses' holds a lone surrogate, which UTF-8 cannot "
+            "encode: ['re\\ud83dwrite']")
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_deep_checkpoint_line(self, tmp_path, capsys, curate_paths, line):
+        """A deep header is no header; a deep appended line is no checkpoint row."""
+        checkpoint = tmp_path / "run.ckpt"
+        argv = ["curate", "--input", curate_paths["input"], "--output", str(tmp_path / "out.jsonl"),
+                "--checkpoint", str(checkpoint), "--mock-script", curate_paths["script"]]
+        assert entrypoint(argv) == EXIT_PARTIAL
+        header = checkpoint.read_text(encoding="utf-8").splitlines()[0]
+        write_lines(checkpoint, [header, DEEP] if line == 2 else [DEEP])
+        capsys.readouterr()
+        assert self.refusal(tmp_path, capsys, argv) == (
+            f"{checkpoint}:2: not a checkpoint row" if line == 2
+            else f"{checkpoint}: line 1 is not a cogforge-checkpoint-v6 header")
+
+
 @pytest.fixture
 def command_files(tmp_path, six_record_dataset, six_record_script) -> dict[str, str]:
     """Every file a command may read, an existing checkpoint, two configs

@@ -19,6 +19,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from cogforge.agents import Agents
+from cogforge.cli import EXIT_FATAL, entrypoint
 from cogforge.config import SECTION_SCHEMAS, ConfigError, PipelineConfig, load_config, refusals
 from cogforge.gateway import (
     ChatRequest,
@@ -35,6 +36,7 @@ from cogforge.gateway import (
     UnknownKey,
     load_script,
 )
+from cogforge.jsonl import dump_row
 from cogforge.records import ComplexityLevel, CoTRecord
 
 
@@ -264,14 +266,15 @@ class TestLoadScript:
 
 
 class _ScriptedHTTPHandler(BaseHTTPRequestHandler):
-    """Pops (status, payload) pairs off the server and records request bodies."""
+    """Pops (status, payload) pairs off the server and records request bodies.
+    A payload of bytes is sent as it is, any other as JSON."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         self.server.seen.append({"body": body, "auth": self.headers.get("Authorization")})
         status, payload = self.server.playbook.pop(0)
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -481,6 +484,68 @@ class TestHTTPBackend:
         with pytest.raises(ProviderError, match="malformed"):
             backend_for(http_server).complete(make_request())
         assert len(http_server.seen) == 1
+
+    @pytest.mark.parametrize("payload", [
+        b'{"choices": ' + b"[" * 100_000,
+        b'{"choices": [{"message": {"content": "medium"}}], "usage": ' + b'{"a": ' * 100_000,
+    ], ids=["deep-choices", "deep-usage"])
+    def test_nesting_past_the_recursion_limit_is_provider_error(self, http_server, payload):
+        http_server.playbook.append((200, payload))
+        with pytest.raises(ProviderError, match="^malformed provider response: "):
+            backend_for(http_server).complete(make_request())
+        assert len(http_server.seen) == 1
+
+    @pytest.mark.parametrize("text", ["re\ud83dwrite", "\udc80", "ok \U0001f600 then \udfff"],
+                             ids=["half-emoji", "lone-low", "after-a-pair"])
+    def test_lone_surrogate_content_is_provider_error(self, http_server, text):
+        """json.dumps writes each lone surrogate as a \\uXXXX escape, as a
+        provider may; the content is refused before any caller holds it."""
+        http_server.playbook.append((200, ok_payload(text)))
+        with pytest.raises(ProviderError) as caught:
+            backend_for(http_server).complete(make_request())
+        assert str(caught.value) == f"malformed provider response: content holds a lone surrogate: {text!r}"
+        assert len(http_server.seen) == 1
+
+    def test_paired_surrogates_are_content(self, http_server):
+        http_server.playbook.append((200, ok_payload("re\U0001f600write")))
+        assert backend_for(http_server).complete(make_request()).text == "re\U0001f600write"
+
+
+class TestLiveCurateRefusal:
+    def test_lone_surrogate_stops_the_run_and_keeps_the_checkpoint(
+        self, http_server, proxy_env, tmp_path, capsys
+    ):
+        """A rethinker answering with half an emoji's surrogate pair stops a
+        live ``curate`` at that response, with one `error:` line; the
+        checkpoint keeps the bytes the previous run left and no output is
+        written."""
+        url = f"http://127.0.0.1:{http_server.server_address[1]}/v1/chat/completions"
+        config = tmp_path / "live.yaml"
+        config.write_text(json.dumps({
+            "endpoints": {role: {"url": url, "model": "stub"} for role in ("base", "large")},
+            "pipeline": {"max_concurrency": 1},
+        }), encoding="utf-8")
+        dataset = tmp_path / "input.jsonl"
+        dataset.write_text(dump_row({"id": "r1", "problem": "p", "answer": "a",
+                                     "reasoning": "trace"}) + "\n", encoding="utf-8")
+        checkpoint = tmp_path / "run.ckpt"
+        argv = ["--config", str(config), "curate", "--input", str(dataset),
+                "--output", str(tmp_path / "out.jsonl"), "--checkpoint", str(checkpoint)]
+        http_server.playbook.append((400, {"error": "bad request"}))
+        assert entrypoint(argv) == EXIT_FATAL
+        assert capsys.readouterr().err.startswith("error: HTTP 400")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert "run.ckpt" in before and "out.jsonl" not in before
+
+        hard = {"choices": [{"message": {"content": "hard"}}] * 3,
+                "usage": {"prompt_tokens": 7, "completion_tokens": 3}}
+        http_server.playbook.extend([(200, hard), (200, ok_payload("re\ud83dwrite"))])
+        assert entrypoint(argv) == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.err == ("error: malformed provider response: content holds a lone "
+                                "surrogate: 're\\ud83dwrite'\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert len(http_server.seen) == 3 and not http_server.playbook
 
 
 def dead_port() -> int:

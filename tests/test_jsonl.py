@@ -450,3 +450,21 @@ class TestFieldChecks:
         with pytest.raises(ValueError) as caught:
             list(read_rows(str(path), {"key": STRING}, key=None))
         assert str(caught.value) == f"{path}:1: missing field 'key'"
+
+    @pytest.mark.parametrize("kind, value, text", [
+        (NON_EMPTY_STRING, "\ud800", "\u00e9"), (STRING, "x\udfffy", "x\u00e9y"),
+        (STRING_OR_NULL, "re\ud83dwrite", "re\U0001f600write"),
+        (STRINGS, ["a", "\udc80"], ["a", "\u00e9"]),
+        (STRINGS, ["\U0001f600", "\ud83d"], ["\U0001f600", "\u00e9"]),
+    ], ids=["non-empty-string", "string", "string-or-null", "strings", "strings-after-a-pair"])
+    def test_a_lone_surrogate_is_refused_by_every_string_kind(self, tmp_path, kind, value, text):
+        """json decodes an unpaired \\ud800-\\udfff escape to a str that UTF-8
+        cannot encode: each string kind refuses it, and takes other non-ASCII
+        text, a pair's escapes included."""
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps({"id": value}) + "\n", encoding="utf-8")
+        assert not kind.accepts(value) and kind.accepts(text)
+        with pytest.raises(ValueError) as caught:
+            list(read_rows(str(path), {"id": kind}, key=None))
+        assert str(caught.value) == (
+            f"{path}:1: field 'id' holds a lone surrogate, which UTF-8 cannot encode: {value!r}")

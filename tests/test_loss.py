@@ -345,6 +345,74 @@ class TestCogpoTokenLoss:
         assert abs(report.loss - LN2) < 1e-12
 
 
+def pinned_case(name: str, seed: int) -> tuple[list[TokenPair], ToyPolicy, ToyPolicy]:
+    """The benchmark-shape and non-square cases at a seed, or ``selftest``'s
+    batch, whose two policies come from seed 7."""
+    if name == "benchmark":
+        return benchmark_shape_case(seed)
+    if name == "non-square":
+        return non_square_case(seed)
+    rng = np.random.default_rng(seed)
+    return small_batch(), ToyPolicy(3, 2, rng=rng), ToyPolicy(3, 2, rng=rng)
+
+
+# (case, seed, corrupted coordinate) -> the (max_rel_error, worst_coordinate,
+# passed) of grad_check, clean and with that coordinate corrupted, recorded
+# while every probe still pushed every pair through the loss core.
+GRAD_CHECK_PINS = {
+    ("benchmark", 1, (1, 2)): (
+        (7.428758021059412e-08, (15, 5), True), (0.9998093426629836, (1, 2), False)),
+    ("benchmark", 2, (1, 2)): (
+        (7.951762647862362e-08, (10, 15), True), (1.00031255915827, (1, 2), False)),
+    ("benchmark", 3, (1, 2)): (
+        (6.743603486307198e-08, (15, 5), True), (0.9920861247593437, (1, 2), False)),
+    ("benchmark", 4, (1, 2)): (
+        (6.87096268824159e-08, (10, 11), True), (0.9987915430590655, (1, 2), False)),
+    ("benchmark", 5, (1, 2)): (
+        (5.7565807356638784e-08, (9, 7), True), (1.0012717746953261, (1, 2), False)),
+    ("benchmark", 6, (1, 2)): (
+        (6.048220374172178e-08, (3, 6), True), (0.9776930292218151, (1, 2), False)),
+    ("benchmark", 7, (1, 2)): (
+        (5.786046948096264e-08, (11, 11), True), (1.000017486029736, (1, 2), False)),
+    ("benchmark", 8, (1, 2)): (
+        (1.3182380493724673e-07, (6, 13), True), (1.0001340500413336, (1, 2), False)),
+    ("benchmark", 9, (1, 2)): (
+        (1.3008576048225296e-07, (0, 2), True), (0.9996922705271127, (1, 2), False)),
+    ("benchmark", 10, (1, 2)): (
+        (6.07362654636047e-08, (1, 15), True), (1.000304281883032, (1, 2), False)),
+    ("benchmark", 11, (1, 2)): (
+        (1.2188607436715293e-07, (14, 14), True), (0.9897184800346291, (1, 2), False)),
+    ("benchmark", 12, (1, 2)): (
+        (1.1396350715968491e-07, (10, 5), True), (0.9998373427618378, (1, 2), False)),
+    ("benchmark", 13, (1, 2)): (
+        (9.24808428622026e-08, (14, 14), True), (0.9985049632997433, (1, 2), False)),
+    ("benchmark", 14, (1, 2)): (
+        (7.556885686329541e-08, (2, 11), True), (1.0034484823806928, (1, 2), False)),
+    ("benchmark", 15, (1, 2)): (
+        (7.135207978929345e-08, (1, 5), True), (0.9996518967687799, (1, 2), False)),
+    ("benchmark", 16, (1, 2)): (
+        (7.828320673988753e-08, (8, 12), True), (1.0000146049196337, (1, 2), False)),
+    ("benchmark", 17, (1, 2)): (
+        (5.142270609836181e-08, (7, 5), True), (1.003722496778496, (1, 2), False)),
+    ("benchmark", 18, (1, 2)): (
+        (1.0125767178692714e-07, (5, 1), True), (0.9998496900056701, (1, 2), False)),
+    ("benchmark", 19, (1, 2)): (
+        (7.959760957213619e-08, (1, 12), True), (1.0192784860313826, (1, 2), False)),
+    ("benchmark", 20, (1, 2)): (
+        (1.8189806382795117e-07, (1, 9), True), (1.0000576684647906, (1, 2), False)),
+    ("non-square", 31, (1, 3)): (
+        (2.139291066725116e-09, (2, 3), True), (0.9452716801711945, (1, 3), False)),
+    ("non-square", 32, (1, 3)): (
+        (2.887885745461002e-09, (1, 1), True), (1.0080155746364183, (1, 3), False)),
+    ("non-square", 33, (1, 3)): (
+        (2.4622567681241835e-09, (0, 1), True), (0.9450233640224244, (1, 3), False)),
+    ("selftest", 7, (0, 1)): (
+        (4.223803039027162e-09, (0, 0), True), (1.1338331609685832, (0, 1), False)),
+    ("selftest", 7, (1, 2)): (
+        (4.223803039027162e-09, (0, 0), True), (1.0210758837759204, (1, 2), False)),
+}
+
+
 class TestGradCheck:
     def test_randomized_policies_pass(self):
         rng = np.random.default_rng(18)
@@ -443,6 +511,48 @@ class TestGradCheck:
         assert walked.count(id(reference)) == 2 * len(batch)
         assert len(walked) == 4 * len(batch)
         assert token_loss_calls == 1
+
+        # A reference of the policy's shape takes the same steps: one walk.
+        walked.clear()
+        same_shape = ToyPolicy(policy.vocab_size, policy.n_buckets, rng=np.random.default_rng(34))
+        assert grad_check(batch, BetaSchedule(), policy, same_shape).passed
+        assert len(walked) == 2 * len(batch)
+        assert token_loss_calls == 2
+
+    @pytest.mark.parametrize("case", sorted(GRAD_CHECK_PINS))
+    def test_report_matches_pin(self, case):
+        name, seed, coordinate = case
+        batch, policy, reference = pinned_case(name, seed)
+        for corruption, pin in zip((None, coordinate), GRAD_CHECK_PINS[case]):
+            report = grad_check(batch, BetaSchedule(), policy, reference, corruption=corruption)
+            assert repr((report.max_rel_error, report.worst_coordinate, report.passed)) == repr(pin)
+
+    @pytest.mark.parametrize("name, seed", [
+        ("benchmark", 1), ("benchmark", 2), ("non-square", 31), ("selftest", 7), ("no-steps", 8)])
+    def test_core_sees_only_the_pairs_a_probe_moves(self, monkeypatch, name, seed):
+        """A probe of row b moves only the pairs with a step in row b, so the
+        core gets 2V quads per such (row, pair), after the base pass's batch;
+        with no step anywhere it gets no probe quads at all."""
+        if name == "no-steps":
+            policy = ToyPolicy(3, 2, rng=np.random.default_rng(seed))
+            batch, reference = [TokenPair((0, 1), (), (), GapType.MEDIUM)], policy.snapshot()
+        else:
+            batch, policy, reference = pinned_case(name, seed)
+        core_rows: list[int] = []
+        core = loss._mean_loss
+
+        def counting_core(quads, betas, empty):
+            core_rows.append(len(quads))
+            return core(quads, betas, empty)
+
+        monkeypatch.setattr(loss, "_mean_loss", counting_core)
+        assert grad_check(batch, BetaSchedule(), policy, reference).passed
+        moved = {(policy.bucket(pair.prompt + response[:i]), index)
+                 for index, pair in enumerate(batch)
+                 for response in (pair.chosen, pair.rejected) for i in range(len(response))}
+        assert core_rows == [len(batch)] + [2 * policy.vocab_size * len(moved)] * bool(moved)
+        if name == "benchmark":
+            assert len(moved) < policy.n_buckets * len(batch) / 2
 
     def test_empty_batch_rejected(self):
         with pytest.raises(EmptyBatch):
