@@ -112,8 +112,8 @@ class Agents:
     and tokens (the backend's usage per request) per agent in the copy's own
     ``completions`` and ``tokens``. The backend and templates are shared, so
     bound copies may run concurrently; each copy belongs to one record's walk.
-    The record and config come checked: ``run_crv`` refuses an empty field and
-    an even or non-positive ``votes`` before any record is bound.
+    The record and config come checked: ``run_crv`` builds the config as
+    ``load_config`` does and refuses a record before any record is bound.
     """
 
     def __init__(

@@ -24,7 +24,7 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .config import SECTION_SCHEMAS, AppConfig, ConfigError, GatewayError, load_config, refusals
+from .config import SECTION_SCHEMAS, AppConfig, ConfigError, GatewayError, build, load_config
 from .jsonl import read_rows, write_rows
 from .pairs import EmptyFamily, assign_beta, build_pairs
 from .records import (FAMILY_SCHEMA, LOGPROB_SCHEMA, PAIR_SCHEMA, RECORD_SCHEMA, BetaSchedule,
@@ -203,16 +203,13 @@ def _load_dataset(path: str) -> list[CoTRecord]:
 
 def cmd_curate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    checkpoint_flag = "pipeline.checkpoint_path"
+    checkpoint = {"pipeline.checkpoint_path": config.pipeline.checkpoint_path}
     if args.checkpoint is not None:
-        checkpoint_flag = "--checkpoint"
-        config.pipeline.checkpoint_path = args.checkpoint
-        if problems := refusals(vars(config.pipeline), SECTION_SCHEMAS["pipeline"],
-                                "--checkpoint: "):
-            raise ConfigError(problems[0])
+        config.pipeline = build(config.pipeline, {"checkpoint_path": args.checkpoint},
+                                SECTION_SCHEMAS["pipeline"], "--checkpoint: ")
+        checkpoint = {"--checkpoint": args.checkpoint}
     discards_path = args.discards or _derived_path(args.output, "discards")
     families_path = args.families or _derived_path(args.output, "families")
-    checkpoint = {checkpoint_flag: config.pipeline.checkpoint_path}
     _refuse_overwrites(
         {"--output": args.output, "--discards": discards_path, "--families": families_path,
          **checkpoint},

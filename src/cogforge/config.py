@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from urllib.parse import urlparse
 
-from .jsonl import NON_EMPTY_STRING, Kind, refusal, undecodable
+from .jsonl import BOOLEAN, NON_EMPTY_STRING, Kind, _encodable, refusal, undecodable
 from .records import BetaSchedule
 
 
@@ -95,8 +96,10 @@ _ROLES = tuple(role.value for role in ModelRole)
 # isinstance: a library-built config holds a ModelRole, which is a str.
 ROLE = Kind(lambda value: isinstance(value, str) and value in _ROLES, "'base' or 'large'")
 WHOLE = _number(int, lambda n: n >= 1, "a whole number >= 1")
-PATH = Kind(lambda value: value is None or type(value) is str and value != "",
-            "a non-empty string or null")
+# A path from argv may hold bytes that ``surrogateescape`` decoded, which
+# os.fsencode takes back, but no other lone surrogate.
+PATH = Kind(lambda value: value is None or type(value) is str and value != "" and (
+    value.isascii() or _encodable(value, os.fsencode)), "a non-empty string or null")
 
 # One kind per field, which accepts exactly the values that cast to the type
 # of the field's default and meet its rule. A null section keeps its defaults.
@@ -106,7 +109,7 @@ SECTION_SCHEMAS = {
                  "top_k": WHOLE, "max_tokens": WHOLE},
     "pipeline": {"retry_cap": WHOLE, "max_concurrency": WHOLE, "verifier_role": ROLE,
                  "votes": _number(int, lambda n: n > 0 and n % 2 == 1, "an odd whole number >= 1"),
-                 "corruption_gate": Kind(lambda value: type(value) is bool, "a boolean"),
+                 "corruption_gate": BOOLEAN,
                  "checkpoint_path": PATH},
     "schedule": {"beta_small": _number(float, lambda x: x > 0, "a finite number > 0"),
                  **dict.fromkeys(("beta_medium", "beta_large"),
@@ -138,12 +141,18 @@ def refusals(values: Mapping, schema: Mapping[str, Kind], where: str) -> list[st
     return found
 
 
-def _build(default, raw: dict, schema: Mapping[str, Kind], where: str, problems: list[str]):
+def build(default, raw: Mapping, schema: Mapping[str, Kind], where: str,
+          problems: list[str] | None = None):
     """``default`` with each field ``raw`` names set to its value, cast to the
-    type of the default's (a None default's path is kept); None on a refusal."""
-    found = refusals(raw, schema, where)
-    problems += found
-    return None if found else replace(default, **{
+    type of the default's (a None default's path is kept). A refusal is added
+    to ``problems`` (the result is None) or, without them, raised as one
+    ConfigError joined with ``; ``."""
+    if found := refusals(raw, schema, where):
+        if problems is None:
+            raise ConfigError("; ".join(found))
+        problems += found
+        return None
+    return replace(default, **{
         name: value if (base := getattr(default, name)) is None else type(base)(value)
         for name, value in raw.items()})
 
@@ -205,12 +214,12 @@ def load_config(path: str | None) -> AppConfig:
     problems += refusals(entries, ENDPOINTS_SCHEMA, "endpoints: ")
     endpoints = {
         # A missing url or model reads as null, which neither kind accepts.
-        ModelRole(role): _build(Endpoint(None, None), {**dict.fromkeys(ENDPOINT_SCHEMA), **entry},
-                                ENDPOINT_SCHEMA, f"endpoints.{role}: ", problems)
+        ModelRole(role): build(Endpoint(None, None), {**dict.fromkeys(ENDPOINT_SCHEMA), **entry},
+                               ENDPOINT_SCHEMA, f"endpoints.{role}: ", problems)
         for role, entry in entries.items() if role in _ROLES and type(entry) is dict}
     defaults = AppConfig()
-    built = {name: _build(getattr(defaults, name), sections.get(name, {}), schema, f"{name}: ",
-                          problems) for name, schema in SECTION_SCHEMAS.items()}
+    built = {name: build(getattr(defaults, name), sections.get(name, {}), schema, f"{name}: ",
+                         problems) for name, schema in SECTION_SCHEMAS.items()}
     # The one rule no field states alone; tests may build degenerate schedules.
     if (beta := built["schedule"]) and not beta.beta_small < beta.beta_medium < beta.beta_large:
         problems.append("schedule: beta ordering: requires beta_small < beta_medium < beta_large")

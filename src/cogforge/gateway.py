@@ -26,7 +26,7 @@ from urllib.parse import SplitResult, unquote, urlsplit
 # The configuration types live in config, so that reading a config loads no
 # HTTP client; they are re-exported here.
 from .config import ConfigError, Endpoint, GatewayError, ModelRole, SamplingParams
-from .jsonl import STRING, STRINGS, read_rows
+from .jsonl import STRING, STRINGS, _fault, read_rows
 
 if TYPE_CHECKING:
     import http.client
@@ -252,6 +252,9 @@ class HTTPBackend:
         # accepted; callers ask again for the rest.
         try:
             payload = json.loads(data)
+        except (ValueError, RecursionError) as exc:  # worded as a file's line is
+            raise ProviderError(f"malformed provider response: {_fault(exc)}") from exc
+        try:
             choices = payload["choices"]
             if not isinstance(choices, list):
                 raise TypeError(f"choices is a {type(choices).__name__}, not a list")
@@ -270,7 +273,7 @@ class HTTPBackend:
                 prompt_tokens=_count(usage, "prompt_tokens"),
                 completion_tokens=_count(usage, "completion_tokens"),
             )
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
         return ChatResponse(choices=tuple(texts), usage=tokens)
 

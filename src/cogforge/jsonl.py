@@ -36,13 +36,13 @@ def _number(value) -> bool:
         return False
 
 
-def _encodable(text: str) -> bool:
-    """Whether UTF-8 can encode ``text``: json decodes an unpaired
-    \\ud800-\\udfff escape, which RFC 8259 allows, to a lone surrogate that
-    no output could write. Each kind tests isascii() first, inline: it is
-    O(1), so ASCII text costs no call and no copy."""
+def _encodable(text: str, encode: Callable[[str], bytes] = str.encode) -> bool:
+    """Whether ``encode``, UTF-8 by default, can encode ``text``: json decodes
+    an unpaired \\ud800-\\udfff escape, which RFC 8259 allows, to a lone
+    surrogate that no output could write. Each kind tests isascii() first,
+    inline: it is O(1), so ASCII text costs no call and no copy."""
     try:
-        text.encode()
+        encode(text)
     except UnicodeEncodeError:
         return False
     return True
@@ -76,6 +76,7 @@ STRING_OR_NULL = Kind(lambda value: value is None or type(value) is str and (
     value.isascii() or _encodable(value)), "a string or null")
 STRINGS = Kind(_strings, "a list of strings")
 NUMBER = Kind(_number, "a number in float range")
+BOOLEAN = Kind(lambda value: type(value) is bool, "a boolean")
 
 
 def one_of(values: Iterable[str], words: str) -> Kind:
@@ -140,11 +141,11 @@ def read_rows(path: str, schema: Mapping[str, Kind], key: str | None) -> Iterato
 
 
 def _fault(exc: ValueError | RecursionError) -> str:
-    """What json refused in a line. Besides its syntax errors, the decoder
-    raises a RecursionError for arrays or objects nested past the
-    interpreter's recursion limit, and a bare ValueError, with advice meant
+    """What json refused in a line or a body. Besides its syntax errors and a
+    body's UnicodeDecodeError, it raises a RecursionError for arrays or objects
+    nested past the recursion limit, and a bare ValueError, with advice meant
     for a Python caller, for an integer literal past the digit limit."""
-    if isinstance(exc, json.JSONDecodeError):
+    if isinstance(exc, json.JSONDecodeError | UnicodeDecodeError):
         return str(exc)
     if isinstance(exc, RecursionError):
         return "arrays or objects nested too deeply"

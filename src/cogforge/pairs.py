@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import logging
 
-from .records import BetaSchedule, ComplexityLevel, GapType, PreferencePair, RecordFamily
+from .jsonl import refusal
+from .records import (FAMILY_SCHEMA, BetaSchedule, ComplexityLevel, GapType, PreferencePair,
+                      RecordFamily)
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +39,7 @@ _CANDIDATES[ComplexityLevel.EASY] = _CANDIDATES[ComplexityLevel.HARD] = (
     ("r_rewritten", "r_corrupted", GapType.LARGE, "large"),
 )
 _BETA_FIELDS = {gap: f"beta_{gap.value}" for gap in GapType}
+_ID = {"id": FAMILY_SCHEMA["id"]}
 
 
 def assign_beta(gap: GapType, schedule: BetaSchedule) -> float:
@@ -49,11 +52,11 @@ def build_pairs(family: RecordFamily, schedule: BetaSchedule) -> list[Preference
 
     A candidate whose chosen and rejected texts coincide (possible only under
     degenerate rewrites) is skipped with a warning rather than emitted. A
-    family with an empty id or a rewrite on a medium rating, and a schedule
-    whose beta for a candidate's gap is not positive, are refused.
+    family whose id FAMILY_SCHEMA refuses or with a rewrite on a medium rating,
+    and a schedule whose beta for a candidate's gap is not positive, are refused.
     """
-    if not family.id:
-        raise ValueError("family : id: empty")
+    if words := refusal(vars(family), _ID):
+        raise ValueError(f"family: {words}")
     if family.original_rating == ComplexityLevel.MEDIUM and family.r_rewritten is not None:
         raise ValueError(f"family {family.id}: r_rewritten: present on a medium-rated family")
 

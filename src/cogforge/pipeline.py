@@ -19,19 +19,11 @@ import threading
 from dataclasses import dataclass, field
 
 from .agents import AgentError, Agents
-from .config import SECTION_SCHEMAS, ConfigError, PipelineConfig, refusals
-from .jsonl import STRING_OR_NULL, Kind, dump_row, refusal, write_rows
-from .records import (
-    _COMPLEXITY_WORDS,
-    COMPLEXITY_LEVEL,
-    ComplexityLevel,
-    CoTRecord,
-    PipelineStats,
-    RecordFamily,
-    Source,
-    rating_entry,
-    validate_record,
-)
+from .config import SECTION_SCHEMAS, PipelineConfig, build
+from .jsonl import BOOLEAN, STRING_OR_NULL, Kind, dump_row, refusal, write_rows
+from .records import (_COMPLEXITY_WORDS, COMPLEXITY_LEVEL, ComplexityLevel, CoTRecord,
+                      PipelineStats, RecordFamily, Source, rating_entry, record_schema,
+                      validate_record)
 
 log = logging.getLogger(__name__)
 
@@ -164,14 +156,9 @@ def checkpoint_fingerprint(inputs: dict[str, str], config: PipelineConfig, agent
     change them and still reproduce the same outputs."""
     import hashlib
 
-    settings = {
-        "retry_cap": config.retry_cap,
-        "votes": config.votes,
-        "verifier_role": config.verifier_role.value,
-        "corruption_gate": config.corruption_gate,
-        **agents.settings(),
-    }
-    digest = hashlib.sha256(dump_row(settings).encode("utf-8") + b"\n")
+    settings = {name: getattr(config, name)  # dump_row writes a ModelRole as its value
+                for name in ("retry_cap", "votes", "verifier_role", "corruption_gate")}
+    digest = hashlib.sha256(dump_row({**settings, **agents.settings()}).encode("utf-8") + b"\n")
     digest.update("".join(inputs.values()).encode("ascii"))
     return digest.hexdigest()
 
@@ -214,9 +201,8 @@ def _outcome_schema(retry_cap: int) -> dict[str, Kind]:
             type(entry) is dict and COMPLEXITY_LEVEL.accepts(entry.get("rating"))
             for entry in value), "a list of objects whose rating is a complexity level"),
         "rewrite": STRING_OR_NULL, "discard_reason": STRING_OR_NULL, "r_corrupted": STRING_OR_NULL,
-        "attempts": Kind(lambda value: type(value) is int and 0 <= value <= retry_cap,
-                         f"an integer from 0 to {retry_cap}"),
-        "ever_verified": Kind(lambda value: type(value) is bool, "a boolean"),
+        "attempts": record_schema(retry_cap)["rewrite_count"],
+        "ever_verified": BOOLEAN,
         "completions_by_stage": _COUNTS, "tokens_by_stage": _COUNTS,
     }
 
@@ -310,6 +296,7 @@ def run_crv(
 ) -> tuple[list[CoTRecord], list[RecordFamily], PipelineStats, list[dict]]:
     """Curate a batch; returns (curated set, families, stats, discard rows).
 
+    The settings are cast, into a copy, as ``load_config`` casts a file's.
     Fatal errors (gateway, config, corrupt checkpoint) propagate; per-record
     agent failures become discards. Each record ends as one RecordOutcome,
     appended to config.checkpoint_path (if set) as it completes; the file is
@@ -323,16 +310,14 @@ def run_crv(
     _curate. A checkpoint row that load_checkpoint finds unsound is refused
     as CorruptCheckpoint before any record starts.
     """
-    if problems := refusals(vars(config), SECTION_SCHEMAS["pipeline"], "pipeline: "):
-        raise ConfigError("; ".join(problems))
+    config = build(PipelineConfig(), vars(config), SECTION_SCHEMAS["pipeline"], "pipeline: ")
     seen: set[str] = set()
     for record in dataset:
+        if problem := validate_record(record, retry_cap=config.retry_cap):
+            raise ValueError(f"record {record.id!r}: {problem}")
         if record.id in seen:
             raise DuplicateId(f"duplicate input id {record.id!r}")
         seen.add(record.id)
-        problems = validate_record(record, retry_cap=config.retry_cap)
-        if problems:
-            raise ValueError(f"record {record.id}: {'; '.join(problems)}")
 
     completed: dict[str, RecordOutcome] = {}
     journal = None

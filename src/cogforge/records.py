@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .jsonl import NON_EMPTY_STRING, NUMBER, STRING, STRING_OR_NULL, one_of
+from .jsonl import NON_EMPTY_STRING, NUMBER, STRING, STRING_OR_NULL, Kind, one_of, refusal
 
 
 class ParseError(ValueError):
@@ -74,6 +74,15 @@ class CoTRecord:
 
 # What jsonl.read_rows checks of each input row, declared beside the type it fills.
 RECORD_SCHEMA = dict.fromkeys(("id", "problem", "answer", "reasoning"), NON_EMPTY_STRING)
+
+
+@functools.cache
+def record_schema(retry_cap: int) -> dict[str, Kind]:
+    """What validate_record checks, built once per cap: RECORD_SCHEMA, and a
+    ``rewrite_count`` of the kind a checkpoint row's ``attempts`` has too."""
+    return {**RECORD_SCHEMA, "rewrite_count": Kind(
+        lambda value: type(value) is int and 0 <= value <= retry_cap,
+        f"an integer from 0 to {retry_cap}")}
 
 
 @dataclass
@@ -216,16 +225,8 @@ def parse_verdict(text: str) -> bool:
     return _parse_label(text, _VERDICT_WORDS, "YES/NO verdict")
 
 
-def validate_record(record: CoTRecord, retry_cap: int) -> list[str]:
-    """Check one record against the schema; violations are data, not faults.
-
-    Returns an empty list iff the record is well-formed. Each violation names
-    the offending field and the rule it breaks. Id uniqueness is a
-    dataset-level property and is checked where datasets are assembled.
-    """
-    violations = [f"{name}: empty" for name in RECORD_SCHEMA if not getattr(record, name)]
-    if record.rewrite_count < 0:
-        violations.append("rewrite_count: negative")
-    elif record.rewrite_count > retry_cap:
-        violations.append("rewrite_count: exceeds cap")
-    return violations
+def validate_record(record: CoTRecord, retry_cap: int) -> str | None:
+    """``jsonl.refusal``'s words for the first field of ``record`` that
+    ``record_schema(retry_cap)`` refuses; None for a sound record. Id
+    uniqueness is a dataset-level property, checked where datasets are assembled."""
+    return refusal(vars(record), record_schema(retry_cap))

@@ -294,6 +294,44 @@ class TestCurate:
         assert sorted(path.name for path in tmp.iterdir()) == [
             "config.yaml", "input.jsonl", "script.jsonl"]
 
+    @pytest.mark.parametrize("config_text, text", [
+        ('pipeline:\n  checkpoint_path: "x\\ud800"\n',
+         "pipeline: field 'checkpoint_path' holds a lone surrogate, which UTF-8 cannot encode: "
+         "'x\\ud800'"),
+        ('templates_dir: "t\\ud800"\n',
+         "field 'templates_dir' holds a lone surrogate, which UTF-8 cannot encode: 't\\ud800'"),
+    ], ids=["checkpoint_path", "templates_dir"])
+    def test_path_setting_the_file_system_cannot_encode_is_one_error_line(
+            self, curate_paths, monkeypatch, capsys, config_text, text):
+        """Refused at load, naming the file and the setting, not when the path is opened."""
+        tmp = curate_paths["tmp"]
+        monkeypatch.chdir(tmp)
+        config = tmp / "config.yaml"
+        config.write_text(config_text, encoding="utf-8")
+        code = entrypoint([
+            "--config", str(config), "curate",
+            "--input", curate_paths["input"],
+            "--output", curate_paths["output"],
+            "--mock-script", curate_paths["script"],
+        ])
+        assert code == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}: {text}\n"
+        assert sorted(path.name for path in tmp.iterdir()) == [
+            "config.yaml", "input.jsonl", "script.jsonl"]
+
+    def test_checkpoint_path_of_bytes_from_argv_is_taken(self, curate_paths, capsys):
+        """argv decodes a byte that is no UTF-8 to a surrogate that os.fsencode
+        turns back into the byte: a valid file name."""
+        checkpoint = os.path.join(curate_paths["tmp"], os.fsdecode(b"ck\xff"))
+        code = entrypoint([
+            "curate", "--input", curate_paths["input"], "--output", curate_paths["output"],
+            "--mock-script", curate_paths["script"], "--checkpoint", checkpoint,
+        ])
+        assert code == EXIT_PARTIAL, capsys.readouterr().err
+        assert b"ck\xff" in os.listdir(os.fsencode(curate_paths["tmp"]))
+
     def test_malformed_input_row_is_fatal(self, tmp_path, capsys):
         input_path = write_jsonl(tmp_path / "in.jsonl", [{"id": "r1", "problem": "p"}])
         script_path = write_script(tmp_path / "script.jsonl", {})
@@ -1067,6 +1105,11 @@ class TestConfigFile:
             "unhashable-key"])
     def test_unreadable_file_is_one_line(self, tmp_path, capsys, content, words):
         assert self.refused(tmp_path, capsys, content) == words.format(config=tmp_path / "c.yaml")
+
+    def test_value_the_constructor_refuses_is_one_line(self, tmp_path, capsys):
+        """pyyaml reads 2001-13-01 as a date, and its constructor raises a ValueError."""
+        assert self.refused(tmp_path, capsys, b"pipeline: {retry_cap: 2001-13-01}\n") == (
+            ": month must be in 1..12")
 
     def test_unknown_key_is_one_line(self, tmp_path, capsys):
         assert self.refused(tmp_path, capsys, b"pipeline: {retry_cpa: 7}\n") == (

@@ -495,6 +495,19 @@ class TestHTTPBackend:
             backend_for(http_server).complete(make_request())
         assert len(http_server.seen) == 1
 
+    @pytest.mark.parametrize(("payload", "words"), [
+        (b'{"choices": [{"message": {"content": "medium"}}], "usage": {"prompt_tokens": '
+         + b"9" * 5000 + b"}}", f"an integer literal of more than {sys.get_int_max_str_digits()} "
+         "digits"),
+        (b"[" * 100_000, "arrays or objects nested too deeply"),
+    ], ids=["5000-digits", "deep-array"])
+    def test_undecodable_body_is_worded_as_a_files_line_is(self, http_server, payload, words):
+        """json's own syntax texts differ across Python versions, so only these are pinned."""
+        http_server.playbook.append((200, payload))
+        with pytest.raises(ProviderError) as caught:
+            backend_for(http_server).complete(make_request())
+        assert str(caught.value) == f"malformed provider response: {words}"
+
     @pytest.mark.parametrize("text", ["re\ud83dwrite", "\udc80", "ok \U0001f600 then \udfff"],
                              ids=["half-emoji", "lone-low", "after-a-pair"])
     def test_lone_surrogate_content_is_provider_error(self, http_server, text):

@@ -112,8 +112,11 @@ class TestBuildPairs:
         with pytest.raises(ValueError, match="r_rewritten"):
             build_pairs(family, SCHEDULE)
         # A library caller's only guard: the CLI's FAMILY_SCHEMA refuses an empty id first.
-        with pytest.raises(ValueError, match=r"^family : id: empty$"):
+        with pytest.raises(ValueError, match=r"^family: field 'id' is not a non-empty string: ''$"):
             build_pairs(easy_family(id=""), SCHEDULE)
+        # An id FAMILY_SCHEMA refuses would make pair ids such as 7:large.
+        with pytest.raises(ValueError, match=r"^family: field 'id' is not a non-empty string: 7$"):
+            build_pairs(easy_family(id=7), SCHEDULE)
 
     def test_degenerate_members_skipped(self, caplog):
         family = easy_family(r_corrupted="expanded trace")  # equals the rewrite

@@ -251,7 +251,8 @@ class TestEdgeCases:
         for field in ("reasoning", "problem"):
             record = CoTRecord(**{"id": "r1", "problem": "p", "answer": "a", "reasoning": "r",
                                   field: ""})
-            with pytest.raises(ValueError, match=rf"^record r1: {field}: empty$"):
+            with pytest.raises(ValueError, match=rf"^record 'r1': field '{field}' is not a "
+                                                 "non-empty string: ''$"):
                 run_crv([record], PipelineConfig(), Agents(backend))
         assert backend.requests == []
 
@@ -263,6 +264,51 @@ class TestEdgeCases:
             with pytest.raises(ConfigError):
                 run_crv(make_dataset(1), config, Agents(backend))
         assert backend.requests == []
+
+
+class TestLibraryInputs:
+    """run_crv builds its settings as load_config builds a file's, and checks
+    each record with RECORD_SCHEMA, so the library neither fails late on a
+    value a reader casts nor takes one a reader refuses."""
+
+    @staticmethod
+    def run_with(tmp_path, tag, settings, dataset, script):
+        config = PipelineConfig(**settings, checkpoint_path=str(tmp_path / f"{tag}.ckpt"))
+        curated, families, stats, discards = run_crv(dataset, config,
+                                                     Agents(ScriptedBackend(script)))
+        header = json.loads((tmp_path / f"{tag}.ckpt").read_text())
+        return ([r.to_output_dict() for r in curated], [f.to_dict() for f in families],
+                stats.to_dict(), discards, header["fingerprint"])
+
+    @pytest.mark.parametrize(("settings", "typed"), [
+        ({"retry_cap": "2"}, {"retry_cap": 2}),
+        ({"votes": "3"}, {"votes": 3}),
+        ({"max_concurrency": "2"}, {"max_concurrency": 2}),
+        ({"retry_cap": 2.0}, {"retry_cap": 2}),
+        ({"votes": "3", "retry_cap": 2.0}, {"votes": 3, "retry_cap": 2}),
+        ({"verifier_role": "base"}, {"verifier_role": ModelRole.BASE}),
+    ], ids=["retry_cap-string", "votes-string", "concurrency-string", "retry_cap-float",
+            "votes-and-retry_cap", "role-string"])
+    def test_settings_are_cast_as_a_config_files_are(self, tmp_path, six_record_dataset,
+                                                     six_record_script, settings, typed):
+        """Each once raised a TypeError (an AttributeError for the role, in
+        the fingerprint); the caller's config is left as it was given."""
+        script = {key: list(values) for key, values in six_record_script.items()}
+        given = self.run_with(tmp_path, "given", settings, six_record_dataset, six_record_script)
+        assert given == self.run_with(tmp_path, "typed", typed, six_record_dataset, script)
+
+    @pytest.mark.parametrize(("record", "words"), [
+        (CoTRecord(5, "p", "a", "t"), "record 5: field 'id' is not a non-empty string: 5"),
+        (CoTRecord("r1", "p\ud800", "a", "t"), "record 'r1': field 'problem' holds a lone "
+         "surrogate, which UTF-8 cannot encode: 'p\\ud800'"),
+    ], ids=["int-id", "lone-surrogate"])
+    def test_record_a_reader_refuses_is_refused_before_any_request(self, tmp_path, record,
+                                                                   words):
+        backend = CapturingBackend({})
+        config = PipelineConfig(checkpoint_path=str(tmp_path / "run.ckpt"))
+        with pytest.raises(ValueError, match=f"^{re.escape(words)}$"):
+            run_crv([record], config, Agents(backend))
+        assert backend.requests == [] and list(tmp_path.iterdir()) == []
 
 
 class TestConfigApplied:

@@ -121,23 +121,25 @@ def make_record(**overrides) -> CoTRecord:
 
 class TestValidateRecord:
     def test_valid_record_has_no_violations(self):
-        assert validate_record(make_record(), retry_cap=3) == []
+        assert validate_record(make_record(), retry_cap=3) is None
 
     def test_empty_fields_flagged(self):
+        # The first field RECORD_SCHEMA refuses, in read_rows' words.
         record = make_record(id="", problem="", answer="", reasoning="")
-        violations = validate_record(record, retry_cap=3)
-        assert len(violations) == 4
+        assert validate_record(record, retry_cap=3) == "field 'id' is not a non-empty string: ''"
 
     def test_negative_rewrite_count(self):
         record = make_record()
         record.rewrite_count = -1
-        assert any("rewrite_count" in v for v in validate_record(record, retry_cap=3))
+        assert validate_record(record, retry_cap=3) == (
+            "field 'rewrite_count' is not an integer from 0 to 3: -1")
 
     def test_rewrite_count_over_cap(self):
         record = make_record()
         record.rewrite_count = 4
-        assert any("exceeds cap" in v for v in validate_record(record, retry_cap=3))
-        assert validate_record(record, retry_cap=4) == []
+        assert validate_record(record, retry_cap=3) == (
+            "field 'rewrite_count' is not an integer from 0 to 3: 4")
+        assert validate_record(record, retry_cap=4) is None
 
 
 class TestCoTRecord:
