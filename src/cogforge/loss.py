@@ -202,17 +202,21 @@ def _step_counts(
     Step i takes token ``response[i]`` in bucket ``bucket(prompt +
     response[:i])``. Each sequence is walked once: every prompt and response
     token's range is checked, and the hash is carried forward one token at a
-    time."""
+    time. A token that is not an integer fails the range check or the hash
+    with a TypeError, which is raised again naming the token."""
     vocab, width = policy.vocab_size, policy.n_buckets * policy.vocab_size
     cells = []
     for row, (prompt, response) in enumerate(sequences):
-        h, start = _FNV_OFFSET, len(prompt)
-        for i, token in enumerate((*prompt, *response)):
-            if not 0 <= token < vocab:
-                raise TokenOutOfRange(f"token {token} outside vocabulary of size {vocab}")
-            if i >= start:
-                cells.append(row * width + h % policy.n_buckets * vocab + token)
-            h = _fnv1a(h, token)
+        h, start, tokens = _FNV_OFFSET, len(prompt), (*prompt, *response)
+        try:
+            for i, token in enumerate(tokens):
+                if not 0 <= token < vocab:
+                    raise TokenOutOfRange(f"token {token} outside vocabulary of size {vocab}")
+                if i >= start:
+                    cells.append(row * width + h % policy.n_buckets * vocab + token)
+                h = _fnv1a(h, token)
+        except TypeError:
+            raise TypeError(f"token {token!r} is not an integer") from None
     counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(sequences) * width)
     return counts.reshape(len(sequences), width).astype(float)
 

@@ -291,6 +291,18 @@ def save_checkpoint(path: str, completed: dict[str, RecordOutcome], inputs: dict
     write_rows(path, [{"format": CHECKPOINT_FORMAT, "fingerprint": fingerprint, "completed": rows}])
 
 
+def _drop_torn_tail(path: str) -> bool:
+    """Cut what follows the last newline of a checkpoint load_checkpoint has
+    read, a torn append, so the next append starts a line; a complete file is
+    not written. Returns whether the file holds rows after its header."""
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        end = data.rindex(b"\n") + 1
+        if end < len(data):
+            handle.truncate(end)
+    return data.index(b"\n") + 1 < end
+
+
 def run_crv(
     dataset: list[CoTRecord], config: PipelineConfig, agents: Agents
 ) -> tuple[list[CoTRecord], list[RecordFamily], PipelineStats, list[dict]]:
@@ -299,8 +311,10 @@ def run_crv(
     The settings are cast, into a copy, as ``load_config`` casts a file's.
     Fatal errors (gateway, config, corrupt checkpoint) propagate; per-record
     agent failures become discards. Each record ends as one RecordOutcome,
-    appended to config.checkpoint_path (if set) as it completes; the file is
-    compacted when the run ends or aborts. After any other failure, or a
+    appended to config.checkpoint_path (if set) as it completes: a fresh run
+    writes the header first, a resume appends after the rows it loaded. The
+    file is compacted into one header line when the run ends or aborts,
+    unless it already is one. After any other failure, or a
     KeyboardInterrupt in the calling thread, no further record starts, and
     the first such error is raised once the records in flight are finished
     and kept. A resumed run reproduces the uninterrupted outputs and stats
@@ -321,13 +335,16 @@ def run_crv(
 
     completed: dict[str, RecordOutcome] = {}
     journal = None
+    compact = False  # whether the journal holds rows to fold into its header
     path = config.checkpoint_path
     if path:
         inputs = input_digests(dataset)
         fingerprint = checkpoint_fingerprint(inputs, config, agents)
         completed = load_checkpoint(path, inputs, fingerprint, config.retry_cap)
-        # Rewriting the header first drops a torn tail before any append.
-        save_checkpoint(path, completed, inputs, fingerprint)
+        if os.path.exists(path):
+            compact = _drop_torn_tail(path)
+        else:
+            save_checkpoint(path, completed, inputs, fingerprint)
         journal = open(path, "a", encoding="utf-8")
     todo = [record for record in dataset if record.id not in completed]
     if completed:
@@ -342,11 +359,13 @@ def run_crv(
     in_flight = 0
 
     def finish(record_id: str, outcome: RecordOutcome) -> None:
+        nonlocal compact
         completed[record_id] = outcome
         if journal is not None:
             row = {"id": record_id, **outcome.to_checkpoint(inputs[record_id])}
             journal.write(dump_row(row) + "\n")
             journal.flush()
+            compact = True
 
     def stop(exc: BaseException) -> None:
         """Hand out no further record; the first failure is the one raised."""
@@ -393,7 +412,8 @@ def run_crv(
         if journal is not None:
             with lock:
                 journal.close()
-                save_checkpoint(path, completed, inputs, fingerprint)
+                if compact:
+                    save_checkpoint(path, completed, inputs, fingerprint)
     if failure is not None:
         raise failure
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the hand-traced six-record script, a randomized script
-generator for property tests, a keep-alive loopback HTTP server, a loader for
-the benchmark's modules, and the one hypothesis profile."""
+generator for property tests, a keep-alive and a playbook loopback HTTP server,
+a directory snapshot, a loader for the benchmark's modules, and the one
+hypothesis profile."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import importlib.util
 import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,12 @@ def make_dataset(n: int = 6) -> list[CoTRecord]:
         CoTRecord(id=f"r{i}", problem=f"problem {i}", answer=f"answer {i}", reasoning=f"trace {i}")
         for i in range(1, n + 1)
     ]
+
+
+def snapshot(directory: Path) -> dict[str, bytes | None]:
+    """Every file's bytes and every directory (None) under ``directory``."""
+    return {str(path): None if path.is_dir() else path.read_bytes()
+            for path in directory.rglob("*")}
 
 
 @pytest.fixture(autouse=True)
@@ -226,6 +233,40 @@ def proxy_env(monkeypatch):
 def keepalive_server(proxy_env):
     """A KeepAliveServer on loopback, reached directly: no proxy is set."""
     server = KeepAliveServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+class _ScriptedHTTPHandler(BaseHTTPRequestHandler):
+    """Pops (status, payload) pairs off the server and records request bodies.
+    A payload of bytes is sent as it is, any other as JSON."""
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length))
+        self.server.seen.append({"body": body, "auth": self.headers.get("Authorization")})
+        status, payload = self.server.playbook.pop(0)
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_server():
+    """A _ScriptedHTTPHandler server on loopback, which answers from ``playbook``."""
+    server = HTTPServer(("127.0.0.1", 0), _ScriptedHTTPHandler)
+    server.playbook = []
+    server.seen = []
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield server

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from conftest import SIX_RECORD_SCRIPT, make_dataset
+from conftest import SIX_RECORD_SCRIPT, make_dataset, snapshot
 
 from cogforge import cli, jsonl
 from cogforge.agents import TEMPLATE_NAMES, PromptTemplate, load_templates
@@ -138,20 +138,6 @@ class TestCurate:
                                 f"string: {value!r}\n")
         assert not output.exists()
 
-    def test_repeated_input_id_is_refused_naming_its_file(self, tmp_path, capsys,
-                                                          six_record_dataset):
-        rows = dataset_rows(six_record_dataset)
-        rows[3]["id"] = "r1"
-        input_path = write_jsonl(tmp_path / "input.jsonl", rows)
-        output = tmp_path / "curated.jsonl"
-        code = entrypoint(["curate", "--input", input_path, "--output", str(output),
-                           "--mock-script", write_script(tmp_path / "empty.jsonl", {})])
-        assert code == EXIT_FATAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {input_path}:4: duplicate id 'r1'\n"
-        assert not output.exists()
-
     @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "newline"])
     def test_empty_template_is_refused_before_any_request(self, curate_paths, monkeypatch,
                                                           capsys, text):
@@ -238,35 +224,6 @@ class TestCurate:
         assert code == EXIT_FATAL
         assert "error:" in capsys.readouterr().err
 
-    def test_no_backend_is_fatal(self, tmp_path, six_record_dataset, capsys):
-        input_path = write_jsonl(tmp_path / "in.jsonl", dataset_rows(six_record_dataset))
-        code = entrypoint([
-            "curate", "--input", input_path, "--output", str(tmp_path / "out.jsonl"),
-        ])
-        assert code == EXIT_FATAL
-        assert "endpoints" in capsys.readouterr().err
-
-    def test_path_setting_that_is_no_string_is_one_error_line(self, curate_paths, monkeypatch,
-                                                              capsys):
-        """Refused at load: an int path would be read as a file descriptor."""
-        tmp = curate_paths["tmp"]
-        monkeypatch.chdir(tmp)
-        config = tmp / "config.yaml"
-        config.write_text("pipeline:\n  checkpoint_path: 7\n", encoding="utf-8")
-        code = entrypoint([
-            "--config", str(config), "curate",
-            "--input", curate_paths["input"],
-            "--output", curate_paths["output"],
-            "--mock-script", curate_paths["script"],
-        ])
-        assert code == EXIT_FATAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: {config}: pipeline: field 'checkpoint_path' is not a "
-                                "non-empty string or null: 7\n")
-        assert sorted(path.name for path in tmp.iterdir()) == [
-            "config.yaml", "input.jsonl", "script.jsonl"]
-
     @pytest.mark.parametrize("config_text, flags, text", [
         ("pipeline:\n  checkpoint_path: ''\n", [], "{config}: pipeline: field 'checkpoint_path'"),
         ("templates_dir: ''\n", [], "{config}: field 'templates_dir'"),
@@ -331,18 +288,6 @@ class TestCurate:
         ])
         assert code == EXIT_PARTIAL, capsys.readouterr().err
         assert b"ck\xff" in os.listdir(os.fsencode(curate_paths["tmp"]))
-
-    def test_malformed_input_row_is_fatal(self, tmp_path, capsys):
-        input_path = write_jsonl(tmp_path / "in.jsonl", [{"id": "r1", "problem": "p"}])
-        script_path = write_script(tmp_path / "script.jsonl", {})
-        code = entrypoint([
-            "curate",
-            "--input", input_path,
-            "--output", str(tmp_path / "out.jsonl"),
-            "--mock-script", script_path,
-        ])
-        assert code == EXIT_FATAL
-        assert capsys.readouterr().err == f"error: {input_path}:1: missing field 'answer'\n"
 
     def test_malformed_script_row_is_fatal(self, tmp_path, six_record_dataset, capsys):
         input_path = write_jsonl(tmp_path / "in.jsonl", dataset_rows(six_record_dataset))
@@ -818,20 +763,6 @@ class TestPairs:
             ("read", "fam-medium"), ("build", "fam-medium"),
         ]
 
-    def test_failed_run_leaves_output_untouched(self, tmp_path, capsys):
-        invalid = dict(family_rows()[1], r_rewritten="a rewrite a medium family cannot have")
-        families_path = write_jsonl(tmp_path / "families.jsonl", [family_rows()[0], invalid])
-        output = tmp_path / "pairs.jsonl"
-        output.write_bytes(b"old bytes\n")
-        code = entrypoint(["pairs", "--families", families_path, "--output", str(output)])
-        assert code == EXIT_FATAL
-        assert capsys.readouterr().err == (f"error: {families_path}: family fam-medium: "
-                                           "r_rewritten: present on a medium-rated family\n")
-        assert output.read_bytes() == b"old bytes\n"
-        assert sorted(path.name for path in tmp_path.iterdir()) == [
-            "families.jsonl", "pairs.jsonl",
-        ]
-
     def test_repeated_family_id_is_refused(self, tmp_path, capsys):
         # Its pairs would repeat the first family's pair ids, which loss-eval cannot join.
         repeat = dict(family_rows()[1], id="fam-easy")
@@ -897,15 +828,6 @@ def logprob_row(pair_id: str, diff: float = 0.0) -> dict:
 
 
 class TestLossEval:
-    def test_empty_pairs_file_is_refused_naming_it(self, tmp_path, capsys):
-        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [])
-        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [])
-        code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
-        assert code == EXIT_FATAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {pairs_path}: no pairs\n"
-
     def test_zero_margins_give_ln2(self, tmp_path, capsys):
         pairs_path = write_jsonl(
             tmp_path / "pairs.jsonl",
@@ -960,19 +882,6 @@ class TestLossEval:
         summary = last_json_line(capsys)
         assert abs(summary["mean_margin_by_gap"]["small"] - 0.3) < 1e-12
 
-    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys):
-        bad_path = tmp_path / "bad.yaml"
-        bad_path.write_text("pipeline: [unclosed\n", encoding="utf-8")
-        pairs_path = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
-        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a")])
-        code = entrypoint([
-            "--config", str(bad_path),
-            "loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path,
-        ])
-        assert code == EXIT_FATAL
-        assert capsys.readouterr().err == (f"error: {bad_path}:2:1: while parsing a flow sequence, "
-                                           "expected ',' or ']', but got '<stream end>'\n")
-
     def test_failed_write_leaves_report_untouched(self, tmp_path, monkeypatch, capsys):
         pairs_path = write_jsonl(
             tmp_path / "pairs.jsonl",
@@ -994,15 +903,6 @@ class TestLossEval:
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "lp.jsonl", "pairs.jsonl", "report.jsonl",
         ]
-
-    def test_join_mismatch_is_fatal(self, tmp_path, capsys):
-        pairs_path = write_jsonl(
-            tmp_path / "pairs.jsonl", [pair_row("a", "small"), pair_row("b", "large")]
-        )
-        logprobs_path = write_jsonl(tmp_path / "lp.jsonl", [logprob_row("a")])
-        code = entrypoint(["loss-eval", "--pairs", pairs_path, "--logprobs", logprobs_path])
-        assert code == EXIT_FATAL
-        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pair_ids, logprob_ids, file, text", [
         (["a:large", "a:large"], ["a:large"], "pairs", ":2: duplicate id 'a:large'"),
@@ -1111,10 +1011,6 @@ class TestConfigFile:
         assert self.refused(tmp_path, capsys, b"pipeline: {retry_cap: 2001-13-01}\n") == (
             ": month must be in 1..12")
 
-    def test_unknown_key_is_one_line(self, tmp_path, capsys):
-        assert self.refused(tmp_path, capsys, b"pipeline: {retry_cpa: 7}\n") == (
-            ": pipeline: unknown key 'retry_cpa' (did you mean 'retry_cap'?)")
-
     def test_every_refusal_of_the_file_is_on_the_line(self, tmp_path, capsys):
         content = b"pipline: {}\nsampling: {top_k: 0}\nschedule: {beta_large: 0.15}\n"
         assert self.refused(tmp_path, capsys, content) == (
@@ -1218,121 +1114,6 @@ class TestMalformedRows:
             argv = ["loss-eval", "--pairs", paths["pairs"], "--logprobs", paths["logprobs"]]
         assert entrypoint(argv) == EXIT_FATAL
         assert capsys.readouterr().err == f"error: {paths[file]}:1: {text}\n"
-
-    @pytest.mark.parametrize("literal, value", [
-        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")])
-    def test_non_finite_logprob_is_refused_with_its_line(self, tmp_path, capsys, literal, value):
-        """json reads these four literals as floats that are not finite; the
-        row is refused as it is read, not by the loss core after the join."""
-        pairs = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
-        logprobs = tmp_path / "lp.jsonl"
-        row = json.dumps(logprob_row("a")).replace('"lp_w_theta": 0.0', f'"lp_w_theta": {literal}')
-        logprobs.write_text(row + "\n", encoding="utf-8")
-        argv = ["loss-eval", "--pairs", pairs, "--logprobs", str(logprobs)]
-        assert entrypoint(argv) == EXIT_FATAL
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: {logprobs}:1: field 'lp_w_theta' is not a number in "
-                                f"float range: {value}\n")
-
-
-def snapshot(directory: Path) -> dict[str, bytes]:
-    return {str(path): path.read_bytes() for path in directory.rglob("*") if path.is_file()}
-
-
-def write_lines(path: Path, lines: list[str]) -> str:
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return str(path)
-
-
-DEEP = "[" * 100_000
-LONG_INTEGER = "9" * 5000
-
-
-class TestUnreadableValues:
-    """Arrays nested past the interpreter's recursion limit, an integer
-    literal past its digit limit and an unpaired \\ud800-\\udfff escape are
-    refused where they are read: one `error:` line that names the file, no
-    traceback, and no file written or changed."""
-
-    def refusal(self, tmp_path, capsys, argv: list[str]) -> str:
-        before = snapshot(tmp_path)
-        assert entrypoint(argv) == EXIT_FATAL
-        captured = capsys.readouterr()
-        assert snapshot(tmp_path) == before
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        return captured.err[len("error: "):-1]
-
-    def test_deep_family_row(self, tmp_path, capsys):
-        families = write_lines(tmp_path / "fam.jsonl", [json.dumps(family_rows()[0]), DEEP])
-        argv = ["pairs", "--families", families, "--output", str(tmp_path / "pairs.jsonl")]
-        assert self.refusal(tmp_path, capsys, argv) == (
-            f"{families}:2: not valid JSON: arrays or objects nested too deeply")
-
-    @pytest.mark.parametrize("value, words", [
-        (DEEP, "arrays or objects nested too deeply"),
-        (LONG_INTEGER, f"an integer literal of more than {sys.get_int_max_str_digits()} digits"),
-    ], ids=["deep", "long-integer"])
-    def test_logprob_row(self, tmp_path, capsys, value, words):
-        pairs = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
-        row = json.dumps(logprob_row("a")).replace('"lp_w_ref": 0.0', f'"lp_w_ref": {value}')
-        logprobs = write_lines(tmp_path / "lp.jsonl", [row])
-        argv = ["loss-eval", "--pairs", pairs, "--logprobs", logprobs,
-                "--output", str(tmp_path / "report.jsonl")]
-        assert self.refusal(tmp_path, capsys, argv) == f"{logprobs}:1: not valid JSON: {words}"
-
-    def test_deep_config(self, tmp_path, capsys, six_record_dataset):
-        config = tmp_path / "deep.yaml"
-        config.write_text("pipeline: " + "[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
-        dataset = write_jsonl(tmp_path / "input.jsonl", dataset_rows(six_record_dataset))
-        argv = ["--config", str(config), "curate", "--input", dataset,
-                "--output", str(tmp_path / "out.jsonl")]
-        assert self.refusal(tmp_path, capsys, argv) == (
-            f"{config}: mappings or sequences nested too deeply")
-
-    @pytest.mark.parametrize("text", ["x\ud800y", "\udfff", "re\ud83dwrite \U0001f600"],
-                             ids=["lone-high", "lone-low", "half-emoji"])
-    def test_lone_surrogate_in_a_family(self, tmp_path, capsys, text):
-        row = dict(family_rows()[0], r_original=text)
-        families = write_lines(tmp_path / "fam.jsonl", [json.dumps(row)])
-        argv = ["pairs", "--families", families, "--output", str(tmp_path / "pairs.jsonl")]
-        assert self.refusal(tmp_path, capsys, argv) == (
-            f"{families}:1: field 'r_original' holds a lone surrogate, which UTF-8 cannot "
-            f"encode: {text!r}")
-
-    def test_lone_surrogate_in_a_dataset_row(self, tmp_path, capsys, curate_paths):
-        rows = [{"id": "r1", "problem": "p\udc80", "answer": "a", "reasoning": "r"}]
-        dataset = write_lines(tmp_path / "data.jsonl", [json.dumps(row) for row in rows])
-        argv = ["curate", "--input", dataset, "--output", str(tmp_path / "out.jsonl"),
-                "--mock-script", curate_paths["script"]]
-        assert self.refusal(tmp_path, capsys, argv) == (
-            f"{dataset}:1: field 'problem' holds a lone surrogate, which UTF-8 cannot "
-            "encode: 'p\\udc80'")
-
-    def test_lone_surrogate_in_a_script_response(self, tmp_path, capsys, curate_paths):
-        script = write_lines(tmp_path / "script.jsonl", [
-            json.dumps({"key": "critic:r1", "responses": ["hard"]}),
-            json.dumps({"key": "rethinker:r1", "responses": ["re\ud83dwrite"]})])
-        argv = ["curate", "--input", curate_paths["input"],
-                "--output", str(tmp_path / "out.jsonl"), "--mock-script", script]
-        assert self.refusal(tmp_path, capsys, argv) == (
-            f"{script}:2: field 'responses' holds a lone surrogate, which UTF-8 cannot "
-            "encode: ['re\\ud83dwrite']")
-
-    @pytest.mark.parametrize("line", [1, 2])
-    def test_deep_checkpoint_line(self, tmp_path, capsys, curate_paths, line):
-        """A deep header is no header; a deep appended line is no checkpoint row."""
-        checkpoint = tmp_path / "run.ckpt"
-        argv = ["curate", "--input", curate_paths["input"], "--output", str(tmp_path / "out.jsonl"),
-                "--checkpoint", str(checkpoint), "--mock-script", curate_paths["script"]]
-        assert entrypoint(argv) == EXIT_PARTIAL
-        header = checkpoint.read_text(encoding="utf-8").splitlines()[0]
-        write_lines(checkpoint, [header, DEEP] if line == 2 else [DEEP])
-        capsys.readouterr()
-        assert self.refusal(tmp_path, capsys, argv) == (
-            f"{checkpoint}:2: not a checkpoint row" if line == 2
-            else f"{checkpoint}: line 1 is not a cogforge-checkpoint-v6 header")
 
 
 @pytest.fixture

@@ -129,11 +129,6 @@ class TestViolations:
         with pytest.raises(ConfigError, match="votes"):
             load_config(write_yaml(tmp_path, {"pipeline": {"votes": 4}}))
 
-    def test_schedule_out_of_order(self, tmp_path):
-        payload = {"schedule": {"beta_small": 0.5, "beta_medium": 0.2, "beta_large": 0.1}}
-        with pytest.raises(ConfigError, match="config.yaml: schedule: beta ordering"):
-            load_config(write_yaml(tmp_path, payload))
-
     def test_bad_sampling(self, tmp_path):
         with pytest.raises(ConfigError, match="temperature"):
             load_config(write_yaml(tmp_path, {"sampling": {"temperature": -1.0}}))

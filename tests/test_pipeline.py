@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import json
 import logging
@@ -635,24 +636,39 @@ class TestJournal:
                 return self.inner.complete(request)
 
         inputs = input_digests(dataset)
-        saves = []
-        real_save = pipeline.save_checkpoint
-
-        def killed_before_compaction(*args):
-            saves.append(args[0])
-            if len(saves) == 1:
-                real_save(*args)
-
-        monkeypatch.setattr(pipeline, "save_checkpoint", killed_before_compaction)
+        saves = []  # the run is killed before its compaction
+        monkeypatch.setattr(pipeline, "save_checkpoint", lambda *args: saves.append(args[0]))
         config = PipelineConfig(max_concurrency=1, checkpoint_path=str(checkpoint))
         run_crv(dataset, config, Agents(Watch(ScriptedBackend(six_record_script))))
         monkeypatch.undo()
-        assert len(saves) == 2
+        assert len(saves) == 1
         with open(checkpoint, encoding="utf-8") as handle:
             assert len(handle.readlines()) == 7  # the header and one row a record
         resumed, backend = self.outputs(dataset, {}, checkpoint)
         assert resumed == baseline
         assert backend.history == []
+
+    def test_resume_over_a_complete_checkpoint_writes_no_byte(
+        self, tmp_path, six_record_script, monkeypatch
+    ):
+        """A resume that walks no record rewrites no header and appends no row."""
+        checkpoint, dataset, written = tmp_path / "checkpoint.json", make_dataset(6), []
+        baseline, _ = self.outputs(dataset, six_record_script, checkpoint)
+        before, real_open = checkpoint.read_bytes(), builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if str(file).startswith(str(checkpoint)) and mode not in ("r", "rb"):
+                write, truncate = handle.write, handle.truncate
+                handle.write = lambda data: written.append(len(data)) or write(data)
+                handle.truncate = lambda *size: written.append(size) or truncate(*size)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        resumed, backend = self.outputs(dataset, {}, checkpoint)
+        monkeypatch.undo()
+        assert (resumed, backend.history, written) == (baseline, [], [])
+        assert checkpoint.read_bytes() == before
 
     def test_torn_multibyte_character_is_a_torn_tail(self, tmp_path):
         path = tmp_path / "checkpoint.json"
