@@ -300,6 +300,14 @@ class TestCurate:
         assert capsys.readouterr().err == (
             f"error: {script_path}:1: field 'responses' is not a list of strings: 5\n")
 
+    def test_no_backend_is_fatal(self, tmp_path, six_record_dataset, capsys):
+        input_path = write_jsonl(tmp_path / "in.jsonl", dataset_rows(six_record_dataset))
+        code = entrypoint([
+            "curate", "--input", input_path, "--output", str(tmp_path / "out.jsonl"),
+        ])
+        assert code == EXIT_FATAL
+        assert "endpoints" in capsys.readouterr().err
+
     @pytest.mark.parametrize("failing, rows_before", [(0, 1), (1, 4), (2, 7)],
                              ids=["curated", "discards", "families"])
     def test_failed_write_leaves_that_output_untouched(
@@ -1114,6 +1122,46 @@ class TestMalformedRows:
             argv = ["loss-eval", "--pairs", paths["pairs"], "--logprobs", paths["logprobs"]]
         assert entrypoint(argv) == EXIT_FATAL
         assert capsys.readouterr().err == f"error: {paths[file]}:1: {text}\n"
+
+
+
+def write_lines(path: Path, lines: list[str]) -> str:
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+DEEP = "[" * 100_000
+
+
+class TestUnreadableValues:
+    """Arrays nested past the interpreter's recursion limit are refused where
+    they are read: one `error:` line that names the file and line, no
+    traceback, and no file written or changed."""
+
+    def refusal(self, tmp_path, capsys, argv: list[str]) -> str:
+        before = snapshot(tmp_path)
+        assert entrypoint(argv) == EXIT_FATAL
+        captured = capsys.readouterr()
+        assert snapshot(tmp_path) == before
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err[len("error: "):-1]
+
+    def test_deep_family_row(self, tmp_path, capsys):
+        families = write_lines(tmp_path / "fam.jsonl", [json.dumps(family_rows()[0]), DEEP])
+        argv = ["pairs", "--families", families, "--output", str(tmp_path / "pairs.jsonl")]
+        assert self.refusal(tmp_path, capsys, argv) == (
+            f"{families}:2: not valid JSON: arrays or objects nested too deeply")
+
+    @pytest.mark.parametrize("value", [DEEP], ids=["deep"])
+    def test_logprob_row(self, tmp_path, capsys, value):
+        pairs = write_jsonl(tmp_path / "pairs.jsonl", [pair_row("a", "small")])
+        row = json.dumps(logprob_row("a")).replace('"lp_w_ref": 0.0', f'"lp_w_ref": {value}')
+        logprobs = write_lines(tmp_path / "lp.jsonl", [row])
+        argv = ["loss-eval", "--pairs", pairs, "--logprobs", logprobs,
+                "--output", str(tmp_path / "report.jsonl")]
+        assert self.refusal(tmp_path, capsys, argv) == (
+            f"{logprobs}:1: not valid JSON: arrays or objects nested too deeply")
 
 
 @pytest.fixture
